@@ -213,11 +213,6 @@ class MatrixPair:
     _cache: dict = field(default_factory=dict, repr=False)
     _gen_powers: dict = field(default_factory=dict, repr=False)
 
-    def freeze_box(self, bound: int):
-        """Precompute A^l for the box |l|_inf <= bound (single-writer phase)."""
-        for ell in itertools.product(range(-bound, bound + 1), repeat=2):
-            mat_pow_pair(self, ell)
-
 
 def matrix_pair(a1, a2) -> MatrixPair:
     a1 = mat_tuplify(a1)

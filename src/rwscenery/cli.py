@@ -23,8 +23,10 @@ import os
 import sys
 from datetime import datetime, timezone
 from importlib import resources
+from typing import Callable, NamedTuple
 
 from . import __version__, harness, reportio, scenery, walk
+from .walk import sample_path
 
 
 class ConfigError(ValueError):
@@ -46,12 +48,62 @@ def load_fixture(name: str) -> dict:
         return json.load(fh)
 
 
-def _build_walk(doc, field="walk"):
-    if not isinstance(doc, dict):
-        raise ConfigError(field, "must be an object")
-    if "preset" in doc:
+# ---------------------------------------------------------------------------
+# field parsers: each maps (field, JSON value) to the value a runner takes, or
+# raises ConfigError naming the field
+
+
+def _integer(field, v):
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ConfigError(field, f"expected an integer, got {v!r}")
+    return v
+
+
+def _number(field, v):
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        raise ConfigError(field, f"expected a number, got {v!r}")
+    return float(v)
+
+
+def _check(parse, ok, message):
+    """``parse``, then require ``ok`` of the parsed value."""
+    def checked(field, v):
+        v = parse(field, v)
+        if not ok(v):
+            raise ConfigError(field, message)
+        return v
+    return checked
+
+
+def _at_least(lo):
+    return _check(_integer, lambda v: v >= lo, f"must be an integer >= {lo}")
+
+
+def _list(item):
+    def parse(field, v):
+        if not isinstance(v, list) or not v:
+            raise ConfigError(field, "expected a nonempty list")
+        return [item(f"{field}[{i}]", x) for i, x in enumerate(v)]
+    return parse
+
+
+def _object(field, v):
+    if not isinstance(v, dict):
+        raise ConfigError(field, "expected an object")
+    return v
+
+
+def _output(field, v):
+    charts = _object(field, v).get("charts", False)
+    if not isinstance(charts, bool):
+        raise ConfigError(f"{field}.charts", "expected true or false")
+    return charts
+
+
+def _walk(field, doc):
+    if "preset" in _object(field, doc):
         preset = doc["preset"]
-        if preset not in WALK_PRESETS:
+        if not isinstance(preset, str) or preset not in WALK_PRESETS:
             raise ConfigError(f"{field}.preset", f"unknown preset {preset!r}")
         return walk.build_walk_model(WALK_PRESETS[preset]())
     if "atoms" not in doc:
@@ -63,73 +115,46 @@ def _build_walk(doc, field="walk"):
     return walk.build_walk_model(law)
 
 
-def _build_scenery(doc, field="scenery"):
-    if not isinstance(doc, dict) or "variant" not in doc:
-        raise ConfigError(field, "must be an object with a 'variant'")
+def _scenery(field, doc):
+    if "variant" not in _object(field, doc):
+        raise ConfigError(field, "needs a 'variant'")
     try:
         if doc.get("pair") == "bundled-sl3":
-            doc = dict(doc)
-            doc["pair"] = load_fixture("toral_pair_sl3.json")
+            doc = dict(doc, pair=load_fixture("toral_pair_sl3.json"))
         return scenery.scenery_from_dict(doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(field, str(exc))
 
 
-def _require(doc, field, types, inner=None):
-    if field not in doc:
-        raise ConfigError(field, "required field is missing")
-    v = doc[field]
-    if not isinstance(v, types):
-        raise ConfigError(field, f"expected {types}, got {type(v).__name__}")
-    if inner is not None and isinstance(v, list):
-        for i, item in enumerate(v):
-            if not isinstance(item, inner):
-                raise ConfigError(f"{field}[{i}]", f"expected {inner}")
-    return v
+_T_GRID = _check(_list(_number),
+                 lambda g: all(a < b for a, b in zip([0.0] + g, g)) and g[-1] == 1.0,
+                 "must increase strictly within (0, 1] and end at 1.0")
+_WINDOWS = _check(_list(_number),
+                  lambda w: len(w) == 4 and 0 < w[0] < w[1] < w[2] < w[3] < 1,
+                  "need [A, B, C, D] with 0 < A < B < C < D < 1")
+_G0_KIND = _check(lambda field, v: v, lambda v: v in ("sqrt3k", "self_intersection"),
+                  "must be 'sqrt3k' or 'self_intersection'")
+_N_LADDER = _list(_at_least(2))  # rungs are normalized by log n, zero at n = 1
+_P_SET = _list(_list(_integer))
 
-
-def _positive_int(doc, field):
-    v = _require(doc, field, int)
-    if isinstance(v, bool) or v < 1:
-        raise ConfigError(field, "must be a positive integer")
-    return v
-
-
-def _validate_t_grid(doc):
-    grid = _require(doc, "t_grid", list, (int, float))
-    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError("t_grid", "must be nonempty and strictly increasing")
-    if not all(0.0 < t <= 1.0 for t in grid):
-        raise ConfigError("t_grid", "entries must lie in (0, 1]")
-    return [float(t) for t in grid]
-
-
-def _fclt_config(doc) -> harness.ExperimentConfig:
-    grid = _validate_t_grid(doc)
-    if grid[-1] != 1.0:
-        raise ConfigError("t_grid", "must end at 1.0")
-    m = _positive_int(doc, "m_sceneries")
-    if m < 100:
-        raise ConfigError("m_sceneries", "KS experiments need at least 100 sceneries")
-    return harness.ExperimentConfig(
-        walk=_build_walk(doc["walk"]) if "walk" in doc else _missing("walk"),
-        scenery=_build_scenery(doc["scenery"]) if "scenery" in doc else _missing("scenery"),
-        n=_positive_int(doc, "n"), t_grid=tuple(grid), m_sceneries=m,
-        n_omegas=_positive_int(doc, "n_omegas"), seed=_require(doc, "seed", int),
-        tolerances=doc.get("tolerances", {}))
-
-
-def _missing(field):
-    raise ConfigError(field, "required field is missing")
+# Field specs: field -> parser (required) or (parser, JSON default).  Defaults
+# are parsed like given values and never written into the config.
+_COMMON = {"seed": _integer, "output": (_output, {})}
+_FCLT_BASE = {"walk": _walk, "scenery": _scenery, "t_grid": _T_GRID,
+              "m_sceneries": _at_least(100),  # KS experiments need 100 draws
+              "n_omegas": _at_least(1), "tolerances": (_object, {})}
+_FCLT = {**_FCLT_BASE, "n": _at_least(2)}  # Y_n is normalized by sqrt(n log n)
+_LADDER = {"walk": _walk, "n_ladder": _N_LADDER, "n_omegas": _at_least(1)}
+_PATH = {"walk": _walk, "scenery": _scenery, "n": _at_least(1),
+         "m_sceneries": _at_least(1)}
 
 
 # ---------------------------------------------------------------------------
-# experiment runners: name -> (runner, anchor)
+# experiment runners: parsed fields -> (report, series, charts)
 
 
-def _run_fclt(doc):
-    cfg = _fclt_config(doc)
-    rep = harness.run_fclt(cfg)
+def _run_fclt(**fclt):
+    rep = harness.run_fclt(harness.ExperimentConfig(**fclt))
     rows = []
     for o in rep.per_omega:
         for j in range(len(rep.t_grid)):
@@ -152,37 +177,26 @@ def _run_fclt(doc):
     return rep, series, charts
 
 
-def _run_fclt_ladder(doc):
+def _run_fclt_ladder(n_ladder, **fclt):
     """Degenerate-variance tracking: Var(Y_n(1)) along an n-ladder."""
-    ladder = _require(doc, "n_ladder", list, int)
-    base = dict(doc)
-    reports = []
-    for n in ladder:
-        base["n"] = int(n)
-        cfg = _fclt_config(base)
-        reports.append(harness.run_fclt(cfg))
+    reports = [harness.run_fclt(harness.ExperimentConfig(n=n, **fclt)) for n in n_ladder]
     vals = [r.pooled_exact_var_y1 for r in reports]
     decreasing = all(b < a for a, b in zip(vals, vals[1:]))
     ladder_report = harness.VarianceLadderReport(
-        n_ladder=[int(n) for n in ladder], pooled_exact_var_y1=vals,
+        n_ladder=n_ladder, pooled_exact_var_y1=vals,
         degenerate=[r.degenerate for r in reports], decreasing=decreasing,
         passed=decreasing)
     series = {"variance_ladder.csv": reportio.csv_text(
-        ["n", "pooled_exact_var_y1"], list(zip(ladder, vals)))}
+        ["n", "pooled_exact_var_y1"], list(zip(n_ladder, vals)))}
     charts = {"variance_ladder.svg": reportio.svg_line_chart(
-        [math.log2(n) for n in ladder], {"Var Y_n(1)": vals},
+        [math.log2(n) for n in n_ladder], {"Var Y_n(1)": vals},
         title="variance collapse along the ladder", xlabel="log2 n",
         ylabel="Var")}
     return ladder_report, series, charts
 
 
-def _run_lln(doc):
-    model = _build_walk(doc["walk"]) if "walk" in doc else _missing("walk")
-    ladder = _require(doc, "n_ladder", list, int)
-    p_set = [tuple(p) for p in _require(doc, "p_set", list, list)]
-    rep = harness.track_variance_lln(model, ladder, p_set,
-                                     _positive_int(doc, "n_omegas"),
-                                     _require(doc, "seed", int))
+def _run_lln(walk, n_ladder, p_set, n_omegas, seed):
+    rep = harness.track_variance_lln(walk, n_ladder, p_set, n_omegas, seed)
     rows = [[n, f"({p[0]};{p[1]})", rep.mean_ratio[(n, p)], rep.std_ratio[(n, p)],
              rep.max_ratio[(n, p)]] for n in rep.n_ladder for p in rep.p_set]
     series = {"lln_ratios.csv": reportio.csv_text(
@@ -194,14 +208,9 @@ def _run_lln(doc):
     return rep, series, charts
 
 
-def _run_orthogonality(doc):
-    model = _build_walk(doc["walk"]) if "walk" in doc else _missing("walk")
-    ladder = _require(doc, "n_ladder", list, int)
-    windows = tuple(_require(doc, "windows", list, (int, float)))
-    p_set = [tuple(p) for p in _require(doc, "p_set", list, list)]
-    rep = harness.check_increment_orthogonality(
-        model, ladder, windows, p_set, _positive_int(doc, "n_omegas"),
-        _require(doc, "seed", int))
+def _run_orthogonality(walk, n_ladder, windows, p_set, n_omegas, seed):
+    rep = harness.check_increment_orthogonality(walk, n_ladder, windows, p_set,
+                                                n_omegas, seed)
     rows = [[n, f"({p[0]};{p[1]})", rep.mean_normalized[(n, p)]]
             for n in rep.n_ladder for p in rep.p_set]
     series = {"cross_counts.csv": reportio.csv_text(
@@ -214,12 +223,8 @@ def _run_orthogonality(doc):
     return rep, series, charts
 
 
-def _run_erdos_taylor(doc):
-    model = _build_walk(doc["walk"]) if "walk" in doc else _missing("walk")
-    ladder = _require(doc, "n_ladder", list, int)
-    rep = harness.track_erdos_taylor(model, ladder, _positive_int(doc, "n_omegas"),
-                                     _require(doc, "seed", int),
-                                     epsilon=float(doc.get("epsilon", 0.1)))
+def _run_erdos_taylor(walk, n_ladder, n_omegas, epsilon, seed):
+    rep = harness.track_erdos_taylor(walk, n_ladder, n_omegas, seed, epsilon=epsilon)
     rows = [[n, rep.mean_log_ratio[n], *rep.quantiles_log_ratio[n],
              rep.mean_power_ratio[n], rep.distance_to_limit[n]]
             for n in rep.n_ladder]
@@ -234,16 +239,9 @@ def _run_erdos_taylor(doc):
     return rep, series, charts
 
 
-def _run_newman_wright(doc):
-    model = _build_walk(doc["walk"]) if "walk" in doc else _missing("walk")
-    scen = _build_scenery(doc["scenery"]) if "scenery" in doc else _missing("scenery")
-    path = walk.sample_path(model, _positive_int(doc, "n"),
-                            _require(doc, "seed", int))
-    rep = harness.check_newman_wright(
-        scen, path, _require(doc, "lambda_grid", list, (int, float)),
-        m_sceneries=_positive_int(doc, "m_sceneries"),
-        x_seed=_require(doc, "seed", int))
-
+def _run_newman_wright(walk, scenery, n, m_sceneries, lambda_grid, seed):
+    rep = harness.check_newman_wright(scenery, sample_path(walk, n, seed), lambda_grid,
+                                      m_sceneries=m_sceneries, x_seed=seed)
     rep.passed = not any(rep.violations)
     rows = list(zip(rep.lambdas, rep.lhs, rep.rhs, rep.lhs_se, rep.rhs_se,
                     rep.margins, rep.violations))
@@ -252,15 +250,9 @@ def _run_newman_wright(doc):
     return rep, series, {}
 
 
-def _run_moricz(doc):
-    model = _build_walk(doc["walk"]) if "walk" in doc else _missing("walk")
-    scen = _build_scenery(doc["scenery"]) if "scenery" in doc else _missing("scenery")
-    n = _positive_int(doc, "n")
-    path = walk.sample_path(model, n, _require(doc, "seed", int))
-    rep = harness.check_moricz(scen, path, n,
-                               g0_kind=doc.get("g0_kind", "self_intersection"),
-                               m_sceneries=_positive_int(doc, "m_sceneries"),
-                               x_seed=_require(doc, "seed", int))
+def _run_moricz(walk, scenery, n, m_sceneries, g0_kind, seed):
+    rep = harness.check_moricz(scenery, sample_path(walk, n, seed), n, g0_kind=g0_kind,
+                               m_sceneries=m_sceneries, x_seed=seed)
     rep.passed = None if not (rep.super_additive and rep.hypothesis_ok) \
         else rep.violations == 0
     rows = [[b, k, e, s, bd, mg] for (b, k), e, s, bd, mg in zip(
@@ -271,12 +263,9 @@ def _run_moricz(doc):
     return rep, series, {}
 
 
-def _run_tightness(doc):
-    cfg = _fclt_config(doc)
-    rep = harness.estimate_tightness_modulus(
-        cfg, _require(doc, "delta_ladder", list, (int, float)),
-        float(_require(doc, "epsilon", (int, float))),
-        grid_points=int(doc.get("grid_points", 128)))
+def _run_tightness(delta_ladder, epsilon, grid_points, **fclt):
+    rep = harness.estimate_tightness_modulus(harness.ExperimentConfig(**fclt),
+                                             delta_ladder, epsilon, grid_points=grid_points)
     rows = [[d, rep.estimates[d]] for d in rep.delta_ladder]
     series = {"tightness.csv": reportio.csv_text(["delta", "estimate"], rows)}
     charts = {"tightness.svg": reportio.svg_line_chart(
@@ -286,13 +275,9 @@ def _run_tightness(doc):
     return rep, series, charts
 
 
-def _run_transient(doc):
-    model = _build_walk(doc["walk"]) if "walk" in doc else _missing("walk")
-    scen = _build_scenery(doc["scenery"]) if "scenery" in doc else _missing("scenery")
-    rep = harness.transient_variance_check(
-        scen, model, _positive_int(doc, "n"), _positive_int(doc, "m_sceneries"),
-        _require(doc, "seed", int), n_omegas=int(doc.get("n_omegas", 10)),
-        k_max=int(doc.get("k_max", 60)))
+def _run_transient(walk, scenery, n, m_sceneries, n_omegas, k_max, seed):
+    rep = harness.transient_variance_check(scenery, walk, n, m_sceneries, seed,
+                                           n_omegas=n_omegas, k_max=k_max)
     rep.passed = rep.agree
     series = {"transient_variance.csv": reportio.csv_text(
         ["series_value", "series_truncated", "tail_estimate", "exact_mean",
@@ -302,9 +287,8 @@ def _run_transient(doc):
     return rep, series, {}
 
 
-def _run_truncation_ladder(doc):
-    cfg = _fclt_config(doc)
-    rep = harness.run_truncation_ladder(cfg, _require(doc, "terms_ladder", list, int))
+def _run_truncation_ladder(terms_ladder, **fclt):
+    rep = harness.run_truncation_ladder(harness.ExperimentConfig(**fclt), terms_ladder)
     rows = list(zip(rep.terms_ladder, rep.norm_c_dropped, rep.density_sup_bound,
                     rep.var_y1))
     series = {"truncation_ladder.csv": reportio.csv_text(
@@ -312,65 +296,81 @@ def _run_truncation_ladder(doc):
     return rep, series, {}
 
 
+class Experiment(NamedTuple):
+    anchor: str        # the result the experiment exercises
+    fields: dict       # field spec, on top of _COMMON
+    runner: Callable   # runner(**parsed fields) -> (report, series, charts)
+
+
 EXPERIMENTS = {
-    "fclt-iid": (_run_fclt, "quenched FCLT for i.i.d. sceneries along a planar walk"),
-    "fclt-ma": (_run_fclt, "quenched FCLT for moving-average sceneries (variance |sum a_q|^2 / (pi sqrt det Sigma))"),
-    "fclt-toral": (_run_fclt, "quenched FCLT for commuting toral automorphism fields"),
-    "variance-ladder": (_run_fclt_ladder, "variance collapse for degenerate moving averages"),
-    "lln-variance": (_run_lln, "law of large numbers for self-intersection counts V_n / (C0 n log n) -> 1"),
-    "orthogonality": (_run_orthogonality, "asymptotic orthogonality of cross-interval coincidence counts"),
-    "erdos-taylor": (_run_erdos_taylor, "Erdos-Taylor / Dembo-Peres-Rosen-Zeitouni sup local time limit 1/pi"),
-    "newman-wright": (_run_newman_wright, "Newman-Wright maximal inequality for associated summands"),
-    "moricz": (_run_moricz, "Moricz fourth-moment maximal bound with C_max = (1 - 2^-1/4)^-4"),
-    "tightness": (_run_tightness, "modulus-of-continuity tightness estimates for the rescaled process"),
-    "transient-variance": (_run_transient, "Green-series asymptotic variance for transient walks"),
-    "truncation-ladder": (_run_truncation_ladder, "trig-polynomial approximation ladder for toral observables"),
+    "fclt-iid": Experiment("quenched FCLT for i.i.d. sceneries along a planar walk",
+                           _FCLT, _run_fclt),
+    "fclt-ma": Experiment("quenched FCLT for moving-average sceneries (variance |sum a_q|^2 / (pi sqrt det Sigma))",
+                          _FCLT, _run_fclt),
+    "fclt-toral": Experiment("quenched FCLT for commuting toral automorphism fields",
+                             _FCLT, _run_fclt),
+    "variance-ladder": Experiment("variance collapse for degenerate moving averages",
+                                  {**_FCLT_BASE, "n_ladder": _N_LADDER}, _run_fclt_ladder),
+    "lln-variance": Experiment("law of large numbers for self-intersection counts V_n / (C0 n log n) -> 1",
+                               {**_LADDER, "p_set": _P_SET}, _run_lln),
+    "orthogonality": Experiment("asymptotic orthogonality of cross-interval coincidence counts",
+                                {**_LADDER, "windows": _WINDOWS, "p_set": _P_SET},
+                                _run_orthogonality),
+    "erdos-taylor": Experiment("Erdos-Taylor / Dembo-Peres-Rosen-Zeitouni sup local time limit 1/pi",
+                               {**_LADDER, "epsilon": (_number, 0.1)}, _run_erdos_taylor),
+    "newman-wright": Experiment("Newman-Wright maximal inequality for associated summands",
+                                {**_PATH, "lambda_grid": _list(_number)}, _run_newman_wright),
+    "moricz": Experiment("Moricz fourth-moment maximal bound with C_max = (1 - 2^-1/4)^-4",
+                         {**_PATH, "g0_kind": (_G0_KIND, "self_intersection")}, _run_moricz),
+    "tightness": Experiment("modulus-of-continuity tightness estimates for the rescaled process",
+                            {**_FCLT, "delta_ladder": _list(_number), "epsilon": _number,
+                             "grid_points": (_at_least(1), 128)}, _run_tightness),
+    "transient-variance": Experiment("Green-series asymptotic variance for transient walks",
+                                     {**_PATH, "n_omegas": (_at_least(1), 10),
+                                      "k_max": (_at_least(0), 60)}, _run_transient),
+    "truncation-ladder": Experiment("trig-polynomial approximation ladder for toral observables",
+                                    {**_FCLT, "terms_ladder": _list(_at_least(1))},
+                                    _run_truncation_ladder),
 }
 
 
-def validate_config(doc: dict) -> str:
-    """Raise ConfigError on schema violations; return the experiment name."""
+def _experiment(field, v):
+    if not isinstance(v, str) or v not in EXPERIMENTS:
+        raise ConfigError(field, f"unknown experiment {v!r}; see 'rwscenery list'")
+    return v
+
+
+def _field(doc, field, spec):
+    parse, *default = spec if isinstance(spec, tuple) else (spec,)
+    if field in doc:
+        return parse(field, doc[field])
+    if not default:
+        raise ConfigError(field, "required field is missing")
+    return parse(field, default[0])
+
+
+def _parse(doc) -> tuple:
+    """(experiment name, {field: parsed value}) for every field of the spec."""
     if not isinstance(doc, dict):
         raise ConfigError("$", "top-level config must be an object")
-    name = _require(doc, "experiment", str)
-    if name not in EXPERIMENTS:
-        raise ConfigError("experiment", f"unknown experiment {name!r}; "
-                          f"see 'rwscenery list'")
-    _require(doc, "seed", int)
-    # dry-build the typed pieces so field errors surface with their paths
-    if name in ("fclt-iid", "fclt-ma", "fclt-toral", "tightness",
-                "truncation-ladder"):
-        _fclt_config(doc)
-    if name == "variance-ladder":
-        _require(doc, "n_ladder", list, int)
-        base = dict(doc)
-        base["n"] = int(doc["n_ladder"][0])
-        _fclt_config(base)
-    if name in ("lln-variance", "orthogonality", "erdos-taylor"):
-        _build_walk(doc.get("walk") or _missing("walk"))
-        _require(doc, "n_ladder", list, int)
-        _positive_int(doc, "n_omegas")
-    if name == "orthogonality":
-        w = _require(doc, "windows", list, (int, float))
-        if len(w) != 4 or not 0 < w[0] < w[1] < w[2] < w[3] < 1:
-            raise ConfigError("windows", "need 0 < A < B < C < D < 1")
-    if name in ("newman-wright", "moricz", "transient-variance"):
-        _build_walk(doc.get("walk") or _missing("walk"))
-        _build_scenery(doc.get("scenery") or _missing("scenery"))
-        _positive_int(doc, "n")
-        _positive_int(doc, "m_sceneries")
-    if name == "newman-wright":
-        _require(doc, "lambda_grid", list, (int, float))
-    if name == "tightness":
-        _require(doc, "delta_ladder", list, (int, float))
-        _require(doc, "epsilon", (int, float))
-    return name
+    name = _field(doc, "experiment", _experiment)
+    spec = {**_COMMON, **EXPERIMENTS[name].fields}
+    return name, {f: _field(doc, f, s) for f, s in spec.items()}
+
+
+def validate_config(doc: dict) -> str:
+    """Parse every field without running; raise ConfigError naming the first
+    bad field, or return the experiment name."""
+    return _parse(doc)[0]
 
 
 def run_experiment(doc: dict):
-    name = validate_config(doc)
-    runner, _anchor = EXPERIMENTS[name]
-    return runner(doc)
+    """Parse ``doc`` once and run it: (report, series, charts); the charts are
+    empty unless ``output.charts`` asks for them."""
+    name, values = _parse(doc)
+    want_charts = values.pop("output")
+    report, series, charts = EXPERIMENTS[name].runner(**values)
+    return report, series, charts if want_charts else {}
 
 
 # ---------------------------------------------------------------------------
@@ -383,15 +383,11 @@ def _out_dir(args) -> str:
     return out
 
 
-def _write_outputs(out_dir: str, doc: dict, report, series: dict, charts: dict,
-                   want_charts: bool) -> dict:
+def _write_outputs(out_dir: str, doc: dict, report, series: dict, charts: dict) -> dict:
     payloads = {"report.json": reportio.canonical_json(
         {"experiment": doc["experiment"], "config": doc,
          "artifact_version": __version__, "report": report.to_dict(),
-         "passed": getattr(report, "passed", None)})}
-    payloads.update(series)
-    if want_charts:
-        payloads.update(charts)
+         "passed": getattr(report, "passed", None)}), **series, **charts}
     outputs = []
     for fname, text in sorted(payloads.items()):
         path = os.path.join(out_dir, fname)
@@ -411,25 +407,19 @@ def _write_outputs(out_dir: str, doc: dict, report, series: dict, charts: dict,
     return manifest
 
 
+def _read_json(path: str):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from None
+
+
 def cmd_run(args) -> int:
-    try:
-        with open(args.config) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        print(f"error: no such config file: {args.config}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"error: {args.config}: line {exc.lineno} col {exc.colno}: {exc.msg}",
-              file=sys.stderr)
-        return 1
-    try:
-        report, series, charts = run_experiment(doc)
-    except ConfigError as exc:
-        print(f"error: config field {exc}", file=sys.stderr)
-        return 1
+    doc = _read_json(args.config)
+    report, series, charts = run_experiment(doc)
     out = _out_dir(args)
-    want_charts = bool(doc.get("output", {}).get("charts", False))
-    _write_outputs(out, doc, report, series, charts, want_charts)
+    _write_outputs(out, doc, report, series, charts)
     passed = getattr(report, "passed", None)
     if passed is None:
         mode = "degenerate-variance" if getattr(report, "degenerate", False) \
@@ -442,56 +432,29 @@ def cmd_run(args) -> int:
 
 def cmd_list(args) -> int:
     if args.json:
-        doc = [{"name": k, "anchor": anchor} for k, (_, anchor)
-               in sorted(EXPERIMENTS.items())]
+        doc = [{"name": k, "anchor": e.anchor} for k, e in sorted(EXPERIMENTS.items())]
         print(json.dumps(doc, indent=1, sort_keys=True))
         return 0
     width = max(len(k) for k in EXPERIMENTS)
     print("experiment catalog (name -> result it exercises):")
-    for name, (_, anchor) in sorted(EXPERIMENTS.items()):
-        print(f"  {name:<{width}}  {anchor}")
+    for name, e in sorted(EXPERIMENTS.items()):
+        print(f"  {name:<{width}}  {e.anchor}")
     return 0
 
 
 def cmd_validate(args) -> int:
-    try:
-        with open(args.config) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        print(f"error: no such config file: {args.config}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"error: {args.config}: line {exc.lineno} col {exc.colno}: {exc.msg}",
-              file=sys.stderr)
-        return 1
-    try:
-        name = validate_config(doc)
-    except ConfigError as exc:
-        print(f"error: config field {exc}", file=sys.stderr)
-        return 1
-    print(f"ok: valid {name} config")
+    print(f"ok: valid {validate_config(_read_json(args.config))} config")
     return 0
 
 
 def cmd_replay(args) -> int:
-    try:
-        with open(args.manifest) as fh:
-            manifest = json.load(fh)
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read manifest: {exc}", file=sys.stderr)
-        return 1
+    manifest = _read_json(args.manifest)
     doc = manifest["config"]
     if reportio.config_hash(doc) != manifest["config_hash"]:
         print("error: manifest config hash mismatch", file=sys.stderr)
         return 1
-    try:
-        report, series, charts = run_experiment(doc)
-    except ConfigError as exc:
-        print(f"error: config field {exc}", file=sys.stderr)
-        return 1
-    out = _out_dir(args)
-    want_charts = any(o["path"].endswith(".svg") for o in manifest["outputs"])
-    new_manifest = _write_outputs(out, doc, report, series, charts, want_charts)
+    report, series, charts = run_experiment(doc)
+    new_manifest = _write_outputs(_out_dir(args), doc, report, series, charts)
     old = {o["path"]: o["sha256"] for o in manifest["outputs"]}
     new = {o["path"]: o["sha256"] for o in new_manifest["outputs"]}
     if old == new:
@@ -525,6 +488,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except ConfigError as exc:
+        print(f"error: config field {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:  # noqa: BLE001 - uniform CLI error surface
         print(f"error: {exc}", file=sys.stderr)
         return 1

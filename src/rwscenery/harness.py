@@ -29,7 +29,7 @@ import numpy as np
 from scipy import stats
 
 from .localtime import local_times, pair_count_tables
-from .rng import derive_seed, hash_sites, splitmix64
+from .rng import derive_seed, hash_sites
 from .scenery import (
     IIDScenery,
     MovingAverageScenery,
@@ -371,7 +371,7 @@ def _visit_values(scen: SceneryModel, path: WalkPath, x_seeds, chunk: int = 512
         for a, base in bases:
             words = np.empty((len(seeds), path.n), dtype=np.uint64)
             for r, s in enumerate(seeds):
-                words[r] = splitmix64(base ^ np.uint64(s & (2**64 - 1)))
+                words[r] = scenery_mod._site_words(s, base)
             block += a * law.values(words)
         out[lo:lo + len(seeds)] = block
     return out

@@ -600,13 +600,9 @@ def _half_support(poly: TrigPolynomial) -> list:
 
 def _toral_increments(scenery: ToralScenery, path: WalkPath, t_grid,
                       x_seeds, chunk: int) -> np.ndarray:
-    edges = window_boundaries(path.n, t_grid)
-    full = local_times(path, (0, edges[-1]))
-    sites = full.sites
-    weights = np.zeros((len(sites), len(edges) - 1))
-    for j in range(len(edges) - 1):
-        tab = local_times(path, (edges[j], edges[j + 1]))
-        weights[:, j] = tab.lookup(sites)
+    # the windows tile [0, edges[-1]), so from_path keeps every visited site
+    ws = _WeightedSites.from_path(path, t_grid)
+    sites, weights = ws.sites, ws.weights
     freqs = _toral_transported_freqs(scenery, sites)  # (M, h, rho)
     half = _half_support(scenery.poly)
     cre = np.asarray([2.0 * c.real for _, c in half])

@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from rwscenery import cli, reportio
 
 
@@ -58,6 +60,56 @@ def test_validate_command(tmp_path, capsys):
     assert cli.main(["validate", path2]) == 1
     err = capsys.readouterr().err
     assert "t_grid" in err
+
+
+LADDER = {"experiment": "erdos-taylor", "seed": 7, "walk": {"preset": "simple2d"},
+          "n_ladder": [64, 256], "n_omegas": 2}
+PATH_CHECK = {"experiment": "newman-wright", "seed": 7, "walk": {"preset": "lazy2d"},
+              "scenery": {"variant": "iid", "law": {"name": "rademacher"}},
+              "n": 64, "m_sceneries": 50, "lambda_grid": [1.0, 2.0]}
+
+# configs that would crash at run time (or, for an empty list, run a vacuous
+# check): `validate` must reject each one, naming the bad field
+REJECTED = [
+    (dict(LADDER, epsilon="x"), "epsilon"),
+    (dict(LADDER, experiment="lln-variance", p_set=[[0, 0]], n_ladder=[1]), "n_ladder[0]"),
+    (dict(LADDER, experiment="lln-variance", p_set=[[0, 0]], n_ladder=[]), "n_ladder"),
+    (dict(LADDER, n_ladder=[1, 64]), "n_ladder[0]"),
+    (dict(TINY_FCLT, experiment="variance-ladder", t_grid=[1.0], n_ladder=[]), "n_ladder"),
+    (dict(PATH_CHECK, experiment="moricz", g0_kind="foo"), "g0_kind"),
+    (dict(TINY_FCLT, seed=True), "seed"),
+    (dict(PATH_CHECK, experiment="transient-variance", n_omegas="abc"), "n_omegas"),
+    (dict(PATH_CHECK, lambda_grid=[]), "lambda_grid"),
+    (dict(TINY_FCLT, tolerances=[1]), "tolerances"),
+    (dict(TINY_FCLT, experiment="tightness", t_grid=[1.0], delta_ladder=[0.1],
+          epsilon=0.5, grid_points=0), "grid_points"),
+    (dict(LADDER, walk={}), "walk"),
+]
+
+
+@pytest.mark.parametrize("doc,field", REJECTED,
+                         ids=[f"{d['experiment']}:{f}" for d, f in REJECTED])
+def test_validate_rejects_bad_field(tmp_path, capsys, doc, field):
+    with pytest.raises(cli.ConfigError) as exc:
+        cli.validate_config(doc)
+    assert exc.value.field == field
+    assert cli.main(["validate", write_config(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert f"config field {field}:" in err
+    assert "required field is missing" not in err
+
+
+def test_defaults_stay_out_of_the_config(tmp_path):
+    doc = dict(PATH_CHECK, experiment="moricz", n=16)
+    before = json.dumps(doc, sort_keys=True)
+    report, _, _ = cli.run_experiment(doc)
+    assert report.g0_kind == "self_intersection"
+    assert json.dumps(doc, sort_keys=True) == before
+    out = str(tmp_path / "mo")
+    assert cli.main(["run", write_config(tmp_path, doc), "--out", out]) == 0
+    assert json.loads(open(os.path.join(out, "report.json")).read())["config"] == doc
+    manifest = json.loads(open(os.path.join(out, "manifest.json")).read())
+    assert manifest["config_hash"] == reportio.config_hash(doc)
 
 
 def test_validate_reports_json_line(tmp_path, capsys):
@@ -139,8 +191,9 @@ def test_run_exit_codes(tmp_path, capsys, monkeypatch):
         def to_dict():
             return {"passed": False}
 
-    monkeypatch.setitem(cli.EXPERIMENTS, "fclt-iid",
-                        (lambda doc: (FailingReport, {}, {}), "test"))
+    failing = cli.EXPERIMENTS["fclt-iid"]._replace(
+        runner=lambda **fields: (FailingReport, {}, {}))
+    monkeypatch.setitem(cli.EXPERIMENTS, "fclt-iid", failing)
     path = write_config(tmp_path, TINY_FCLT)
     assert cli.main(["run", path, "--out", str(tmp_path / "fail")]) == 2
 
