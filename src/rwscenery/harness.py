@@ -28,15 +28,15 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import stats
 
-from .localtime import local_times, pair_count_tables
-from .rng import derive_seed, hash_sites
+from .localtime import local_times, pair_count_tables, path_table
+from .rng import derive_seed
 from .scenery import (
     IIDScenery,
-    MovingAverageScenery,
     SceneryModel,
     field_increments,
     is_associated,
     quenched_variance,
+    site_values,
     spectral_density,
     window_boundaries,
 )
@@ -284,6 +284,7 @@ def track_variance_lln(model: WalkModel, n_ladder: Sequence[int], p_set,
                 else:
                     v = int(np.dot(tab.counts, tab.counts))
                 ratios[(n, p)].append(v / denom)
+        del path  # with its cached site table, before the next path is drawn
     mean_r = {k: float(np.mean(v)) for k, v in ratios.items()}
     std_r = {k: float(np.std(v, ddof=1)) if len(v) > 1 else 0.0 for k, v in ratios.items()}
     max_r = {k: float(np.max(v)) for k, v in ratios.items()}
@@ -332,6 +333,7 @@ def check_increment_orthogonality(model: WalkModel, n_ladder: Sequence[int],
             for p in p_set:
                 v = pair_count_tables(tab_i, tab_j, p)
                 series[(n, p)].append(v / (n * math.log(n)))
+        del path  # with its cached site table, before the next path is drawn
     mean_norm = {k: float(np.mean(v)) for k, v in series.items()}
     dec = {}
     for p in p_set:
@@ -348,33 +350,6 @@ def check_increment_orthogonality(model: WalkModel, n_ladder: Sequence[int],
 
 # ---------------------------------------------------------------------------
 # maximal inequalities
-
-
-def _visit_values(scen: SceneryModel, path: WalkPath, x_seeds, chunk: int = 512
-                  ) -> np.ndarray:
-    """Per-visit field values X_{Z_j}, shape (m, n). i.i.d. and MA variants."""
-    pos = path.positions
-    if isinstance(scen, IIDScenery):
-        shifts = {(0,) * path.model.dimension: 1.0}
-        law = scen.law
-    elif isinstance(scen, MovingAverageScenery):
-        shifts = scen.coeffs
-        law = scen.law
-    else:
-        raise ValueError("per-visit evaluation supports i.i.d. and moving-average sceneries")
-    bases = [(a, hash_sites(0, pos - np.asarray(q, dtype=np.int64)))
-             for q, a in shifts.items()]
-    out = np.zeros((len(x_seeds), path.n))
-    for lo in range(0, len(x_seeds), chunk):
-        seeds = x_seeds[lo:lo + chunk]
-        block = np.zeros((len(seeds), path.n))
-        for a, base in bases:
-            words = np.empty((len(seeds), path.n), dtype=np.uint64)
-            for r, s in enumerate(seeds):
-                words[r] = scenery_mod._site_words(s, base)
-            block += a * law.values(words)
-        out[lo:lo + len(seeds)] = block
-    return out
 
 
 @dataclass
@@ -407,10 +382,15 @@ def check_newman_wright(scen: SceneryModel, path: WalkPath, lambda_grid,
         raise ValueError("scenery is not certified associated (i.i.d. or "
                          "single-signed moving average required)")
     l2 = math.sqrt(quenched_variance(scen, path, (0, path.n)))
-    vals = _visit_values(scen, path, _x_seeds(x_seed, 0, m_sceneries))
-    cs = np.cumsum(vals, axis=1)
-    max_abs = np.max(np.abs(cs), axis=1)
-    s_n = cs[:, -1]
+    table = path_table(path)
+    seeds = _x_seeds(x_seed, 0, m_sceneries)
+    max_abs, s_n = np.empty(m_sceneries), np.empty(m_sceneries)
+    # 256 sceneries at a time: three (256, n) arrays live, not three (m, n)
+    for lo in range(0, m_sceneries, 256):
+        vals = site_values(scen, table.sites, seeds[lo:lo + 256])[:, table.inverse]
+        cs = np.cumsum(vals, axis=1)
+        max_abs[lo:lo + len(cs)] = np.max(np.abs(cs), axis=1)
+        s_n[lo:lo + len(cs)] = cs[:, -1]
     lhs, rhs, lhs_se, rhs_se, margins, viol = [], [], [], [], [], []
     m = m_sceneries
     for lam in lambda_grid:
@@ -434,17 +414,12 @@ def check_newman_wright(scen: SceneryModel, path: WalkPath, lambda_grid,
 
 def _window_v_table(path: WalkPath, n: int) -> np.ndarray:
     """V(omega, [b, b+k)) for all 0 <= b <= b+k <= n, O(n^2) incremental."""
+    ids = path_table(path).inverse[:n]
     v = np.zeros((n + 1, n + 1))  # v[b, k]
-    pos = [tuple(p) for p in path.positions[:n]]
-    for b in range(n):
-        counts = {}
-        acc = 0
-        for k in range(1, n - b + 1):
-            site = pos[b + k - 1]
-            w = counts.get(site, 0)
-            acc += 2 * w + 1
-            counts[site] = w + 1
-            v[b, k] = acc
+    # V([b, b+k)) = V([b+1, b+k)) + 2 #{u in [b+1, b+k): Z_u = Z_b} + 1
+    for b in range(n - 1, -1, -1):
+        v[b, 1] = 1.0
+        v[b, 2:n - b + 1] = v[b + 1, 1:n - b] + 2 * np.cumsum(ids[b + 1:] == ids[b]) + 1
     return v
 
 
@@ -517,7 +492,8 @@ def check_moricz(scen: SceneryModel, path: WalkPath, n: int,
         hyp_margins.append(g0[b, k] ** 2 - m4)
     hypothesis_ok = all(m >= -1e-6 for m in hyp_margins)
 
-    vals = _visit_values(scen, path, _x_seeds(x_seed, 0, m_sceneries))[:, :n]
+    table = path_table(path)
+    vals = site_values(scen, table.sites, _x_seeds(x_seed, 0, m_sceneries))[:, table.inverse[:n]]
     cs = np.concatenate([np.zeros((m_sceneries, 1)), np.cumsum(vals, axis=1)], axis=1)
     big = [w for w in windows if w[1] >= 8]  # max over a single step carries no info
     est, ses, bounds, margins = [], [], [], []
@@ -663,6 +639,7 @@ def track_erdos_taylor(model: WalkModel, n_ladder: Sequence[int], n_omegas: int,
         for n in n_ladder:
             tab = local_times(path, (0, n))
             sup[n].append(int(tab.counts.max()))
+        del path  # with its cached site table, before the next path is drawn
     log_ratio = {n: [s / math.log(n) ** 2 for s in v] for n, v in sup.items()}
     mean_log = {n: float(np.mean(r)) for n, r in log_ratio.items()}
     quant = {n: [float(q) for q in np.quantile(r, [0.1, 0.5, 0.9])]
@@ -759,6 +736,8 @@ def run_truncation_ladder(config: ExperimentConfig, terms_ladder) -> TruncationL
         raise ValueError("truncation ladder applies to toral sceneries")
     model = config.walk
     c0 = model.c0
+    paths = [sample_path(model, config.n, _omega_seed(config.seed, i))
+             for i in range(config.n_omegas)]
     norm_drop, bounds, var1 = [], [], []
     for terms in terms_ladder:
         fk = scen.poly.truncate_to(int(terms))
@@ -766,11 +745,8 @@ def run_truncation_ladder(config: ExperimentConfig, terms_ladder) -> TruncationL
         drop_norm = float(sum(abs(c) for c in dropped.values()))
         sub = scenery_mod.ToralScenery(pair=scen.pair, poly=fk, q_mod=scen.q_mod,
                                        orbit_box=scen.orbit_box)
-        vals = []
-        for i in range(config.n_omegas):
-            path = sample_path(model, config.n, _omega_seed(config.seed, i))
-            vals.append(quenched_variance(sub, path, (0, config.n))
-                        / (c0 * config.n * math.log(config.n)))
+        vals = [quenched_variance(sub, path, (0, config.n))
+                / (c0 * config.n * math.log(config.n)) for path in paths]
         norm_drop.append(drop_norm)
         bounds.append(drop_norm**2)
         var1.append(float(np.mean(vals)))

@@ -11,8 +11,11 @@ All quantities here are integers computed exactly from local-time tables:
                               (the four indices range independently over the
                               window, so the factorization is exact)
 
-Tables are keyed by packed integer coordinates for d <= 3 and by tuples
-otherwise.  Counts are 64-bit with explicit overflow guards (n <= 2^31).
+Each path is sorted once: its positions become packed integer keys for
+d <= 3 (rows otherwise), and ``np.unique`` gives the sorted site list and
+every step's index into it, cached on the path.  A window's table is a
+bincount of that index over the window.  Counts are 64-bit with explicit
+overflow guards (n <= 2^31).
 """
 
 from __future__ import annotations
@@ -26,29 +29,50 @@ import numpy as np
 
 from .walk import WalkPath
 
-_PACK_BITS = {1: (62,), 2: (31, 31), 3: (20, 20, 20)}
+_PACK_BITS = {1: 62, 2: 31, 3: 20}  # per coordinate; a field takes bits + 1
 
 
 def _pack_shift_ok(points: np.ndarray, d: int) -> bool:
     if d not in _PACK_BITS:
         return False
-    bits = _PACK_BITS[d]
-    if points.size == 0:
-        return True
-    lim = np.array([2**b - 1 for b in bits], dtype=np.int64)
-    return bool(np.all(np.abs(points) < lim))
+    lim = 2 ** _PACK_BITS[d] - 1
+    return points.size == 0 or bool(-lim < points.min() and points.max() < lim)
 
 
 def pack_sites(points: np.ndarray, d: int) -> np.ndarray:
     """Pack (m, d) integer coordinates into uint64 keys, order-preserving per field."""
     bits = _PACK_BITS[d]
     keys = np.zeros(points.shape[0], dtype=np.uint64)
-    shift = 0
-    for j in range(d - 1, -1, -1):
-        field = (points[:, j].astype(np.int64) + (1 << bits[j])).astype(np.uint64)
-        keys |= field << np.uint64(shift)
-        shift += bits[j] + 1
+    for j in range(d):
+        field = (points[:, j].astype(np.int64) + (1 << bits)).astype(np.uint64)
+        keys |= field << np.uint64((d - 1 - j) * (bits + 1))
     return keys
+
+
+def unpack_sites(keys: np.ndarray, d: int) -> np.ndarray:
+    """Inverse of ``pack_sites``: (m,) uint64 keys back to (m, d) int64 coordinates."""
+    bits = _PACK_BITS[d]
+    mask = np.uint64((1 << (bits + 1)) - 1)
+    return np.stack([((keys >> np.uint64((d - 1 - j) * (bits + 1))) & mask).astype(np.int64)
+                     - (1 << bits) for j in range(d)], axis=1)
+
+
+def unique_sites(points: np.ndarray) -> tuple:
+    """Distinct rows of an (n, d) int64 array in lexicographic order.
+
+    Returns ``(sites, inverse, keys)``: the rows, each input row's index into
+    them, and their packed keys.  Keys are None for d > 3 or coordinates past
+    the packed bit widths; ``np.unique(axis=0)`` then gives the same order.
+    """
+    d = points.shape[1]
+    if _pack_shift_ok(points, d):
+        keys, inverse = np.unique(pack_sites(points, d), return_inverse=True)
+        sites = unpack_sites(keys, d)
+    else:
+        sites, inverse = np.unique(points, axis=0, return_inverse=True)
+        keys = None
+    # n <= MAX_STEPS = 2^31, so every index fits int32 at half the memory
+    return sites, inverse.reshape(-1).astype(np.int32), keys
 
 
 @dataclass
@@ -59,11 +83,7 @@ class LocalTimeTable:
     dimension: int
     sites: np.ndarray   # (m, d) int64
     counts: np.ndarray  # (m,) int64
-    keys: Optional[np.ndarray] = None  # sorted uint64 packed keys, None for d > 3
-
-    def __post_init__(self):
-        if self.keys is None and _pack_shift_ok(self.sites, self.dimension):
-            self.keys = pack_sites(self.sites, self.dimension)
+    keys: Optional[np.ndarray] = None  # sorted uint64 packed keys, None if unpackable
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -104,27 +124,48 @@ class LocalTimeTable:
         return "\n".join(lines) + "\n"
 
 
+@dataclass(frozen=True)
+class PathTable:
+    """Every site a path visits, sorted, and the index of each step's site."""
+
+    sites: np.ndarray             # (M, d) int64, lexicographic order
+    inverse: np.ndarray           # (n,) index into ``sites`` of each position
+    keys: Optional[np.ndarray]    # (M,) packed uint64 keys, None when unpackable
+
+
+def path_table(path: WalkPath) -> PathTable:
+    """The path's site table, sorted once and cached on the path instance."""
+    cached = getattr(path, "_site_table", None)
+    if cached is None:
+        cached = PathTable(*unique_sites(path.positions))
+        object.__setattr__(path, "_site_table", cached)
+    return cached
+
+
+def window_counts(path: WalkPath, edges) -> tuple:
+    """Visit counts of each window [edges[j], edges[j+1]) of the path.
+
+    Returns ``(ids, counts)``: the indices into ``path_table(path).sites`` of
+    the sites visited in [edges[0], edges[-1]), ascending, and their (M, s)
+    int64 counts, one column per window.
+    """
+    path.window_positions(edges[0], edges[-1])  # IndexError outside [0, n]
+    table = path_table(path)
+    cols = [np.bincount(table.inverse[lo:hi], minlength=len(table.sites))
+            for lo, hi in zip(edges, edges[1:])]
+    counts = np.stack(cols, axis=1)
+    ids = np.flatnonzero(counts.any(axis=1))
+    return ids, counts[ids]
+
+
 def local_times(path: WalkPath, window) -> LocalTimeTable:
-    """Local-time table w(omega, [start, stop), .) in linear time."""
+    """Local-time table w(omega, [start, stop), .), cut from the path's table."""
     start, stop = int(window[0]), int(window[1])
-    pos = path.window_positions(start, stop)
-    d = path.model.dimension
-    if pos.shape[0] == 0:
-        return LocalTimeTable((start, stop), d,
-                              np.zeros((0, d), dtype=np.int64),
-                              np.zeros(0, dtype=np.int64))
-    if _pack_shift_ok(pos, d):
-        keys = pack_sites(pos, d)
-        uniq, first, counts = np.unique(keys, return_index=True, return_counts=True)
-        return LocalTimeTable((start, stop), d, pos[first].copy(),
-                              counts.astype(np.int64), keys=uniq)
-    table = {}
-    for p in map(tuple, pos):
-        table[p] = table.get(p, 0) + 1
-    items = sorted(table.items())
-    sites = np.array([s for s, _ in items], dtype=np.int64).reshape(len(items), d)
-    counts = np.array([c for _, c in items], dtype=np.int64)
-    return LocalTimeTable((start, stop), d, sites, counts)
+    ids, counts = window_counts(path, (start, stop))
+    table = path_table(path)
+    keys = None if table.keys is None else table.keys[ids]
+    return LocalTimeTable((start, stop), path.model.dimension, table.sites[ids],
+                          counts[:, 0], keys=keys)
 
 
 def pair_count_tables(tab_i: LocalTimeTable, tab_j: LocalTimeTable, p) -> int:

@@ -23,7 +23,7 @@ from scipy.special import ndtri
 from scipy.stats import norm
 
 from . import algebra
-from .localtime import local_times
+from .localtime import local_times, pair_count_tables, path_table, unique_sites, window_counts
 from .rng import derive_seed, hash_sites, philox_gen, splitmix64, u64_to_uniform
 from .trigpoly import TrigPolynomial
 from .walk import RECURRENT, WalkModel, WalkPath, green_series_table
@@ -473,40 +473,38 @@ def window_boundaries(n: int, t_grid) -> list:
     return edges
 
 
-def _site_words(x_seed: int, base_words: np.ndarray) -> np.ndarray:
-    """Combine precomputed per-site hashes with a scenery seed."""
-    return splitmix64(base_words ^ np.uint64(x_seed & (2**64 - 1)))
+def site_values(scenery: SceneryModel, sites: np.ndarray, x_seeds) -> np.ndarray:
+    """Field values at each site for each scenery draw, shape (m, M).
+
+    The one place where hash words become field values.  i.i.d.: the law of
+    splitmix64(hash_sites(0, l) ^ x_seed); moving average: sum_q a_q X_{l-q}
+    in ``coeffs`` order, each distinct underlying site hashed once; toral:
+    f(A^l x) with x keyed by x_seed.  The toral result is the transpose of a
+    C-ordered (M, m) array, the others are C-ordered (m, M).
+    """
+    if isinstance(scenery, ToralScenery):
+        return _toral_values(scenery, sites, x_seeds)
+    if isinstance(scenery, IIDScenery):
+        return _law_values(scenery.law, hash_sites(0, sites), x_seeds)
+    shifted = np.vstack([sites - np.asarray(q, dtype=np.int64) for q in scenery.coeffs])
+    under, idx, _ = unique_sites(shifted)
+    base = hash_sites(0, under)
+    out = np.zeros((len(x_seeds), len(sites)))
+    # eight draws at a time keep the gathered values in cache
+    for lo in range(0, len(x_seeds), 8):
+        values = _law_values(scenery.law, base, x_seeds[lo:lo + 8])
+        block = out[lo:lo + 8]
+        for row, a in zip(idx.reshape(-1, len(sites)), scenery.coeffs.values()):
+            block += a * values[:, row]
+    return out
 
 
-class _WeightedSites:
-    """Union site list with one weight column per t-grid window."""
-
-    def __init__(self, sites: np.ndarray, weights: np.ndarray):
-        self.sites = sites        # (M, d) int64
-        self.weights = weights    # (M, s) float64
-
-    @classmethod
-    def from_path(cls, path: WalkPath, t_grid, coeffs: Optional[dict] = None):
-        edges = window_boundaries(path.n, t_grid)
-        full = local_times(path, (0, edges[-1]))
-        if coeffs is None:
-            sites = full.sites
-            weights = np.zeros((len(full), len(edges) - 1))
-            for j in range(len(edges) - 1):
-                tab = local_times(path, (edges[j], edges[j + 1]))
-                weights[:, j] = tab.lookup(sites)
-        else:
-            stacks = [full.sites - np.asarray(q, dtype=np.int64) for q in coeffs]
-            sites = np.unique(np.vstack(stacks), axis=0)
-            weights = np.zeros((len(sites), len(edges) - 1))
-            for j in range(len(edges) - 1):
-                tab = local_times(path, (edges[j], edges[j + 1]))
-                col = np.zeros(len(sites))
-                for q, a in coeffs.items():
-                    col += a * tab.lookup(sites + np.asarray(q, dtype=np.int64))
-                weights[:, j] = col
-        keep = np.any(weights != 0.0, axis=1)
-        return cls(sites[keep], weights[keep])
+def _law_values(law: Law, base: np.ndarray, x_seeds) -> np.ndarray:
+    """law.values of splitmix64(base ^ x_seed), one row per draw."""
+    words = np.empty((len(x_seeds), len(base)), dtype=np.uint64)
+    for i, s in enumerate(x_seeds):
+        words[i] = splitmix64(base ^ np.uint64(int(s) & (2**64 - 1)))
+    return law.values(words)
 
 
 def field_increments(scenery: SceneryModel, path: WalkPath, t_grid,
@@ -514,22 +512,17 @@ def field_increments(scenery: SceneryModel, path: WalkPath, t_grid,
     """Window increments of S along the path, one row per scenery draw.
 
     Returns (m, s) with column j equal to
-    sum_{k in [floor(n t_{j-1}), floor(n t_j))} X_{Z_k}; cumulative sums of
-    rows reproduce (S_{floor(n t_j)})_j exactly.
+    sum_{k in [floor(n t_{j-1}), floor(n t_j))} X_{Z_k} = sum_l w_j(l) X_l;
+    cumulative sums of rows reproduce (S_{floor(n t_j)})_j exactly.
     """
     x_seeds = [int(s) for s in x_seeds]
-    if isinstance(scenery, ToralScenery):
-        return _toral_increments(scenery, path, t_grid, x_seeds, chunk)
-    coeffs = scenery.coeffs if isinstance(scenery, MovingAverageScenery) else None
-    ws = _WeightedSites.from_path(path, t_grid, coeffs)
-    base_words = hash_sites(0, ws.sites)
-    out = np.zeros((len(x_seeds), ws.weights.shape[1]))
+    ids, counts = window_counts(path, window_boundaries(path.n, t_grid))
+    sites = path_table(path).sites[ids]
+    weights = counts.astype(np.float64)
+    out = np.zeros((len(x_seeds), weights.shape[1]))
     for lo in range(0, len(x_seeds), chunk):
         seeds = x_seeds[lo:lo + chunk]
-        words = np.empty((len(seeds), len(base_words)), dtype=np.uint64)
-        for i, s in enumerate(seeds):
-            words[i] = _site_words(s, base_words)
-        out[lo:lo + len(seeds)] = scenery.law.values(words) @ ws.weights
+        out[lo:lo + len(seeds)] = site_values(scenery, sites, seeds) @ weights
     return out
 
 
@@ -579,11 +572,9 @@ def _toral_transported_freqs(scenery: ToralScenery, sites: np.ndarray) -> np.nda
     kvecs = np.asarray([k for k, _ in half], dtype=np.int64) % q  # (h, rho)
     kvecs = kvecs.astype(np.uint64)
     # u[a] = (A1^T)^a k mod q for each needed a, then v = (A2^T)^b u
-    u_by_a = {a: (kvecs @ pow1[a].T) % np.uint64(q) for a in range(lo1, hi1 + 1)}
-    out = np.empty((len(sites), len(half), scenery.pair.rho), dtype=np.uint64)
-    for i, (a, b) in enumerate(sites):
-        out[i] = (u_by_a[int(a)] @ pow2[int(b)].T) % np.uint64(q)
-    return out
+    u_by_a = np.stack([(kvecs @ pow1[a].T) % np.uint64(q) for a in range(lo1, hi1 + 1)])
+    pow2_t = np.stack([pow2[b].T for b in range(lo2, hi2 + 1)])
+    return (u_by_a[sites[:, 0] - lo1] @ pow2_t[sites[:, 1] - lo2]) % np.uint64(q)
 
 
 def _half_support(poly: TrigPolynomial) -> list:
@@ -598,30 +589,22 @@ def _half_support(poly: TrigPolynomial) -> list:
     return half
 
 
-def _toral_increments(scenery: ToralScenery, path: WalkPath, t_grid,
-                      x_seeds, chunk: int) -> np.ndarray:
-    # the windows tile [0, edges[-1]), so from_path keeps every visited site
-    ws = _WeightedSites.from_path(path, t_grid)
-    sites, weights = ws.sites, ws.weights
+def _toral_values(scenery: ToralScenery, sites: np.ndarray, x_seeds) -> np.ndarray:
     freqs = _toral_transported_freqs(scenery, sites)  # (M, h, rho)
     half = _half_support(scenery.poly)
     cre = np.asarray([2.0 * c.real for _, c in half])
     cim = np.asarray([2.0 * c.imag for _, c in half])
     q = scenery.q_mod
-    out = np.zeros((len(x_seeds), weights.shape[1]))
-    for lo in range(0, len(x_seeds), chunk):
-        seeds = x_seeds[lo:lo + chunk]
-        pts = np.stack([_toral_point(scenery, s) for s in seeds])  # (c, rho)
-        # phases (M, h, c): sum_j freqs[..., j] * pts[c, j] mod q
-        phase = np.zeros((len(sites), len(half), len(seeds)), dtype=np.uint64)
-        for j in range(scenery.pair.rho):
-            phase += freqs[:, :, j:j + 1] * pts[None, None, :, j]
-            phase %= np.uint64(q)
-        angle = phase.astype(np.float64) * (2.0 * np.pi / q)
-        vals = np.einsum("h,mhc->mc", cre, np.cos(angle))
-        vals -= np.einsum("h,mhc->mc", cim, np.sin(angle))
-        out[lo:lo + len(seeds)] = vals.T @ weights
-    return out
+    pts = np.stack([_toral_point(scenery, s) for s in x_seeds])  # (c, rho)
+    # phases (M, h, c): sum_j freqs[..., j] * pts[c, j] mod q
+    phase = np.zeros((len(sites), len(half), len(x_seeds)), dtype=np.uint64)
+    for j in range(scenery.pair.rho):
+        phase += freqs[:, :, j:j + 1] * pts[None, None, :, j]
+        phase %= np.uint64(q)
+    angle = phase.astype(np.float64) * (2.0 * np.pi / q)
+    vals = np.einsum("h,mhc->mc", cre, np.cos(angle))
+    vals -= np.einsum("h,mhc->mc", cim, np.sin(angle))
+    return vals.T
 
 
 def sample_field_sum(scenery: SceneryModel, path: WalkPath, t_grid, x_seed: int) -> np.ndarray:
@@ -636,8 +619,6 @@ def quenched_variance(scenery: SceneryModel, path: WalkPath, window) -> float:
     Ties the counting layer to the field correlations; for i.i.d. sceneries
     this is just the self-intersection count of the window.
     """
-    from .localtime import pair_count_tables
-
     density = spectral_density(scenery, dimension=path.model.dimension)
     tab = local_times(path, window)
     total = 0.0

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -192,3 +194,59 @@ def test_dict_fallback_for_high_dimension():
     assert tab.total() == 200
     assert localtime.self_intersections(path, 200) == \
         brute_pair_count(path.positions, (0, 200), (0, 200), (0, 0, 0, 0))
+
+
+def _items(tab):
+    return list(zip(map(tuple, tab.sites.tolist()), tab.counts.tolist()))
+
+
+def _hand_path(positions):
+    positions = np.asarray(positions, dtype=np.int64)
+    model = walk.build_walk_model(walk.simple_walk_law(positions.shape[1]))
+    return walk.WalkPath(model=model, n=len(positions), positions=positions, seed=0)
+
+
+@given(st.integers(1, 4), st.integers(1, 300), st.integers(0, 2**32 - 1),
+       st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_local_times_equal_a_counter_in_lexicographic_order(d, n, seed, windows):
+    gen = np.random.default_rng(seed)
+    path = _hand_path(gen.integers(-3, 4, size=(n, d)))
+    for u, v in windows:
+        lo, hi = sorted((int(u * n), int(v * n)))
+        tab = localtime.local_times(path, (lo, hi))
+        want = Counter(map(tuple, path.positions[lo:hi].tolist()))
+        assert _items(tab) == sorted(want.items())
+
+
+@pytest.mark.parametrize("d, bits", [(2, 31), (3, 20)])
+def test_packed_key_bit_width_boundary(d, bits):
+    # |coordinate| <= 2^bits - 2 packs into uint64 keys; 2^bits - 1 takes
+    # the row route, which must give the same table
+    for edge, packed in [(2**bits - 2, True), (2**bits - 1, False)]:
+        rows = [[edge] * d, [-edge] * d, [0] * d, [edge] + [-edge] * (d - 1),
+                [-edge] + [edge] * (d - 1), [edge] * d, [0] * d, [edge] * d]
+        path = _hand_path(rows)
+        assert (localtime.path_table(path).keys is not None) == packed
+        want = Counter(map(tuple, rows))
+        for lo, hi in [(0, len(rows)), (2, 6)]:
+            tab = localtime.local_times(path, (lo, hi))
+            assert _items(tab) == sorted(Counter(map(tuple, rows[lo:hi])).items())
+        full = localtime.local_times(path, (0, len(rows)))
+        assert full.lookup(np.asarray(rows)).tolist() == [want[tuple(r)] for r in rows]
+        assert localtime.self_intersections(path, len(rows)) == \
+            sum(c * c for c in want.values())
+
+
+def test_windows_of_one_path_share_one_sort(lazy_model, monkeypatch):
+    calls = []
+    unique = localtime.unique_sites
+    monkeypatch.setattr(localtime, "unique_sites", lambda pts: calls.append(1) or unique(pts))
+    path = walk.sample_path(lazy_model, 1000, seed=8)
+    first = localtime.local_times(path, (0, 600))
+    second = localtime.local_times(path, (400, 1000))
+    assert len(calls) == 1
+    assert localtime.path_table(path) is localtime.path_table(path)
+    assert first.total() == 600 and second.total() == 600
+    localtime.local_times(walk.sample_path(lazy_model, 1000, seed=9), (0, 10))
+    assert len(calls) == 2

@@ -176,6 +176,59 @@ def test_ma_identity_filter_matches_iid(lazy_model):
     assert np.allclose(a, b)
 
 
+_MA_FRACTIONAL = {(0, 0): 1.0, (1, 0): 0.37, (0, -1): -0.61}
+
+
+def _per_visit_brute(scen, positions, x_seeds):
+    """X_{Z_k} visit by visit, one hash_sites / splitmix64 / Law.values call
+    per site term, accumulated from 0.0 in coeffs order."""
+    from rwscenery.rng import hash_sites, splitmix64
+    shifts = getattr(scen, "coeffs", {(0,) * positions.shape[1]: 1.0})
+    out = np.empty((len(x_seeds), len(positions)))
+    for r, seed in enumerate(x_seeds):
+        for k, site in enumerate(positions):
+            values = []
+            for q in shifts:
+                word = hash_sites(0, (site - np.asarray(q))[None, :])
+                values.append(scen.law.values(splitmix64(word ^ np.uint64(seed)))[0])
+            if isinstance(scen, scenery.IIDScenery):
+                out[r, k] = values[0]
+            else:
+                y = 0.0
+                for a, v in zip(shifts.values(), values):
+                    y += a * v
+                out[r, k] = y
+    return out
+
+
+@pytest.mark.parametrize("scen", [
+    scenery.iid_scenery("gaussian"),
+    scenery.moving_average_scenery(_MA_FRACTIONAL, law="gaussian"),
+], ids=["iid-gaussian", "ma-fractional-gaussian"])
+def test_site_values_per_visit_match_brute_force(lazy_model, scen):
+    path = walk.sample_path(lazy_model, 300, seed=12)
+    table = localtime.path_table(path)
+    seeds = [3, 2**63 + 5, 977]
+    got = scenery.site_values(scen, table.sites, seeds)[:, table.inverse]
+    assert got.tobytes() == _per_visit_brute(scen, path.positions, seeds).tobytes()
+
+
+def test_ma_field_increments_match_per_visit_sums(lazy_model):
+    # the field sums w(l) Y_l over sites, not visits one by one: for
+    # non-integer values only the rounding may differ
+    scen = scenery.moving_average_scenery(_MA_FRACTIONAL, law="gaussian")
+    path = walk.sample_path(lazy_model, 400, seed=13)
+    seeds = [11, 12, 13, 14]
+    t_grid = [0.25, 0.6, 1.0]
+    inc = scenery.field_increments(scen, path, t_grid, seeds)
+    visits = _per_visit_brute(scen, path.positions, seeds)
+    edges = scenery.window_boundaries(path.n, t_grid)
+    for row, vals in zip(inc, visits):
+        for j, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            want = math.fsum(vals[lo:hi])
+            assert abs(row[j] - want) <= 1e-12 * math.fsum(np.abs(vals[lo:hi]))
+
+
 def test_ma_correlation_identity_monte_carlo(lazy_model):
     # empirical <Xi_l, Xi_0> against sum_q a_q a_{q-l}
     coeffs = {(0, 0): 1.0, (1, 0): 0.5, (0, 1): -0.25}

@@ -1,0 +1,42 @@
+"""The benchmark's span tracer (perfbench/tracer.py) must still find every
+program function it wraps, so a renamed function fails here and not only in
+the benchmark's own tests."""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PROGRAM = ["walk", "localtime", "rng", "scenery", "algebra", "cumulant",
+           "harness", "cli", "reportio"]
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bindings():
+    return {(name, key): value for name, mod in sys.modules.items()
+            if name.startswith("rwscenery") and mod is not None
+            for key, value in vars(mod).items() if callable(value)}
+
+
+def test_tracer_installs_and_uninstalls():
+    importlib.import_module("scipy.stats")
+    for name in PROGRAM:
+        importlib.import_module(f"rwscenery.{name}")
+    tracer = _load_tracer()
+    for module, attr, _name, _count in tracer.FUNCTIONS:
+        assert callable(getattr(sys.modules[module], attr, None)), (module, attr)
+    before = _bindings()
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        assert _bindings() != before
+    finally:
+        tr.uninstall()
+    assert _bindings() == before
