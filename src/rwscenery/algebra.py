@@ -22,6 +22,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import add
 
 import numpy as np
 
@@ -328,7 +329,7 @@ def exact_joint_moment(pair: MatrixPair, f: TrigPolynomial, ells,
         nxt = {}
         for s, acc in partial.items():
             for kk, c in transported:
-                key = tuple(a + b for a, b in zip(s, kk))
+                key = tuple(map(add, s, kk))
                 nxt[key] = nxt.get(key, 0.0 + 0.0j) + acc * c
         partial = nxt
     total = partial.get((0,) * f.rho, 0.0 + 0.0j)
@@ -336,17 +337,36 @@ def exact_joint_moment(pair: MatrixPair, f: TrigPolynomial, ells,
     return float(total.real)
 
 
+def _moment_memo(pair: MatrixPair, f: TrigPolynomial):
+    """Moment oracle m(ells) memoized on the ells translated to start at 0.
+
+    The moment is exactly translation invariant: the dual action T_v is a
+    linear bijection, so the partial-sum dict of ``exact_joint_moment``
+    groups and orders its terms the same way for ells and ells - v, and the
+    value is bit for bit the same.  The entries keep their order (sorting
+    them would reorder complex products).  The memo lives as long as the
+    oracle, so callers hold one per scan.
+    """
+    memo = {}
+
+    def moment(ells):
+        x0, y0 = ells[0]
+        key = tuple((x - x0, y - y0) for x, y in ells)
+        if key not in memo:
+            memo[key] = exact_joint_moment(pair, f, key)
+        return memo[key]
+
+    return moment
+
+
+def _cumulant(moment, ells) -> float:
+    return joint_cumulant(lambda block: moment([ells[i - 1] for i in block]), len(ells))
+
+
 def exact_cumulant(pair: MatrixPair, f: TrigPolynomial, ells) -> float:
     """Exact joint cumulant C(A^{l_1} f, ..., A^{l_r} f) via the exact moments."""
     ells = [tuple(int(x) for x in e) for e in ells]
-    memo = {}
-
-    def moment(block):
-        if block not in memo:
-            memo[block] = exact_joint_moment(pair, f, [ells[i - 1] for i in block])
-        return memo[block]
-
-    return joint_cumulant(moment, len(ells))
+    return _cumulant(_moment_memo(pair, f), ells)
 
 
 def find_cumulant_radius(pair: MatrixPair, f: TrigPolynomial, scan: int = 2,
@@ -359,12 +379,13 @@ def find_cumulant_radius(pair: MatrixPair, f: TrigPolynomial, scan: int = 2,
     fully clustered configs contribute.
     """
     zero = (0, 0)
+    moment = _moment_memo(pair, f)
     radius = 0.0
     nonzero = []
     for ells in itertools.product(itertools.product(range(-scan, scan + 1), repeat=2),
                                   repeat=r - 1):
         config = list(ells) + [zero]
-        c = exact_cumulant(pair, f, config)
+        c = _cumulant(moment, config)
         if abs(c) > tol:
             pts = np.asarray(config, dtype=np.float64)
             diam = float(np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2)
@@ -391,13 +412,16 @@ class SUnitReport:
 
 
 def _det3_mod(m: np.ndarray, p: int) -> np.ndarray:
+    """det(m) mod p over the last two axes, for 3 p^3 < 2^63 (p ~ 2^20 here).
+
+    On residues 0 <= a < p the cofactor expansion stays within +-3 p^3, so
+    the int64 determinant is exact and only the result needs reducing.
+    """
     a = m % p
-    d = (a[..., 0, 0] * (a[..., 1, 1] * a[..., 2, 2] % p) - a[..., 0, 1] * (a[..., 1, 0] * a[..., 2, 2] % p)
-         + a[..., 0, 2] * (a[..., 1, 0] * a[..., 2, 1] % p)) % p
-    d = (d - a[..., 0, 0] * (a[..., 1, 2] * a[..., 2, 1] % p)
-         + a[..., 0, 1] * (a[..., 1, 2] * a[..., 2, 0] % p)
-         - a[..., 0, 2] * (a[..., 1, 1] * a[..., 2, 0] % p)) % p
-    return d
+    d = (a[..., 0, 0] * (a[..., 1, 1] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 1])
+         - a[..., 0, 1] * (a[..., 1, 0] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 0])
+         + a[..., 0, 2] * (a[..., 1, 0] * a[..., 2, 1] - a[..., 1, 1] * a[..., 2, 0]))
+    return d % p
 
 
 def sunit_search(pair: MatrixPair, gamma_bound: int, ell_bound: int) -> SUnitReport:
@@ -415,82 +439,68 @@ def sunit_search(pair: MatrixPair, gamma_bound: int, ell_bound: int) -> SUnitRep
         return _sunit_search_generic(pair, gamma_bound, ell_bound)
     ells = list(itertools.product(range(-ell_bound, ell_bound + 1), repeat=2))
     mats = {ell: np.asarray(mat_pow_pair(pair, ell), dtype=object) for ell in ells}
-    primes = (1048573, 1048583)
-    mods = {q: {ell: (mats[ell].astype(object) % q).astype(np.int64) for ell in ells}
-            for q in primes}
-    ident = np.eye(3, dtype=np.int64)
-
-    candidates = []
-    for q in primes:
-        mq = mods[q]
-        per_prime = set()
-        arr = np.stack([mq[e] for e in ells])  # (L, 3, 3)
-        for i1, e1 in enumerate(ells):
-            # sum over l2, l3 by broadcasting: M = P1 - P2 + P3 - I  (mod q)
-            m = (arr[i1][None, None] - arr[:, None] + arr[None, :] - ident) % q
-            det = _det3_mod(m, q)
-            idx2, idx3 = np.nonzero(det == 0)
-            for i2, i3 in zip(idx2, idx3):
-                per_prime.add((e1, ells[i2], ells[i3]))
-        candidates.append(per_prime)
-    cand = candidates[0] & candidates[1]
-
-    gammas = np.array(list(itertools.product(range(-gamma_bound, gamma_bound + 1),
-                                             repeat=3)), dtype=np.int64)
+    side = 2 * gamma_bound + 1
+    gammas = np.indices((side,) * 3, dtype=np.int64).reshape(3, -1).T - gamma_bound
     gammas = gammas[np.any(gammas != 0, axis=1)]
+    primitive = np.gcd.reduce(np.abs(gammas), axis=1) == 1
 
-    ident_obj = np.asarray(mat_identity(3), dtype=object)
+    ident = np.asarray(mat_identity(3), dtype=object)
     sample_cap = 1000
     solutions = []
     n_solutions = 0
     n_prim = 0
     triples = set()
-    # the combined matrix has entries up to ~3x a single power; keep the
-    # whole dot product inside int64 with room to spare
-    int64_safe = 2**63 // (10 * (gamma_bound + 1))
-    for (e1, e2, e3) in sorted(cand):
+    for (e1, e2, e3) in sorted(_singular_triples(mats, ells)):
         if e1 == e2 or e2 == e3 or e1 == (0, 0) or e3 == (0, 0):
             continue  # a proper sub-sum vanishes for every gamma
-        m = mats[e1] - mats[e2] + mats[e3] - ident_obj
-        if _exact_det3(m) != 0:
-            continue  # modular coincidence, not genuinely singular
-        big = max(abs(int(x)) for v in (mats[e1], mats[e2], mats[e3])
-                  for x in v.ravel())
-        if big < int64_safe:
-            p1 = mats[e1].astype(np.int64)
-            p2 = mats[e2].astype(np.int64)
-            p3 = mats[e3].astype(np.int64)
-            kern = gammas[np.all(gammas @ (p1 - p2 + p3
-                                           - np.eye(3, dtype=np.int64)).T == 0, axis=1)]
-            v1, v2, v3 = kern @ p1.T, kern @ p2.T, kern @ p3.T
-            bad = (np.all(v1 == v2, axis=1) | np.all(v1 == -v3, axis=1)
-                   | np.all(v1 == kern, axis=1) | np.all(v2 == v3, axis=1)
-                   | np.all(v2 == -kern, axis=1) | np.all(v3 == kern, axis=1))
-            good = kern[~bad]
-        else:
-            rows = []
-            pm1 = tuple(tuple(int(x) for x in r) for r in mats[e1])
-            pm2 = tuple(tuple(int(x) for x in r) for r in mats[e2])
-            pm3 = tuple(tuple(int(x) for x in r) for r in mats[e3])
-            for g in gammas:
-                gi = tuple(int(x) for x in g)
-                w1, w2, w3 = mat_vec(pm1, gi), mat_vec(pm2, gi), mat_vec(pm3, gi)
-                if any(a - b + c - d != 0 for a, b, c, d in zip(w1, w2, w3, gi)):
-                    continue
-                if not _has_vanishing_subsum(w1, w2, w3, gi):
-                    rows.append(gi)
-            good = np.asarray(rows, dtype=np.int64).reshape(len(rows), 3)
-        if len(good) == 0:
+        p1, p2, p3 = mats[e1], mats[e2], mats[e3]
+        good = _kernel_mask(p1 - p2 + p3 - ident, gammas, gamma_bound)
+        # the terms are +P1 g, -P2 g, +P3 g, -g; a proper sub-sum vanishes iff
+        # a pair does (see _has_vanishing_subsum)
+        for d in (p1 - p2, p1 + p3, p1 - ident, p3 - p2, p2 + ident, p3 - ident):
+            good &= ~_kernel_mask(d, gammas, gamma_bound)
+        if not good.any():
             continue
         triples.add((e1, e2, e3))
-        n_solutions += len(good)
-        n_prim += int(np.sum(np.gcd.reduce(np.abs(good), axis=1) == 1))
-        for g in good[:max(0, sample_cap - len(solutions))]:
+        n_solutions += int(good.sum())
+        n_prim += int((good & primitive).sum())
+        for g in gammas[good][:max(0, sample_cap - len(solutions))]:
             solutions.append((e1, e2, e3, tuple(int(x) for x in g)))
     return SUnitReport(solutions=solutions, n_solutions=n_solutions,
                        n_primitive=n_prim, triples=sorted(triples),
                        n_triples=len(triples), ell_bound=ell_bound,
                        gamma_bound=gamma_bound, sample_cap=sample_cap)
+
+
+def _singular_triples(mats: dict, ells: list) -> set:
+    """Triples (l1, l2, l3) with M = A^{l1} - A^{l2} + A^{l3} - I singular
+    modulo two primes: a superset of the exactly singular ones.
+
+    Every triple is screened by broadcasting modulo the first prime; only
+    its zeros are rechecked modulo the second.
+    """
+    q1, q2 = 1048573, 1048583
+    powers = np.stack([mats[e] for e in ells])  # (L, 3, 3) Python ints
+    arr1, arr2 = ((powers % q).astype(np.int64) for q in (q1, q2))
+    ident = np.eye(3, dtype=np.int64)
+    hits = []
+    for i1 in range(len(ells)):
+        det = _det3_mod(arr1[i1][None, None] - arr1[:, None] + arr1[None, :] - ident, q1)
+        idx2, idx3 = np.nonzero(det == 0)
+        hits.append(np.stack([np.full_like(idx2, i1), idx2, idx3], axis=1))
+    i1, i2, i3 = np.concatenate(hits).T
+    keep = _det3_mod(arr2[i1] - arr2[i2] + arr2[i3] - ident, q2) == 0
+    return {(ells[a], ells[b], ells[c]) for a, b, c in zip(i1[keep], i2[keep], i3[keep])}
+
+
+def _kernel_mask(d, gammas: np.ndarray, gamma_bound: int) -> np.ndarray:
+    """Exactly which rows g of ``gammas`` (all nonzero) solve d g = 0."""
+    if _exact_det3(d) != 0:
+        return np.zeros(len(gammas), dtype=bool)
+    big = max(abs(int(x)) for x in d.ravel())
+    # int64 products while the dot product fits; Python integers past that
+    d = d.astype(np.int64 if 3 * big * gamma_bound < 2**62 else object)
+    return np.all(gammas @ d.T == 0, axis=1)
 
 
 def _exact_det3(m) -> int:

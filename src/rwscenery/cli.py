@@ -79,6 +79,12 @@ def _at_least(lo):
     return _check(_integer, lambda v: v >= lo, f"must be an integer >= {lo}")
 
 
+def _steps(lo):
+    """A walk length: at least ``lo`` and at most ``walk.MAX_STEPS``."""
+    return _check(_integer, lambda v: lo <= v <= walk.MAX_STEPS,
+                  f"must be an integer in [{lo}, {walk.MAX_STEPS}]")
+
+
 def _list(item):
     def parse(field, v):
         if not isinstance(v, list) or not v:
@@ -134,8 +140,9 @@ _WINDOWS = _check(_list(_number),
                   "need [A, B, C, D] with 0 < A < B < C < D < 1")
 _G0_KIND = _check(lambda field, v: v, lambda v: v in ("sqrt3k", "self_intersection"),
                   "must be 'sqrt3k' or 'self_intersection'")
-_N_LADDER = _list(_at_least(2))  # rungs are normalized by log n, zero at n = 1
-_P_SET = _list(_list(_integer))
+_N_LADDER = _list(_steps(2))  # rungs are normalized by log n, zero at n = 1
+# lags of a planar walk: both consumers (LLN, orthogonality) are 2-d only
+_P_SET = _list(_check(_list(_integer), lambda p: len(p) == 2, "expected 2 integers"))
 
 # Field specs: field -> parser (required) or (parser, JSON default).  Defaults
 # are parsed like given values and never written into the config.
@@ -143,9 +150,9 @@ _COMMON = {"seed": _integer, "output": (_output, {})}
 _FCLT_BASE = {"walk": _walk, "scenery": _scenery, "t_grid": _T_GRID,
               "m_sceneries": _at_least(100),  # KS experiments need 100 draws
               "n_omegas": _at_least(1), "tolerances": (_object, {})}
-_FCLT = {**_FCLT_BASE, "n": _at_least(2)}  # Y_n is normalized by sqrt(n log n)
+_FCLT = {**_FCLT_BASE, "n": _steps(2)}  # Y_n is normalized by sqrt(n log n)
 _LADDER = {"walk": _walk, "n_ladder": _N_LADDER, "n_omegas": _at_least(1)}
-_PATH = {"walk": _walk, "scenery": _scenery, "n": _at_least(1),
+_PATH = {"walk": _walk, "scenery": _scenery, "n": _steps(1),
          "m_sceneries": _at_least(1)}
 
 

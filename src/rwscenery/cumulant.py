@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,11 +27,12 @@ MAX_PARTITION_ORDER = 8  # Bell(8) = 4140
 _FACT = [math.factorial(k) for k in range(MAX_PARTITION_ORDER + 1)]
 
 
-def set_partitions(r: int) -> list:
+@lru_cache(maxsize=None)
+def set_partitions(r: int) -> tuple:
     """All partitions of {1..r} as tuples of blocks, deterministic order.
 
     Enumeration is by restricted-growth strings in lexicographic order;
-    blocks are tuples sorted by first element.
+    blocks are tuples sorted by first element.  Cached, hence a tuple.
     """
     if not 1 <= r <= MAX_PARTITION_ORDER:
         raise ValueError(f"r must be in [1, {MAX_PARTITION_ORDER}]")
@@ -48,7 +50,7 @@ def set_partitions(r: int) -> list:
             grow(prefix + [b], max(maxval, b))
 
     grow([0], 0)
-    return out
+    return tuple(out)
 
 
 def joint_cumulant(moment: Callable[[tuple], float], r: int) -> float:

@@ -91,11 +91,6 @@ class LocalTimeTable:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def get(self, site) -> int:
-        site = np.asarray(site, dtype=np.int64).reshape(1, self.dimension)
-        found = self.lookup(site)
-        return int(found[0])
-
     def lookup(self, points: np.ndarray) -> np.ndarray:
         """Counts at each of the given points (0 where unvisited)."""
         points = np.asarray(points, dtype=np.int64).reshape(-1, self.dimension)

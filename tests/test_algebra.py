@@ -1,9 +1,17 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rwscenery import algebra, trigpoly
+from rwscenery import algebra, cumulant, trigpoly
+
+# non-dyadic complex coefficients: a reordered product would move last ulps
+COMPLEX_POLY = trigpoly.TrigPolynomial({
+    (1, 0, 0): 0.3 + 0.1j, (-1, 0, 0): 0.3 - 0.1j,
+    (0, 1, 0): 0.7, (0, -1, 0): 0.7,
+    (1, 1, 0): 0.11 - 0.37j, (-1, -1, 0): 0.11 + 0.37j,
+})
 
 
 def test_mat_helpers():
@@ -151,6 +159,87 @@ def test_exact_cumulant_far_configs_vanish(sl3_pair, four_term_poly):
                                        [(0, 0)] * 4)
     # E f^4 - 3 (E f^2)^2 for f = cos + cos
     assert clustered == pytest.approx(2.25 - 3.0, abs=1e-12)
+
+
+def _direct_cumulant(pair, f, config):
+    """Memo-free reference: one exact_joint_moment call per partition block."""
+    return cumulant.joint_cumulant(
+        lambda block: algebra.exact_joint_moment(pair, f, [config[i - 1] for i in block]),
+        len(config))
+
+
+@pytest.mark.parametrize("poly", ["four_term", "complex"])
+def test_memoized_cumulants_are_bit_identical(sl3_pair, four_term_poly, poly):
+    f = four_term_poly if poly == "four_term" else COMPLEX_POLY
+    radius, nonzero = algebra.find_cumulant_radius(sl3_pair, f, scan=1)
+    want = []
+    for ells in itertools.product(itertools.product(range(-1, 2), repeat=2), repeat=3):
+        config = list(ells) + [(0, 0)]
+        c = _direct_cumulant(sl3_pair, f, config)
+        if abs(c) > 1e-12:
+            want.append((tuple(config), c))
+    assert nonzero == want
+    pts = [np.asarray(cfg, dtype=np.float64) for cfg, _ in want]
+    assert radius == max(float(np.sqrt(((p[:, None] - p[None]) ** 2).sum(-1)).max())
+                         for p in pts)
+    gen = np.random.default_rng(11)
+    for cfg in gen.integers(-4, 5, size=(50, 4, 2)).tolist():
+        config = [tuple(e) for e in cfg]
+        assert algebra.exact_cumulant(sl3_pair, f, config) == \
+            _direct_cumulant(sl3_pair, f, config)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_joint_moment_is_exactly_translation_invariant(sl3_pair, four_term_poly, r):
+    gen = np.random.default_rng(r)
+    for f in (four_term_poly, COMPLEX_POLY):
+        for _ in range(10):
+            ells = [tuple(e) for e in gen.integers(-3, 4, size=(r, 2)).tolist()]
+            v = tuple(int(x) for x in gen.integers(-3, 4, size=2))
+            moved = [(a + v[0], b + v[1]) for a, b in ells]
+            assert algebra.exact_joint_moment(sl3_pair, f, ells) == \
+                algebra.exact_joint_moment(sl3_pair, f, moved)
+
+
+def test_cumulant_scan_computes_each_translated_moment_once(sl3_pair, four_term_poly,
+                                                            monkeypatch):
+    calls = []
+    direct = algebra.exact_joint_moment
+
+    def counted(pair, f, ells, *args):
+        calls.append(tuple(ells))
+        return direct(pair, f, ells, *args)
+
+    monkeypatch.setattr(algebra, "exact_joint_moment", counted)
+    algebra.find_cumulant_radius(sl3_pair, four_term_poly, scan=1)
+    # one call per distinct translated index tuple, against 729 * 15 unmemoized
+    assert len(calls) == len(set(calls)) <= 1116
+
+
+def test_sunit_screen_keeps_every_singular_triple(sl3_pair):
+    ells = list(itertools.product(range(-2, 3), repeat=2))
+    mats = {e: np.asarray(algebra.mat_pow_pair(sl3_pair, e), dtype=object) for e in ells}
+    ident = np.asarray(algebra.mat_identity(3), dtype=object)
+    triples = list(itertools.product(ells, repeat=3))
+    combined = [mats[a] - mats[b] + mats[c] - ident for a, b, c in triples]
+    exact = [algebra._exact_det3(m) for m in combined]
+    singular = {t for t, d in zip(triples, exact) if d == 0}
+    assert singular  # the check is not vacuous
+    assert singular <= algebra._singular_triples(mats, ells)
+    stack = np.stack(combined)
+    for q in (1048573, 1048583):  # the int64 determinant modulo q is exact
+        got = algebra._det3_mod((stack % q).astype(np.int64), q)
+        assert got.tolist() == [d % q for d in exact]
+
+
+def test_kernel_mask_is_exact_past_int64():
+    gammas = np.array([g for g in itertools.product(range(-3, 4), repeat=3) if any(g)])
+    for scale in (7, 10**20):  # int64 products, then Python integers
+        d = np.asarray([[scale, -2 * scale, 0], [1, -2, 0], [0, 0, 0]], dtype=object)
+        want = [int(g[0]) == 2 * int(g[1]) for g in gammas]
+        assert algebra._kernel_mask(d, gammas, 3).tolist() == want
+    assert not algebra._kernel_mask(np.eye(3, dtype=np.int64).astype(object),
+                                    gammas, 3).any()
 
 
 def test_sunit_modular_screen_matches_generic(sl3_pair):

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from rwscenery import cli, reportio
+from rwscenery.walk import MAX_STEPS
 
 
 TINY_FCLT = {
@@ -84,6 +85,13 @@ REJECTED = [
     (dict(TINY_FCLT, experiment="tightness", t_grid=[1.0], delta_ladder=[0.1],
           epsilon=0.5, grid_points=0), "grid_points"),
     (dict(LADDER, walk={}), "walk"),
+    (dict(LADDER, experiment="lln-variance", walk={"preset": "lazy2d"},
+          p_set=[[1, 0, 0]]), "p_set[0]"),
+    (dict(LADDER, experiment="orthogonality", windows=[0.1, 0.2, 0.3, 0.4],
+          p_set=[[0, 0], [1]]), "p_set[1]"),
+    (dict(LADDER, n_ladder=[64, MAX_STEPS + 1]), "n_ladder[1]"),
+    (dict(PATH_CHECK, n=MAX_STEPS + 1), "n"),
+    (dict(TINY_FCLT, n=MAX_STEPS + 1), "n"),
 ]
 
 
@@ -97,6 +105,13 @@ def test_validate_rejects_bad_field(tmp_path, capsys, doc, field):
     err = capsys.readouterr().err
     assert f"config field {field}:" in err
     assert "required field is missing" not in err
+
+
+def test_validate_accepts_max_steps():
+    # parsing only: nothing of the 2^31-step walk is allocated
+    assert cli.validate_config(dict(LADDER, n_ladder=[64, MAX_STEPS])) == "erdos-taylor"
+    assert cli.validate_config(dict(PATH_CHECK, n=MAX_STEPS)) == "newman-wright"
+    assert cli.validate_config(dict(TINY_FCLT, n=MAX_STEPS)) == "fclt-iid"
 
 
 def test_defaults_stay_out_of_the_config(tmp_path):

@@ -141,6 +141,13 @@ def test_sample_path_basics(lazy_model):
     assert steps <= set(lazy_model.law.sites)
 
 
+def test_sample_path_rejects_past_max_steps(lazy_model):
+    # raises before allocating the (n, d) positions; n = MAX_STEPS itself
+    # would allocate 34 GB and is left to the config parser's boundary test
+    with pytest.raises(ValueError, match="exceeds the supported maximum"):
+        walk.sample_path(lazy_model, walk.MAX_STEPS + 1, 0)
+
+
 def test_sample_path_empirical_mean(simple2d_model):
     n = 10**6
     p = walk.sample_path(simple2d_model, n, seed=1)
