@@ -455,10 +455,7 @@ def sunit_search(pair: MatrixPair, gamma_bound: int, ell_bound: int) -> SUnitRep
             continue  # a proper sub-sum vanishes for every gamma
         p1, p2, p3 = mats[e1], mats[e2], mats[e3]
         good = _kernel_mask(p1 - p2 + p3 - ident, gammas, gamma_bound)
-        # the terms are +P1 g, -P2 g, +P3 g, -g; a proper sub-sum vanishes iff
-        # a pair does (see _has_vanishing_subsum)
-        for d in (p1 - p2, p1 + p3, p1 - ident, p3 - p2, p2 + ident, p3 - ident):
-            good &= ~_kernel_mask(d, gammas, gamma_bound)
+        good &= ~_subsum_mask(p1, p2, p3, gammas, gamma_bound)
         if not good.any():
             continue
         triples.add((e1, e2, e3))
@@ -501,6 +498,16 @@ def _kernel_mask(d, gammas: np.ndarray, gamma_bound: int) -> np.ndarray:
     # int64 products while the dot product fits; Python integers past that
     d = d.astype(np.int64 if 3 * big * gamma_bound < 2**62 else object)
     return np.all(gammas @ d.T == 0, axis=1)
+
+
+def _subsum_mask(p1, p2, p3, gammas: np.ndarray, gamma_bound: int) -> np.ndarray:
+    """Rows g of ``gammas`` for which a proper sub-sum of the terms +P1 g,
+    -P2 g, +P3 g, -g vanishes, i.e. a pair does (see _has_vanishing_subsum)."""
+    ident = np.asarray(mat_identity(3), dtype=object)
+    out = np.zeros(len(gammas), dtype=bool)
+    for d in (p1 - p2, p1 + p3, p1 - ident, p3 - p2, p2 + ident, p3 - ident):
+        out |= _kernel_mask(d, gammas, gamma_bound)
+    return out
 
 
 def _exact_det3(m) -> int:

@@ -281,6 +281,9 @@ class ToralScenery:
     def __post_init__(self):
         if self.poly.rho != self.pair.rho:
             raise ValueError("polynomial and matrix pair dimensions differ")
+        if self.pair.rho > 4:
+            raise ValueError(f"rho = {self.pair.rho}: toral sceneries need rho <= 4, "
+                             "so that rho-term uint64 dot products mod q stay exact")
         if not _is_prime(self.q_mod):
             raise ValueError(f"q_mod = {self.q_mod} is not prime")
         if not (2**20 < self.q_mod < 2**31):
@@ -526,6 +529,11 @@ def field_increments(scenery: SceneryModel, path: WalkPath, t_grid,
     return out
 
 
+# sites per block of the toral kernel: with 256 draws each of its five
+# (block, draws) work buffers is 1 MiB, whatever the number of sites
+_TORAL_BLOCK = 512
+
+
 def _toral_point(scenery: ToralScenery, x_seed: int) -> np.ndarray:
     gen = philox_gen(derive_seed(x_seed, "toral-point"))
     return gen.integers(0, scenery.q_mod, size=scenery.pair.rho, dtype=np.uint64)
@@ -551,7 +559,7 @@ def _modmat_range(mat_t: tuple, lo: int, hi: int, q: int) -> dict:
 
 
 def _modmatmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    # entries < q < 2^31 so a 3-term dot stays below 2^64
+    # entries < q < 2^31: a rho-term dot is below rho (q-1)^2 < 2^64 for rho <= 4
     return (a @ b) % np.uint64(q)
 
 
@@ -590,27 +598,46 @@ def _half_support(poly: TrigPolynomial) -> list:
 
 
 def _toral_values(scenery: ToralScenery, sites: np.ndarray, x_seeds) -> np.ndarray:
-    freqs = _toral_transported_freqs(scenery, sites)  # (M, h, rho)
-    half = _half_support(scenery.poly)
-    cre = np.asarray([2.0 * c.real for _, c in half])
-    cim = np.asarray([2.0 * c.imag for _, c in half])
-    q = scenery.q_mod
+    """f(A^l x) = sum_k 2 Re(c_k e(phase_k)) over the half support, (c, M).
+
+    Blocks of _TORAL_BLOCK sites, one half-support frequency at a time: the
+    phase is reduced mod q once (rho (q-1)^2 < 2^64 for rho <= 4), cos runs
+    only where Re c != 0 and sin only where Im c != 0.  The terms are added
+    in support order and the block's sine sum is subtracted once, as
+    einsum("h,mhc->mc", 2 Re c, cos) - einsum("h,mhc->mc", 2 Im c, sin) does
+    for two or more draws.
+    """
+    freqs = np.ascontiguousarray(
+        _toral_transported_freqs(scenery, sites).transpose(1, 0, 2))  # (h, M, rho)
+    coeffs = [c for _, c in _half_support(scenery.poly)]
+    q = np.uint64(scenery.q_mod)
+    scale = 2.0 * np.pi / scenery.q_mod
     pts = np.stack([_toral_point(scenery, s) for s in x_seeds])  # (c, rho)
-    # phases (M, h, c): sum_j freqs[..., j] * pts[c, j] mod q
-    phase = np.zeros((len(sites), len(half), len(x_seeds)), dtype=np.uint64)
-    for j in range(scenery.pair.rho):
-        phase += freqs[:, :, j:j + 1] * pts[None, None, :, j]
-        phase %= np.uint64(q)
-    angle = phase.astype(np.float64) * (2.0 * np.pi / q)
-    vals = np.einsum("h,mhc->mc", cre, np.cos(angle))
-    vals -= np.einsum("h,mhc->mc", cim, np.sin(angle))
+    vals = np.zeros((len(sites), len(x_seeds)))
+    shape = (min(_TORAL_BLOCK, len(sites)), len(x_seeds))
+    phase, term = np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.uint64)
+    angle, trig, sines = np.empty(shape), np.empty(shape), np.empty(shape)
+    for lo in range(0, len(sites), _TORAL_BLOCK):
+        hi = min(lo + _TORAL_BLOCK, len(sites))
+        ph, tm, an, tr, sn = (a[:hi - lo] for a in (phase, term, angle, trig, sines))
+        sn.fill(0.0)
+        for f, c in zip(freqs[:, lo:hi], coeffs):
+            np.multiply(f[:, :1], pts[:, 0], out=ph)
+            for j in range(1, pts.shape[1]):
+                np.multiply(f[:, j:j + 1], pts[:, j], out=tm)
+                ph += tm
+            ph %= q
+            np.multiply(ph, scale, out=an)
+            if c.real:
+                np.cos(an, out=tr)
+                tr *= 2.0 * c.real
+                vals[lo:hi] += tr
+            if c.imag:
+                np.sin(an, out=tr)
+                tr *= 2.0 * c.imag
+                sn += tr
+        vals[lo:hi] -= sn
     return vals.T
-
-
-def sample_field_sum(scenery: SceneryModel, path: WalkPath, t_grid, x_seed: int) -> np.ndarray:
-    """(S_{floor(n t)})_{t in t_grid} for one scenery draw keyed by x_seed."""
-    inc = field_increments(scenery, path, t_grid, [x_seed])
-    return np.cumsum(inc[0])
 
 
 def quenched_variance(scenery: SceneryModel, path: WalkPath, window) -> float:

@@ -38,6 +38,19 @@ def sl3_pair():
 
 
 @pytest.fixture(scope="session")
+def companion_pair():
+    """rho -> the commuting unimodular pair (C, C(C + I)), with C the
+    companion matrix of x^rho - x - 1."""
+    def make(rho):
+        c = [[int(i == j + 1) for j in range(rho)] for i in range(rho)]
+        c[0][rho - 1] = c[1][rho - 1] = 1
+        c_plus_i = [[v + int(i == j) for j, v in enumerate(row)] for i, row in enumerate(c)]
+        return algebra.matrix_pair(c, algebra.mat_mul(algebra.mat_tuplify(c),
+                                                      algebra.mat_tuplify(c_plus_i)))
+    return make
+
+
+@pytest.fixture(scope="session")
 def four_term_poly():
     # cos(2 pi x1) + cos(2 pi x2) on the 3-torus
     return trigpoly.cosine_polynomial([(1, 0, 0), (0, 1, 0)])

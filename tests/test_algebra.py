@@ -242,6 +242,30 @@ def test_kernel_mask_is_exact_past_int64():
                                     gammas, 3).any()
 
 
+# a kernel vector U e1 = (1, 1, 2) and, per case, the eigenvalues (a1, a2, a3)
+# of P1, P2, P3 on it: each case cancels exactly one pair of the terms
+# +P1 g, -P2 g, +P3 g, -g (the other eigenvalues, (2, 3, 7) and (4, 9, 6),
+# cancel none)
+_U = ((1, 0, 0), (1, 1, 0), (2, 1, 1))
+SUBSUM_CASES = {
+    "P1g=P2g": (2, 2, 5), "P1g=-P3g": (2, 5, -2), "P1g=g": (1, 5, 3),
+    "P3g=P2g": (2, 5, 5), "P2g=-g": (2, -1, 5), "P3g=g": (2, 5, 1),
+}
+
+
+@pytest.mark.parametrize("first", SUBSUM_CASES.values(), ids=list(SUBSUM_CASES))
+def test_each_subsum_exclusion_is_exercised(first):
+    inv = algebra.mat_inverse_unimodular(_U)
+    mats = [algebra.mat_mul(algebra.mat_mul(_U, ((a, 0, 0), (0, b, 0), (0, 0, c))), inv)
+            for a, b, c in zip(first, (2, 3, 7), (4, 9, 6))]
+    gammas = np.array([g for g in itertools.product(range(-3, 4), repeat=3) if any(g)])
+    mask = algebra._subsum_mask(*(np.asarray(m, dtype=object) for m in mats), gammas, 3)
+    brute = [algebra._has_vanishing_subsum(*(algebra.mat_vec(m, g.tolist()) for m in mats),
+                                           g.tolist()) for g in gammas]
+    assert mask.tolist() == brute
+    assert {tuple(g) for g in gammas[mask].tolist()} == {(1, 1, 2), (-1, -1, -2)}
+
+
 def test_sunit_modular_screen_matches_generic(sl3_pair):
     fast = algebra.sunit_search(sl3_pair, gamma_bound=3, ell_bound=1)
     slow = algebra._sunit_search_generic(sl3_pair, gamma_bound=3, ell_bound=1)

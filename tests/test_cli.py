@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from rwscenery import cli, reportio
+from rwscenery import algebra, cli, reportio
 from rwscenery.walk import MAX_STEPS
 
 
@@ -112,6 +112,19 @@ def test_validate_accepts_max_steps():
     assert cli.validate_config(dict(LADDER, n_ladder=[64, MAX_STEPS])) == "erdos-taylor"
     assert cli.validate_config(dict(PATH_CHECK, n=MAX_STEPS)) == "newman-wright"
     assert cli.validate_config(dict(TINY_FCLT, n=MAX_STEPS)) == "fclt-iid"
+
+
+def test_validate_bounds_toral_rho(tmp_path, capsys, companion_pair):
+    def config(rho):
+        poly = [[[s * int(i == 0) for i in range(rho)], 0.5, 0.0] for s in (-1, 1)]
+        return dict(TINY_FCLT, experiment="fclt-toral", scenery={
+            "variant": "toral", "pair": algebra.pair_to_dict(companion_pair(rho)),
+            "poly": poly, "q_mod": 2**31 - 1})
+
+    assert cli.validate_config(config(4)) == "fclt-toral"
+    assert cli.main(["validate", write_config(tmp_path, config(5))]) == 1
+    err = capsys.readouterr().err
+    assert "config field scenery:" in err and "rho <= 4" in err
 
 
 def test_defaults_stay_out_of_the_config(tmp_path):

@@ -1,5 +1,7 @@
+import cmath
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from rwscenery import algebra, localtime, scenery, trigpoly, walk
+from rwscenery.cli import load_fixture
 
 
 @pytest.fixture(scope="module")
@@ -154,15 +157,15 @@ def test_field_sum_constant_path():
     const = walk.build_walk_model(walk.deterministic_law((0, 0)))
     path = walk.sample_path(const, 25, seed=0)
     iid = scenery.iid_scenery("rademacher")
-    s = scenery.sample_field_sum(iid, path, [1.0], x_seed=42)
+    s = np.cumsum(scenery.field_increments(iid, path, [1.0], [42])[0])
     assert abs(s[0]) == 25.0
 
 
 def test_field_sum_cumulative_grid(lazy_model):
     iid = scenery.iid_scenery("gaussian")
     path = walk.sample_path(lazy_model, 1000, seed=8)
-    full = scenery.sample_field_sum(iid, path, [0.25, 0.5, 1.0], x_seed=3)
-    tail = scenery.sample_field_sum(iid, path, [1.0], x_seed=3)
+    full = np.cumsum(scenery.field_increments(iid, path, [0.25, 0.5, 1.0], [3])[0])
+    tail = np.cumsum(scenery.field_increments(iid, path, [1.0], [3])[0])
     assert full[-1] == pytest.approx(tail[0], abs=1e-9)
     assert full.shape == (3,)
 
@@ -268,6 +271,99 @@ def test_toral_exact_phase_equality(sl3_pair, four_term_poly, toral):
             phase_transport = sum(int(a) * int(b) for a, b in zip(kk, p)) % q
             phase_modular = sum(int(a) * int(b) for a, b in zip(k, y)) % q
             assert phase_transport == phase_modular
+
+
+def _einsum_toral_values(scen, sites, x_seeds):
+    """The toral kernel as one einsum over (M, h, c) phase arrays: the byte
+    reference for site_values.  einsum sums a length-1 draw axis in its
+    dot-product kernel, in an order set by the SIMD width, so a lone draw is
+    evaluated next to a second one."""
+    seeds = list(x_seeds) + [x_seeds[0] + 1] * (len(x_seeds) == 1)
+    freqs = scenery._toral_transported_freqs(scen, sites)  # (M, h, rho)
+    half = scenery._half_support(scen.poly)
+    cre = np.asarray([2.0 * c.real for _, c in half])
+    cim = np.asarray([2.0 * c.imag for _, c in half])
+    q = scen.q_mod
+    pts = np.stack([scenery._toral_point(scen, s) for s in seeds])
+    phase = np.zeros((len(sites), len(half), len(seeds)), dtype=np.uint64)
+    for j in range(scen.pair.rho):
+        phase += freqs[:, :, j:j + 1] * pts[None, None, :, j]
+        phase %= np.uint64(q)
+    angle = phase.astype(np.float64) * (2.0 * np.pi / q)
+    vals = np.einsum("h,mhc->mc", cre, np.cos(angle))
+    vals -= np.einsum("h,mhc->mc", cim, np.sin(angle))
+    return vals.T[:len(x_seeds)]
+
+
+@pytest.fixture(scope="module")
+def kernel_sites(lazy_model):
+    sites = localtime.path_table(walk.sample_path(lazy_model, 20000, seed=21)).sites
+    assert len(sites) >= 4000
+    return sites
+
+
+@pytest.fixture(scope="module")
+def kernel_polys(four_term_poly):
+    # truncation_ladder's polynomial has a pure-sine pair and a cosine-only rest
+    ladder = trigpoly.trig_from_list(load_fixture("truncation_ladder.json")["scenery"]["poly"])
+    return {"four_term": four_term_poly, "truncation_ladder": ladder}
+
+
+@pytest.mark.parametrize("c", [1, 256])
+@pytest.mark.parametrize("m", [1, 511, 512, 513])
+@pytest.mark.parametrize("poly", ["four_term", "truncation_ladder"])
+def test_toral_kernel_is_byte_identical_to_einsum(sl3_pair, kernel_sites, kernel_polys,
+                                                 poly, m, c):
+    scen = scenery.toral_scenery(sl3_pair, kernel_polys[poly])
+    sites, seeds = kernel_sites[:m], list(range(7, 7 + c))
+    got = scenery.site_values(scen, sites, seeds)
+    want = _einsum_toral_values(scen, sites, seeds)
+    assert got.shape == want.shape == (c, m)
+    assert got.flags.f_contiguous  # the transpose of a C-ordered (M, c) array
+    assert got.tobytes() == want.tobytes()
+
+
+def test_toral_values_of_a_draw_do_not_depend_on_its_chunk(sl3_pair, kernel_sites,
+                                                           kernel_polys):
+    scen = scenery.toral_scenery(sl3_pair, kernel_polys["truncation_ladder"])
+    sites, seeds = kernel_sites[:513], list(range(40, 296))
+    chunk = scenery.site_values(scen, sites, seeds)
+    assert scenery.site_values(scen, sites, seeds[5:6]).tobytes() == chunk[5:6].tobytes()
+
+
+def test_toral_values_peak_memory(kernel_sites, toral):
+    # blocked: the (M, c) result plus a few (512, c) buffers, not (M, h, c) arrays
+    sites, seeds = kernel_sites[:4000], list(range(256))
+    tracemalloc.start()
+    try:
+        scenery.site_values(toral, sites, seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(sites) * len(seeds) * 8
+
+
+def test_toral_values_exact_at_rho_4(companion_pair):
+    # the largest rho whose rho-term phase sums stay below 2^64 unreduced
+    pair = companion_pair(4)
+    poly = trigpoly.TrigPolynomial({
+        (1, 0, 0, 0): 0.5, (-1, 0, 0, 0): 0.5,
+        (0, 1, -1, 2): 0.2 + 0.3j, (0, -1, 1, -2): 0.2 - 0.3j,
+        (1, 0, 1, 0): -0.25j, (-1, 0, -1, 0): 0.25j})
+    scen = scenery.toral_scenery(pair, poly)
+    gen = np.random.default_rng(4)
+    sites = np.vstack([[[40, 40], [-40, -40], [40, -40], [0, 0]],
+                       gen.integers(-40, 41, size=(60, 2))]).astype(np.int64)
+    seeds = [3, 17, 2**63 + 1]
+    got = scenery.site_values(scen, sites, seeds)
+    q = scen.q_mod
+    for r, seed in enumerate(seeds):
+        p = [int(v) for v in scenery._toral_point(scen, seed)]
+        for i, ell in enumerate(sites.tolist()):
+            y = [v % q for v in algebra.mat_vec(algebra.mat_pow_pair(pair, ell), p)]
+            want = sum(c * cmath.exp(2j * math.pi * (sum(a * b for a, b in zip(k, y)) % q) / q)
+                       for k, c in poly.coeffs.items()).real
+            assert abs(got[r, i] - want) <= 1e-12
 
 
 def test_toral_empirical_correlation_matches_table(sl3_pair, toral):
