@@ -18,7 +18,6 @@ cost manageable.  Provides
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -563,18 +562,5 @@ def _sunit_search_generic(pair: MatrixPair, gamma_bound: int, ell_bound: int) ->
 # serialization
 
 
-def pair_to_dict(pair: MatrixPair) -> dict:
-    return {"rho": pair.rho, "a1": [list(r) for r in pair.a1],
-            "a2": [list(r) for r in pair.a2]}
-
-
 def pair_from_dict(doc: dict) -> MatrixPair:
     return matrix_pair(doc["a1"], doc["a2"])
-
-
-def pair_to_json(pair: MatrixPair) -> str:
-    return json.dumps(pair_to_dict(pair), sort_keys=True)
-
-
-def pair_from_json(text: str) -> MatrixPair:
-    return pair_from_dict(json.loads(text))

@@ -1,5 +1,4 @@
-"""Joint cumulants over set partitions, k-statistic estimators, and the
-r=4 cluster-configuration classifier.
+"""Joint cumulants over set partitions and a k-statistic estimator.
 
 The moment <-> cumulant correspondence is Moebius inversion on the
 partition lattice:
@@ -16,7 +15,6 @@ plug in directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -115,101 +113,3 @@ def univariate_cumulant4(samples: Sequence[float]):
     loo = k4_from_power_sums(s1 - x, s2 - x**2, s3 - x**3, s4 - x**4, n - 1)
     se = float(np.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2)))
     return float(k4), se
-
-
-@dataclass(frozen=True)
-class BetaLadder:
-    """Separation scales 0 = beta_0 < beta_1 < 3 beta_1 < beta_2 < ..."""
-
-    betas: tuple
-
-    def __post_init__(self):
-        b = self.betas
-        if len(b) < 2 or b[0] != 0:
-            raise ValueError("ladder must start at beta_0 = 0")
-        for j in range(1, len(b) - 1):
-            if not b[j + 1] > 3 * b[j]:
-                raise ValueError(f"need beta_{j+1} > 3 beta_{j}")
-        if not b[1] > 0:
-            raise ValueError("beta_1 must be positive")
-
-    @property
-    def order(self) -> int:
-        return len(self.betas) - 1
-
-
-def default_ladder(r: int = 4) -> BetaLadder:
-    """Smallest integer ladder with the strict gaps: beta_{j+1} = 3 beta_j + 1."""
-    betas = [0]
-    for _ in range(r):
-        betas.append(3 * betas[-1] + 1)
-    return BetaLadder(tuple(betas))
-
-
-@dataclass(frozen=True)
-class Clustered:
-    """All pairwise distances <= beta."""
-
-    beta: float
-
-
-@dataclass(frozen=True)
-class Separated:
-    """Blocks of diameter <= alpha, pairwise further than beta apart."""
-
-    partition: tuple
-    alpha: float
-    beta: float
-
-
-def _pairwise_distances(points: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - points[None, :, :]
-    return np.sqrt((diff.astype(np.float64) ** 2).sum(axis=2))
-
-
-def config_membership(points, cls) -> bool:
-    """Re-verify the defining inequalities of a configuration class."""
-    pts = np.asarray(points, dtype=np.float64).reshape(len(points), -1)
-    dist = _pairwise_distances(pts)
-    if isinstance(cls, Clustered):
-        return bool(dist.max() <= cls.beta)
-    d_within = 0.0
-    for block in cls.partition:
-        idx = [i - 1 for i in block]
-        if len(idx) > 1:
-            d_within = max(d_within, dist[np.ix_(idx, idx)].max())
-    d_between = math.inf
-    for a, block_a in enumerate(cls.partition):
-        for block_b in cls.partition[a + 1:]:
-            ia = [i - 1 for i in block_a]
-            ib = [i - 1 for i in block_b]
-            d_between = min(d_between, dist[np.ix_(ia, ib)].min())
-    return bool(d_within <= cls.alpha and d_between > cls.beta)
-
-
-def classify_config_r4(points, ladder: BetaLadder = None):
-    """Place a 4-point configuration in a clustered or well-separated class.
-
-    Every configuration admits a class once the ladder gaps are strict:
-    either the diameter is at most beta_4 (clustered), or some partition Q
-    with at least two blocks has block diameters <= 3 beta_j and
-    inter-block gaps > beta_{j+1}.  Ties break toward the smallest j, then
-    the enumeration order of the partitions.
-    """
-    if ladder is None:
-        ladder = default_ladder(4)
-    if ladder.order < 4:
-        raise ValueError("ladder must provide beta_1..beta_4")
-    pts = np.asarray(points, dtype=np.float64).reshape(4, -1)
-    dist = _pairwise_distances(pts)
-    if dist.max() <= ladder.betas[4]:
-        return Clustered(beta=float(ladder.betas[4]))
-    partitions = [q for q in set_partitions(4) if len(q) >= 2]
-    for j in range(4):
-        alpha = 3 * ladder.betas[j]
-        beta = ladder.betas[j + 1]
-        for q in partitions:
-            cand = Separated(partition=q, alpha=float(alpha), beta=float(beta))
-            if config_membership(pts, cand):
-                return cand
-    raise RuntimeError("no class found; ladder violates the coverage guarantee")

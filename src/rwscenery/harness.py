@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import stats
 
-from .localtime import local_times, pair_count_tables, path_table
+from .localtime import local_times, max_local_time, pair_count_tables, path_table
 from .rng import derive_seed
 from .scenery import (
     IIDScenery,
@@ -125,8 +125,17 @@ def _empirical_c0(model: WalkModel, n: int, seed: int, n_omegas: int) -> float:
     for i in range(n_omegas):
         path = sample_path(model, n, _omega_seed(seed, i))
         tab = local_times(path, (0, n))
-        total += float(np.dot(tab.counts, tab.counts)) / (n * math.log(n))
+        total += pair_count_tables(tab, tab, (0,) * model.dimension) / (n * math.log(n))
     return total / n_omegas
+
+
+def _c0(config: ExperimentConfig) -> tuple:
+    """(C0, mode): the walk's exact constant, else the omega-mean of
+    V_n(omega, 0) / (n log n) over the config's paths."""
+    model = config.walk
+    if model.c0 is not None:
+        return model.c0, "exact"
+    return _empirical_c0(model, config.n, config.seed, config.n_omegas), "empirical"
 
 
 def run_fclt(config: ExperimentConfig) -> FcltReport:
@@ -148,10 +157,7 @@ def run_fclt(config: ExperimentConfig) -> FcltReport:
     density = spectral_density(config.scenery, dimension=2)
     sigma2 = density.at_zero()
     degenerate = abs(sigma2) < 1e-12
-    if model.c0 is not None:
-        c0, c0_mode = model.c0, "exact"
-    else:
-        c0, c0_mode = _empirical_c0(model, n, config.seed, config.n_omegas), "empirical"
+    c0, c0_mode = _c0(config)
 
     edges = window_boundaries(n, config.t_grid)
     per_omega = []
@@ -279,11 +285,7 @@ def track_variance_lln(model: WalkModel, n_ladder: Sequence[int], p_set,
             tab = local_times(path, (0, n))
             denom = model.c0 * n * math.log(n)
             for p in p_set:
-                if any(p):
-                    v = pair_count_tables(tab, tab, p)
-                else:
-                    v = int(np.dot(tab.counts, tab.counts))
-                ratios[(n, p)].append(v / denom)
+                ratios[(n, p)].append(pair_count_tables(tab, tab, p) / denom)
         del path  # with its cached site table, before the next path is drawn
     mean_r = {k: float(np.mean(v)) for k, v in ratios.items()}
     std_r = {k: float(np.std(v, ddof=1)) if len(v) > 1 else 0.0 for k, v in ratios.items()}
@@ -571,8 +573,7 @@ def estimate_tightness_modulus(config: ExperimentConfig, delta_ladder,
     for exactly that check).
     """
     model = config.walk
-    c0 = model.c0 if model.c0 is not None else _empirical_c0(
-        model, config.n, config.seed, config.n_omegas)
+    c0, _ = _c0(config)
     n = config.n
     scale = math.sqrt(c0 * n * math.log(n))
     grid = [(i + 1) / grid_points for i in range(grid_points)]
@@ -637,8 +638,7 @@ def track_erdos_taylor(model: WalkModel, n_ladder: Sequence[int], n_omegas: int,
     for i in range(n_omegas):
         path = sample_path(model, n_ladder[-1], _omega_seed(seed, i))
         for n in n_ladder:
-            tab = local_times(path, (0, n))
-            sup[n].append(int(tab.counts.max()))
+            sup[n].append(max_local_time(path, n))
         del path  # with its cached site table, before the next path is drawn
     log_ratio = {n: [s / math.log(n) ** 2 for s in v] for n, v in sup.items()}
     mean_log = {n: float(np.mean(r)) for n, r in log_ratio.items()}
@@ -735,7 +735,7 @@ def run_truncation_ladder(config: ExperimentConfig, terms_ladder) -> TruncationL
     if not isinstance(scen, scenery_mod.ToralScenery):
         raise ValueError("truncation ladder applies to toral sceneries")
     model = config.walk
-    c0 = model.c0
+    c0, _ = _c0(config)
     paths = [sample_path(model, config.n, _omega_seed(config.seed, i))
              for i in range(config.n_omegas)]
     norm_drop, bounds, var1 = [], [], []

@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import math
-
 import numpy as np
 
 from .walk import WalkPath
@@ -109,15 +107,6 @@ class LocalTimeTable:
     def as_dict(self) -> dict:
         return {tuple(int(c) for c in s): int(c2) for s, c2 in zip(self.sites, self.counts)}
 
-    def to_csv(self) -> str:
-        headers = {1: "site_x", 2: "site_x,site_y", 3: "site_x,site_y,site_z"}
-        header = headers.get(self.dimension,
-                             ",".join(f"site_{i}" for i in range(self.dimension)))
-        lines = [header + ",count"]
-        for s, c in zip(self.sites, self.counts):
-            lines.append(",".join(str(int(v)) for v in s) + f",{int(c)}")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class PathTable:
@@ -164,8 +153,13 @@ def local_times(path: WalkPath, window) -> LocalTimeTable:
 
 
 def pair_count_tables(tab_i: LocalTimeTable, tab_j: LocalTimeTable, p) -> int:
-    """V = sum_x w_I(x) w_J(x - p), iterating over the smaller table."""
+    """V = sum_x w_I(x) w_J(x - p), iterating over the smaller table.
+
+    V_n(omega, 0) of one table is the dot product of its counts, no lookup.
+    """
     p = np.asarray(p, dtype=np.int64)
+    if tab_i is tab_j and not p.any():
+        return int(np.dot(tab_i.counts, tab_i.counts))
     if len(tab_i) <= len(tab_j):
         other = tab_j.lookup(tab_i.sites - p)
         return int(np.dot(tab_i.counts, other))
@@ -185,8 +179,6 @@ def self_intersections(path: WalkPath, n_prefix: int, p=None) -> int:
     if p is None:
         p = (0,) * path.model.dimension
     tab = local_times(path, (0, n_prefix))
-    if not np.any(np.asarray(p)):
-        return int(np.dot(tab.counts, tab.counts))
     return pair_count_tables(tab, tab, p)
 
 
@@ -213,10 +205,3 @@ def max_local_time(path: WalkPath, n_prefix: int) -> int:
     """sup_l w_n(omega, l) over the prefix window."""
     tab = local_times(path, (0, n_prefix))
     return int(tab.counts.max(initial=0))
-
-
-def erdos_taylor_ratio(path: WalkPath, n_prefix: int) -> float:
-    """sup_l w_n / (log n)^2; the planar limit of this ratio is 1/pi."""
-    if n_prefix < 2:
-        raise ValueError("need n_prefix >= 2")
-    return max_local_time(path, n_prefix) / math.log(n_prefix) ** 2

@@ -62,9 +62,6 @@ class Law:
     def fourth_moment(self) -> float:
         return self.moment(4)
 
-    def to_dict(self) -> dict:
-        return {"name": self.name}
-
 
 class Rademacher(Law):
     name = "rademacher"
@@ -169,9 +166,6 @@ class TruncatedGaussian(Law):
             val += atom_value**k * norm.sf(self.level)
         return val
 
-    def to_dict(self):
-        return {"name": self.name, "level": self.level}
-
 
 class TruncationPart(Law):
     """One side of the pathwise split X = hat(X) + tilde(X) at ``level``.
@@ -214,10 +208,6 @@ class TruncationPart(Law):
             self.base.moment(1) - self._mean_below)
         return sum(math.comb(k, j) * self._indicator_raw(j) * (-shift) ** (k - j)
                    for j in range(k + 1))
-
-    def to_dict(self):
-        return {"name": "truncation_part", "base": self.base.to_dict(),
-                "level": self.level, "side": self.side}
 
 
 _LAWS = {
@@ -511,7 +501,7 @@ def _law_values(law: Law, base: np.ndarray, x_seeds) -> np.ndarray:
 
 
 def field_increments(scenery: SceneryModel, path: WalkPath, t_grid,
-                     x_seeds, chunk: int = 256) -> np.ndarray:
+                     x_seeds) -> np.ndarray:
     """Window increments of S along the path, one row per scenery draw.
 
     Returns (m, s) with column j equal to
@@ -523,13 +513,16 @@ def field_increments(scenery: SceneryModel, path: WalkPath, t_grid,
     sites = path_table(path).sites[ids]
     weights = counts.astype(np.float64)
     out = np.zeros((len(x_seeds), weights.shape[1]))
-    for lo in range(0, len(x_seeds), chunk):
-        seeds = x_seeds[lo:lo + chunk]
+    for lo in range(0, len(x_seeds), _DRAW_CHUNK):
+        seeds = x_seeds[lo:lo + _DRAW_CHUNK]
         out[lo:lo + len(seeds)] = site_values(scenery, sites, seeds) @ weights
     return out
 
 
-# sites per block of the toral kernel: with 256 draws each of its five
+# draws per site_values call (and per dgemm) in field_increments
+_DRAW_CHUNK = 256
+
+# sites per block of the toral kernel: with _DRAW_CHUNK draws each of its five
 # (block, draws) work buffers is 1 MiB, whatever the number of sites
 _TORAL_BLOCK = 512
 
@@ -570,7 +563,7 @@ def _toral_transported_freqs(scenery: ToralScenery, sites: np.ndarray) -> np.nda
     pair (the other half contributes the conjugate term analytically).
     """
     q = scenery.q_mod
-    half = _half_support(scenery.poly)
+    half = scenery.poly.half_support()
     a1t = algebra.mat_transpose(scenery.pair.a1)
     a2t = algebra.mat_transpose(scenery.pair.a2)
     lo1, hi1 = int(sites[:, 0].min()), int(sites[:, 0].max())
@@ -585,18 +578,6 @@ def _toral_transported_freqs(scenery: ToralScenery, sites: np.ndarray) -> np.nda
     return (u_by_a[sites[:, 0] - lo1] @ pow2_t[sites[:, 1] - lo2]) % np.uint64(q)
 
 
-def _half_support(poly: TrigPolynomial) -> list:
-    half = []
-    seen = set()
-    for k in poly.support:
-        mk = tuple(-x for x in k)
-        if k in seen or mk in seen:
-            continue
-        seen.add(k)
-        half.append((k, poly.coeffs[k]))
-    return half
-
-
 def _toral_values(scenery: ToralScenery, sites: np.ndarray, x_seeds) -> np.ndarray:
     """f(A^l x) = sum_k 2 Re(c_k e(phase_k)) over the half support, (c, M).
 
@@ -609,7 +590,7 @@ def _toral_values(scenery: ToralScenery, sites: np.ndarray, x_seeds) -> np.ndarr
     """
     freqs = np.ascontiguousarray(
         _toral_transported_freqs(scenery, sites).transpose(1, 0, 2))  # (h, M, rho)
-    coeffs = [c for _, c in _half_support(scenery.poly)]
+    coeffs = [c for _, c in scenery.poly.half_support()]
     q = np.uint64(scenery.q_mod)
     scale = 2.0 * np.pi / scenery.q_mod
     pts = np.stack([_toral_point(scenery, s) for s in x_seeds])  # (c, rho)
@@ -650,10 +631,7 @@ def quenched_variance(scenery: SceneryModel, path: WalkPath, window) -> float:
     tab = local_times(path, window)
     total = 0.0
     for p, a in density.fourier.items():
-        if not any(p):
-            total += a * float(np.dot(tab.counts, tab.counts))
-        else:
-            total += a * pair_count_tables(tab, tab, p)
+        total += a * pair_count_tables(tab, tab, p)
     return total
 
 
@@ -672,19 +650,6 @@ def truncate_field(scenery: SceneryModel, level: float):
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def scenery_to_dict(scenery: SceneryModel) -> dict:
-    if isinstance(scenery, IIDScenery):
-        return {"variant": "iid", "law": scenery.law.to_dict()}
-    if isinstance(scenery, MovingAverageScenery):
-        return {"variant": "moving_average", "law": scenery.law.to_dict(),
-                "coeffs": [{"q": list(q), "a": a} for q, a in sorted(scenery.coeffs.items())]}
-    if isinstance(scenery, ToralScenery):
-        return {"variant": "toral", "pair": algebra.pair_to_dict(scenery.pair),
-                "poly": scenery.poly.to_list(), "q_mod": scenery.q_mod,
-                "orbit_box": scenery.orbit_box}
-    raise TypeError(f"not a scenery model: {scenery!r}")
 
 
 def scenery_from_dict(doc: dict) -> SceneryModel:

@@ -97,34 +97,32 @@ class TrigPolynomial:
         vals = np.cos(angles) @ cs.real - np.sin(angles) @ cs.imag
         return vals
 
+    def half_support(self) -> list:
+        """(k, c_k) for one frequency k of each conjugate pair, in support order."""
+        half, seen = [], set()
+        for k in self.support:
+            if tuple(-x for x in k) not in seen:
+                seen.add(k)
+                half.append((k, self.coeffs[k]))
+        return half
+
     def truncate_to(self, n_terms: int) -> "TrigPolynomial":
         """Keep the n_terms largest coefficients (conjugate pairs kept together)."""
-        pairs = []
-        seen = set()
-        for k in self.support:
-            mk = tuple(-x for x in k)
-            if k in seen or mk in seen:
-                continue
-            seen.add(k)
-            pairs.append((abs(self.coeffs[k]), k, mk))
-        pairs.sort(reverse=True)
         kept = {}
-        for _, k, mk in pairs:
+        for _, k in sorted(((abs(c), k) for k, c in self.half_support()), reverse=True):
             if len(kept) >= n_terms:
                 break
+            mk = tuple(-x for x in k)
             kept[k] = self.coeffs[k]
             kept[mk] = self.coeffs[mk]
         return TrigPolynomial(kept)
-
-    def to_list(self) -> list:
-        return [[list(k), c.real, c.imag] for k, c in sorted(self.coeffs.items())]
 
 
 def trig_from_list(items) -> TrigPolynomial:
     return TrigPolynomial({tuple(k): complex(re, im) for k, re, im in items})
 
 
-def cosine_polynomial(freqs, amplitudes=None, rho=None) -> TrigPolynomial:
+def cosine_polynomial(freqs, amplitudes=None) -> TrigPolynomial:
     """sum_j a_j cos(2 pi <k_j, x>) as coefficient pairs c_{+-k} = a/2."""
     coeffs = {}
     for j, k in enumerate(freqs):

@@ -13,7 +13,6 @@ that normalizes self-intersection counts and the sums along the walk.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -323,7 +322,7 @@ def green_series(
         raise ValueError(f"site {site} has wrong dimension, expected {d}")
 
     if _convolution_budget(model, k_max) <= budget:
-        value = _green_convolution(model, site, k_max)
+        value = _green_convolution_multi(model, [site], k_max)[site]
         return GreenSeries(value=value, k_max=k_max, tail_estimate=_tail_estimate(model, k_max),
                            stderr=0.0, method="convolution")
     value, stderr = _green_monte_carlo(model, site, k_max, m_paths, seed)
@@ -348,11 +347,6 @@ def green_series_table(model: WalkModel, sites, k_max: int = 60,
     return {s: GreenSeries(value=v, k_max=k_max, tail_estimate=tail,
                            stderr=0.0, method="convolution")
             for s, v in values.items()}
-
-
-def _green_convolution(model: WalkModel, site, k_max: int) -> float:
-    return _green_convolution_multi(model, [tuple(int(c) for c in site)], k_max)[
-        tuple(int(c) for c in site)]
 
 
 def _green_convolution_multi(model: WalkModel, sites, k_max: int) -> dict:
@@ -416,30 +410,3 @@ def _green_monte_carlo(model: WalkModel, site, k_max: int, m_paths: int, seed: i
     mean = float(counts.mean())
     stderr = float(counts.std(ddof=1) / math.sqrt(m_paths)) if m_paths > 1 else 0.0
     return base + mean, stderr
-
-
-def model_to_dict(model: WalkModel) -> dict:
-    return {
-        "dimension": model.dimension,
-        "atoms": [{"site": list(s), "prob": p} for s, p in zip(model.law.sites, model.law.probs)],
-        "mean": [float(x) for x in model.mean],
-        "sigma": [[float(x) for x in row] for row in model.sigma],
-        "aperiodic": model.aperiodic,
-        "strongly_aperiodic": model.strongly_aperiodic,
-        "classification": model.classification,
-        "c0": model.c0,
-    }
-
-
-def model_from_dict(doc: dict) -> WalkModel:
-    law = increment_law([(tuple(a["site"]), a["prob"]) for a in doc["atoms"]],
-                        dimension=doc.get("dimension"))
-    return build_walk_model(law)
-
-
-def model_to_json(model: WalkModel) -> str:
-    return json.dumps(model_to_dict(model), sort_keys=True)
-
-
-def model_from_json(text: str) -> WalkModel:
-    return model_from_dict(json.loads(text))

@@ -280,9 +280,3 @@ def test_sunit_structural_exclusions(sl3_pair):
         assert e1 != e2 and e2 != e3
         assert e1 != (0, 0) and e3 != (0, 0)
         assert any(g)
-
-
-def test_pair_serialization_round_trip(sl3_pair):
-    doc = algebra.pair_to_json(sl3_pair)
-    again = algebra.pair_from_json(doc)
-    assert again.a1 == sl3_pair.a1 and again.a2 == sl3_pair.a2

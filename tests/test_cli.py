@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from rwscenery import algebra, cli, reportio
+from rwscenery import cli, reportio
 from rwscenery.walk import MAX_STEPS
 
 
@@ -117,8 +117,10 @@ def test_validate_accepts_max_steps():
 def test_validate_bounds_toral_rho(tmp_path, capsys, companion_pair):
     def config(rho):
         poly = [[[s * int(i == 0) for i in range(rho)], 0.5, 0.0] for s in (-1, 1)]
+        pair = companion_pair(rho)
         return dict(TINY_FCLT, experiment="fclt-toral", scenery={
-            "variant": "toral", "pair": algebra.pair_to_dict(companion_pair(rho)),
+            "variant": "toral", "pair": {"a1": [list(r) for r in pair.a1],
+                                         "a2": [list(r) for r in pair.a2]},
             "poly": poly, "q_mod": 2**31 - 1})
 
     assert cli.validate_config(config(4)) == "fclt-toral"
@@ -246,3 +248,15 @@ def test_moricz_inapplicable_reports_only(tmp_path, capsys):
     assert "report-only" in out
     report = json.loads(open(tmp_path / "mo" / "report.json").read())
     assert report["report"]["hypothesis_ok"] is False
+
+
+def test_truncation_ladder_estimates_c0_without_exact_value(tmp_path, capsys):
+    # the simple planar walk is not strongly aperiodic, so it has no exact C0
+    doc = dict(cli.load_fixture("truncation_ladder.json"), walk={"preset": "simple2d"},
+               n=256, n_omegas=1)
+    path = write_config(tmp_path, doc)
+    assert cli.main(["validate", path]) == 0
+    assert cli.main(["run", path, "--out", str(tmp_path / "tl")]) == 0
+    report = json.loads(open(tmp_path / "tl" / "report.json").read())["report"]
+    assert len(report["var_y1"]) == len(doc["terms_ladder"])
+    assert all(v > 0 for v in report["var_y1"])

@@ -166,46 +166,3 @@ def test_k_statistic_on_samples():
     assert k4c == 0.0 and sec == 0.0
     with pytest.raises(ValueError):
         cumulant.univariate_cumulant4(np.zeros(50))
-
-
-def test_ladder_validation():
-    assert cumulant.default_ladder(4).betas == (0, 1, 4, 13, 40)
-    with pytest.raises(ValueError):
-        cumulant.BetaLadder((0, 1, 3))  # needs beta_2 > 3 beta_1
-    with pytest.raises(ValueError):
-        cumulant.BetaLadder((1, 2, 7))  # must start at 0
-
-
-def test_classifier_examples():
-    lad = cumulant.default_ladder(4)
-    c = cumulant.classify_config_r4([(0, 0)] * 4, lad)
-    assert isinstance(c, cumulant.Clustered) and c.beta == 40.0
-    s = cumulant.classify_config_r4([(0, 0), (0.5, 0), (100, 0), (0, 100)], lad)
-    assert isinstance(s, cumulant.Separated)
-    assert s.partition == ((1, 2), (3,), (4,))
-    assert cumulant.config_membership([(0, 0), (0.5, 0), (100, 0), (0, 100)], s)
-
-
-@given(st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
-                min_size=4, max_size=4))
-@settings(max_examples=300, deadline=None)
-def test_classifier_total_and_valid(points):
-    lad = cumulant.default_ladder(4)
-    cls = cumulant.classify_config_r4(points, lad)
-    assert cumulant.config_membership(points, cls)
-
-
-def test_classifier_grid_scan_fine_ladder():
-    # 4-tuples on a 12x12 grid against a ladder fine enough that every class
-    # shape actually occurs; membership re-verified from the definitions
-    lad = cumulant.BetaLadder((0, 0.12, 0.4, 1.3, 4.0))
-    gen = np.random.default_rng(17)
-    kinds = set()
-    for _ in range(4000):
-        pts = [tuple(gen.integers(0, 12, size=2)) for _ in range(4)]
-        cls = cumulant.classify_config_r4(pts, lad)
-        assert cumulant.config_membership(pts, cls)
-        kinds.add(type(cls).__name__
-                  if isinstance(cls, cumulant.Clustered)
-                  else len(cls.partition))
-    assert "Clustered" in kinds and {2, 3, 4} & kinds

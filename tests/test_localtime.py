@@ -1,10 +1,11 @@
 from collections import Counter
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rwscenery import localtime, walk
+from rwscenery import harness, localtime, walk
 
 
 def brute_pair_count(positions, wi, wj, p):
@@ -172,17 +173,21 @@ def test_max_local_time_and_ratio(lazy_model):
     assert localtime.max_local_time(const, 50) == 50
     straight = walk.sample_path(walk.build_walk_model(walk.deterministic_law((1, 0))), 50, seed=0)
     assert localtime.max_local_time(straight, 50) == 1
-    path = walk.sample_path(lazy_model, 1000, seed=4)
-    r = localtime.erdos_taylor_ratio(path, 1000)
-    assert r == localtime.max_local_time(path, 1000) / np.log(1000) ** 2
+    rep = harness.track_erdos_taylor(lazy_model, [1000], n_omegas=1, seed=4)
+    path = walk.sample_path(lazy_model, 1000, harness._omega_seed(4, 0))
+    assert rep.log_ratio[1000] == [localtime.max_local_time(path, 1000) / math.log(1000) ** 2]
 
 
-def test_csv_export(lazy_model):
-    path = walk.sample_path(lazy_model, 10, seed=1)
-    text = localtime.local_times(path, (0, 10)).to_csv()
-    lines = text.strip().split("\n")
-    assert lines[0] == "site_x,site_y,count"
-    assert sum(int(line.split(",")[-1]) for line in lines[1:]) == 10
+def test_zero_displacement_pair_count(lazy_model):
+    path = walk.sample_path(lazy_model, 3000, seed=8)
+    tab = localtime.local_times(path, (0, 3000))
+    assert localtime.pair_count_tables(tab, tab, (0, 0)) == int(np.dot(tab.counts, tab.counts))
+    # two table objects at p = 0 go through lookup: a cross-window count, and
+    # V_n again for two copies of one window
+    for wi, wj in (((0, 1000), (500, 3000)), ((0, 3000), (0, 3000))):
+        tab_i, tab_j = localtime.local_times(path, wi), localtime.local_times(path, wj)
+        assert localtime.pair_count_tables(tab_i, tab_j, (0, 0)) == \
+            brute_pair_count(path.positions, wi, wj, (0, 0))
 
 
 def test_dict_fallback_for_high_dimension():

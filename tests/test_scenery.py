@@ -280,7 +280,7 @@ def _einsum_toral_values(scen, sites, x_seeds):
     evaluated next to a second one."""
     seeds = list(x_seeds) + [x_seeds[0] + 1] * (len(x_seeds) == 1)
     freqs = scenery._toral_transported_freqs(scen, sites)  # (M, h, rho)
-    half = scenery._half_support(scen.poly)
+    half = scen.poly.half_support()
     cre = np.asarray([2.0 * c.real for _, c in half])
     cim = np.asarray([2.0 * c.imag for _, c in half])
     q = scen.q_mod
@@ -450,13 +450,30 @@ def test_window_boundaries_validation():
     assert scenery.window_boundaries(100, [0.25, 1.0]) == [0, 25, 100]
 
 
-def test_scenery_serialization_round_trip(toral):
-    for scen in (scenery.iid_scenery("gaussian"),
-                 scenery.moving_average_scenery({(0, 0): 1.0, (1, 0): -1.0}),
-                 toral):
-        doc = scenery.scenery_to_dict(scen)
-        again = scenery.scenery_from_dict(doc)
-        assert scenery.scenery_to_dict(again) == doc
+def test_scenery_serialization_round_trip(sl3_pair):
+    # sceneries are only ever read from configs: parse a hand-written doc of each variant
+    iid = scenery.scenery_from_dict({"variant": "iid", "law": {"name": "gaussian"}})
+    assert isinstance(iid, scenery.IIDScenery) and isinstance(iid.law, scenery.Gaussian)
+    ma = scenery.scenery_from_dict({
+        "variant": "moving_average",
+        "law": {"name": "truncated_gaussian", "level": 1.5},
+        "coeffs": [{"q": [0, 0], "a": 1.0}, {"q": [1, 0], "a": -1.0}]})
+    assert isinstance(ma, scenery.MovingAverageScenery)
+    assert isinstance(ma.law, scenery.TruncatedGaussian) and ma.law.level == 1.5
+    assert ma.coeffs == {(0, 0): 1.0, (1, 0): -1.0}
+    toral = scenery.scenery_from_dict({
+        "variant": "toral", "pair": {"a1": [list(r) for r in sl3_pair.a1],
+                                     "a2": [list(r) for r in sl3_pair.a2]},
+        "poly": [[[1, 0, 0], 0.5, 0.25], [[-1, 0, 0], 0.5, -0.25]],
+        "q_mod": 2147483629, "orbit_box": 6})
+    assert isinstance(toral, scenery.ToralScenery)
+    assert toral.pair.a1 == sl3_pair.a1 and toral.pair.a2 == sl3_pair.a2
+    assert toral.poly.coeffs == {(1, 0, 0): 0.5 + 0.25j, (-1, 0, 0): 0.5 - 0.25j}
+    assert toral.q_mod == 2147483629 and toral.orbit_box == 6
+    default_box = scenery.scenery_from_dict({
+        "variant": "toral", "pair": {"a1": sl3_pair.a1, "a2": sl3_pair.a2},
+        "poly": [[[0, 1, 0], 1.0, 0.0], [[0, -1, 0], 1.0, 0.0]], "q_mod": 2**31 - 1})
+    assert default_box.orbit_box == 12
 
 
 def test_two_primes_give_consistent_statistics(sl3_pair, four_term_poly, lazy_model):

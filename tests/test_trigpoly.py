@@ -49,6 +49,10 @@ def test_truncate_keeps_largest_pairs():
 
 
 def test_list_round_trip(four_term_poly):
-    items = four_term_poly.to_list()
-    again = trigpoly.trig_from_list(items)
-    assert again.coeffs == four_term_poly.coeffs
+    items = [[[1, 0, 0], 0.5, 0.0], [[-1, 0, 0], 0.5, 0.0],
+             [[0, 1, 0], 0.5, 0.0], [[0, -1, 0], 0.5, 0.0]]
+    assert trigpoly.trig_from_list(items).coeffs == four_term_poly.coeffs
+
+
+def test_half_support_takes_one_frequency_per_pair(four_term_poly):
+    assert four_term_poly.half_support() == [((-1, 0, 0), 0.5), ((0, -1, 0), 0.5)]

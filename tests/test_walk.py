@@ -210,11 +210,3 @@ def test_green_series_table_matches_single(simple3d_model):
     table = walk.green_series_table(simple3d_model, [(0, 0, 0), (1, 0, 0)], k_max=15)
     single = walk.green_series(simple3d_model, (1, 0, 0), k_max=15)
     assert table[(1, 0, 0)].value == pytest.approx(single.value, abs=1e-15)
-
-
-def test_model_json_round_trip(lazy_model):
-    doc = walk.model_to_json(lazy_model)
-    again = walk.model_from_json(doc)
-    assert again.law == lazy_model.law
-    assert again.c0 == pytest.approx(lazy_model.c0)
-    assert "strongly_aperiodic" in doc
