@@ -384,15 +384,7 @@ def check_newman_wright(scen: SceneryModel, path: WalkPath, lambda_grid,
         raise ValueError("scenery is not certified associated (i.i.d. or "
                          "single-signed moving average required)")
     l2 = math.sqrt(quenched_variance(scen, path, (0, path.n)))
-    table = path_table(path)
-    seeds = _x_seeds(x_seed, 0, m_sceneries)
-    max_abs, s_n = np.empty(m_sceneries), np.empty(m_sceneries)
-    # 256 sceneries at a time: three (256, n) arrays live, not three (m, n)
-    for lo in range(0, m_sceneries, 256):
-        vals = site_values(scen, table.sites, seeds[lo:lo + 256])[:, table.inverse]
-        cs = np.cumsum(vals, axis=1)
-        max_abs[lo:lo + len(cs)] = np.max(np.abs(cs), axis=1)
-        s_n[lo:lo + len(cs)] = cs[:, -1]
+    max_abs, s_n = _running_max_abs(scen, path_table(path), _x_seeds(x_seed, 0, m_sceneries))
     lhs, rhs, lhs_se, rhs_se, margins, viol = [], [], [], [], [], []
     m = m_sceneries
     for lam in lambda_grid:
@@ -412,6 +404,28 @@ def check_newman_wright(scen: SceneryModel, path: WalkPath, lambda_grid,
                               rhs=rhs, lhs_se=lhs_se, rhs_se=rhs_se,
                               margins=margins, violations=viol, l2_norm=l2,
                               m_sceneries=m_sceneries)
+
+
+def _running_max_abs(scen: SceneryModel, table, seeds) -> tuple:
+    """max_k |S_k| and S_n along the path, one entry per scenery draw.
+
+    256 draws at a time through one pair of (256, n) buffers, reused by every
+    chunk: the per-visit values, then their running sums, made absolute in
+    place.
+    """
+    max_abs, s_n = np.empty(len(seeds)), np.empty(len(seeds))
+    vals = np.empty((min(len(seeds), 256), len(table.inverse)))
+    cs = np.empty_like(vals)
+    for lo in range(0, len(seeds), 256):
+        k = min(256, len(seeds) - lo)
+        # mode="clip" gathers straight into out; "raise" would buffer a copy
+        np.take(site_values(scen, table.sites, seeds[lo:lo + k]), table.inverse, axis=1,
+                out=vals[:k], mode="clip")
+        np.cumsum(vals[:k], axis=1, out=cs[:k])
+        s_n[lo:lo + k] = cs[:k, -1]
+        np.abs(cs[:k], out=cs[:k])
+        np.max(cs[:k], axis=1, out=max_abs[lo:lo + k])
+    return max_abs, s_n
 
 
 def _window_v_table(path: WalkPath, n: int) -> np.ndarray:
@@ -494,16 +508,12 @@ def check_moricz(scen: SceneryModel, path: WalkPath, n: int,
         hyp_margins.append(g0[b, k] ** 2 - m4)
     hypothesis_ok = all(m >= -1e-6 for m in hyp_margins)
 
-    table = path_table(path)
-    vals = site_values(scen, table.sites, _x_seeds(x_seed, 0, m_sceneries))[:, table.inverse[:n]]
-    cs = np.concatenate([np.zeros((m_sceneries, 1)), np.cumsum(vals, axis=1)], axis=1)
     big = [w for w in windows if w[1] >= 8]  # max over a single step carries no info
+    m4_draws = _window_max4(scen, path_table(path), _x_seeds(x_seed, 0, m_sceneries), n, big)
     est, ses, bounds, margins = [], [], [], []
     worst_units = math.inf
     viol = 0
-    for b, k in big:
-        seg = np.abs(cs[:, b + 1:b + k + 1] - cs[:, b:b + 1])
-        m4s = np.max(seg, axis=1) ** 4
+    for (b, k), m4s in zip(big, m4_draws):
         e = float(m4s.mean())
         se = float(m4s.std(ddof=1) / math.sqrt(m_sceneries))
         bound = MORICZ_CMAX * g0[b, k] ** 2
@@ -522,6 +532,24 @@ def check_moricz(scen: SceneryModel, path: WalkPath, n: int,
                         m4_se=ses, bounds=bounds, margins=margins,
                         worst_margin_se_units=float(worst_units),
                         violations=viol, m_sceneries=m_sceneries)
+
+
+def _window_max4(scen: SceneryModel, table, seeds, n: int, windows) -> list:
+    """max_{0 < j <= k} |S_{b+j} - S_b|^4 per scenery draw, one array per
+    window (b, k) inside the first n steps.
+
+    The prefix sums and the window differences are one (m, n) array each;
+    every window reuses the second in place.
+    """
+    cs = np.zeros((len(seeds), n + 1))  # S_0 = 0, then S_1, ..., S_n per draw
+    np.cumsum(site_values(scen, table.sites, seeds)[:, table.inverse[:n]], axis=1,
+              out=cs[:, 1:])
+    seg = np.empty((len(seeds), n))
+    out = []
+    for b, k in windows:
+        d = np.subtract(cs[:, b + 1:b + k + 1], cs[:, b:b + 1], out=seg[:, :k])
+        out.append(np.max(np.abs(d, out=d), axis=1) ** 4)
+    return out
 
 
 def _check_super_additive(g0: np.ndarray, n: int) -> bool:

@@ -24,11 +24,21 @@ _MIX2 = _U64(0x94D049BB133111EB)
 
 
 def splitmix64(x):
-    """splitmix64 finalizer; wraps on uint64 like the reference C code."""
-    z = (np.asarray(x, dtype=np.uint64) + _GOLDEN)
-    z = (z ^ (z >> _U64(30))) * _MIX1
-    z = (z ^ (z >> _U64(27))) * _MIX2
-    return z ^ (z >> _U64(31))
+    """splitmix64 finalizer; wraps on uint64 like the reference C code.
+
+    ``x`` is copied once and never written; the rounds then run in place on
+    the copy with one scratch array for the shifts, so a call allocates two
+    arrays of x's size whatever the number of rounds.
+    """
+    z = np.array(x, dtype=np.uint64)
+    t = np.empty_like(z)
+    z += _GOLDEN
+    z ^= np.right_shift(z, _U64(30), out=t)
+    z *= _MIX1
+    z ^= np.right_shift(z, _U64(27), out=t)
+    z *= _MIX2
+    z ^= np.right_shift(z, _U64(31), out=t)
+    return z[()]  # a numpy scalar for scalar input, like a ufunc
 
 
 def derive_seed(master_seed: int, *parts) -> int:

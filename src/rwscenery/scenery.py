@@ -69,7 +69,7 @@ class Rademacher(Law):
     bound = 1.0
 
     def values(self, words):
-        return np.where(words >> np.uint64(63), 1.0, -1.0)
+        return np.where(words.view(np.int64) < 0, 1.0, -1.0)  # the top bit
 
     def moment(self, k):
         return 0.0 if k % 2 else 1.0
@@ -493,11 +493,16 @@ def site_values(scenery: SceneryModel, sites: np.ndarray, x_seeds) -> np.ndarray
 
 
 def _law_values(law: Law, base: np.ndarray, x_seeds) -> np.ndarray:
-    """law.values of splitmix64(base ^ x_seed), one row per draw."""
-    words = np.empty((len(x_seeds), len(base)), dtype=np.uint64)
-    for i, s in enumerate(x_seeds):
-        words[i] = splitmix64(base ^ np.uint64(int(s) & (2**64 - 1)))
-    return law.values(words)
+    """law.values of splitmix64(base ^ x_seed), one row per draw.
+
+    Rows are hashed and mapped _HASH_WORDS words at a time, so the words,
+    the splitmix64 scratch and the law's temporaries stay in cache."""
+    seeds = np.array([int(s) & (2**64 - 1) for s in x_seeds], dtype=np.uint64)
+    out = np.empty((len(seeds), len(base)))
+    rows = max(1, _HASH_WORDS // max(len(base), 1))
+    for lo in range(0, len(seeds), rows):
+        out[lo:lo + rows] = law.values(splitmix64(seeds[lo:lo + rows, None] ^ base))
+    return out
 
 
 def field_increments(scenery: SceneryModel, path: WalkPath, t_grid,
@@ -521,6 +526,9 @@ def field_increments(scenery: SceneryModel, path: WalkPath, t_grid,
 
 # draws per site_values call (and per dgemm) in field_increments
 _DRAW_CHUNK = 256
+
+# words per hash-and-map block of _law_values (256 KiB of uint64)
+_HASH_WORDS = 32768
 
 # sites per block of the toral kernel: with _DRAW_CHUNK draws each of its five
 # (block, draws) work buffers is 1 MiB, whatever the number of sites

@@ -1,5 +1,9 @@
+import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -199,6 +203,29 @@ def test_replay_verifies_and_detects_tampering(tmp_path, capsys):
     tampered = tmp_path / "tampered.json"
     tampered.write_text(json.dumps(doc))
     assert cli.main(["replay", str(tampered), "--out", str(tmp_path / "rep2")]) == 2
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="OpenBLAS caps its threads at the CPU count")
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the float64 dgemm in scenery.field_increments rounds "
+                          "with the BLAS blocking, which moves with the thread count")
+def test_toral_report_does_not_depend_on_blas_threads(tmp_path):
+    doc = cli.load_fixture("fclt_toral.json")
+    doc.update(n_omegas=1, m_sceneries=256)
+    path = write_config(tmp_path, doc)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    hashes = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "rwscenery.cli", "run", path,
+                               "--out", str(out)], env=env, capture_output=True, text=True)
+        if proc.returncode not in (0, 2):
+            pytest.fail(proc.stderr)
+        hashes.append(hashlib.sha256((out / "report.json").read_bytes()).hexdigest())
+    assert hashes[0] == hashes[1]
 
 
 def test_degenerate_config_reports_mode(tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rwscenery import harness, localtime, scenery, walk
+from rwscenery import harness, localtime, reportio, scenery, walk
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +184,58 @@ def test_moricz_walk_case(lazy_model):
     assert rep.super_additive and rep.hypothesis_ok
     assert rep.violations == 0
     assert rep.worst_margin_se_units > 3.0
+
+
+def _reference_running_max_abs(scen, table, seeds):
+    """max |S_k| and S_n as computed before the reused buffers: a fresh gather,
+    cumsum and abs per 256-draw chunk."""
+    max_abs, s_n = np.empty(len(seeds)), np.empty(len(seeds))
+    for lo in range(0, len(seeds), 256):
+        vals = scenery.site_values(scen, table.sites, seeds[lo:lo + 256])[:, table.inverse]
+        cs = np.cumsum(vals, axis=1)
+        max_abs[lo:lo + len(cs)] = np.max(np.abs(cs), axis=1)
+        s_n[lo:lo + len(cs)] = cs[:, -1]
+    return max_abs, s_n
+
+
+def _reference_window_max4(scen, table, seeds, n, windows):
+    """Window maxima as computed before the reused buffers: concatenated
+    prefix sums and a fresh difference per window."""
+    vals = scenery.site_values(scen, table.sites, seeds)[:, table.inverse[:n]]
+    cs = np.concatenate([np.zeros((len(seeds), 1)), np.cumsum(vals, axis=1)], axis=1)
+    return [np.max(np.abs(cs[:, b + 1:b + k + 1] - cs[:, b:b + 1]), axis=1) ** 4
+            for b, k in windows]
+
+
+_MAXIMAL_SCENERIES = {
+    "rademacher": scenery.iid_scenery("rademacher"),
+    "gaussian": scenery.iid_scenery("gaussian"),
+    "ma-0.3-0.7": scenery.moving_average_scenery({(0, 0): 0.3, (1, 0): 0.7}, law="gaussian"),
+}
+
+
+@pytest.mark.parametrize("m", [100, 300])  # under one 256-draw chunk; a ragged last one
+@pytest.mark.parametrize("name", list(_MAXIMAL_SCENERIES))
+def test_maximal_checks_match_pre_change_reference(lazy_model, monkeypatch, name, m):
+    scen = _MAXIMAL_SCENERIES[name]
+    path = walk.sample_path(lazy_model, 700, seed=21)
+    table = localtime.path_table(path)
+    seeds = harness._x_seeds(5, 0, m)
+    got = harness._running_max_abs(scen, table, seeds)
+    want = _reference_running_max_abs(scen, table, seeds)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    checks = [lambda: harness.check_newman_wright(scen, path, [1.0, 2.0, 3.0],
+                                                  m_sceneries=m, x_seed=5)]
+    if isinstance(scen, scenery.IIDScenery):
+        windows = [(0, 8), (8, 8), (0, 64), (64, 64), (0, 512)]
+        got = harness._window_max4(scen, table, seeds, 512, windows)
+        want = _reference_window_max4(scen, table, seeds, 512, windows)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        checks.append(lambda: harness.check_moricz(scen, path, 512, m_sceneries=m, x_seed=5))
+    reports = [reportio.canonical_json(check().to_dict()) for check in checks]
+    monkeypatch.setattr(harness, "_running_max_abs", _reference_running_max_abs)
+    monkeypatch.setattr(harness, "_window_max4", _reference_window_max4)
+    assert reports == [reportio.canonical_json(check().to_dict()) for check in checks]
 
 
 def test_tightness_monotone_and_stride_stable(small_config):

@@ -216,6 +216,64 @@ def test_site_values_per_visit_match_brute_force(lazy_model, scen):
     assert got.tobytes() == _per_visit_brute(scen, path.positions, seeds).tobytes()
 
 
+_SPLITMIX_EDGES = [0, 1, 2**63 - 1, 2**63, 2**64 - 1]
+
+
+def _splitmix64_int(x):
+    """The splitmix64 finalizer on Python integers, reduced mod 2^64 by hand."""
+    mask = 2**64 - 1
+    z = (x + 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+def test_splitmix64_matches_python_integer_reference():
+    from rwscenery.rng import splitmix64
+    # the first output of the reference C generator seeded with 0
+    assert _splitmix64_int(0) == 0xE220A8397B1DCDAF
+    words = _SPLITMIX_EDGES + np.random.default_rng(0).integers(
+        0, 2**64, size=64, dtype=np.uint64).tolist()
+    got = splitmix64(np.array(words, dtype=np.uint64))
+    assert got.tolist() == [_splitmix64_int(w) for w in words]
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (3, 5)])
+def test_splitmix64_keeps_shape_and_never_writes_its_argument(shape):
+    from rwscenery.rng import splitmix64
+    x = np.array(_SPLITMIX_EDGES + [12345] * 10, dtype=np.uint64)[:math.prod(shape)]
+    x = x.reshape(shape)
+    before = x.tobytes()
+    got = splitmix64(x)
+    assert x.tobytes() == before
+    assert np.shape(got) == shape
+    assert np.ravel(got).tolist() == [_splitmix64_int(int(w)) for w in x.ravel()]
+    if shape == ():
+        assert isinstance(splitmix64(x[()]), np.uint64)
+
+
+def test_rademacher_is_the_top_bit():
+    words = np.array(_SPLITMIX_EDGES + [2**62, 2**63 + 2**62], dtype=np.uint64)
+    want = np.where(words >> np.uint64(63), 1.0, -1.0)
+    assert scenery.Rademacher().values(words).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("law", ["rademacher", "gaussian"])
+@pytest.mark.parametrize("m_sites, n_seeds", [
+    (scenery._HASH_WORDS + 1, 3),        # more sites than a block: one row per block
+    (1118, 2 * (scenery._HASH_WORDS // 1118) + 7),  # a ragged last block
+    (1118, 1),
+])
+def test_law_values_match_row_by_row(law, m_sites, n_seeds):
+    from rwscenery.rng import splitmix64
+    law = scenery.base_law(law)
+    gen = np.random.default_rng(m_sites + n_seeds)
+    base = gen.integers(0, 2**64, size=m_sites, dtype=np.uint64)
+    seeds = [int(s) for s in gen.integers(0, 2**64, size=n_seeds, dtype=np.uint64)]
+    want = np.stack([law.values(splitmix64(base ^ np.uint64(s))) for s in seeds])
+    assert scenery._law_values(law, base, seeds).tobytes() == want.tobytes()
+
+
 def test_ma_field_increments_match_per_visit_sums(lazy_model):
     # the field sums w(l) Y_l over sites, not visits one by one: for
     # non-integer values only the rounding may differ
