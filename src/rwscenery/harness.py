@@ -120,22 +120,27 @@ class FcltReport:
         return doc
 
 
-def _empirical_c0(model: WalkModel, n: int, seed: int, n_omegas: int) -> float:
-    total = 0.0
-    for i in range(n_omegas):
-        path = sample_path(model, n, _omega_seed(seed, i))
+def _empirical_c0(paths, n: int) -> float:
+    total, count = 0.0, 0
+    for path in paths:
         tab = local_times(path, (0, n))
-        total += pair_count_tables(tab, tab, (0,) * model.dimension) / (n * math.log(n))
-    return total / n_omegas
+        total += pair_count_tables(tab, tab, (0,) * path.model.dimension) / (n * math.log(n))
+        count += 1
+    return total / count
 
 
-def _c0(config: ExperimentConfig) -> tuple:
+def _c0(config: ExperimentConfig, paths=None) -> tuple:
     """(C0, mode): the walk's exact constant, else the omega-mean of
-    V_n(omega, 0) / (n log n) over the config's paths."""
+    V_n(omega, 0) / (n log n) over the config's paths.  ``paths`` are those
+    paths when the caller has them; otherwise they are sampled one at a
+    time."""
     model = config.walk
     if model.c0 is not None:
         return model.c0, "exact"
-    return _empirical_c0(model, config.n, config.seed, config.n_omegas), "empirical"
+    if paths is None:
+        paths = (sample_path(model, config.n, _omega_seed(config.seed, i))
+                 for i in range(config.n_omegas))
+    return _empirical_c0(paths, config.n), "empirical"
 
 
 def run_fclt(config: ExperimentConfig) -> FcltReport:
@@ -763,9 +768,9 @@ def run_truncation_ladder(config: ExperimentConfig, terms_ladder) -> TruncationL
     if not isinstance(scen, scenery_mod.ToralScenery):
         raise ValueError("truncation ladder applies to toral sceneries")
     model = config.walk
-    c0, _ = _c0(config)
     paths = [sample_path(model, config.n, _omega_seed(config.seed, i))
              for i in range(config.n_omegas)]
+    c0, _ = _c0(config, paths)
     norm_drop, bounds, var1 = [], [], []
     for terms in terms_ladder:
         fk = scen.poly.truncate_to(int(terms))

@@ -11,15 +11,21 @@ All quantities here are integers computed exactly from local-time tables:
                               (the four indices range independently over the
                               window, so the factorization is exact)
 
-Each path is sorted once: its positions become packed integer keys for
-d <= 3 (rows otherwise), and ``np.unique`` gives the sorted site list and
-every step's index into it, cached on the path.  A window's table is a
-bincount of that index over the window.  Counts are 64-bit with explicit
+Each path is tabulated once and the table is cached on the path: the sorted
+site list and every step's index into it.  For d <= 3 two routes give the
+same table.  When the bounding box of the n positions has at most
+4n + _DENSE_SLACK cells, a counting sort marks the visited cells and ranks
+them in row-major box order, which is lexicographic order, in O(n + cells).
+Wider boxes (3-d and drifted walks, far-flung hand-built paths) sort the
+positions' packed integer keys with ``np.unique``; d > 3 or coordinates past
+the packed bit widths sort the rows themselves.  A window's table is a
+bincount of the index over the window.  Counts are 64-bit with explicit
 overflow guards (n <= 2^31).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,6 +34,10 @@ import numpy as np
 from .walk import WalkPath
 
 _PACK_BITS = {1: 62, 2: 31, 3: 20}  # per coordinate; a field takes bits + 1
+
+# unique_sites counts into the bounding box while it has at most
+# 4n + _DENSE_SLACK cells: a bool mark and an int32 rank per cell
+_DENSE_SLACK = 65536
 
 
 def _pack_shift_ok(points: np.ndarray, d: int) -> bool:
@@ -61,9 +71,23 @@ def unique_sites(points: np.ndarray) -> tuple:
     Returns ``(sites, inverse, keys)``: the rows, each input row's index into
     them, and their packed keys.  Keys are None for d > 3 or coordinates past
     the packed bit widths; ``np.unique(axis=0)`` then gives the same order.
+    Packable points whose bounding box has at most 4n + _DENSE_SLACK cells
+    are ranked by a counting sort over the box; wider boxes sort packed keys.
     """
-    d = points.shape[1]
-    if _pack_shift_ok(points, d):
+    n, d = points.shape
+    packed = d in _PACK_BITS
+    if packed and n:
+        # per-column reductions: min(axis=0) over an (n, d) array is far slower
+        lo = [int(points[:, j].min()) for j in range(d)]
+        hi = [int(points[:, j].max()) for j in range(d)]
+        lim = 2 ** _PACK_BITS[d] - 1
+        packed = -lim < min(lo) and max(hi) < lim
+        extents = [b - a + 1 for a, b in zip(lo, hi)]
+        # n < 2^31 keeps the distinct count M below 2^31, so the int32 cumsum
+        # of the marks cannot wrap; a path of exactly MAX_STEPS is sorted
+        if packed and n < 2**31 and math.prod(extents) <= 4 * n + _DENSE_SLACK:
+            return _counted_sites(points, lo, extents)
+    if packed:
         keys, inverse = np.unique(pack_sites(points, d), return_inverse=True)
         sites = unpack_sites(keys, d)
     else:
@@ -71,6 +95,30 @@ def unique_sites(points: np.ndarray) -> tuple:
         keys = None
     # n <= MAX_STEPS = 2^31, so every index fits int32 at half the memory
     return sites, inverse.reshape(-1).astype(np.int32), keys
+
+
+def _counted_sites(points: np.ndarray, lo: list, extents: list) -> tuple:
+    """unique_sites by a counting sort over the bounding box lo + [0, extents)."""
+    d = points.shape[1]
+    # row-major offset of each point in the box; box order is lexicographic
+    box = np.subtract(points[:, 0], lo[0], dtype=np.int64)
+    for j in range(1, d):
+        box *= extents[j]
+        box += points[:, j]
+        box -= lo[j]
+    present = np.zeros(math.prod(extents), dtype=bool)
+    present[box] = True
+    rank = np.cumsum(present, dtype=np.int32)
+    rank -= 1
+    inverse = rank[box]
+    # the visited cells in box order, back to coordinates
+    offset = np.flatnonzero(present)
+    sites = np.empty((len(offset), d), dtype=np.int64)
+    for j in range(d - 1, 0, -1):
+        offset, sites[:, j] = np.divmod(offset, extents[j])
+        sites[:, j] += lo[j]
+    sites[:, 0] = offset + lo[0]
+    return sites, inverse, pack_sites(sites, d)
 
 
 @dataclass
@@ -118,7 +166,7 @@ class PathTable:
 
 
 def path_table(path: WalkPath) -> PathTable:
-    """The path's site table, sorted once and cached on the path instance."""
+    """The path's site table, tabulated once and cached on the path instance."""
     cached = getattr(path, "_site_table", None)
     if cached is None:
         cached = PathTable(*unique_sites(path.positions))

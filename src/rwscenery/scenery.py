@@ -475,21 +475,35 @@ def site_values(scenery: SceneryModel, sites: np.ndarray, x_seeds) -> np.ndarray
     f(A^l x) with x keyed by x_seed.  The toral result is the transpose of a
     C-ordered (M, m) array, the others are C-ordered (m, M).
     """
+    return _site_evaluator(scenery, sites)(x_seeds)
+
+
+def _site_evaluator(scenery: SceneryModel, sites: np.ndarray):
+    """``site_values`` with the sites fixed: the per-site work (site hashes,
+    the moving average's underlying sites, the toral transported
+    frequencies) is done once here; the returned function maps x_seeds to
+    the (m, M) values."""
     if isinstance(scenery, ToralScenery):
-        return _toral_values(scenery, sites, x_seeds)
+        freqs = np.ascontiguousarray(
+            _toral_transported_freqs(scenery, sites).transpose(1, 0, 2))  # (h, M, rho)
+        return lambda x_seeds: _toral_values(scenery, freqs, x_seeds)
     if isinstance(scenery, IIDScenery):
-        return _law_values(scenery.law, hash_sites(0, sites), x_seeds)
+        base = hash_sites(0, sites)
+        return lambda x_seeds: _law_values(scenery.law, base, x_seeds)
     shifted = np.vstack([sites - np.asarray(q, dtype=np.int64) for q in scenery.coeffs])
     under, idx, _ = unique_sites(shifted)
     base = hash_sites(0, under)
-    out = np.zeros((len(x_seeds), len(sites)))
-    # eight draws at a time keep the gathered values in cache
-    for lo in range(0, len(x_seeds), 8):
-        values = _law_values(scenery.law, base, x_seeds[lo:lo + 8])
-        block = out[lo:lo + 8]
-        for row, a in zip(idx.reshape(-1, len(sites)), scenery.coeffs.values()):
-            block += a * values[:, row]
-    return out
+
+    def values(x_seeds):
+        out = np.zeros((len(x_seeds), len(sites)))
+        # eight draws at a time keep the gathered values in cache
+        for lo in range(0, len(x_seeds), 8):
+            drawn = _law_values(scenery.law, base, x_seeds[lo:lo + 8])
+            block = out[lo:lo + 8]
+            for row, a in zip(idx.reshape(-1, len(sites)), scenery.coeffs.values()):
+                block += a * drawn[:, row]
+        return out
+    return values
 
 
 def _law_values(law: Law, base: np.ndarray, x_seeds) -> np.ndarray:
@@ -517,10 +531,11 @@ def field_increments(scenery: SceneryModel, path: WalkPath, t_grid,
     ids, counts = window_counts(path, window_boundaries(path.n, t_grid))
     sites = path_table(path).sites[ids]
     weights = counts.astype(np.float64)
+    values = _site_evaluator(scenery, sites)
     out = np.zeros((len(x_seeds), weights.shape[1]))
     for lo in range(0, len(x_seeds), _DRAW_CHUNK):
         seeds = x_seeds[lo:lo + _DRAW_CHUNK]
-        out[lo:lo + len(seeds)] = site_values(scenery, sites, seeds) @ weights
+        out[lo:lo + len(seeds)] = values(seeds) @ weights
     return out
 
 
@@ -586,8 +601,10 @@ def _toral_transported_freqs(scenery: ToralScenery, sites: np.ndarray) -> np.nda
     return (u_by_a[sites[:, 0] - lo1] @ pow2_t[sites[:, 1] - lo2]) % np.uint64(q)
 
 
-def _toral_values(scenery: ToralScenery, sites: np.ndarray, x_seeds) -> np.ndarray:
+def _toral_values(scenery: ToralScenery, freqs: np.ndarray, x_seeds) -> np.ndarray:
     """f(A^l x) = sum_k 2 Re(c_k e(phase_k)) over the half support, (c, M).
+
+    ``freqs`` is the (h, M, rho) transpose of ``_toral_transported_freqs``.
 
     Blocks of _TORAL_BLOCK sites, one half-support frequency at a time: the
     phase is reduced mod q once (rho (q-1)^2 < 2^64 for rho <= 4), cos runs
@@ -596,18 +613,17 @@ def _toral_values(scenery: ToralScenery, sites: np.ndarray, x_seeds) -> np.ndarr
     einsum("h,mhc->mc", 2 Re c, cos) - einsum("h,mhc->mc", 2 Im c, sin) does
     for two or more draws.
     """
-    freqs = np.ascontiguousarray(
-        _toral_transported_freqs(scenery, sites).transpose(1, 0, 2))  # (h, M, rho)
+    n_sites = freqs.shape[1]
     coeffs = [c for _, c in scenery.poly.half_support()]
     q = np.uint64(scenery.q_mod)
     scale = 2.0 * np.pi / scenery.q_mod
     pts = np.stack([_toral_point(scenery, s) for s in x_seeds])  # (c, rho)
-    vals = np.zeros((len(sites), len(x_seeds)))
-    shape = (min(_TORAL_BLOCK, len(sites)), len(x_seeds))
+    vals = np.zeros((n_sites, len(x_seeds)))
+    shape = (min(_TORAL_BLOCK, n_sites), len(x_seeds))
     phase, term = np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.uint64)
     angle, trig, sines = np.empty(shape), np.empty(shape), np.empty(shape)
-    for lo in range(0, len(sites), _TORAL_BLOCK):
-        hi = min(lo + _TORAL_BLOCK, len(sites))
+    for lo in range(0, n_sites, _TORAL_BLOCK):
+        hi = min(lo + _TORAL_BLOCK, n_sites)
         ph, tm, an, tr, sn = (a[:hi - lo] for a in (phase, term, angle, trig, sines))
         sn.fill(0.0)
         for f, c in zip(freqs[:, lo:hi], coeffs):

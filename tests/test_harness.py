@@ -303,3 +303,23 @@ def test_truncation_ladder_report(lazy_model, sl3_pair):
     assert rep.norm_c_dropped[0] > rep.norm_c_dropped[-1] == 0.0
     assert rep.density_sup_bound == [v**2 for v in rep.norm_c_dropped]
     assert len(rep.var_y1) == 3
+
+
+def test_truncation_ladder_reuses_its_paths_for_empirical_c0(monkeypatch):
+    # simple2d has no exact C0, so the ladder estimates it from the paths it
+    # already holds; the reference run samples them a second time for C0
+    from rwscenery import cli
+
+    doc = dict(cli.load_fixture("truncation_ladder.json"), walk={"preset": "simple2d"},
+               n=256, n_omegas=3)
+    calls = []
+    sample = harness.sample_path
+    monkeypatch.setattr(harness, "sample_path",
+                        lambda *a, **k: calls.append(1) or sample(*a, **k))
+    report = cli.run_experiment(doc)[0]
+    assert len(calls) == 3
+    c0 = harness._c0
+    monkeypatch.setattr(harness, "_c0", lambda config, paths=None: c0(config))
+    resampled = cli.run_experiment(doc)[0]
+    assert len(calls) == 9
+    assert report.to_dict() == resampled.to_dict()

@@ -255,3 +255,84 @@ def test_windows_of_one_path_share_one_sort(lazy_model, monkeypatch):
     assert first.total() == 600 and second.total() == 600
     localtime.local_times(walk.sample_path(lazy_model, 1000, seed=9), (0, 10))
     assert len(calls) == 2
+
+
+def _sorted_reference(points):
+    """unique_sites before the counting sort, verbatim: np.unique on packed
+    keys when they fit, else on the rows."""
+    d = points.shape[1]
+    if localtime._pack_shift_ok(points, d):
+        keys, inverse = np.unique(localtime.pack_sites(points, d), return_inverse=True)
+        sites = localtime.unpack_sites(keys, d)
+    else:
+        sites, inverse = np.unique(points, axis=0, return_inverse=True)
+        keys = None
+    return sites, inverse.reshape(-1).astype(np.int32), keys
+
+
+def _unique_route(points, monkeypatch):
+    """unique_sites of the points, checked against the sorting reference
+    value for value and dtype for dtype; returns whether np.unique ran."""
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+    got = localtime.unique_sites(points)
+    monkeypatch.undo()
+    for g, w in zip(got, _sorted_reference(points)):
+        if w is None:
+            assert g is None
+        else:
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert np.array_equal(g, w)
+    return bool(calls)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("offset", [0, -1000, -(2**19)])
+def test_counting_sort_matches_sorting(d, offset, monkeypatch):
+    gen = np.random.default_rng(d * 7 + offset % 5)
+    for n in (1, 2, 50, 3000):
+        points = np.cumsum(gen.integers(-1, 2, size=(n, d)), axis=0) + offset
+        _unique_route(points, monkeypatch)  # 3000 steps in 3-d overflow the box
+        assert not _unique_route(np.repeat(points[:7], 5, axis=0), monkeypatch)
+
+
+def test_counting_sort_one_point_and_repeated_points(monkeypatch):
+    for d in (1, 2, 3):
+        assert not _unique_route(np.full((1, d), -3, dtype=np.int64), monkeypatch)
+        assert not _unique_route(np.full((9, d), 4, dtype=np.int64), monkeypatch)
+    two = np.array([[0, -1], [-2, 5], [0, -1], [-2, 5], [0, -1]], dtype=np.int64)
+    assert not _unique_route(two, monkeypatch)
+
+
+@pytest.mark.parametrize("dense, extents", [
+    (True, (65552,)), (False, (65553,)),
+    (True, (16, 4097)), (False, (3, 21851)),
+    (True, (16, 17, 241)), (False, (3, 1, 21851)),
+])
+def test_counting_sort_cell_bound(dense, extents, monkeypatch):
+    # four points span the box; 4 * 4 + 65536 = 65552 cells is the last
+    # the counting sort takes, one cell more goes to the packed sort
+    lo = np.array([-5, -7, 11][:len(extents)])
+    hi = lo + np.array(extents) - 1
+    points = np.stack([lo, hi, hi, (lo + hi) // 2])
+    assert 4 * len(points) + localtime._DENSE_SLACK == 65552
+    assert _unique_route(points, monkeypatch) is not dense
+
+
+@pytest.mark.parametrize("far", [[[-(2**61)], [2**61]], [[-(2**30), 5], [2**30, -5]],
+                                 [[2**19, 0, -(2**19)], [-(2**19), 1, 2**19]]])
+def test_far_apart_points_take_the_sort(far, monkeypatch):
+    assert _unique_route(np.array(far, dtype=np.int64), monkeypatch)
+
+
+def test_planar_path_is_tabulated_without_np_unique(lazy_model, monkeypatch):
+    path = walk.sample_path(lazy_model, 2**16, seed=4)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.unique called on a planar walk path")
+
+    monkeypatch.setattr(np, "unique", forbidden)
+    table = localtime.path_table(path)
+    assert table.keys is not None
+    assert len(table.inverse) == 2**16

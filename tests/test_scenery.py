@@ -544,3 +544,23 @@ def test_two_primes_give_consistent_statistics(sl3_pair, four_term_poly, lazy_mo
     exact = scenery.quenched_variance(t1, path, (0, 600))
     se = exact * math.sqrt(2.0 / 2999)
     assert abs(va - vb) < 6 * se
+
+
+def test_field_increments_transport_toral_frequencies_once(lazy_model, toral, monkeypatch):
+    # m = 2000 draws run in eight chunks of _DRAW_CHUNK; the transported
+    # frequencies depend only on the sites, so one call serves every chunk
+    path = walk.sample_path(lazy_model, 4096, seed=21)
+    seeds = list(range(2000))
+    grid = (0.25, 0.5, 1.0)
+    ids, counts = localtime.window_counts(path, scenery.window_boundaries(path.n, grid))
+    sites = localtime.path_table(path).sites[ids]
+    chunk = scenery._DRAW_CHUNK
+    want = np.concatenate([scenery.site_values(toral, sites, seeds[lo:lo + chunk])
+                           @ counts.astype(np.float64) for lo in range(0, 2000, chunk)])
+    calls = []
+    transported = scenery._toral_transported_freqs
+    monkeypatch.setattr(scenery, "_toral_transported_freqs",
+                        lambda *a: calls.append(1) or transported(*a))
+    got = scenery.field_increments(toral, path, grid, seeds)
+    assert len(calls) == 1
+    assert got.tobytes() == want.tobytes()

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
-from rwscenery import walk
+from rwscenery import cli, walk
+from rwscenery.rng import derive_seed, philox_gen
 
 
 def test_law_validation_rejects_bad_inputs():
@@ -210,3 +211,88 @@ def test_green_series_table_matches_single(simple3d_model):
     table = walk.green_series_table(simple3d_model, [(0, 0, 0), (1, 0, 0)], k_max=15)
     single = walk.green_series(simple3d_model, (1, 0, 0), k_max=15)
     assert table[(1, 0, 0)].value == pytest.approx(single.value, abs=1e-15)
+
+
+def _searchsorted_positions(model, n, seed):
+    """sample_path before the column-wise sampler, verbatim."""
+    d = model.dimension
+    positions = np.zeros((n, d), dtype=np.int64)
+    if n > 1:
+        gen = philox_gen(derive_seed(seed, "walk-increments"))
+        u = gen.random(n - 1)
+        cdf = np.cumsum(model.law.prob_array())
+        cdf[-1] = 1.0
+        idx = np.searchsorted(cdf, u, side="right")
+        increments = model.law.site_array()[idx]
+        np.cumsum(increments, axis=0, out=positions[1:])
+    return positions
+
+
+def _atoms(probs, d=1):
+    return walk.increment_law([((k,) + (k % 3 - 1,) * (d - 1), p)
+                               for k, p in enumerate(probs)])
+
+
+_CUSTOM_LAWS = {
+    "16 atoms": _atoms([i / 136 for i in range(1, 17)], d=2),
+    "17 atoms": _atoms([i / 153 for i in range(1, 18)], d=2),
+    # float cumsum 0.9999999999999999 at the last atom, reset to 1.0
+    "ten atoms of 0.1": _atoms([0.1] * 10),
+    # float cumsum 1.0 one atom early: the last atom is never drawn
+    "cdf hits 1 early": _atoms([0.5, 0.5, 1e-13]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(cli.WALK_PRESETS) + sorted(_CUSTOM_LAWS))
+@pytest.mark.parametrize("n", [1, 2, 4097])
+def test_sample_path_matches_searchsorted_sampler(name, n):
+    law = cli.WALK_PRESETS[name]() if name in cli.WALK_PRESETS else _CUSTOM_LAWS[name]
+    model = walk.build_walk_model(law)
+    for seed in (0, 12345):
+        got = walk.sample_path(model, n, seed).positions
+        want = _searchsorted_positions(model, n, seed)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name, searched", [("16 atoms", False), ("17 atoms", True)])
+def test_atom_scan_threshold(name, searched, monkeypatch):
+    calls = []
+    search = np.searchsorted
+    monkeypatch.setattr(np, "searchsorted", lambda *a, **k: calls.append(1) or search(*a, **k))
+    walk.sample_path(walk.build_walk_model(_CUSTOM_LAWS[name]), 100, seed=1)
+    assert bool(calls) is searched
+
+
+def _searchsorted_green_monte_carlo(model, site, k_max, m_paths, seed):
+    """walk._green_monte_carlo before the shared inverse CDF, verbatim."""
+    target = np.asarray(site, dtype=np.int64)
+    counts = np.zeros(m_paths, dtype=np.int64)
+    batch = max(1, int(2e7 // max(k_max, 1)))
+    done = 0
+    while done < m_paths:
+        b = min(batch, m_paths - done)
+        gen = philox_gen(derive_seed(seed, "green-mc", done))
+        u = gen.random((b, k_max))
+        cdf = np.cumsum(model.law.prob_array())
+        cdf[-1] = 1.0
+        idx = np.searchsorted(cdf, u, side="right")
+        steps = model.law.site_array()[idx]  # (b, k_max, d)
+        pos = np.cumsum(steps, axis=1)
+        hits = np.all(pos == target, axis=2) | np.all(pos == -target, axis=2)
+        if np.all(target == 0):
+            hits = np.all(pos == 0, axis=2)
+            counts[done:done + b] = 2 * hits.sum(axis=1)
+        else:
+            counts[done:done + b] = hits.sum(axis=1)
+        done += b
+    base = 1.0 if np.all(target == 0) else 0.0
+    mean = float(counts.mean())
+    stderr = float(counts.std(ddof=1) / math.sqrt(m_paths)) if m_paths > 1 else 0.0
+    return base + mean, stderr
+
+
+@pytest.mark.parametrize("site", [(0, 0, 0), (1, 0, 0)])
+def test_green_monte_carlo_matches_searchsorted_sampler(simple3d_model, site):
+    args = (simple3d_model, site, 20, 3000, 7)
+    assert walk._green_monte_carlo(*args) == _searchsorted_green_monte_carlo(*args)
