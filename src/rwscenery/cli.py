@@ -140,7 +140,8 @@ _WINDOWS = _check(_list(_number),
                   "need [A, B, C, D] with 0 < A < B < C < D < 1")
 _G0_KIND = _check(lambda field, v: v, lambda v: v in ("sqrt3k", "self_intersection"),
                   "must be 'sqrt3k' or 'self_intersection'")
-_N_LADDER = _list(_steps(2))  # rungs are normalized by log n, zero at n = 1
+_N_LADDER = _check(_list(_steps(2)),  # rungs are normalized by log n, zero at n = 1
+                   lambda ns: all(a < b for a, b in zip(ns, ns[1:])), "must increase strictly")
 # lags of a planar walk: both consumers (LLN, orthogonality) are 2-d only
 _P_SET = _list(_check(_list(_integer), lambda p: len(p) == 2, "expected 2 integers"))
 
@@ -151,6 +152,7 @@ _FCLT_BASE = {"walk": _walk, "scenery": _scenery, "t_grid": _T_GRID,
               "m_sceneries": _at_least(100),  # KS experiments need 100 draws
               "n_omegas": _at_least(1), "tolerances": (_object, {})}
 _FCLT = {**_FCLT_BASE, "n": _steps(2)}  # Y_n is normalized by sqrt(n log n)
+_SCALED = {"walk": _walk, "scenery": _scenery, "n": _steps(2), "n_omegas": _at_least(1)}
 _LADDER = {"walk": _walk, "n_ladder": _N_LADDER, "n_omegas": _at_least(1)}
 _PATH = {"walk": _walk, "scenery": _scenery, "n": _steps(1),
          "m_sceneries": _at_least(1)}
@@ -161,7 +163,7 @@ _PATH = {"walk": _walk, "scenery": _scenery, "n": _steps(1),
 
 
 def _run_fclt(**fclt):
-    rep = harness.run_fclt(harness.ExperimentConfig(**fclt))
+    rep = harness.run_fclt(**fclt)
     rows = []
     for o in rep.per_omega:
         for j in range(len(rep.t_grid)):
@@ -186,7 +188,7 @@ def _run_fclt(**fclt):
 
 def _run_fclt_ladder(n_ladder, **fclt):
     """Degenerate-variance tracking: Var(Y_n(1)) along an n-ladder."""
-    reports = [harness.run_fclt(harness.ExperimentConfig(n=n, **fclt)) for n in n_ladder]
+    reports = [harness.run_fclt(n=n, **fclt) for n in n_ladder]
     vals = [r.pooled_exact_var_y1 for r in reports]
     decreasing = all(b < a for a, b in zip(vals, vals[1:]))
     ladder_report = harness.VarianceLadderReport(
@@ -270,9 +272,8 @@ def _run_moricz(walk, scenery, n, m_sceneries, g0_kind, seed):
     return rep, series, {}
 
 
-def _run_tightness(delta_ladder, epsilon, grid_points, **fclt):
-    rep = harness.estimate_tightness_modulus(harness.ExperimentConfig(**fclt),
-                                             delta_ladder, epsilon, grid_points=grid_points)
+def _run_tightness(**fields):
+    rep = harness.estimate_tightness_modulus(**fields)
     rows = [[d, rep.estimates[d]] for d in rep.delta_ladder]
     series = {"tightness.csv": reportio.csv_text(["delta", "estimate"], rows)}
     charts = {"tightness.svg": reportio.svg_line_chart(
@@ -294,8 +295,8 @@ def _run_transient(walk, scenery, n, m_sceneries, n_omegas, k_max, seed):
     return rep, series, {}
 
 
-def _run_truncation_ladder(terms_ladder, **fclt):
-    rep = harness.run_truncation_ladder(harness.ExperimentConfig(**fclt), terms_ladder)
+def _run_truncation_ladder(**fields):
+    rep = harness.run_truncation_ladder(**fields)
     rows = list(zip(rep.terms_ladder, rep.norm_c_dropped, rep.density_sup_bound,
                     rep.var_y1))
     series = {"truncation_ladder.csv": reportio.csv_text(
@@ -307,37 +308,48 @@ class Experiment(NamedTuple):
     anchor: str        # the result the experiment exercises
     fields: dict       # field spec, on top of _COMMON
     runner: Callable   # runner(**parsed fields) -> (report, series, charts)
+    rules: dict = {}   # field -> the runner's own check of its parsed value
+
+
+_PLANAR = {"walk": harness.require_planar_recurrent}
 
 
 EXPERIMENTS = {
     "fclt-iid": Experiment("quenched FCLT for i.i.d. sceneries along a planar walk",
-                           _FCLT, _run_fclt),
+                           _FCLT, _run_fclt, _PLANAR),
     "fclt-ma": Experiment("quenched FCLT for moving-average sceneries (variance |sum a_q|^2 / (pi sqrt det Sigma))",
-                          _FCLT, _run_fclt),
+                          _FCLT, _run_fclt, _PLANAR),
     "fclt-toral": Experiment("quenched FCLT for commuting toral automorphism fields",
-                             _FCLT, _run_fclt),
+                             _FCLT, _run_fclt, _PLANAR),
     "variance-ladder": Experiment("variance collapse for degenerate moving averages",
-                                  {**_FCLT_BASE, "n_ladder": _N_LADDER}, _run_fclt_ladder),
+                                  {**_FCLT_BASE, "n_ladder": _N_LADDER}, _run_fclt_ladder,
+                                  _PLANAR),
     "lln-variance": Experiment("law of large numbers for self-intersection counts V_n / (C0 n log n) -> 1",
-                               {**_LADDER, "p_set": _P_SET}, _run_lln),
+                               {**_LADDER, "p_set": _P_SET}, _run_lln,
+                               {"walk": harness.require_exact_c0}),
     "orthogonality": Experiment("asymptotic orthogonality of cross-interval coincidence counts",
                                 {**_LADDER, "windows": _WINDOWS, "p_set": _P_SET},
                                 _run_orthogonality),
     "erdos-taylor": Experiment("Erdos-Taylor / Dembo-Peres-Rosen-Zeitouni sup local time limit 1/pi",
-                               {**_LADDER, "epsilon": (_number, 0.1)}, _run_erdos_taylor),
+                               {**_LADDER, "epsilon": (_number, 0.1)}, _run_erdos_taylor,
+                               {"walk": harness.require_aperiodic_planar}),
     "newman-wright": Experiment("Newman-Wright maximal inequality for associated summands",
-                                {**_PATH, "lambda_grid": _list(_number)}, _run_newman_wright),
+                                {**_PATH, "lambda_grid": _list(_number)}, _run_newman_wright,
+                                {"scenery": harness.require_associated}),
     "moricz": Experiment("Moricz fourth-moment maximal bound with C_max = (1 - 2^-1/4)^-4",
-                         {**_PATH, "g0_kind": (_G0_KIND, "self_intersection")}, _run_moricz),
+                         {**_PATH, "g0_kind": (_G0_KIND, "self_intersection")}, _run_moricz,
+                         {"scenery": harness.require_iid}),
     "tightness": Experiment("modulus-of-continuity tightness estimates for the rescaled process",
-                            {**_FCLT, "delta_ladder": _list(_number), "epsilon": _number,
+                            {**_SCALED, "m_sceneries": _at_least(100),
+                             "delta_ladder": _list(_number), "epsilon": _number,
                              "grid_points": (_at_least(1), 128)}, _run_tightness),
     "transient-variance": Experiment("Green-series asymptotic variance for transient walks",
                                      {**_PATH, "n_omegas": (_at_least(1), 10),
-                                      "k_max": (_at_least(0), 60)}, _run_transient),
+                                      "k_max": (_at_least(0), 60)}, _run_transient,
+                                     {"walk": harness.require_transient}),
     "truncation-ladder": Experiment("trig-polynomial approximation ladder for toral observables",
-                                    {**_FCLT, "terms_ladder": _list(_at_least(1))},
-                                    _run_truncation_ladder),
+                                    {**_SCALED, "terms_ladder": _list(_at_least(1))},
+                                    _run_truncation_ladder, {"scenery": harness.require_toral}),
 }
 
 
@@ -357,12 +369,19 @@ def _field(doc, field, spec):
 
 
 def _parse(doc) -> tuple:
-    """(experiment name, {field: parsed value}) for every field of the spec."""
+    """(experiment name, {field: parsed value}) for every field of the spec,
+    once each parsed value has passed the runner's rules for it."""
     if not isinstance(doc, dict):
         raise ConfigError("$", "top-level config must be an object")
     name = _field(doc, "experiment", _experiment)
     spec = {**_COMMON, **EXPERIMENTS[name].fields}
-    return name, {f: _field(doc, f, s) for f, s in spec.items()}
+    values = {f: _field(doc, f, s) for f, s in spec.items()}
+    for field, rule in EXPERIMENTS[name].rules.items():
+        try:
+            rule(values[field])
+        except ValueError as exc:
+            raise ConfigError(field, str(exc)) from None
+    return name, values
 
 
 def validate_config(doc: dict) -> str:

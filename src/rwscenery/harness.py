@@ -22,13 +22,14 @@ fixtures, never literal limits with tight tolerances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy import stats
 
-from .localtime import local_times, max_local_time, pair_count_tables, path_table
+from .localtime import (local_times, max_local_time, pair_count_tables, path_table,
+                        self_intersections)
 from .rng import derive_seed
 from .scenery import (
     IIDScenery,
@@ -47,32 +48,68 @@ MORICZ_CMAX = (1.0 - 2.0 ** -0.25) ** -4.0
 SQRT2 = math.sqrt(2.0)
 
 
-@dataclass
-class ExperimentConfig:
-    walk: WalkModel
-    scenery: SceneryModel
-    n: int
-    t_grid: tuple
-    m_sceneries: int
-    n_omegas: int
-    seed: int
-    tolerances: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        grid = tuple(float(t) for t in self.t_grid)
-        if any(b <= a for a, b in zip(grid, grid[1:])) or not grid:
-            raise ValueError("t_grid must be nonempty and strictly increasing")
-        if not all(0.0 < t <= 1.0 for t in grid):
-            raise ValueError("t_grid entries must lie in (0, 1]")
-        self.t_grid = grid
-
-
 def _omega_seed(master: int, i: int) -> int:
     return derive_seed(master, "omega", i)
 
 
 def _x_seeds(master: int, i: int, m: int) -> list:
     return [derive_seed(master, "scenery", i, j) for j in range(m)]
+
+
+def _omega_pass(model: WalkModel, n: int, n_omegas: int, seed: int, fn, c0=False):
+    """[fn(i, path_seed, path) for each omega i], the n-step path drawn once
+    with path_seed = _omega_seed(seed, i).  Each path (with its cached site
+    table) dies with ``visit`` before the next one is drawn.
+
+    With ``c0`` the result is (results, C0, mode): the walk's exact constant,
+    else the omega mean of V_n(omega, 0) / (n log n) over the same paths.
+    """
+    empirical = c0 and model.c0 is None
+    ratios = []
+
+    def visit(i):
+        path_seed = _omega_seed(seed, i)
+        path = sample_path(model, n, path_seed)
+        result = fn(i, path_seed, path)
+        if empirical:
+            ratios.append(self_intersections(path, n) / (n * math.log(n)))
+        return result
+
+    results = [visit(i) for i in range(n_omegas)]
+    if not empirical:
+        return (results, model.c0, "exact") if c0 else results
+    total = 0.0
+    for v in ratios:  # left to right: sum() compensates on Python >= 3.12
+        total += v
+    return results, total / n_omegas, "empirical"
+
+
+def _rule(ok, message: str):
+    """A runner's rule for its walk or scenery; cli.py names the field that breaks it."""
+    def require(value) -> None:
+        if not ok(value):
+            raise ValueError(message)
+    return require
+
+
+require_planar_recurrent = _rule(lambda w: w.dimension == 2 and w.classification == RECURRENT,
+                                 "run_fclt covers centered planar walks")
+# only a centered, strongly aperiodic planar walk has an exact C0
+require_exact_c0 = _rule(lambda w: w.c0 is not None,
+                         "the V_n law of large numbers needs a centered strongly aperiodic "
+                         "planar walk (exact C0); use the empirical mode of run_fclt otherwise")
+require_aperiodic_planar = _rule(  # planar and recurrent: centered, not deterministic
+    lambda w: w.dimension == 2 and w.classification == RECURRENT and w.aperiodic,
+    "sup-local-time tracking needs a centered aperiodic planar walk, not a deterministic one")
+require_transient = _rule(lambda w: w.effectively_transient and w.dimension >= 2,
+                          "transient_variance_check needs a transient walk in d >= 2 "
+                          "(the point-mass constant vanishes in d = 1)")
+require_associated = _rule(is_associated, "scenery is not certified associated (i.i.d. or "
+                                          "single-signed moving average required)")
+require_iid = _rule(lambda s: isinstance(s, IIDScenery),
+                    "exact fourth-moment verification needs an i.i.d. scenery")
+require_toral = _rule(lambda s: isinstance(s, scenery_mod.ToralScenery),
+                      "truncation ladder applies to toral sceneries")
 
 
 # ---------------------------------------------------------------------------
@@ -120,69 +157,37 @@ class FcltReport:
         return doc
 
 
-def _empirical_c0(paths, n: int) -> float:
-    total, count = 0.0, 0
-    for path in paths:
-        tab = local_times(path, (0, n))
-        total += pair_count_tables(tab, tab, (0,) * path.model.dimension) / (n * math.log(n))
-        count += 1
-    return total / count
-
-
-def _c0(config: ExperimentConfig, paths=None) -> tuple:
-    """(C0, mode): the walk's exact constant, else the omega-mean of
-    V_n(omega, 0) / (n log n) over the config's paths.  ``paths`` are those
-    paths when the caller has them; otherwise they are sampled one at a
-    time."""
-    model = config.walk
-    if model.c0 is not None:
-        return model.c0, "exact"
-    if paths is None:
-        paths = (sample_path(model, config.n, _omega_seed(config.seed, i))
-                 for i in range(config.n_omegas))
-    return _empirical_c0(paths, config.n), "empirical"
-
-
-def run_fclt(config: ExperimentConfig) -> FcltReport:
+def run_fclt(*, walk: WalkModel, scenery: SceneryModel, n: int, t_grid,
+             m_sceneries: int, n_omegas: int, seed: int,
+             tolerances: Optional[dict] = None) -> FcltReport:
     """Quenched FCLT check: per-omega KS tests of the rescaled increments
     against the normal law, increment decorrelation, and variance tracking.
 
     Degenerate sigma^2 flips the report into collapse-tracking mode: no KS
     tests, pass/fail left undecided, variance series still reported.
     """
-    model = config.walk
-    if model.dimension != 2 or model.classification != RECURRENT:
-        raise ValueError("run_fclt covers centered planar walks")
-    if config.t_grid[-1] != 1.0:
+    require_planar_recurrent(walk)
+    t_grid = tuple(float(t) for t in t_grid)
+    edges = window_boundaries(n, t_grid)
+    if not t_grid or t_grid[-1] != 1.0:
         raise ValueError("t_grid must end at 1.0 so Y_n(1) is defined")
     tol = {"ks_p": 0.01, "ks_pass_fraction": 0.9, "offdiag_abs": 0.1,
-           "offdiag_pass_fraction": 0.9, **config.tolerances}
-    n = config.n
+           "offdiag_pass_fraction": 0.9, **(tolerances or {})}
     logn = math.log(n)
-    density = spectral_density(config.scenery, dimension=2)
-    sigma2 = density.at_zero()
+    sigma2 = spectral_density(scenery, dimension=2).at_zero()
     degenerate = abs(sigma2) < 1e-12
-    c0, c0_mode = _c0(config)
 
-    edges = window_boundaries(n, config.t_grid)
-    per_omega = []
-    for i in range(config.n_omegas):
-        path_seed = _omega_seed(config.seed, i)
-        path = sample_path(model, n, path_seed)
-        win_var = [quenched_variance(config.scenery, path, (edges[j], edges[j + 1]))
+    def omega(i, path_seed, path):
+        """The omega's statistics; the variances are still unscaled by C0."""
+        win_var = [quenched_variance(scenery, path, (edges[j], edges[j + 1]))
                    for j in range(len(edges) - 1)]
-        exact_var_y1 = quenched_variance(config.scenery, path, (0, edges[-1]))
-        inc = field_increments(config.scenery, path, config.t_grid,
-                               _x_seeds(config.seed, i, config.m_sceneries))
-        mc_var_y1 = float(inc.sum(axis=1).var(ddof=1)) / (c0 * n * logn)
-        ks_stat, ks_p, ratios = [], [], []
-        offdiag = []
+        exact_var_y1 = quenched_variance(scenery, path, (0, edges[-1]))
+        inc = field_increments(scenery, path, t_grid, _x_seeds(seed, i, m_sceneries))
+        ks_stat, ks_p, offdiag = [], [], []
         if not degenerate:
             z = np.empty_like(inc)
             for j, v in enumerate(win_var):
                 z[:, j] = inc[:, j] / math.sqrt(v) if v > 0 else 0.0
-                width = edges[j + 1] - edges[j]
-                ratios.append(v / (c0 * width * logn * sigma2) if width else 0.0)
                 res = stats.ks_1samp(z[:, j], stats.norm.cdf)
                 ks_stat.append(float(res.statistic))
                 ks_p.append(float(res.pvalue))
@@ -190,28 +195,32 @@ def run_fclt(config: ExperimentConfig) -> FcltReport:
                 corr = np.corrcoef(z, rowvar=False)
                 iu = np.triu_indices(z.shape[1], k=1)
                 offdiag = [float(c) for c in corr[iu]]
-        else:
-            ratios = [v / (c0 * max(edges[j + 1] - edges[j], 1) * logn)
-                      for j, v in enumerate(win_var)]
-        per_omega.append(OmegaFcltStats(
+        return OmegaFcltStats(
             omega_index=i, path_seed=path_seed, ks_stat=ks_stat, ks_pvalue=ks_p,
-            window_variance=[float(v) for v in win_var],
-            variance_ratio=[float(r) for r in ratios],
+            window_variance=[float(v) for v in win_var], variance_ratio=[],
             offdiag=offdiag,
             offdiag_max=float(np.max(np.abs(offdiag))) if offdiag else 0.0,
-            exact_var_y1=float(exact_var_y1) / (c0 * n * logn),
-            mc_var_y1=mc_var_y1))
+            exact_var_y1=float(exact_var_y1),
+            mc_var_y1=float(inc.sum(axis=1).var(ddof=1)))
 
-    n_windows = len(edges) - 1
+    per_omega, c0, c0_mode = _omega_pass(walk, n, n_omegas, seed, omega, c0=True)
+    widths = [b - a for a, b in zip(edges, edges[1:])]
+    for o in per_omega:
+        o.exact_var_y1 /= c0 * n * logn
+        o.mc_var_y1 /= c0 * n * logn
+        o.variance_ratio = [float(v / (c0 * max(w, 1) * logn) if degenerate
+                                  else v / (c0 * w * logn * sigma2) if w else 0.0)
+                            for v, w in zip(o.window_variance, widths)]
+
     if degenerate:
-        ks_pass = [0.0] * n_windows
+        ks_pass = [0.0] * len(widths)
         off_pass = 1.0
         pooled_off = []
         pooled_off_max = 0.0
         passed = None
     else:
         ks_pass = [float(np.mean([o.ks_pvalue[j] > tol["ks_p"] for o in per_omega]))
-                   for j in range(n_windows)]
+                   for j in range(len(widths))]
         off_pass = float(np.mean([o.offdiag_max < tol["offdiag_abs"] for o in per_omega]))
         # pooling over omegas averages the sampling noise out of each pair's
         # correlation estimate; the pooled value is the criterion statistic
@@ -221,8 +230,8 @@ def run_fclt(config: ExperimentConfig) -> FcltReport:
         passed = (all(f >= tol["ks_pass_fraction"] for f in ks_pass)
                   and pooled_off_max < tol["offdiag_abs"])
     return FcltReport(
-        n=n, t_grid=config.t_grid, m_sceneries=config.m_sceneries,
-        n_omegas=config.n_omegas, seed=config.seed, sigma2=sigma2, c0=c0,
+        n=n, t_grid=t_grid, m_sceneries=m_sceneries,
+        n_omegas=n_omegas, seed=seed, sigma2=sigma2, c0=c0,
         c0_mode=c0_mode, degenerate=degenerate, per_omega=per_omega,
         ks_pass_fraction=ks_pass, offdiag_pass_fraction=off_pass,
         pooled_offdiag=pooled_off, pooled_offdiag_max=pooled_off_max,
@@ -276,22 +285,19 @@ def track_variance_lln(model: WalkModel, n_ladder: Sequence[int], p_set,
     """V_n(omega, p) / (C0 n log n) along an n-ladder; the limit is 1 for
     every p.  Prefix windows of a single path per omega keep the ladder
     internally consistent (common random numbers)."""
-    if model.dimension != 2 or not model.centered or model.classification != RECURRENT:
-        raise ValueError("the V_n law of large numbers needs a centered planar walk")
-    if model.c0 is None:
-        raise ValueError("need strongly aperiodic walk (exact C0); use the "
-                         "empirical mode of run_fclt otherwise")
+    require_exact_c0(model)
     n_ladder = sorted(int(n) for n in n_ladder)
     p_set = [tuple(int(c) for c in p) for p in p_set]
     ratios = {(n, p): [] for n in n_ladder for p in p_set}
-    for i in range(n_omegas):
-        path = sample_path(model, n_ladder[-1], _omega_seed(seed, i))
+
+    def omega(i, path_seed, path):
         for n in n_ladder:
             tab = local_times(path, (0, n))
             denom = model.c0 * n * math.log(n)
             for p in p_set:
                 ratios[(n, p)].append(pair_count_tables(tab, tab, p) / denom)
-        del path  # with its cached site table, before the next path is drawn
+
+    _omega_pass(model, n_ladder[-1], n_omegas, seed, omega)
     mean_r = {k: float(np.mean(v)) for k, v in ratios.items()}
     std_r = {k: float(np.std(v, ddof=1)) if len(v) > 1 else 0.0 for k, v in ratios.items()}
     max_r = {k: float(np.max(v)) for k, v in ratios.items()}
@@ -332,25 +338,21 @@ def check_increment_orthogonality(model: WalkModel, n_ladder: Sequence[int],
     n_ladder = sorted(int(n) for n in n_ladder)
     p_set = [tuple(int(x) for x in p) for p in p_set]
     series = {(n, p): [] for n in n_ladder for p in p_set}
-    for i in range(n_omegas):
-        path = sample_path(model, n_ladder[-1], _omega_seed(seed, i))
+
+    def omega(i, path_seed, path):
         for n in n_ladder:
             tab_i = local_times(path, (int(n * a), int(n * b)))
             tab_j = local_times(path, (int(n * c), int(n * d)))
             for p in p_set:
-                v = pair_count_tables(tab_i, tab_j, p)
-                series[(n, p)].append(v / (n * math.log(n)))
-        del path  # with its cached site table, before the next path is drawn
+                series[(n, p)].append(pair_count_tables(tab_i, tab_j, p) / (n * math.log(n)))
+
+    _omega_pass(model, n_ladder[-1], n_omegas, seed, omega)
     mean_norm = {k: float(np.mean(v)) for k, v in series.items()}
-    dec = {}
-    for p in p_set:
-        first = np.array(series[(n_ladder[0], p)])
-        last = np.array(series[(n_ladder[-1], p)])
-        dec[p] = float(np.mean(last < first))
+    dec = {p: float(np.mean(np.less(series[(n_ladder[-1], p)], series[(n_ladder[0], p)])))
+           for p in p_set}
     return OrthogonalityReport(n_ladder=n_ladder, windows=tuple(windows),
                                p_set=p_set, n_omegas=n_omegas,
-                               normalized={k: [float(x) for x in v]
-                                           for k, v in series.items()},
+                               normalized=series,
                                mean_normalized=mean_norm,
                                endpoint_decrease_fraction=dec)
 
@@ -385,9 +387,7 @@ def check_newman_wright(scen: SceneryModel, path: WalkPath, lambda_grid,
     Monte Carlo estimates with binomial standard errors; ||S_n||_2 is exact
     from the counting layer.
     """
-    if not is_associated(scen):
-        raise ValueError("scenery is not certified associated (i.i.d. or "
-                         "single-signed moving average required)")
+    require_associated(scen)
     l2 = math.sqrt(quenched_variance(scen, path, (0, path.n)))
     max_abs, s_n = _running_max_abs(scen, path_table(path), _x_seeds(x_seed, 0, m_sceneries))
     lhs, rhs, lhs_se, rhs_se, margins, viol = [], [], [], [], [], []
@@ -487,8 +487,7 @@ def check_moricz(scen: SceneryModel, path: WalkPath, n: int,
     """
     if n > path.n:
         raise ValueError("n exceeds the path length")
-    if not isinstance(scen, IIDScenery):
-        raise ValueError("exact fourth-moment verification needs an i.i.d. scenery")
+    require_iid(scen)
     law = scen.law
     v_table = _window_v_table(path, n)
     if g0_kind == "sqrt3k":
@@ -500,17 +499,9 @@ def check_moricz(scen: SceneryModel, path: WalkPath, n: int,
 
     super_additive = _check_super_additive(g0, n)
 
-    windows = []
-    j = 0
-    while 2**j <= n:
-        k = 2**j
-        for b in range(0, n - k + 1, k):
-            windows.append((b, k))
-        j += 1
-    hyp_margins = []
-    for b, k in windows:
-        m4 = _fourth_moment_window(path, law, b, k)
-        hyp_margins.append(g0[b, k] ** 2 - m4)
+    windows = [(b, 2**j) for j in range(int(n).bit_length())  # dyadic, k = 2^j <= n
+               for b in range(0, n - 2**j + 1, 2**j)]
+    hyp_margins = [g0[b, k] ** 2 - _fourth_moment_window(path, law, b, k) for b, k in windows]
     hypothesis_ok = all(m >= -1e-6 for m in hyp_margins)
 
     big = [w for w in windows if w[1] >= 8]  # max over a single step carries no info
@@ -597,7 +588,8 @@ class TightnessReport:
                 "monotone_in_delta": self.monotone_in_delta}
 
 
-def estimate_tightness_modulus(config: ExperimentConfig, delta_ladder,
+def estimate_tightness_modulus(*, walk: WalkModel, scenery: SceneryModel, n: int,
+                               m_sceneries: int, n_omegas: int, seed: int, delta_ladder,
                                epsilon: float, grid_points: int = 128) -> TightnessReport:
     """Empirical mu(sup_{|t'-t|<=delta} |Y_n(t') - Y_n(t)| >= eps) per delta.
 
@@ -605,19 +597,19 @@ def estimate_tightness_modulus(config: ExperimentConfig, delta_ladder,
     halving the stride must not change conclusions (grid_points is exposed
     for exactly that check).
     """
-    model = config.walk
-    c0, _ = _c0(config)
-    n = config.n
-    scale = math.sqrt(c0 * n * math.log(n))
     grid = [(i + 1) / grid_points for i in range(grid_points)]
     deltas = sorted(float(d) for d in delta_ladder)
+
+    def omega(i, path_seed, path):
+        """S at the grid points, (m, grid_points + 1), not yet scaled by C0."""
+        inc = field_increments(scenery, path, grid, _x_seeds(seed, i, m_sceneries))
+        return np.concatenate([np.zeros((inc.shape[0], 1)), np.cumsum(inc, axis=1)], axis=1)
+
+    partial_sums, c0, _ = _omega_pass(walk, n, n_omegas, seed, omega, c0=True)
+    scale = math.sqrt(c0 * n * math.log(n))
     per_omega = {d: [] for d in deltas}
-    for i in range(config.n_omegas):
-        path = sample_path(model, n, _omega_seed(config.seed, i))
-        inc = field_increments(config.scenery, path, grid,
-                               _x_seeds(config.seed, i, config.m_sceneries))
-        y = np.concatenate([np.zeros((inc.shape[0], 1)),
-                            np.cumsum(inc, axis=1)], axis=1) / scale
+    for unscaled in partial_sums:
+        y = unscaled / scale
         for d in deltas:
             w = max(1, int(round(d * grid_points)))
             mod = np.zeros(y.shape[0])
@@ -662,17 +654,11 @@ def track_erdos_taylor(model: WalkModel, n_ladder: Sequence[int], n_omegas: int,
                        seed: int, epsilon: float = 0.1) -> ErdosTaylorReport:
     """sup_l w_n / (log n)^2 along a ladder (planar limit 1/pi), plus the
     o(n^eps) witness sup_l w_n / n^eps."""
-    if model.dimension != 2 or not model.centered or not model.aperiodic:
-        raise ValueError("sup-local-time tracking needs a centered aperiodic planar walk")
-    if model.classification == "deterministic":
-        raise ValueError("deterministic walks are excluded")
+    require_aperiodic_planar(model)
     n_ladder = sorted(int(n) for n in n_ladder)
-    sup = {n: [] for n in n_ladder}
-    for i in range(n_omegas):
-        path = sample_path(model, n_ladder[-1], _omega_seed(seed, i))
-        for n in n_ladder:
-            sup[n].append(max_local_time(path, n))
-        del path  # with its cached site table, before the next path is drawn
+    rows = _omega_pass(model, n_ladder[-1], n_omegas, seed,
+                       lambda i, path_seed, path: [max_local_time(path, n) for n in n_ladder])
+    sup = {n: [r[k] for r in rows] for k, n in enumerate(n_ladder)}
     log_ratio = {n: [s / math.log(n) ** 2 for s in v] for n, v in sup.items()}
     mean_log = {n: float(np.mean(r)) for n, r in log_ratio.items()}
     quant = {n: [float(q) for q in np.quantile(r, [0.1, 0.5, 0.9])]
@@ -718,18 +704,16 @@ def transient_variance_check(scen: SceneryModel, model: WalkModel, n: int,
     error bars (3 SE over omegas plus half the series tail, which is an
     estimate rather than a bound).
     """
-    if not model.effectively_transient:
-        raise ValueError("transient_variance_check needs a transient walk")
-    if model.dimension < 2:
-        raise ValueError("d >= 2 required (the point-mass constant vanishes there)")
+    require_transient(model)
     est = scenery_mod.asymptotic_variance(scen, model, k_max=k_max)
     series = est.value + est.tail_estimate
-    exact_vals, mc_vals = [], []
-    for i in range(n_omegas):
-        path = sample_path(model, n, _omega_seed(seed, i))
-        exact_vals.append(quenched_variance(scen, path, (0, n)) / n)
+
+    def omega(i, path_seed, path):
         inc = field_increments(scen, path, [1.0], _x_seeds(seed, i, m_sceneries))
-        mc_vals.append(float(inc[:, 0].var(ddof=1)) / n)
+        return quenched_variance(scen, path, (0, n)) / n, float(inc[:, 0].var(ddof=1)) / n
+
+    rows = _omega_pass(model, n, n_omegas, seed, omega)
+    exact_vals, mc_vals = [e for e, _ in rows], [m for _, m in rows]
     exact_mean = float(np.mean(exact_vals))
     exact_se = float(np.std(exact_vals, ddof=1) / math.sqrt(n_omegas)) if n_omegas > 1 else 0.0
     mc_mean = float(np.mean(mc_vals))
@@ -759,30 +743,26 @@ class TruncationLadderReport:
         return asdict(self)
 
 
-def run_truncation_ladder(config: ExperimentConfig, terms_ladder) -> TruncationLadderReport:
+def run_truncation_ladder(*, walk: WalkModel, scenery: SceneryModel, n: int,
+                          n_omegas: int, seed: int, terms_ladder) -> TruncationLadderReport:
     """Approximation ladder for toral observables: truncate f to its largest
     coefficient pairs and report how the spectral-density bound and the
     observed variance respond.  Report-only; how faithfully the ladder
     represents the full admissible class is not asserted."""
-    scen = config.scenery
-    if not isinstance(scen, scenery_mod.ToralScenery):
-        raise ValueError("truncation ladder applies to toral sceneries")
-    model = config.walk
-    paths = [sample_path(model, config.n, _omega_seed(config.seed, i))
-             for i in range(config.n_omegas)]
-    c0, _ = _c0(config, paths)
-    norm_drop, bounds, var1 = [], [], []
+    require_toral(scenery)
+    norm_drop, subs = [], []
     for terms in terms_ladder:
-        fk = scen.poly.truncate_to(int(terms))
-        dropped = {k: c for k, c in scen.poly.coeffs.items() if k not in fk.coeffs}
-        drop_norm = float(sum(abs(c) for c in dropped.values()))
-        sub = scenery_mod.ToralScenery(pair=scen.pair, poly=fk, q_mod=scen.q_mod,
-                                       orbit_box=scen.orbit_box)
-        vals = [quenched_variance(sub, path, (0, config.n))
-                / (c0 * config.n * math.log(config.n)) for path in paths]
-        norm_drop.append(drop_norm)
-        bounds.append(drop_norm**2)
-        var1.append(float(np.mean(vals)))
+        fk = scenery.poly.truncate_to(int(terms))
+        norm_drop.append(float(sum(abs(c) for k, c in scenery.poly.coeffs.items()
+                                   if k not in fk.coeffs)))
+        subs.append(scenery_mod.ToralScenery(pair=scenery.pair, poly=fk, q_mod=scenery.q_mod,
+                                             orbit_box=scenery.orbit_box))
+    rows, c0, _ = _omega_pass(
+        walk, n, n_omegas, seed,
+        lambda i, path_seed, path: [quenched_variance(sub, path, (0, n)) for sub in subs],
+        c0=True)
+    var1 = [float(np.mean([v / (c0 * n * math.log(n)) for v in rung])) for rung in zip(*rows)]
     return TruncationLadderReport(terms_ladder=[int(t) for t in terms_ladder],
                                   norm_c_dropped=norm_drop,
-                                  density_sup_bound=bounds, var_y1=var1)
+                                  density_sup_bound=[d**2 for d in norm_drop],
+                                  var_y1=var1)

@@ -72,6 +72,8 @@ LADDER = {"experiment": "erdos-taylor", "seed": 7, "walk": {"preset": "simple2d"
 PATH_CHECK = {"experiment": "newman-wright", "seed": 7, "walk": {"preset": "lazy2d"},
               "scenery": {"variant": "iid", "law": {"name": "rademacher"}},
               "n": 64, "m_sceneries": 50, "lambda_grid": [1.0, 2.0]}
+MIXED_MA = {"variant": "moving_average", "law": {"name": "rademacher"},
+            "coeffs": [{"q": [0, 0], "a": 1.0}, {"q": [1, 0], "a": -1.0}]}
 
 # configs that would crash at run time (or, for an empty list, run a vacuous
 # check): `validate` must reject each one, naming the bad field
@@ -96,11 +98,29 @@ REJECTED = [
     (dict(LADDER, n_ladder=[64, MAX_STEPS + 1]), "n_ladder[1]"),
     (dict(PATH_CHECK, n=MAX_STEPS + 1), "n"),
     (dict(TINY_FCLT, n=MAX_STEPS + 1), "n"),
+    (dict(LADDER, n_ladder=[256, 64]), "n_ladder"),
+    (dict(LADDER, experiment="orthogonality", windows=[0.1, 0.2, 0.3, 0.4], p_set=[[0, 0]],
+          n_ladder=[64, 64]), "n_ladder"),
+    # the runner's own walk and scenery rules
+    (dict(TINY_FCLT, walk={"preset": "simple3d"}), "walk"),
+    (dict(TINY_FCLT, experiment="variance-ladder", t_grid=[1.0], n_ladder=[256, 512],
+          walk={"preset": "simple3d"}), "walk"),
+    (dict(LADDER, experiment="lln-variance", p_set=[[0, 0]]), "walk"),  # no exact C0
+    (dict(LADDER, walk={"preset": "det1d"}), "walk"),
+    (dict(PATH_CHECK, experiment="transient-variance"), "walk"),
+    (dict(PATH_CHECK, scenery=MIXED_MA), "scenery"),
+    (dict(PATH_CHECK, experiment="moricz", scenery=MIXED_MA), "scenery"),
+    (dict(TINY_FCLT, experiment="truncation-ladder", terms_ladder=[2]), "scenery"),
 ]
 
 
-@pytest.mark.parametrize("doc,field", REJECTED,
-                         ids=[f"{d['experiment']}:{f}" for d, f in REJECTED])
+def _rejected_id(doc, field):
+    """experiment:field, and the preset of a walk that the runner's rule rejects."""
+    preset = doc[field].get("preset") if field == "walk" else None
+    return f"{doc['experiment']}:{field}" + (f"={preset}" if preset else "")
+
+
+@pytest.mark.parametrize("doc,field", REJECTED, ids=[_rejected_id(d, f) for d, f in REJECTED])
 def test_validate_rejects_bad_field(tmp_path, capsys, doc, field):
     with pytest.raises(cli.ConfigError) as exc:
         cli.validate_config(doc)

@@ -1,77 +1,76 @@
+import hashlib
+import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from rwscenery import harness, localtime, reportio, scenery, walk
+from rwscenery import cli, harness, localtime, reportio, scenery, walk
 
 
 @pytest.fixture(scope="module")
-def small_config(lazy_model):
-    return harness.ExperimentConfig(
-        walk=lazy_model, scenery=scenery.iid_scenery("rademacher"),
-        n=2**12, t_grid=(0.5, 1.0), m_sceneries=300, n_omegas=3, seed=77)
+def small_omegas(lazy_model):
+    """The fields that tightness shares with the FCLT runner."""
+    return dict(walk=lazy_model, scenery=scenery.iid_scenery("rademacher"),
+                n=2**12, m_sceneries=300, n_omegas=3, seed=77)
 
 
-def test_config_validation(lazy_model):
-    with pytest.raises(ValueError):
-        harness.ExperimentConfig(walk=lazy_model, scenery=scenery.iid_scenery(),
-                                 n=100, t_grid=(0.5, 0.25), m_sceneries=100,
-                                 n_omegas=2, seed=0)
-    with pytest.raises(ValueError):
-        harness.ExperimentConfig(walk=lazy_model, scenery=scenery.iid_scenery(),
-                                 n=100, t_grid=(0.5, 1.5), m_sceneries=100,
-                                 n_omegas=2, seed=0)
+@pytest.fixture(scope="module")
+def small_config(small_omegas):
+    return dict(small_omegas, t_grid=(0.5, 1.0))
+
+
+def test_config_validation(lazy_model, monkeypatch):
+    # a bad t_grid fails before any path is drawn
+    monkeypatch.setattr(harness, "sample_path", None)
+    for t_grid in [(0.5, 0.25), (0.5, 1.5), (0.0, 1.0), (0.5,), ()]:
+        with pytest.raises(ValueError, match="t_grid"):
+            harness.run_fclt(walk=lazy_model, scenery=scenery.iid_scenery(), n=100,
+                             t_grid=t_grid, m_sceneries=100, n_omegas=2, seed=0)
 
 
 def test_fclt_report_reproducible(small_config):
-    a = harness.run_fclt(small_config)
-    b = harness.run_fclt(small_config)
+    a = harness.run_fclt(**small_config)
+    b = harness.run_fclt(**small_config)
     assert a.to_dict() == b.to_dict()
+    assert a.t_grid == (0.5, 1.0)
 
 
 def test_fclt_internal_variance_cross_check(small_config):
     # Var_x(Y_n(1)) estimated from sceneries agrees with the exact count
     # identity within 4 standard errors of a variance estimate
-    rep = harness.run_fclt(small_config)
-    m = small_config.m_sceneries
+    rep = harness.run_fclt(**small_config)
+    m = small_config["m_sceneries"]
     for o in rep.per_omega:
         se = o.exact_var_y1 * math.sqrt(2.0 / (m - 1))
         assert abs(o.mc_var_y1 - o.exact_var_y1) < 4 * se
 
 
 def test_fclt_requires_planar_recurrent(simple3d_model):
-    cfg = harness.ExperimentConfig(
-        walk=simple3d_model, scenery=scenery.iid_scenery(), n=256,
-        t_grid=(1.0,), m_sceneries=100, n_omegas=1, seed=1)
     with pytest.raises(ValueError):
-        harness.run_fclt(cfg)
+        harness.run_fclt(walk=simple3d_model, scenery=scenery.iid_scenery(), n=256,
+                         t_grid=(1.0,), m_sceneries=100, n_omegas=1, seed=1)
 
 
 def test_fclt_grid_must_reach_one(lazy_model):
-    cfg = harness.ExperimentConfig(
-        walk=lazy_model, scenery=scenery.iid_scenery(), n=256,
-        t_grid=(0.5,), m_sceneries=100, n_omegas=1, seed=1)
     with pytest.raises(ValueError):
-        harness.run_fclt(cfg)
+        harness.run_fclt(walk=lazy_model, scenery=scenery.iid_scenery(), n=256,
+                         t_grid=(0.5,), m_sceneries=100, n_omegas=1, seed=1)
 
 
 def test_fclt_degenerate_mode(lazy_model):
     deg = scenery.moving_average_scenery({(0, 0): 1.0, (1, 0): -1.0})
-    cfg = harness.ExperimentConfig(walk=lazy_model, scenery=deg, n=2**11,
-                                   t_grid=(1.0,), m_sceneries=100, n_omegas=2,
-                                   seed=3)
-    rep = harness.run_fclt(cfg)
+    rep = harness.run_fclt(walk=lazy_model, scenery=deg, n=2**11, t_grid=(1.0,),
+                           m_sceneries=100, n_omegas=2, seed=3)
     assert rep.degenerate and rep.passed is None
     assert rep.per_omega[0].ks_pvalue == []
     assert rep.pooled_exact_var_y1 < 0.7
 
 
 def test_fclt_empirical_c0_mode(simple2d_model):
-    cfg = harness.ExperimentConfig(
-        walk=simple2d_model, scenery=scenery.iid_scenery("rademacher"),
-        n=2**12, t_grid=(1.0,), m_sceneries=100, n_omegas=3, seed=5)
-    rep = harness.run_fclt(cfg)
+    rep = harness.run_fclt(walk=simple2d_model, scenery=scenery.iid_scenery("rademacher"),
+                           n=2**12, t_grid=(1.0,), m_sceneries=100, n_omegas=3, seed=5)
     assert rep.c0_mode == "empirical"
     assert 0.2 < rep.c0 < 1.5
 
@@ -238,28 +237,28 @@ def test_maximal_checks_match_pre_change_reference(lazy_model, monkeypatch, name
     assert reports == [reportio.canonical_json(check().to_dict()) for check in checks]
 
 
-def test_tightness_monotone_and_stride_stable(small_config):
+def test_tightness_monotone_and_stride_stable(small_omegas):
     # halving the stride (doubling grid_points) must not change conclusions:
     # the delta-monotonicity and the ordering of the estimates are stable,
     # and the finer grid can only see more of the sup (up to window rounding)
-    rep64 = harness.estimate_tightness_modulus(small_config, [0.05, 0.1, 0.2],
+    deltas = [0.05, 0.1, 0.2]
+    rep64 = harness.estimate_tightness_modulus(**small_omegas, delta_ladder=deltas,
                                                epsilon=0.6, grid_points=64)
-    rep128 = harness.estimate_tightness_modulus(small_config, [0.05, 0.1, 0.2],
+    rep128 = harness.estimate_tightness_modulus(**small_omegas, delta_ladder=deltas,
                                                 epsilon=0.6, grid_points=128)
     assert rep64.monotone_in_delta and rep128.monotone_in_delta
     for d in rep64.delta_ladder:
         assert rep128.estimates[d] >= rep64.estimates[d] - 0.05
-    anchor = harness.estimate_tightness_modulus(small_config, [1.0], epsilon=0.6,
-                                                grid_points=64)
+    anchor = harness.estimate_tightness_modulus(**small_omegas, delta_ladder=[1.0],
+                                                epsilon=0.6, grid_points=64)
     assert anchor.estimates[1.0] >= rep64.estimates[0.2] - 1e-12
 
 
 def test_tightness_degenerate_scenery_collapses(lazy_model):
     deg = scenery.moving_average_scenery({(0, 0): 1.0, (1, 0): -1.0})
-    cfg = harness.ExperimentConfig(walk=lazy_model, scenery=deg, n=2**12,
-                                   t_grid=(1.0,), m_sceneries=200, n_omegas=2,
-                                   seed=9)
-    rep = harness.estimate_tightness_modulus(cfg, [0.1], epsilon=3.0,
+    rep = harness.estimate_tightness_modulus(walk=lazy_model, scenery=deg, n=2**12,
+                                             m_sceneries=200, n_omegas=2, seed=9,
+                                             delta_ladder=[0.1], epsilon=3.0,
                                              grid_points=64)
     assert rep.estimates[0.1] == 0.0
 
@@ -296,30 +295,79 @@ def test_truncation_ladder_report(lazy_model, sl3_pair):
     poly = trigpoly.cosine_polynomial([(1, 0, 0), (0, 1, 0), (0, 0, 1)],
                                       amplitudes=[1.0, 0.5, 0.25])
     tor = scenery.toral_scenery(sl3_pair, poly, q_mod=2**31 - 1)
-    cfg = harness.ExperimentConfig(walk=lazy_model, scenery=tor, n=2**10,
-                                   t_grid=(1.0,), m_sceneries=100, n_omegas=2,
-                                   seed=13)
-    rep = harness.run_truncation_ladder(cfg, [2, 4, 6])
+    rep = harness.run_truncation_ladder(walk=lazy_model, scenery=tor, n=2**10, n_omegas=2,
+                                        seed=13, terms_ladder=[2, 4, 6])
     assert rep.norm_c_dropped[0] > rep.norm_c_dropped[-1] == 0.0
     assert rep.density_sup_bound == [v**2 for v in rep.norm_c_dropped]
     assert len(rep.var_y1) == 3
 
 
-def test_truncation_ladder_reuses_its_paths_for_empirical_c0(monkeypatch):
-    # simple2d has no exact C0, so the ladder estimates it from the paths it
-    # already holds; the reference run samples them a second time for C0
-    from rwscenery import cli
+def _tiny(fixture, **fields):
+    return dict(cli.load_fixture(fixture), **fields)
 
-    doc = dict(cli.load_fixture("truncation_ladder.json"), walk={"preset": "simple2d"},
-               n=256, n_omegas=3)
+
+# simple2d has no exact C0, so these runners take V_n(omega, 0) from the paths
+# their own pass draws; the hashes were recorded from runners that drew each
+# path a second time for C0.  Rademacher values and integer counts keep the
+# dgemm exact, so the bytes do not depend on the BLAS thread count.
+ONE_DRAW = {
+    "fclt-iid": (_tiny("fclt_iid.json", m_sceneries=100),
+                 "045bc573347e1918452fc860bc37b86cb462b1ee5f4ec3d8576b3b5e87578904"),
+    "tightness": (_tiny("tightness.json", m_sceneries=100),
+                  "21934c83c1112bd7d725babf02c50986ae7a9c814421908ecadcb5851b589d57"),
+    "truncation-ladder": (_tiny("truncation_ladder.json"),
+                          "d638f6b7f9f34362b6ce394b20571401d71271ec6eea8203c53bf98de98b7d66"),
+}
+
+
+@pytest.mark.parametrize("name", list(ONE_DRAW))
+def test_one_draw_per_omega_keeps_the_report_bytes(tmp_path, monkeypatch, name):
+    doc, sha256 = ONE_DRAW[name]
+    doc = dict(doc, walk={"preset": "simple2d"}, n=256, n_omegas=3)
     calls = []
     sample = harness.sample_path
     monkeypatch.setattr(harness, "sample_path",
-                        lambda *a, **k: calls.append(1) or sample(*a, **k))
-    report = cli.run_experiment(doc)[0]
-    assert len(calls) == 3
-    c0 = harness._c0
-    monkeypatch.setattr(harness, "_c0", lambda config, paths=None: c0(config))
-    resampled = cli.run_experiment(doc)[0]
-    assert len(calls) == 9
-    assert report.to_dict() == resampled.to_dict()
+                        lambda model, n, seed: calls.append(seed) or sample(model, n, seed))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert cli.main(["run", str(config), "--out", str(tmp_path / "out")]) in (0, 2)
+    assert calls == [harness._omega_seed(doc["seed"], i) for i in range(3)]
+    assert hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest() == sha256
+
+
+LADDER = {"n_ladder": [64, 256], "n_omegas": 3, "seed": 4}
+ALIVE = {
+    "fclt-iid-exact": _tiny("fclt_iid.json", n=256, m_sceneries=100, n_omegas=3),
+    "fclt-iid-empirical": _tiny("fclt_iid.json", walk={"preset": "simple2d"}, n=256,
+                                m_sceneries=100, n_omegas=3),
+    "lln-variance": _tiny("lln_variance.json", **LADDER),
+    "orthogonality": _tiny("orthogonality.json", **LADDER),
+    "tightness-exact": _tiny("tightness.json", n=256, m_sceneries=100, n_omegas=3),
+    "tightness-empirical": _tiny("tightness.json", walk={"preset": "simple2d"}, n=256,
+                                 m_sceneries=100, n_omegas=3),
+    "erdos-taylor": _tiny("erdos_taylor.json", **LADDER),
+    "transient-variance": _tiny("transient_3d.json", n=256, m_sceneries=20, n_omegas=3,
+                                k_max=10),
+    "truncation-ladder-exact": _tiny("truncation_ladder.json", n=256, n_omegas=3),
+    "truncation-ladder-empirical": _tiny("truncation_ladder.json", walk={"preset": "simple2d"},
+                                         n=256, n_omegas=3),
+}
+
+
+@pytest.mark.parametrize("name", list(ALIVE))
+def test_one_path_alive_at_a_time(monkeypatch, name):
+    # every omega runner draws each path once, and the previous path (with its
+    # cached site table) is gone before the next one is drawn
+    drawn = []
+    sample = harness.sample_path
+
+    def tracked(*args, **kwargs):
+        assert all(ref() is None for ref in drawn), "an earlier path is still alive"
+        path = sample(*args, **kwargs)
+        drawn.append(weakref.ref(path))
+        return path
+
+    monkeypatch.setattr(harness, "sample_path", tracked)
+    cli.run_experiment(ALIVE[name])
+    assert len(drawn) == ALIVE[name]["n_omegas"]
+    assert all(ref() is None for ref in drawn)
