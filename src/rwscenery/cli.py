@@ -148,10 +148,9 @@ _P_SET = _list(_check(_list(_integer), lambda p: len(p) == 2, "expected 2 intege
 # Field specs: field -> parser (required) or (parser, JSON default).  Defaults
 # are parsed like given values and never written into the config.
 _COMMON = {"seed": _integer, "output": (_output, {})}
-_FCLT_BASE = {"walk": _walk, "scenery": _scenery, "t_grid": _T_GRID,
-              "m_sceneries": _at_least(100),  # KS experiments need 100 draws
-              "n_omegas": _at_least(1), "tolerances": (_object, {})}
-_FCLT = {**_FCLT_BASE, "n": _steps(2)}  # Y_n is normalized by sqrt(n log n)
+_FCLT = {"walk": _walk, "scenery": _scenery, "t_grid": _T_GRID,
+         "m_sceneries": _at_least(100), "n_omegas": _at_least(1),  # KS tests: 100 x-draws
+         "tolerances": (_object, {}), "n": _steps(2)}  # Y_n is normalized by sqrt(n log n)
 _SCALED = {"walk": _walk, "scenery": _scenery, "n": _steps(2), "n_omegas": _at_least(1)}
 _LADDER = {"walk": _walk, "n_ladder": _N_LADDER, "n_omegas": _at_least(1)}
 _PATH = {"walk": _walk, "scenery": _scenery, "n": _steps(1),
@@ -186,22 +185,15 @@ def _run_fclt(**fclt):
     return rep, series, charts
 
 
-def _run_fclt_ladder(n_ladder, **fclt):
-    """Degenerate-variance tracking: Var(Y_n(1)) along an n-ladder."""
-    reports = [harness.run_fclt(n=n, **fclt) for n in n_ladder]
-    vals = [r.pooled_exact_var_y1 for r in reports]
-    decreasing = all(b < a for a, b in zip(vals, vals[1:]))
-    ladder_report = harness.VarianceLadderReport(
-        n_ladder=n_ladder, pooled_exact_var_y1=vals,
-        degenerate=[r.degenerate for r in reports], decreasing=decreasing,
-        passed=decreasing)
-    series = {"variance_ladder.csv": reportio.csv_text(
-        ["n", "pooled_exact_var_y1"], list(zip(n_ladder, vals)))}
+def _run_variance_ladder(**fields):
+    rep = harness.track_variance_ladder(**fields)
+    ns, vals = rep.n_ladder, rep.pooled_exact_var_y1
+    series = {"variance_ladder.csv": reportio.csv_text(["n", "pooled_exact_var_y1"],
+                                                       list(zip(ns, vals)))}
     charts = {"variance_ladder.svg": reportio.svg_line_chart(
-        [math.log2(n) for n in n_ladder], {"Var Y_n(1)": vals},
-        title="variance collapse along the ladder", xlabel="log2 n",
-        ylabel="Var")}
-    return ladder_report, series, charts
+        [math.log2(n) for n in ns], {"Var Y_n(1)": vals},
+        title="variance collapse along the ladder", xlabel="log2 n", ylabel="Var")}
+    return rep, series, charts
 
 
 def _run_lln(walk, n_ladder, p_set, n_omegas, seed):
@@ -322,7 +314,7 @@ EXPERIMENTS = {
     "fclt-toral": Experiment("quenched FCLT for commuting toral automorphism fields",
                              _FCLT, _run_fclt, _PLANAR),
     "variance-ladder": Experiment("variance collapse for degenerate moving averages",
-                                  {**_FCLT_BASE, "n_ladder": _N_LADDER}, _run_fclt_ladder,
+                                  {**_LADDER, "scenery": _scenery}, _run_variance_ladder,
                                   _PLANAR),
     "lln-variance": Experiment("law of large numbers for self-intersection counts V_n / (C0 n log n) -> 1",
                                {**_LADDER, "p_set": _P_SET}, _run_lln,

@@ -56,32 +56,28 @@ def _x_seeds(master: int, i: int, m: int) -> list:
     return [derive_seed(master, "scenery", i, j) for j in range(m)]
 
 
-def _omega_pass(model: WalkModel, n: int, n_omegas: int, seed: int, fn, c0=False):
-    """[fn(i, path_seed, path) for each omega i], the n-step path drawn once
-    with path_seed = _omega_seed(seed, i).  Each path (with its cached site
-    table) dies with ``visit`` before the next one is drawn.
-
-    With ``c0`` the result is (results, C0, mode): the walk's exact constant,
-    else the omega mean of V_n(omega, 0) / (n log n) over the same paths.
+def _omega_pass(model: WalkModel, n: int, n_omegas: int, seed: int, fn, c0_at=()):
+    """(results, C0s, mode): results[i] = fn(i, path_seed, path), the n-step path
+    drawn once with path_seed = _omega_seed(seed, i), and each path (with its
+    cached site table) dead before the next one is drawn.  C0s has a C0 per
+    prefix length m in ``c0_at``: the walk's exact one, else the omega mean of
+    V_m(omega, 0) / (m log m) over the same paths.
     """
-    empirical = c0 and model.c0 is None
-    ratios = []
+    totals = [0.0] * len(c0_at)  # over omegas, left to right: sum() compensates on 3.12+
 
     def visit(i):
         path_seed = _omega_seed(seed, i)
         path = sample_path(model, n, path_seed)
         result = fn(i, path_seed, path)
-        if empirical:
-            ratios.append(self_intersections(path, n) / (n * math.log(n)))
+        if model.c0 is None:
+            totals[:] = [t + self_intersections(path, m) / (m * math.log(m))
+                         for t, m in zip(totals, c0_at)]
         return result
 
     results = [visit(i) for i in range(n_omegas)]
-    if not empirical:
-        return (results, model.c0, "exact") if c0 else results
-    total = 0.0
-    for v in ratios:  # left to right: sum() compensates on Python >= 3.12
-        total += v
-    return results, total / n_omegas, "empirical"
+    if model.c0 is not None:
+        return results, [model.c0] * len(c0_at), "exact"
+    return results, [t / n_omegas for t in totals], "empirical"
 
 
 def _rule(ok, message: str):
@@ -93,7 +89,7 @@ def _rule(ok, message: str):
 
 
 require_planar_recurrent = _rule(lambda w: w.dimension == 2 and w.classification == RECURRENT,
-                                 "run_fclt covers centered planar walks")
+                                 "the FCLT runners cover centered planar walks")
 # only a centered, strongly aperiodic planar walk has an exact C0
 require_exact_c0 = _rule(lambda w: w.c0 is not None,
                          "the V_n law of large numbers needs a centered strongly aperiodic "
@@ -152,9 +148,7 @@ class FcltReport:
     passed: Optional[bool]
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["per_omega"] = [asdict(o) for o in self.per_omega]
-        return doc
+        return asdict(self)  # recurses into the per-omega dataclasses
 
 
 def run_fclt(*, walk: WalkModel, scenery: SceneryModel, n: int, t_grid,
@@ -203,7 +197,7 @@ def run_fclt(*, walk: WalkModel, scenery: SceneryModel, n: int, t_grid,
             exact_var_y1=float(exact_var_y1),
             mc_var_y1=float(inc.sum(axis=1).var(ddof=1)))
 
-    per_omega, c0, c0_mode = _omega_pass(walk, n, n_omegas, seed, omega, c0=True)
+    per_omega, (c0,), c0_mode = _omega_pass(walk, n, n_omegas, seed, omega, c0_at=[n])
     widths = [b - a for a, b in zip(edges, edges[1:])]
     for o in per_omega:
         o.exact_var_y1 /= c0 * n * logn
@@ -252,6 +246,22 @@ class VarianceLadderReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def track_variance_ladder(*, walk: WalkModel, scenery: SceneryModel, n_ladder: Sequence[int],
+                          n_omegas: int, seed: int) -> VarianceLadderReport:
+    """run_fclt's pooled Var(Y_n(1)) at each rung n, read off the n-step
+    prefixes of one pass of n_ladder[-1]-step paths (sample_path is prefix-stable)."""
+    require_planar_recurrent(walk)
+    n_ladder = sorted(int(n) for n in n_ladder)
+    rows, c0s, _ = _omega_pass(walk, n_ladder[-1], n_omegas, seed, lambda i, path_seed, path: [
+        quenched_variance(scenery, path, (0, n)) for n in n_ladder], c0_at=n_ladder)
+    vals = [float(np.mean([float(v) / (c0 * n * math.log(n)) for v in rung]))
+            for n, c0, rung in zip(n_ladder, c0s, zip(*rows))]
+    degenerate = abs(spectral_density(scenery, dimension=2).at_zero()) < 1e-12
+    decreasing = all(b < a for a, b in zip(vals, vals[1:]))
+    return VarianceLadderReport(n_ladder=n_ladder, pooled_exact_var_y1=vals, decreasing=decreasing,
+                                degenerate=[degenerate] * len(n_ladder), passed=decreasing)
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +615,7 @@ def estimate_tightness_modulus(*, walk: WalkModel, scenery: SceneryModel, n: int
         inc = field_increments(scenery, path, grid, _x_seeds(seed, i, m_sceneries))
         return np.concatenate([np.zeros((inc.shape[0], 1)), np.cumsum(inc, axis=1)], axis=1)
 
-    partial_sums, c0, _ = _omega_pass(walk, n, n_omegas, seed, omega, c0=True)
+    partial_sums, (c0,), _ = _omega_pass(walk, n, n_omegas, seed, omega, c0_at=[n])
     scale = math.sqrt(c0 * n * math.log(n))
     per_omega = {d: [] for d in deltas}
     for unscaled in partial_sums:
@@ -613,9 +623,7 @@ def estimate_tightness_modulus(*, walk: WalkModel, scenery: SceneryModel, n: int
         for d in deltas:
             w = max(1, int(round(d * grid_points)))
             mod = np.zeros(y.shape[0])
-            for o in range(1, w + 1):
-                if o >= y.shape[1]:
-                    break
+            for o in range(1, min(w, y.shape[1] - 1) + 1):
                 np.maximum(mod, np.max(np.abs(y[:, o:] - y[:, :-o]), axis=1), out=mod)
             per_omega[d].append(float(np.mean(mod >= epsilon)))
     estimates = {d: float(np.mean(v)) for d, v in per_omega.items()}
@@ -656,8 +664,8 @@ def track_erdos_taylor(model: WalkModel, n_ladder: Sequence[int], n_omegas: int,
     o(n^eps) witness sup_l w_n / n^eps."""
     require_aperiodic_planar(model)
     n_ladder = sorted(int(n) for n in n_ladder)
-    rows = _omega_pass(model, n_ladder[-1], n_omegas, seed,
-                       lambda i, path_seed, path: [max_local_time(path, n) for n in n_ladder])
+    rows, _, _ = _omega_pass(model, n_ladder[-1], n_omegas, seed,
+                             lambda i, path_seed, path: [max_local_time(path, n) for n in n_ladder])
     sup = {n: [r[k] for r in rows] for k, n in enumerate(n_ladder)}
     log_ratio = {n: [s / math.log(n) ** 2 for s in v] for n, v in sup.items()}
     mean_log = {n: float(np.mean(r)) for n, r in log_ratio.items()}
@@ -712,7 +720,7 @@ def transient_variance_check(scen: SceneryModel, model: WalkModel, n: int,
         inc = field_increments(scen, path, [1.0], _x_seeds(seed, i, m_sceneries))
         return quenched_variance(scen, path, (0, n)) / n, float(inc[:, 0].var(ddof=1)) / n
 
-    rows = _omega_pass(model, n, n_omegas, seed, omega)
+    rows, _, _ = _omega_pass(model, n, n_omegas, seed, omega)
     exact_vals, mc_vals = [e for e, _ in rows], [m for _, m in rows]
     exact_mean = float(np.mean(exact_vals))
     exact_se = float(np.std(exact_vals, ddof=1) / math.sqrt(n_omegas)) if n_omegas > 1 else 0.0
@@ -757,10 +765,10 @@ def run_truncation_ladder(*, walk: WalkModel, scenery: SceneryModel, n: int,
                                    if k not in fk.coeffs)))
         subs.append(scenery_mod.ToralScenery(pair=scenery.pair, poly=fk, q_mod=scenery.q_mod,
                                              orbit_box=scenery.orbit_box))
-    rows, c0, _ = _omega_pass(
+    rows, (c0,), _ = _omega_pass(
         walk, n, n_omegas, seed,
         lambda i, path_seed, path: [quenched_variance(sub, path, (0, n)) for sub in subs],
-        c0=True)
+        c0_at=[n])
     var1 = [float(np.mean([v / (c0 * n * math.log(n)) for v in rung])) for rung in zip(*rows)]
     return TruncationLadderReport(terms_ladder=[int(t) for t in terms_ladder],
                                   norm_c_dropped=norm_drop,

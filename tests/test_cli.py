@@ -138,6 +138,17 @@ def test_validate_accepts_max_steps():
     assert cli.validate_config(dict(TINY_FCLT, n=MAX_STEPS)) == "fclt-iid"
 
 
+def test_validate_variance_ladder_needs_four_fields():
+    doc = {"experiment": "variance-ladder", "seed": 3, "walk": {"preset": "lazy2d"},
+           "scenery": MIXED_MA, "n_ladder": [64, 256], "n_omegas": 2}
+    assert cli.validate_config(doc) == "variance-ladder"
+    assert set(cli.EXPERIMENTS["variance-ladder"].fields) == {"walk", "scenery", "n_ladder",
+                                                               "n_omegas"}
+    for field in ("walk", "scenery", "n_ladder", "n_omegas"):
+        with pytest.raises(cli.ConfigError, match="required field is missing"):
+            cli.validate_config({k: v for k, v in doc.items() if k != field})
+
+
 def test_validate_bounds_toral_rho(tmp_path, capsys, companion_pair):
     def config(rho):
         poly = [[[s * int(i == 0) for i in range(rho)], 0.5, 0.0] for s in (-1, 1)]

@@ -308,8 +308,10 @@ def _tiny(fixture, **fields):
 
 # simple2d has no exact C0, so these runners take V_n(omega, 0) from the paths
 # their own pass draws; the hashes were recorded from runners that drew each
-# path a second time for C0.  Rademacher values and integer counts keep the
-# dgemm exact, so the bytes do not depend on the BLAS thread count.
+# path a second time for C0 (and, for variance-ladder, each path once per rung,
+# with a scenery Monte Carlo per rung that the report never read).  Rademacher
+# values and integer counts keep the dgemm exact, so the bytes do not depend
+# on the BLAS thread count.
 ONE_DRAW = {
     "fclt-iid": (_tiny("fclt_iid.json", m_sceneries=100),
                  "045bc573347e1918452fc860bc37b86cb462b1ee5f4ec3d8576b3b5e87578904"),
@@ -317,7 +319,11 @@ ONE_DRAW = {
                   "21934c83c1112bd7d725babf02c50986ae7a9c814421908ecadcb5851b589d57"),
     "truncation-ladder": (_tiny("truncation_ladder.json"),
                           "d638f6b7f9f34362b6ce394b20571401d71271ec6eea8203c53bf98de98b7d66"),
+    "variance-ladder": (_tiny("ma_degenerate_ladder.json", n_ladder=[64, 256]),
+                        "fba9185764d845e055807f9e63b76084f74ef536909ac04e111db9421203951e"),
 }
+# runners whose reports are exact counts only: a scenery draw is wasted work
+NO_SCENERY_DRAWS = {"truncation-ladder", "variance-ladder"}
 
 
 @pytest.mark.parametrize("name", list(ONE_DRAW))
@@ -328,6 +334,10 @@ def test_one_draw_per_omega_keeps_the_report_bytes(tmp_path, monkeypatch, name):
     sample = harness.sample_path
     monkeypatch.setattr(harness, "sample_path",
                         lambda model, n, seed: calls.append(seed) or sample(model, n, seed))
+    if name in NO_SCENERY_DRAWS:
+        def no_draws(*args, **kwargs):
+            raise AssertionError(f"{name} draws sceneries it never reads")
+        monkeypatch.setattr(harness, "field_increments", no_draws)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     assert cli.main(["run", str(config), "--out", str(tmp_path / "out")]) in (0, 2)
@@ -351,6 +361,9 @@ ALIVE = {
     "truncation-ladder-exact": _tiny("truncation_ladder.json", n=256, n_omegas=3),
     "truncation-ladder-empirical": _tiny("truncation_ladder.json", walk={"preset": "simple2d"},
                                          n=256, n_omegas=3),
+    "variance-ladder-exact": _tiny("ma_degenerate_ladder.json", **LADDER),
+    "variance-ladder-empirical": _tiny("ma_degenerate_ladder.json", **LADDER,
+                                       walk={"preset": "simple2d"}),
 }
 
 

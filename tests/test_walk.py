@@ -255,6 +255,18 @@ def test_sample_path_matches_searchsorted_sampler(name, n):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("name", sorted(cli.WALK_PRESETS) + ["17 atoms"])
+def test_sample_path_is_prefix_stable(name):
+    # one step draws one double, so a shorter path is the prefix of a longer
+    # one with the same seed: ladder runners read every rung off one path
+    law = cli.WALK_PRESETS[name]() if name in cli.WALK_PRESETS else _CUSTOM_LAWS[name]
+    model = walk.build_walk_model(law)
+    for seed in (0, 12345):
+        full = walk.sample_path(model, 40, seed).positions
+        for n in (1, 2, 17):
+            assert np.array_equal(walk.sample_path(model, n, seed).positions, full[:n])
+
+
 @pytest.mark.parametrize("name, searched", [("16 atoms", False), ("17 atoms", True)])
 def test_atom_scan_threshold(name, searched, monkeypatch):
     calls = []
