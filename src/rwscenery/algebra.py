@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import add
+from operator import add, neg
 
 import numpy as np
 
@@ -210,8 +210,10 @@ class MatrixPair:
     a1: tuple
     a2: tuple
     rho: int
-    _cache: dict = field(default_factory=dict, repr=False)
-    _gen_powers: dict = field(default_factory=dict, repr=False)
+    # memos, kept out of == and repr: a pair equals its copy whatever it computed
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _gen_powers: dict = field(default_factory=dict, repr=False, compare=False)
+    _dual: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def matrix_pair(a1, a2) -> MatrixPair:
@@ -293,8 +295,12 @@ def check_pair(pair: MatrixPair, box: int) -> PairReport:
 
 
 def dual_orbit(pair: MatrixPair, k, ell) -> tuple:
-    """Transpose action on frequency vectors: transpose(A^l) k, exact."""
-    return mat_vec(mat_transpose(mat_pow_pair(pair, ell)), k)
+    """Transpose action on frequency vectors: transpose(A^l) k, exact and cached."""
+    key = (tuple(k), tuple(ell))
+    out = pair._dual.get(key)
+    if out is None:
+        out = pair._dual[key] = mat_vec(mat_transpose(mat_pow_pair(pair, ell)), k)
+    return out
 
 
 def toral_correlation(pair: MatrixPair, f: TrigPolynomial, ell) -> float:
@@ -316,14 +322,19 @@ def exact_joint_moment(pair: MatrixPair, f: TrigPolynomial, ells,
     Characters integrate to the indicator of a zero frequency sum, so the
     moment is the sum of prod c_{k_i} over support tuples whose transported
     frequencies cancel.  Partial-sum dictionaries keep the scan well below
-    the worst case support^r.
+    the worst case support^r.  The last factor only feeds the zero sum: the
+    transported frequencies are distinct (the dual action is injective), so
+    each partial sum s meets at most one of them, -s, and the terms add in
+    partial-dict order as a full last convolution would add them.
     """
     r = len(ells)
     support = f.support
     if len(support) ** r > budget:
         raise ValueError("combinatorial budget exceeded")
+    if r == 0:
+        return 1.0
     partial = {(0,) * f.rho: 1.0 + 0.0j}
-    for ell in ells:
+    for ell in ells[:-1]:
         transported = [(dual_orbit(pair, k, ell), f.coeffs[k]) for k in support]
         nxt = {}
         for s, acc in partial.items():
@@ -331,7 +342,12 @@ def exact_joint_moment(pair: MatrixPair, f: TrigPolynomial, ells,
                 key = tuple(map(add, s, kk))
                 nxt[key] = nxt.get(key, 0.0 + 0.0j) + acc * c
         partial = nxt
-    total = partial.get((0,) * f.rho, 0.0 + 0.0j)
+    last = {dual_orbit(pair, k, ells[-1]): f.coeffs[k] for k in support}
+    total = 0.0 + 0.0j
+    for s, acc in partial.items():
+        c = last.get(tuple(map(neg, s)))
+        if c is not None:
+            total += acc * c
     assert abs(total.imag) < 1e-9
     return float(total.real)
 
@@ -359,7 +375,16 @@ def _moment_memo(pair: MatrixPair, f: TrigPolynomial):
 
 
 def _cumulant(moment, ells) -> float:
-    return joint_cumulant(lambda block: moment([ells[i - 1] for i in block]), len(ells))
+    """Joint cumulant of the config ``ells``, asking ``moment`` once per distinct
+    block (15 subsets for the 37 block occurrences of the partitions at r = 4)."""
+    blocks = {}
+
+    def block_moment(block):
+        if block not in blocks:
+            blocks[block] = moment([ells[i - 1] for i in block])
+        return blocks[block]
+
+    return joint_cumulant(block_moment, len(ells))
 
 
 def exact_cumulant(pair: MatrixPair, f: TrigPolynomial, ells) -> float:
@@ -472,8 +497,10 @@ def _singular_triples(mats: dict, ells: list) -> set:
     """Triples (l1, l2, l3) with M = A^{l1} - A^{l2} + A^{l3} - I singular
     modulo two primes: a superset of the exactly singular ones.
 
-    Every triple is screened by broadcasting modulo the first prime; only
-    its zeros are rechecked modulo the second.
+    M is the same integer matrix for (l1, l2, l3) and (l3, l2, l1), so only
+    i3 >= i1 is screened and the hits are mirrored.  Each of those is
+    screened by broadcasting modulo the first prime; only its zeros are
+    rechecked modulo the second.
     """
     q1, q2 = 1048573, 1048583
     powers = np.stack([mats[e] for e in ells])  # (L, 3, 3) Python ints
@@ -481,12 +508,13 @@ def _singular_triples(mats: dict, ells: list) -> set:
     ident = np.eye(3, dtype=np.int64)
     hits = []
     for i1 in range(len(ells)):
-        det = _det3_mod(arr1[i1][None, None] - arr1[:, None] + arr1[None, :] - ident, q1)
+        det = _det3_mod(arr1[i1][None, None] - arr1[:, None] + arr1[None, i1:] - ident, q1)
         idx2, idx3 = np.nonzero(det == 0)
-        hits.append(np.stack([np.full_like(idx2, i1), idx2, idx3], axis=1))
+        hits.append(np.stack([np.full_like(idx2, i1), idx2, idx3 + i1], axis=1))
     i1, i2, i3 = np.concatenate(hits).T
     keep = _det3_mod(arr2[i1] - arr2[i2] + arr2[i3] - ident, q2) == 0
-    return {(ells[a], ells[b], ells[c]) for a, b, c in zip(i1[keep], i2[keep], i3[keep])}
+    half = {(ells[a], ells[b], ells[c]) for a, b, c in zip(i1[keep], i2[keep], i3[keep])}
+    return half | {(e3, e2, e1) for e1, e2, e3 in half}
 
 
 def _kernel_mask(d, gammas: np.ndarray, gamma_bound: int) -> np.ndarray:
@@ -494,6 +522,8 @@ def _kernel_mask(d, gammas: np.ndarray, gamma_bound: int) -> np.ndarray:
     if _exact_det3(d) != 0:
         return np.zeros(len(gammas), dtype=bool)
     big = max(abs(int(x)) for x in d.ravel())
+    if big == 0:
+        return np.ones(len(gammas), dtype=bool)  # every g solves 0 g = 0
     # int64 products while the dot product fits; Python integers past that
     d = d.astype(np.int64 if 3 * big * gamma_bound < 2**62 else object)
     return np.all(gammas @ d.T == 0, axis=1)

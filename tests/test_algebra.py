@@ -212,8 +212,107 @@ def test_cumulant_scan_computes_each_translated_moment_once(sl3_pair, four_term_
 
     monkeypatch.setattr(algebra, "exact_joint_moment", counted)
     algebra.find_cumulant_radius(sl3_pair, four_term_poly, scan=1)
-    # one call per distinct translated index tuple, against 729 * 15 unmemoized
-    assert len(calls) == len(set(calls)) <= 1116
+    # one call per distinct translated index tuple (1116 of them at scan 1),
+    # against 729 * 15 unmemoized
+    assert len(set(calls)) == 1116
+    assert len(calls) == len(set(calls))
+
+
+def _full_dict_joint_moment(pair, f, ells, budget=10**7):
+    """Reference exact_joint_moment: a full dict convolution for every factor,
+    the last one included, with each dual orbit rebuilt from A^l."""
+    r = len(ells)
+    support = f.support
+    if len(support) ** r > budget:
+        raise ValueError("combinatorial budget exceeded")
+    partial = {(0,) * f.rho: 1.0 + 0.0j}
+    for ell in ells:
+        dual = algebra.mat_transpose(algebra.mat_pow_pair(pair, ell))
+        transported = [(algebra.mat_vec(dual, k), f.coeffs[k]) for k in support]
+        nxt = {}
+        for s, acc in partial.items():
+            for kk, c in transported:
+                key = tuple(a + b for a, b in zip(s, kk))
+                nxt[key] = nxt.get(key, 0.0 + 0.0j) + acc * c
+        partial = nxt
+    total = partial.get((0,) * f.rho, 0.0 + 0.0j)
+    assert abs(total.imag) < 1e-9
+    return float(total.real)
+
+
+@pytest.mark.parametrize("poly", ["four_term", "complex"])
+@pytest.mark.parametrize("r", [0, 1, 2, 3, 4])
+def test_joint_moment_matches_full_dict_convolution(sl3_pair, four_term_poly, poly, r):
+    f = four_term_poly if poly == "four_term" else COMPLEX_POLY
+    # the scan-1 grid (l_1, .., l_{r-1}, 0): at r = 4, seven of its configs
+    # add three or more complex terms whose sum moves with the summation order
+    box = list(itertools.product(range(-1, 2), repeat=2))
+    configs = ([list(cfg) + [(0, 0)] for cfg in itertools.product(box, repeat=r - 1)]
+               if r else [[]])
+    gen = np.random.default_rng(100 + r)
+    configs += [[tuple(e) for e in cfg]
+                for cfg in gen.integers(-3, 4, size=(40, r, 2)).tolist()]
+    for ells in configs:
+        assert algebra.exact_joint_moment(sl3_pair, f, ells) == \
+            _full_dict_joint_moment(sl3_pair, f, ells), ells
+
+
+def test_joint_moment_budget_raises_before_any_work(sl3_pair, four_term_poly, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work done before the budget check")
+
+    monkeypatch.setattr(algebra, "dual_orbit", no_work)
+    monkeypatch.setattr(algebra, "mat_pow_pair", no_work)
+    for ells, budget in (([(0, 0)] * 4, 10), ([(1, 2)] * 2, 15), ([], 0)):
+        with pytest.raises(ValueError, match="budget"):
+            algebra.exact_joint_moment(sl3_pair, four_term_poly, ells, budget=budget)
+
+
+def test_pair_equality_ignores_caches(sl3_pair):
+    doc = {"a1": sl3_pair.a1, "a2": sl3_pair.a2}
+    fresh, used = algebra.pair_from_dict(doc), algebra.pair_from_dict(doc)
+    algebra.mat_pow_pair(used, (2, -1))
+    algebra.mat_pow_pair(used, (-3, 1))
+    algebra.dual_orbit(used, (1, 0, 0), (1, 1))
+    assert used._cache and used._gen_powers and used._dual
+    assert fresh == used and repr(fresh) == repr(used)
+    assert fresh != algebra.matrix_pair(sl3_pair.a2, sl3_pair.a1)
+
+
+def test_dual_orbit_cache_matches_transpose_action(sl3_pair):
+    for ell in [(0, 0), (2, -1), (-3, 2)]:
+        dual = algebra.mat_transpose(algebra.mat_pow_pair(sl3_pair, ell))
+        for k in [(1, 0, 0), (2, -1, 3)]:
+            want = algebra.mat_vec(dual, k)
+            assert algebra.dual_orbit(sl3_pair, k, ell) == want
+            # a cache hit, also through numpy integers and lists
+            assert algebra.dual_orbit(sl3_pair, np.array(k), list(ell)) == want
+
+
+def _full_grid_screen(mats, ells):
+    """Reference _singular_triples: every (l1, l2, l3) of the grid screened."""
+    q1, q2 = 1048573, 1048583
+    powers = np.stack([mats[e] for e in ells])
+    arr1, arr2 = ((powers % q).astype(np.int64) for q in (q1, q2))
+    ident = np.eye(3, dtype=np.int64)
+    hits = []
+    for i1 in range(len(ells)):
+        det = algebra._det3_mod(arr1[i1][None, None] - arr1[:, None] + arr1[None, :] - ident,
+                                q1)
+        idx2, idx3 = np.nonzero(det == 0)
+        hits.append(np.stack([np.full_like(idx2, i1), idx2, idx3], axis=1))
+    i1, i2, i3 = np.concatenate(hits).T
+    keep = algebra._det3_mod(arr2[i1] - arr2[i2] + arr2[i3] - ident, q2) == 0
+    return {(ells[a], ells[b], ells[c]) for a, b, c in zip(i1[keep], i2[keep], i3[keep])}
+
+
+@pytest.mark.parametrize("ell_bound", [2, 3])
+def test_symmetric_screen_equals_full_grid_screen(sl3_pair, ell_bound):
+    ells = list(itertools.product(range(-ell_bound, ell_bound + 1), repeat=2))
+    mats = {e: np.asarray(algebra.mat_pow_pair(sl3_pair, e), dtype=object) for e in ells}
+    want = _full_grid_screen(mats, ells)
+    assert any(e1 != e3 for e1, _, e3 in want)  # some hits need their mirror
+    assert algebra._singular_triples(mats, ells) == want
 
 
 def test_sunit_screen_keeps_every_singular_triple(sl3_pair):
@@ -240,6 +339,15 @@ def test_kernel_mask_is_exact_past_int64():
         assert algebra._kernel_mask(d, gammas, 3).tolist() == want
     assert not algebra._kernel_mask(np.eye(3, dtype=np.int64).astype(object),
                                     gammas, 3).any()
+
+
+def test_kernel_mask_of_zero_matrix_matches_matmul():
+    gammas = np.array([g for g in itertools.product(range(-3, 4), repeat=3) if any(g)])
+    zero = np.zeros((3, 3), dtype=np.int64)
+    want = np.all(gammas @ zero.T == 0, axis=1)
+    for d in (zero, zero.astype(object)):
+        got = algebra._kernel_mask(d, gammas, 3)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
 # a kernel vector U e1 = (1, 1, 2) and, per case, the eigenvalues (a1, a2, a3)

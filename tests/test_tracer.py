@@ -4,6 +4,8 @@ the benchmark's own tests."""
 
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -40,3 +42,24 @@ def test_tracer_installs_and_uninstalls():
     finally:
         tr.uninstall()
     assert _bindings() == before
+
+
+def test_tracer_installs_with_only_the_program_imported():
+    """In a fresh interpreter that imports only what the benchmark's
+    ``common.import_program`` imports (so nothing here preloads scipy.stats),
+    the tracer still installs and uninstalls."""
+    bench = TRACER.parent
+    script = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(bench)!r})",
+        "from common import import_program",
+        "import_program()",
+        "from tracer import Tracer",
+        "tr = Tracer()",
+        "tr.install()",
+        "tr.uninstall()",
+    ])
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-c", script], cwd=bench.parent, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
