@@ -26,7 +26,6 @@ from dataclasses import dataclass, asdict
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .localtime import (local_times, max_local_time, pair_count_tables, path_table,
                         self_intersections)
@@ -39,6 +38,7 @@ from .scenery import (
     quenched_variance,
     site_values,
     spectral_density,
+    stats,
     window_boundaries,
 )
 from .walk import RECURRENT, WalkModel, WalkPath, sample_path

@@ -13,20 +13,43 @@ must give statistically indistinguishable reports.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import ndtri
-from scipy.stats import norm
 
 from . import algebra
 from .localtime import local_times, pair_count_tables, path_table, unique_sites, window_counts
 from .rng import derive_seed, hash_sites, philox_gen, splitmix64, u64_to_uniform
 from .trigpoly import TrigPolynomial
 from .walk import RECURRENT, WalkModel, WalkPath, green_series_table
+
+
+def _lazy_module(name: str):
+    """``name`` registered in ``sys.modules`` now but executed on its first
+    attribute access (the ``importlib.util.LazyLoader`` recipe of the Python
+    docs), so a run that never draws a Gaussian, integrates or tests pays
+    nothing for scipy.  Python 3.11's LazyLoader can race when two threads
+    touch a module mid-load (fixed in 3.12); the program is single-threaded
+    at the Python level, so that cannot happen here."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    loader.exec_module(module)
+    return module
+
+
+integrate = _lazy_module("scipy.integrate")
+special = _lazy_module("scipy.special")
+stats = _lazy_module("scipy.stats")
 
 
 class OrbitExitError(RuntimeError):
@@ -106,15 +129,15 @@ class Gaussian(Law):
     name = "gaussian"
 
     def values(self, words):
-        return ndtri(u64_to_uniform(words))
+        return special.ndtri(u64_to_uniform(words))
 
     def moment(self, k):
         return {0: 1.0, 1: 0.0, 2: 1.0, 3: 0.0, 4: 3.0}[k]
 
     def partial_moment(self, k, level):
         # M_k = -level^{k-1} phi(level) + (k-1) M_{k-2}
-        phi = norm.pdf(level)
-        m = [norm.cdf(level), -phi]
+        phi = stats.norm.pdf(level)
+        m = [stats.norm.cdf(level), -phi]
         for j in range(2, k + 1):
             m.append(-(level ** (j - 1)) * phi + (j - 1) * m[j - 2])
         return m[k]
@@ -130,15 +153,15 @@ class TruncatedGaussian(Law):
 
     def __init__(self, level: float):
         self.level = float(level)
-        self._shift = norm.pdf(self.level)  # -E[g 1_{g<=L}] = phi(L)
-        var = norm.cdf(self.level) - self.level * norm.pdf(self.level) - self._shift**2
+        self._shift = stats.norm.pdf(self.level)  # -E[g 1_{g<=L}] = phi(L)
+        var = stats.norm.cdf(self.level) - self.level * stats.norm.pdf(self.level) - self._shift**2
         if var <= 0:
             raise ValueError("truncation level leaves no variance")
         self._scale = math.sqrt(var)
         self.bound = (abs(self.level) + self._shift) / self._scale + 1.0
 
     def values(self, words):
-        g = ndtri(u64_to_uniform(words))
+        g = special.ndtri(u64_to_uniform(words))
         hat = np.where(g <= self.level, g, 0.0) + self._shift
         return hat / self._scale
 
@@ -159,11 +182,11 @@ class TruncatedGaussian(Law):
         cut = min(self.level, t * self._scale - self._shift)
         val = 0.0
         if cut > -40.0:
-            val, _ = quad(lambda g: ((g + self._shift) / self._scale) ** k * norm.pdf(g),
-                          -40.0, cut)
+            val, _ = integrate.quad(
+                lambda g: ((g + self._shift) / self._scale) ** k * stats.norm.pdf(g), -40.0, cut)
         atom_value = self._shift / self._scale
         if atom_value <= t:
-            val += atom_value**k * norm.sf(self.level)
+            val += atom_value**k * stats.norm.sf(self.level)
         return val
 
 
@@ -274,6 +297,13 @@ class ToralScenery:
         if self.pair.rho > 4:
             raise ValueError(f"rho = {self.pair.rho}: toral sceneries need rho <= 4, "
                              "so that rho-term uint64 dot products mod q stay exact")
+        for name in ("q_mod", "orbit_box"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} = {value!r}: expected an integer")
+            object.__setattr__(self, name, int(value))  # _is_prime needs an int, not np.int64
+        if self.orbit_box < 1:
+            raise ValueError(f"orbit_box = {self.orbit_box}: expected an integer >= 1")
         if not _is_prime(self.q_mod):
             raise ValueError(f"q_mod = {self.q_mod} is not prime")
         if not (2**20 < self.q_mod < 2**31):

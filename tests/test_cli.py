@@ -74,6 +74,13 @@ PATH_CHECK = {"experiment": "newman-wright", "seed": 7, "walk": {"preset": "lazy
               "n": 64, "m_sceneries": 50, "lambda_grid": [1.0, 2.0]}
 MIXED_MA = {"variant": "moving_average", "law": {"name": "rademacher"},
             "coeffs": [{"q": [0, 0], "a": 1.0}, {"q": [1, 0], "a": -1.0}]}
+TORAL = {"variant": "toral", "pair": "bundled-sl3", "q_mod": 2**31 - 1,
+         "poly": [[[s, 0, 0], 0.5, 0.0] for s in (-1, 1)]}
+
+
+def _toral(**fields):
+    return dict(TINY_FCLT, experiment="fclt-toral", scenery=dict(TORAL, **fields))
+
 
 # configs that would crash at run time (or, for an empty list, run a vacuous
 # check): `validate` must reject each one, naming the bad field
@@ -111,13 +118,22 @@ REJECTED = [
     (dict(PATH_CHECK, scenery=MIXED_MA), "scenery"),
     (dict(PATH_CHECK, experiment="moricz", scenery=MIXED_MA), "scenery"),
     (dict(TINY_FCLT, experiment="truncation-ladder", terms_ladder=[2]), "scenery"),
+    # ToralScenery's integer constants: orbit_box >= 1, q_mod a prime in (2^20, 2^31)
+    *((_toral(orbit_box=v), "scenery") for v in ("6", 6.0, True, 0, -1)),
+    *((_toral(q_mod=v), "scenery") for v in (2147483647.0, "2147483647", True)),
 ]
 
 
 def _rejected_id(doc, field):
-    """experiment:field, and the preset of a walk that the runner's rule rejects."""
-    preset = doc[field].get("preset") if field == "walk" else None
-    return f"{doc['experiment']}:{field}" + (f"={preset}" if preset else "")
+    """experiment:field, and the preset of a walk that the runner's rule rejects
+    or the toral constant that the scenery rejects."""
+    extra = None
+    if field == "walk":
+        extra = doc["walk"].get("preset")
+    elif field == "scenery" and doc["scenery"].get("variant") == "toral":
+        key = "orbit_box" if "orbit_box" in doc["scenery"] else "q_mod"
+        extra = f"{key}={doc['scenery'][key]!r}"
+    return f"{doc['experiment']}:{field}" + (f"={extra}" if extra else "")
 
 
 @pytest.mark.parametrize("doc,field", REJECTED, ids=[_rejected_id(d, f) for d, f in REJECTED])

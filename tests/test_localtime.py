@@ -336,3 +336,19 @@ def test_planar_path_is_tabulated_without_np_unique(lazy_model, monkeypatch):
     table = localtime.path_table(path)
     assert table.keys is not None
     assert len(table.inverse) == 2**16
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_pack_sites_planar_coordinate_limits(sign):
+    # d = 2 packs 31 bits plus a sign offset per coordinate: |x| <= 2^31 - 2
+    edge = sign * (2**31 - 2)
+    points = np.array([[edge, 0], [0, edge], [edge, -edge], [0, 0]], dtype=np.int64)
+    assert localtime._pack_shift_ok(points, 2)
+    keys = localtime.pack_sites(points, 2)
+    assert np.array_equal(localtime.unpack_sites(keys, 2), points)
+    order = np.lexsort(points[:, ::-1].T)
+    assert np.array_equal(np.argsort(keys, kind="stable"), order)
+    for j in range(2):
+        past = points.copy()
+        past[0, j] = sign * (2**31 - 1)
+        assert not localtime._pack_shift_ok(past, 2)

@@ -116,6 +116,37 @@ def test_q_mod_validation(sl3_pair, four_term_poly):
         scenery.toral_scenery(sl3_pair, four_term_poly, q_mod=2**61 - 1)  # too large
 
 
+def _trial_prime(n):
+    return n > 1 and all(n % p for p in range(2, math.isqrt(n) + 1))
+
+
+@pytest.mark.parametrize("q,ok", [(1048573, False), (1048583, True),
+                                  (2**31 - 1, True), (2147483659, False)])
+def test_q_mod_range_boundaries(sl3_pair, four_term_poly, q, ok):
+    # the primes nearest each end of (2^20, 2^31): only the range decides
+    assert _trial_prime(q) and scenery._is_prime(q)
+    edge = 2**20 if q < 2**21 else 2**31
+    assert not any(_trial_prime(x) for x in range(min(q, edge) + 1, max(q, edge)))
+    if ok:
+        assert scenery.toral_scenery(sl3_pair, four_term_poly, q_mod=q).q_mod == q
+    else:
+        with pytest.raises(ValueError, match=r"\(2\^20, 2\^31\)"):
+            scenery.toral_scenery(sl3_pair, four_term_poly, q_mod=q)
+
+
+@pytest.mark.parametrize("field,value", [("orbit_box", "6"), ("orbit_box", 6.0),
+                                         ("orbit_box", True), ("orbit_box", 0),
+                                         ("orbit_box", -1), ("q_mod", 2147483647.0),
+                                         ("q_mod", "2147483647"), ("q_mod", True)])
+def test_toral_constants_must_be_integers(sl3_pair, four_term_poly, field, value):
+    kw = {"q_mod": 2**31 - 1, "orbit_box": 12, field: value}
+    with pytest.raises(ValueError, match=f"^{field} = "):
+        scenery.ToralScenery(pair=sl3_pair, poly=four_term_poly, **kw)
+    kw[field] = np.int64(2**31 - 1 if field == "q_mod" else 1)  # orbit_box 1 stays legal
+    tor = scenery.ToralScenery(pair=sl3_pair, poly=four_term_poly, **kw)
+    assert type(getattr(tor, field)) is int and getattr(tor, field) == kw[field]
+
+
 def test_asymptotic_variance_recurrent(lazy_model):
     ma = scenery.moving_average_scenery({(0, 0): 1.0, (1, 0): 1.0})
     est = scenery.asymptotic_variance(ma, lazy_model)

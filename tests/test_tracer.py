@@ -63,3 +63,39 @@ def test_tracer_installs_with_only_the_program_imported():
     done = subprocess.run([sys.executable, "-c", script], cwd=bench.parent, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_tracer_records_ks_spans_through_the_deferred_scipy_stats():
+    """With scipy.stats not yet executed when the tracer installs, its wrapper
+    on ``scipy.stats.ks_1samp`` must be what ``harness`` calls: a tiny
+    fclt-iid run records one KS span per omega and window, and its payload
+    equals the untraced run's."""
+    bench = TRACER.parent
+    script = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(bench)!r})",
+        "from common import import_program",
+        "import_program()",
+        "from tracer import Tracer",
+        "from rwscenery import cli, reportio",
+        "assert 'scipy.stats._stats_py' not in sys.modules",
+        "doc = {'experiment': 'fclt-iid', 'seed': 99, 'walk': {'preset': 'lazy2d'},",
+        "       'scenery': {'variant': 'iid', 'law': {'name': 'rademacher'}},",
+        "       'n': 512, 't_grid': [0.5, 1.0], 'm_sceneries': 100, 'n_omegas': 2}",
+        "def payload():",
+        "    report, series, _ = cli.run_experiment(doc)",
+        "    return reportio.canonical_json({'report': report.to_dict(), 'series': series})",
+        "tr = Tracer()",
+        "tr.install()",
+        "try:",
+        "    traced = payload()",
+        "finally:",
+        "    tr.uninstall()",
+        "ks = [s for s in tr.spans if s[0] == 'harness.ks_1samp']",
+        "assert len(ks) == 2 * 2, len(ks)",
+        "assert traced == payload()",
+    ])
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-c", script], cwd=bench.parent, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
