@@ -317,8 +317,7 @@ EXPERIMENTS = {
                                   {**_LADDER, "scenery": _scenery}, _run_variance_ladder,
                                   _PLANAR),
     "lln-variance": Experiment("law of large numbers for self-intersection counts V_n / (C0 n log n) -> 1",
-                               {**_LADDER, "p_set": _P_SET}, _run_lln,
-                               {"walk": harness.require_exact_c0}),
+                               {**_LADDER, "p_set": _P_SET}, _run_lln, _PLANAR),
     "orthogonality": Experiment("asymptotic orthogonality of cross-interval coincidence counts",
                                 {**_LADDER, "windows": _WINDOWS, "p_set": _P_SET},
                                 _run_orthogonality),
@@ -334,14 +333,15 @@ EXPERIMENTS = {
     "tightness": Experiment("modulus-of-continuity tightness estimates for the rescaled process",
                             {**_SCALED, "m_sceneries": _at_least(100),
                              "delta_ladder": _list(_number), "epsilon": _number,
-                             "grid_points": (_at_least(1), 128)}, _run_tightness),
+                             "grid_points": (_at_least(1), 128)}, _run_tightness, _PLANAR),
     "transient-variance": Experiment("Green-series asymptotic variance for transient walks",
                                      {**_PATH, "n_omegas": (_at_least(1), 10),
                                       "k_max": (_at_least(0), 60)}, _run_transient,
                                      {"walk": harness.require_transient}),
     "truncation-ladder": Experiment("trig-polynomial approximation ladder for toral observables",
                                     {**_SCALED, "terms_ladder": _list(_at_least(1))},
-                                    _run_truncation_ladder, {"scenery": harness.require_toral}),
+                                    _run_truncation_ladder,
+                                    {**_PLANAR, "scenery": harness.require_toral}),
 }
 
 

@@ -27,8 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .localtime import (local_times, max_local_time, pair_count_tables, path_table,
-                        self_intersections)
+from .localtime import local_times, max_local_time, pair_count_tables, path_table
 from .rng import derive_seed
 from .scenery import (
     IIDScenery,
@@ -56,28 +55,14 @@ def _x_seeds(master: int, i: int, m: int) -> list:
     return [derive_seed(master, "scenery", i, j) for j in range(m)]
 
 
-def _omega_pass(model: WalkModel, n: int, n_omegas: int, seed: int, fn, c0_at=()):
-    """(results, C0s, mode): results[i] = fn(i, path_seed, path), the n-step path
-    drawn once with path_seed = _omega_seed(seed, i), and each path (with its
-    cached site table) dead before the next one is drawn.  C0s has a C0 per
-    prefix length m in ``c0_at``: the walk's exact one, else the omega mean of
-    V_m(omega, 0) / (m log m) over the same paths.
+def _omega_pass(model: WalkModel, n: int, n_omegas: int, seed: int, fn) -> list:
+    """[fn(i, path_seed, path) for each omega i]: the n-step path drawn once
+    with path_seed = _omega_seed(seed, i), and each path (with its cached site
+    table) dead before the next one is drawn.  ``fn`` returns the omega's rows
+    and keeps no state, so the runner reduces the results in omega order.
     """
-    totals = [0.0] * len(c0_at)  # over omegas, left to right: sum() compensates on 3.12+
-
-    def visit(i):
-        path_seed = _omega_seed(seed, i)
-        path = sample_path(model, n, path_seed)
-        result = fn(i, path_seed, path)
-        if model.c0 is None:
-            totals[:] = [t + self_intersections(path, m) / (m * math.log(m))
-                         for t, m in zip(totals, c0_at)]
-        return result
-
-    results = [visit(i) for i in range(n_omegas)]
-    if model.c0 is not None:
-        return results, [model.c0] * len(c0_at), "exact"
-    return results, [t / n_omegas for t in totals], "empirical"
+    seeds = [_omega_seed(seed, i) for i in range(n_omegas)]
+    return [fn(i, s, sample_path(model, n, s)) for i, s in enumerate(seeds)]
 
 
 def _rule(ok, message: str):
@@ -88,12 +73,9 @@ def _rule(ok, message: str):
     return require
 
 
-require_planar_recurrent = _rule(lambda w: w.dimension == 2 and w.classification == RECURRENT,
-                                 "the FCLT runners cover centered planar walks")
-# only a centered, strongly aperiodic planar walk has an exact C0
-require_exact_c0 = _rule(lambda w: w.c0 is not None,
-                         "the V_n law of large numbers needs a centered strongly aperiodic "
-                         "planar walk (exact C0); use the empirical mode of run_fclt otherwise")
+require_planar_recurrent = _rule(lambda w: w.c0 is not None,
+                                 "the runner normalizes by C0 n log n, which needs a centered "
+                                 "planar walk whose support spans a rank-2 lattice")
 require_aperiodic_planar = _rule(  # planar and recurrent: centered, not deterministic
     lambda w: w.dimension == 2 and w.classification == RECURRENT and w.aperiodic,
     "sup-local-time tracking needs a centered aperiodic planar walk, not a deterministic one")
@@ -135,7 +117,7 @@ class FcltReport:
     seed: int
     sigma2: float               # phi_f(0), the C0-normalized target variance
     c0: float
-    c0_mode: str                # "exact" | "empirical"
+    c0_mode: str                # always "exact"
     degenerate: bool
     per_omega: list
     ks_pass_fraction: list      # per window, at the ks_p threshold
@@ -167,7 +149,7 @@ def run_fclt(*, walk: WalkModel, scenery: SceneryModel, n: int, t_grid,
         raise ValueError("t_grid must end at 1.0 so Y_n(1) is defined")
     tol = {"ks_p": 0.01, "ks_pass_fraction": 0.9, "offdiag_abs": 0.1,
            "offdiag_pass_fraction": 0.9, **(tolerances or {})}
-    logn = math.log(n)
+    logn, c0 = math.log(n), walk.c0
     sigma2 = spectral_density(scenery, dimension=2).at_zero()
     degenerate = abs(sigma2) < 1e-12
 
@@ -197,7 +179,7 @@ def run_fclt(*, walk: WalkModel, scenery: SceneryModel, n: int, t_grid,
             exact_var_y1=float(exact_var_y1),
             mc_var_y1=float(inc.sum(axis=1).var(ddof=1)))
 
-    per_omega, (c0,), c0_mode = _omega_pass(walk, n, n_omegas, seed, omega, c0_at=[n])
+    per_omega = _omega_pass(walk, n, n_omegas, seed, omega)
     widths = [b - a for a, b in zip(edges, edges[1:])]
     for o in per_omega:
         o.exact_var_y1 /= c0 * n * logn
@@ -226,7 +208,7 @@ def run_fclt(*, walk: WalkModel, scenery: SceneryModel, n: int, t_grid,
     return FcltReport(
         n=n, t_grid=t_grid, m_sceneries=m_sceneries,
         n_omegas=n_omegas, seed=seed, sigma2=sigma2, c0=c0,
-        c0_mode=c0_mode, degenerate=degenerate, per_omega=per_omega,
+        c0_mode="exact", degenerate=degenerate, per_omega=per_omega,
         ks_pass_fraction=ks_pass, offdiag_pass_fraction=off_pass,
         pooled_offdiag=pooled_off, pooled_offdiag_max=pooled_off_max,
         pooled_exact_var_y1=float(np.mean([o.exact_var_y1 for o in per_omega])),
@@ -254,10 +236,10 @@ def track_variance_ladder(*, walk: WalkModel, scenery: SceneryModel, n_ladder: S
     prefixes of one pass of n_ladder[-1]-step paths (sample_path is prefix-stable)."""
     require_planar_recurrent(walk)
     n_ladder = sorted(int(n) for n in n_ladder)
-    rows, c0s, _ = _omega_pass(walk, n_ladder[-1], n_omegas, seed, lambda i, path_seed, path: [
-        quenched_variance(scenery, path, (0, n)) for n in n_ladder], c0_at=n_ladder)
-    vals = [float(np.mean([float(v) / (c0 * n * math.log(n)) for v in rung]))
-            for n, c0, rung in zip(n_ladder, c0s, zip(*rows))]
+    rows = _omega_pass(walk, n_ladder[-1], n_omegas, seed, lambda i, path_seed, path: [
+        quenched_variance(scenery, path, (0, n)) for n in n_ladder])
+    vals = [float(np.mean([float(v) / (walk.c0 * n * math.log(n)) for v in rung]))
+            for n, rung in zip(n_ladder, zip(*rows))]
     degenerate = abs(spectral_density(scenery, dimension=2).at_zero()) < 1e-12
     decreasing = all(b < a for a, b in zip(vals, vals[1:]))
     return VarianceLadderReport(n_ladder=n_ladder, pooled_exact_var_y1=vals, decreasing=decreasing,
@@ -295,19 +277,21 @@ def track_variance_lln(model: WalkModel, n_ladder: Sequence[int], p_set,
     """V_n(omega, p) / (C0 n log n) along an n-ladder; the limit is 1 for
     every p.  Prefix windows of a single path per omega keep the ladder
     internally consistent (common random numbers)."""
-    require_exact_c0(model)
+    require_planar_recurrent(model)
     n_ladder = sorted(int(n) for n in n_ladder)
     p_set = [tuple(int(c) for c in p) for p in p_set]
-    ratios = {(n, p): [] for n in n_ladder for p in p_set}
 
     def omega(i, path_seed, path):
+        """{(n, p): V_n(omega, p) / (C0 n log n)}"""
+        row = {}
         for n in n_ladder:
             tab = local_times(path, (0, n))
             denom = model.c0 * n * math.log(n)
-            for p in p_set:
-                ratios[(n, p)].append(pair_count_tables(tab, tab, p) / denom)
+            row.update({(n, p): pair_count_tables(tab, tab, p) / denom for p in p_set})
+        return row
 
-    _omega_pass(model, n_ladder[-1], n_omegas, seed, omega)
+    rows = _omega_pass(model, n_ladder[-1], n_omegas, seed, omega)
+    ratios = {(n, p): [r[(n, p)] for r in rows] for n in n_ladder for p in p_set}
     mean_r = {k: float(np.mean(v)) for k, v in ratios.items()}
     std_r = {k: float(np.std(v, ddof=1)) if len(v) > 1 else 0.0 for k, v in ratios.items()}
     max_r = {k: float(np.max(v)) for k, v in ratios.items()}
@@ -347,16 +331,19 @@ def check_increment_orthogonality(model: WalkModel, n_ladder: Sequence[int],
         raise ValueError("need 0 < A < B < C < D < 1")
     n_ladder = sorted(int(n) for n in n_ladder)
     p_set = [tuple(int(x) for x in p) for p in p_set]
-    series = {(n, p): [] for n in n_ladder for p in p_set}
 
     def omega(i, path_seed, path):
+        """{(n, p): V(omega, [nA, nB), [nC, nD), p) / (n log n)}"""
+        row = {}
         for n in n_ladder:
             tab_i = local_times(path, (int(n * a), int(n * b)))
             tab_j = local_times(path, (int(n * c), int(n * d)))
-            for p in p_set:
-                series[(n, p)].append(pair_count_tables(tab_i, tab_j, p) / (n * math.log(n)))
+            row.update({(n, p): pair_count_tables(tab_i, tab_j, p) / (n * math.log(n))
+                        for p in p_set})
+        return row
 
-    _omega_pass(model, n_ladder[-1], n_omegas, seed, omega)
+    rows = _omega_pass(model, n_ladder[-1], n_omegas, seed, omega)
+    series = {(n, p): [r[(n, p)] for r in rows] for n in n_ladder for p in p_set}
     mean_norm = {k: float(np.mean(v)) for k, v in series.items()}
     dec = {p: float(np.mean(np.less(series[(n_ladder[-1], p)], series[(n_ladder[0], p)])))
            for p in p_set}
@@ -607,6 +594,7 @@ def estimate_tightness_modulus(*, walk: WalkModel, scenery: SceneryModel, n: int
     halving the stride must not change conclusions (grid_points is exposed
     for exactly that check).
     """
+    require_planar_recurrent(walk)
     grid = [(i + 1) / grid_points for i in range(grid_points)]
     deltas = sorted(float(d) for d in delta_ladder)
 
@@ -615,8 +603,8 @@ def estimate_tightness_modulus(*, walk: WalkModel, scenery: SceneryModel, n: int
         inc = field_increments(scenery, path, grid, _x_seeds(seed, i, m_sceneries))
         return np.concatenate([np.zeros((inc.shape[0], 1)), np.cumsum(inc, axis=1)], axis=1)
 
-    partial_sums, (c0,), _ = _omega_pass(walk, n, n_omegas, seed, omega, c0_at=[n])
-    scale = math.sqrt(c0 * n * math.log(n))
+    partial_sums = _omega_pass(walk, n, n_omegas, seed, omega)
+    scale = math.sqrt(walk.c0 * n * math.log(n))
     per_omega = {d: [] for d in deltas}
     for unscaled in partial_sums:
         y = unscaled / scale
@@ -664,8 +652,8 @@ def track_erdos_taylor(model: WalkModel, n_ladder: Sequence[int], n_omegas: int,
     o(n^eps) witness sup_l w_n / n^eps."""
     require_aperiodic_planar(model)
     n_ladder = sorted(int(n) for n in n_ladder)
-    rows, _, _ = _omega_pass(model, n_ladder[-1], n_omegas, seed,
-                             lambda i, path_seed, path: [max_local_time(path, n) for n in n_ladder])
+    rows = _omega_pass(model, n_ladder[-1], n_omegas, seed,
+                       lambda i, path_seed, path: [max_local_time(path, n) for n in n_ladder])
     sup = {n: [r[k] for r in rows] for k, n in enumerate(n_ladder)}
     log_ratio = {n: [s / math.log(n) ** 2 for s in v] for n, v in sup.items()}
     mean_log = {n: float(np.mean(r)) for n, r in log_ratio.items()}
@@ -720,7 +708,7 @@ def transient_variance_check(scen: SceneryModel, model: WalkModel, n: int,
         inc = field_increments(scen, path, [1.0], _x_seeds(seed, i, m_sceneries))
         return quenched_variance(scen, path, (0, n)) / n, float(inc[:, 0].var(ddof=1)) / n
 
-    rows, _, _ = _omega_pass(model, n, n_omegas, seed, omega)
+    rows = _omega_pass(model, n, n_omegas, seed, omega)
     exact_vals, mc_vals = [e for e, _ in rows], [m for _, m in rows]
     exact_mean = float(np.mean(exact_vals))
     exact_se = float(np.std(exact_vals, ddof=1) / math.sqrt(n_omegas)) if n_omegas > 1 else 0.0
@@ -757,6 +745,7 @@ def run_truncation_ladder(*, walk: WalkModel, scenery: SceneryModel, n: int,
     coefficient pairs and report how the spectral-density bound and the
     observed variance respond.  Report-only; how faithfully the ladder
     represents the full admissible class is not asserted."""
+    require_planar_recurrent(walk)
     require_toral(scenery)
     norm_drop, subs = [], []
     for terms in terms_ladder:
@@ -765,11 +754,10 @@ def run_truncation_ladder(*, walk: WalkModel, scenery: SceneryModel, n: int,
                                    if k not in fk.coeffs)))
         subs.append(scenery_mod.ToralScenery(pair=scenery.pair, poly=fk, q_mod=scenery.q_mod,
                                              orbit_box=scenery.orbit_box))
-    rows, (c0,), _ = _omega_pass(
-        walk, n, n_omegas, seed,
-        lambda i, path_seed, path: [quenched_variance(sub, path, (0, n)) for sub in subs],
-        c0_at=[n])
-    var1 = [float(np.mean([v / (c0 * n * math.log(n)) for v in rung])) for rung in zip(*rows)]
+    rows = _omega_pass(walk, n, n_omegas, seed, lambda i, path_seed, path: [
+        quenched_variance(sub, path, (0, n)) for sub in subs])
+    var1 = [float(np.mean([v / (walk.c0 * n * math.log(n)) for v in rung]))
+            for rung in zip(*rows)]
     return TruncationLadderReport(terms_ladder=[int(t) for t in terms_ladder],
                                   norm_c_dropped=norm_drop,
                                   density_sup_bound=[d**2 for d in norm_drop],

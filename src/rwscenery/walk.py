@@ -1,14 +1,17 @@
 """Lattice random-walk models on Z^d: analytic functions, classification, sampling.
 
 A model is built from a finite increment law.  Derived data: mean and
-covariance of one step, aperiodicity of the support lattice L and of the
-difference lattice D (exact integer Hermite-form tests), the
-recurrent/transient/deterministic classification, and, in the centered
-strongly aperiodic planar case, the constant
+covariance of one step, the index r of the lattice L that the support
+spans (an exact integer Hermite-form computation; aperiodic means r = 1),
+the recurrent/transient/deterministic classification, and, for a centered
+planar walk whose support spans rank 2, the constant
 
-    C0 = 1 / (pi * sqrt(det Sigma))
+    C0 = r / (pi * sqrt(det Sigma))
 
-that normalizes self-intersection counts and the sums along the walk.
+that normalizes self-intersection counts and the sums along the walk.  By
+the local limit theorem P(S_k = 0) averages r / (2 pi k sqrt(det Sigma))
+over the residue classes of the period, whatever the period is (Spitzer,
+Principles of Random Walk, P7.9), so E V_n ~ C0 n log n.
 """
 
 from __future__ import annotations
@@ -87,7 +90,7 @@ def simple_walk_law(d: int) -> IncrementLaw:
 
 
 def lazy_walk_law_2d() -> IncrementLaw:
-    """Uniform law on {0, +-e1, +-e2}; strongly aperiodic, C0 = 5/(2 pi)."""
+    """Uniform law on {0, +-e1, +-e2}; aperiodic, C0 = 5/(2 pi)."""
     atoms = [((0, 0), 0.2), ((1, 0), 0.2), ((-1, 0), 0.2), ((0, 1), 0.2), ((0, -1), 0.2)]
     return increment_law(atoms)
 
@@ -132,7 +135,6 @@ class WalkModel:
     mean: np.ndarray
     sigma: np.ndarray  # covariance of one increment
     aperiodic: bool
-    strongly_aperiodic: bool
     classification: str
     c0: Optional[float]
 
@@ -166,14 +168,7 @@ def build_walk_model(law: IncrementLaw) -> WalkModel:
     centered_sites = sites.astype(np.float64) - mean
     sigma = (centered_sites * probs[:, None]).T @ centered_sites
 
-    aperiodic = hermite_lattice_index(law.sites, d) == 1
-    diffs = []
-    for i in range(len(law.sites)):
-        for j in range(len(law.sites)):
-            if i != j:
-                diffs.append(tuple(a - b for a, b in zip(law.sites[i], law.sites[j])))
-    strongly_aperiodic = hermite_lattice_index(diffs, d) == 1 if diffs else False
-
+    index = hermite_lattice_index(law.sites, d)
     centered = bool(np.all(np.abs(mean) <= 1e-12))
     if len(law.sites) == 1:
         classification = DETERMINISTIC
@@ -183,16 +178,15 @@ def build_walk_model(law: IncrementLaw) -> WalkModel:
         classification = TRANSIENT
 
     c0 = None
-    if d == 2 and centered and strongly_aperiodic:
+    if d == 2 and centered and index > 0:
         det = float(np.linalg.det(sigma))
-        c0 = 1.0 / (math.pi * math.sqrt(det))
+        c0 = index / (math.pi * math.sqrt(det))
 
     return WalkModel(
         law=law,
         mean=mean,
         sigma=sigma,
-        aperiodic=aperiodic,
-        strongly_aperiodic=strongly_aperiodic,
+        aperiodic=index == 1,
         classification=classification,
         c0=c0,
     )

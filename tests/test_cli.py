@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from rwscenery import cli, reportio
+from rwscenery import cli, harness, reportio, scenery, walk
 from rwscenery.walk import MAX_STEPS
 
 
@@ -82,6 +83,13 @@ def _toral(**fields):
     return dict(TINY_FCLT, experiment="fclt-toral", scenery=dict(TORAL, **fields))
 
 
+TIGHTNESS = dict(TINY_FCLT, experiment="tightness", t_grid=[1.0], delta_ladder=[0.1],
+                 epsilon=0.5)
+TRUNCATION = dict(TINY_FCLT, experiment="truncation-ladder", scenery=TORAL, terms_ladder=[2])
+# centered and planar, but its support spans a line: no C0 normalizes its sums
+LINE_WALK = {"atoms": [{"site": [1, 0], "prob": 0.5}, {"site": [-1, 0], "prob": 0.5}]}
+
+
 # configs that would crash at run time (or, for an empty list, run a vacuous
 # check): `validate` must reject each one, naming the bad field
 REJECTED = [
@@ -95,8 +103,7 @@ REJECTED = [
     (dict(PATH_CHECK, experiment="transient-variance", n_omegas="abc"), "n_omegas"),
     (dict(PATH_CHECK, lambda_grid=[]), "lambda_grid"),
     (dict(TINY_FCLT, tolerances=[1]), "tolerances"),
-    (dict(TINY_FCLT, experiment="tightness", t_grid=[1.0], delta_ladder=[0.1],
-          epsilon=0.5, grid_points=0), "grid_points"),
+    (dict(TIGHTNESS, grid_points=0), "grid_points"),
     (dict(LADDER, walk={}), "walk"),
     (dict(LADDER, experiment="lln-variance", walk={"preset": "lazy2d"},
           p_set=[[1, 0, 0]]), "p_set[0]"),
@@ -112,7 +119,10 @@ REJECTED = [
     (dict(TINY_FCLT, walk={"preset": "simple3d"}), "walk"),
     (dict(TINY_FCLT, experiment="variance-ladder", t_grid=[1.0], n_ladder=[256, 512],
           walk={"preset": "simple3d"}), "walk"),
-    (dict(LADDER, experiment="lln-variance", p_set=[[0, 0]]), "walk"),  # no exact C0
+    (dict(LADDER, experiment="lln-variance", p_set=[[0, 0]], walk=LINE_WALK), "walk"),
+    (dict(TINY_FCLT, walk=LINE_WALK), "walk"),
+    *((dict(doc, walk={"preset": preset}), "walk")
+      for doc in (TIGHTNESS, TRUNCATION) for preset in ("simple3d", "det1d")),
     (dict(LADDER, walk={"preset": "det1d"}), "walk"),
     (dict(PATH_CHECK, experiment="transient-variance"), "walk"),
     (dict(PATH_CHECK, scenery=MIXED_MA), "scenery"),
@@ -129,7 +139,7 @@ def _rejected_id(doc, field):
     or the toral constant that the scenery rejects."""
     extra = None
     if field == "walk":
-        extra = doc["walk"].get("preset")
+        extra = doc["walk"].get("preset", "atoms" if "atoms" in doc["walk"] else None)
     elif field == "scenery" and doc["scenery"].get("variant") == "toral":
         key = "orbit_box" if "orbit_box" in doc["scenery"] else "q_mod"
         extra = f"{key}={doc['scenery'][key]!r}"
@@ -324,8 +334,8 @@ def test_moricz_inapplicable_reports_only(tmp_path, capsys):
     assert report["report"]["hypothesis_ok"] is False
 
 
-def test_truncation_ladder_estimates_c0_without_exact_value(tmp_path, capsys):
-    # the simple planar walk is not strongly aperiodic, so it has no exact C0
+def test_truncation_ladder_runs_the_period_2_walk_at_exact_c0(tmp_path, capsys):
+    # the simple planar walk has period 2 and the exact C0 = 2 / pi all the same
     doc = dict(cli.load_fixture("truncation_ladder.json"), walk={"preset": "simple2d"},
                n=256, n_omegas=1)
     path = write_config(tmp_path, doc)
@@ -334,3 +344,10 @@ def test_truncation_ladder_estimates_c0_without_exact_value(tmp_path, capsys):
     report = json.loads(open(tmp_path / "tl" / "report.json").read())["report"]
     assert len(report["var_y1"]) == len(doc["terms_ladder"])
     assert all(v > 0 for v in report["var_y1"])
+    # the top rung keeps all 8 terms: Var(S_n | omega) / (C0 n log n) at C0 = 2 / pi
+    n = doc["n"]
+    path = walk.sample_path(walk.build_walk_model(walk.simple_walk_law(2)), n,
+                            harness._omega_seed(doc["seed"], 0))
+    var = scenery.quenched_variance(cli._scenery("scenery", doc["scenery"]), path, (0, n))
+    assert report["var_y1"][-1] == pytest.approx(var / (2 / math.pi * n * math.log(n)),
+                                                 rel=1e-12)

@@ -68,18 +68,25 @@ def test_fclt_degenerate_mode(lazy_model):
     assert rep.pooled_exact_var_y1 < 0.7
 
 
-def test_fclt_empirical_c0_mode(simple2d_model):
+def test_fclt_simple2d_exact_c0(simple2d_model):
+    # period 2 does not change C0 = 1 / (pi sqrt(det Sigma)) = 2 / pi
     rep = harness.run_fclt(walk=simple2d_model, scenery=scenery.iid_scenery("rademacher"),
                            n=2**12, t_grid=(1.0,), m_sceneries=100, n_omegas=3, seed=5)
-    assert rep.c0_mode == "empirical"
-    assert 0.2 < rep.c0 < 1.5
+    assert rep.c0_mode == "exact"
+    assert rep.c0 == simple2d_model.c0 == pytest.approx(2 / math.pi, rel=1e-12)
+    for o in rep.per_omega:
+        assert o.exact_var_y1 == pytest.approx(
+            o.window_variance[0] / (rep.c0 * 2**12 * math.log(2**12)), rel=1e-12)
 
 
 def test_lln_guards(lazy_model, simple2d_model, simple3d_model):
     with pytest.raises(ValueError):
         harness.track_variance_lln(simple3d_model, [64], [(0, 0, 0)], 2, 0)
+    line = walk.build_walk_model(walk.increment_law([((1, 0), 0.5), ((-1, 0), 0.5)]))
     with pytest.raises(ValueError):
-        harness.track_variance_lln(simple2d_model, [64], [(0, 0)], 2, 0)  # no C0
+        harness.track_variance_lln(line, [64], [(0, 0)], 2, 0)  # rank 1: no C0
+    rep = harness.track_variance_lln(simple2d_model, [64], [(0, 0)], 2, 0)
+    assert rep.c0 == pytest.approx(2 / math.pi, rel=1e-12)
     rep = harness.track_variance_lln(lazy_model, [256, 1024], [(0, 0)], 4, 0)
     assert set(rep.mean_ratio) == {(256, (0, 0)), (1024, (0, 0))}
     assert rep.max_ratio[(1024, (0, 0))] >= rep.mean_ratio[(1024, (0, 0))]
@@ -306,21 +313,18 @@ def _tiny(fixture, **fields):
     return dict(cli.load_fixture(fixture), **fields)
 
 
-# simple2d has no exact C0, so these runners take V_n(omega, 0) from the paths
-# their own pass draws; the hashes were recorded from runners that drew each
-# path a second time for C0 (and, for variance-ladder, each path once per rung,
-# with a scenery Monte Carlo per rung that the report never read).  Rademacher
-# values and integer counts keep the dgemm exact, so the bytes do not depend
-# on the BLAS thread count.
+# simple2d (period 2) at its exact C0 = 2 / pi; each runner draws each path once.
+# Rademacher values and integer counts keep the dgemm exact, so the bytes do not
+# depend on the BLAS thread count.
 ONE_DRAW = {
     "fclt-iid": (_tiny("fclt_iid.json", m_sceneries=100),
-                 "045bc573347e1918452fc860bc37b86cb462b1ee5f4ec3d8576b3b5e87578904"),
+                 "14db4900561f5c567cf9148f49dd98186dea89bea1b711d4c87dd13f112b3696"),
     "tightness": (_tiny("tightness.json", m_sceneries=100),
                   "21934c83c1112bd7d725babf02c50986ae7a9c814421908ecadcb5851b589d57"),
     "truncation-ladder": (_tiny("truncation_ladder.json"),
-                          "d638f6b7f9f34362b6ce394b20571401d71271ec6eea8203c53bf98de98b7d66"),
+                          "292b52420e949a71a78e708d62fd773ae63e3c5969728e2f52b5cb0f2811bf55"),
     "variance-ladder": (_tiny("ma_degenerate_ladder.json", n_ladder=[64, 256]),
-                        "fba9185764d845e055807f9e63b76084f74ef536909ac04e111db9421203951e"),
+                        "a83ad3b5b4212d9d456713917bd225b565bdb89d84f3fc1b5e8d32b538499751"),
 }
 # runners whose reports are exact counts only: a scenery draw is wasted work
 NO_SCENERY_DRAWS = {"truncation-ladder", "variance-ladder"}
@@ -348,22 +352,14 @@ def test_one_draw_per_omega_keeps_the_report_bytes(tmp_path, monkeypatch, name):
 LADDER = {"n_ladder": [64, 256], "n_omegas": 3, "seed": 4}
 ALIVE = {
     "fclt-iid-exact": _tiny("fclt_iid.json", n=256, m_sceneries=100, n_omegas=3),
-    "fclt-iid-empirical": _tiny("fclt_iid.json", walk={"preset": "simple2d"}, n=256,
-                                m_sceneries=100, n_omegas=3),
     "lln-variance": _tiny("lln_variance.json", **LADDER),
     "orthogonality": _tiny("orthogonality.json", **LADDER),
     "tightness-exact": _tiny("tightness.json", n=256, m_sceneries=100, n_omegas=3),
-    "tightness-empirical": _tiny("tightness.json", walk={"preset": "simple2d"}, n=256,
-                                 m_sceneries=100, n_omegas=3),
     "erdos-taylor": _tiny("erdos_taylor.json", **LADDER),
     "transient-variance": _tiny("transient_3d.json", n=256, m_sceneries=20, n_omegas=3,
                                 k_max=10),
     "truncation-ladder-exact": _tiny("truncation_ladder.json", n=256, n_omegas=3),
-    "truncation-ladder-empirical": _tiny("truncation_ladder.json", walk={"preset": "simple2d"},
-                                         n=256, n_omegas=3),
     "variance-ladder-exact": _tiny("ma_degenerate_ladder.json", **LADDER),
-    "variance-ladder-empirical": _tiny("ma_degenerate_ladder.json", **LADDER,
-                                       walk={"preset": "simple2d"}),
 }
 
 

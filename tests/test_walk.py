@@ -24,18 +24,47 @@ def test_simple_walk_lattices_and_classification(simple2d_model):
     m = simple2d_model
     assert m.classification == walk.RECURRENT
     assert m.aperiodic
-    # differences generate the checkerboard sublattice of index 2
-    assert not m.strongly_aperiodic
-    assert m.c0 is None
+    # period 2 (the walk alternates between the two checkerboard classes), yet
+    # the local limit theorem gives C0 = 1 / (pi sqrt(det Sigma)) all the same
+    assert m.c0 == pytest.approx(2.0 / math.pi, rel=1e-12)
     assert np.allclose(m.sigma, 0.5 * np.eye(2))
 
 
 def test_lazy_walk_c0(lazy_model):
     m = lazy_model
-    assert m.aperiodic and m.strongly_aperiodic
+    assert m.aperiodic
     assert m.classification == walk.RECURRENT
     assert np.allclose(m.sigma, 0.4 * np.eye(2))
     assert m.c0 == pytest.approx(5.0 / (2.0 * math.pi), rel=1e-12)
+    # r = 1: the rule is exactly 1 / (pi sqrt(det Sigma)), to the last bit
+    assert m.c0 == 1.0 / (math.pi * math.sqrt(float(np.linalg.det(m.sigma))))
+
+
+def test_simple_walk_c0_matches_exact_self_intersection_mean(simple2d_model):
+    # E V_n = n + 2 sum_{d<n} (n - d) P(S_d = 0), with P(S_2k = 0) = (C(2k, k) / 4^k)^2
+    n = 2**14
+    d = np.arange(2, n, 2)
+    k = d // 2
+    half = np.cumprod((2 * k - 1) / (2 * k))  # C(2k, k) / 4^k
+    mean_v = n + 2.0 * math.fsum((n - d) * half**2)
+    assert 1.0 <= mean_v / (simple2d_model.c0 * n * math.log(n)) <= 1.02
+
+
+PERIOD_3 = walk.increment_law([((1, 0), 1 / 3), ((0, 1), 1 / 3), ((-1, -1), 1 / 3)])
+_ENTRY = st.integers(-3, 3)
+_MATRIX = st.tuples(_ENTRY, _ENTRY, _ENTRY, _ENTRY).filter(lambda m: m[0] * m[3] != m[1] * m[2])
+
+
+@given(st.sampled_from(["simple2d", "lazy2d", "period-3"]), _MATRIX)
+@settings(max_examples=60, deadline=None)
+def test_c0_is_invariant_under_a_linear_image(name, b):
+    # V_n counts coincidences of the path, which an injective linear map keeps:
+    # the lattice index grows by |det B| exactly as sqrt(det Sigma) does
+    law = PERIOD_3 if name == "period-3" else cli.WALK_PRESETS[name]()
+    image = walk.increment_law([((b[0] * x + b[1] * y, b[2] * x + b[3] * y), p)
+                                for (x, y), p in zip(law.sites, law.probs)])
+    c0 = walk.build_walk_model(law).c0
+    assert walk.build_walk_model(image).c0 == pytest.approx(c0, rel=1e-12)
 
 
 def test_deterministic_single_atom():
