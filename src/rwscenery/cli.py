@@ -12,6 +12,12 @@ a manifest holding a content hash of the canonicalized config.  Reruns
 with the same config and seed produce byte-identical payload files; only
 the manifest's timestamp differs.  Exit codes: 0 pass (or report-only),
 2 criterion failure, 1 error.  RWSCENERY_OUT sets the default output dir.
+
+``EXPERIMENTS`` is the one registry: each entry declares its config fields
+(with every default), names the ``harness`` runner that takes exactly those
+fields by keyword, the tables that turn its report into CSV series and SVG
+charts, and the runner's own rules, which ``validate`` applies without
+running.  The report's ``passed`` decides the exit code.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ from importlib import resources
 from typing import Callable, NamedTuple
 
 from . import __version__, harness, reportio, scenery, walk
-from .walk import sample_path
 
 
 class ConfigError(ValueError):
@@ -132,14 +137,6 @@ def _scenery(field, doc):
         raise ConfigError(field, str(exc))
 
 
-_T_GRID = _check(_list(_number),
-                 lambda g: all(a < b for a, b in zip([0.0] + g, g)) and g[-1] == 1.0,
-                 "must increase strictly within (0, 1] and end at 1.0")
-_WINDOWS = _check(_list(_number),
-                  lambda w: len(w) == 4 and 0 < w[0] < w[1] < w[2] < w[3] < 1,
-                  "need [A, B, C, D] with 0 < A < B < C < D < 1")
-_G0_KIND = _check(lambda field, v: v, lambda v: v in ("sqrt3k", "self_intersection"),
-                  "must be 'sqrt3k' or 'self_intersection'")
 _N_LADDER = _check(_list(_steps(2)),  # rungs are normalized by log n, zero at n = 1
                    lambda ns: all(a < b for a, b in zip(ns, ns[1:])), "must increase strictly")
 # lags of a planar walk: both consumers (LLN, orthogonality) are 2-d only
@@ -148,21 +145,22 @@ _P_SET = _list(_check(_list(_integer), lambda p: len(p) == 2, "expected 2 intege
 # Field specs: field -> parser (required) or (parser, JSON default).  Defaults
 # are parsed like given values and never written into the config.
 _COMMON = {"seed": _integer, "output": (_output, {})}
-_FCLT = {"walk": _walk, "scenery": _scenery, "t_grid": _T_GRID,
+_FCLT = {"walk": _walk, "scenery": _scenery, "t_grid": _list(_number),
          "m_sceneries": _at_least(100), "n_omegas": _at_least(1),  # KS tests: 100 x-draws
-         "tolerances": (_object, {}), "n": _steps(2)}  # Y_n is normalized by sqrt(n log n)
+         "n": _steps(2)}  # Y_n is normalized by sqrt(n log n)
 _SCALED = {"walk": _walk, "scenery": _scenery, "n": _steps(2), "n_omegas": _at_least(1)}
 _LADDER = {"walk": _walk, "n_ladder": _N_LADDER, "n_omegas": _at_least(1)}
 _PATH = {"walk": _walk, "scenery": _scenery, "n": _steps(1),
          "m_sceneries": _at_least(1)}
+# moricz and transient-variance estimate a variance over the scenery draws
+_PATH_VAR = {**_PATH, "m_sceneries": _at_least(2)}
 
 
 # ---------------------------------------------------------------------------
-# experiment runners: parsed fields -> (report, series, charts)
+# experiment tables: report -> (series, charts)
 
 
-def _run_fclt(**fclt):
-    rep = harness.run_fclt(**fclt)
+def _fclt_tables(rep):
     rows = []
     for o in rep.per_omega:
         for j in range(len(rep.t_grid)):
@@ -182,22 +180,20 @@ def _run_fclt(**fclt):
                 sum(o.variance_ratio[j] for o in rep.per_omega) / len(rep.per_omega)
                 for j in xs]},
             title="window variance ratio", xlabel="window", ylabel="ratio")
-    return rep, series, charts
+    return series, charts
 
 
-def _run_variance_ladder(**fields):
-    rep = harness.track_variance_ladder(**fields)
+def _variance_ladder_tables(rep):
     ns, vals = rep.n_ladder, rep.pooled_exact_var_y1
     series = {"variance_ladder.csv": reportio.csv_text(["n", "pooled_exact_var_y1"],
                                                        list(zip(ns, vals)))}
     charts = {"variance_ladder.svg": reportio.svg_line_chart(
         [math.log2(n) for n in ns], {"Var Y_n(1)": vals},
         title="variance collapse along the ladder", xlabel="log2 n", ylabel="Var")}
-    return rep, series, charts
+    return series, charts
 
 
-def _run_lln(walk, n_ladder, p_set, n_omegas, seed):
-    rep = harness.track_variance_lln(walk, n_ladder, p_set, n_omegas, seed)
+def _lln_tables(rep):
     rows = [[n, f"({p[0]};{p[1]})", rep.mean_ratio[(n, p)], rep.std_ratio[(n, p)],
              rep.max_ratio[(n, p)]] for n in rep.n_ladder for p in rep.p_set]
     series = {"lln_ratios.csv": reportio.csv_text(
@@ -206,12 +202,10 @@ def _run_lln(walk, n_ladder, p_set, n_omegas, seed):
         [math.log2(n) for n in rep.n_ladder],
         {str(p): [rep.mean_ratio[(n, p)] for n in rep.n_ladder] for p in rep.p_set},
         title="V_n / (C0 n log n)", xlabel="log2 n", ylabel="mean ratio")}
-    return rep, series, charts
+    return series, charts
 
 
-def _run_orthogonality(walk, n_ladder, windows, p_set, n_omegas, seed):
-    rep = harness.check_increment_orthogonality(walk, n_ladder, windows, p_set,
-                                                n_omegas, seed)
+def _orthogonality_tables(rep):
     rows = [[n, f"({p[0]};{p[1]})", rep.mean_normalized[(n, p)]]
             for n in rep.n_ladder for p in rep.p_set]
     series = {"cross_counts.csv": reportio.csv_text(
@@ -221,11 +215,10 @@ def _run_orthogonality(walk, n_ladder, windows, p_set, n_omegas, seed):
         {str(p): [rep.mean_normalized[(n, p)] for n in rep.n_ladder]
          for p in rep.p_set},
         title="cross-window counts / (n log n)", xlabel="log2 n", ylabel="mean")}
-    return rep, series, charts
+    return series, charts
 
 
-def _run_erdos_taylor(walk, n_ladder, n_omegas, epsilon, seed):
-    rep = harness.track_erdos_taylor(walk, n_ladder, n_omegas, seed, epsilon=epsilon)
+def _erdos_taylor_tables(rep):
     rows = [[n, rep.mean_log_ratio[n], *rep.quantiles_log_ratio[n],
              rep.mean_power_ratio[n], rep.distance_to_limit[n]]
             for n in rep.n_ladder]
@@ -237,110 +230,104 @@ def _run_erdos_taylor(walk, n_ladder, n_omegas, epsilon, seed):
         {"sup w / log^2 n": [rep.mean_log_ratio[n] for n in rep.n_ladder],
          "1/pi": [1.0 / math.pi] * len(rep.n_ladder)},
         title="sup local time tracker", xlabel="log2 n", ylabel="ratio")}
-    return rep, series, charts
+    return series, charts
 
 
-def _run_newman_wright(walk, scenery, n, m_sceneries, lambda_grid, seed):
-    rep = harness.check_newman_wright(scenery, sample_path(walk, n, seed), lambda_grid,
-                                      m_sceneries=m_sceneries, x_seed=seed)
-    rep.passed = not any(rep.violations)
+def _newman_wright_tables(rep):
     rows = list(zip(rep.lambdas, rep.lhs, rep.rhs, rep.lhs_se, rep.rhs_se,
                     rep.margins, rep.violations))
     series = {"newman_wright.csv": reportio.csv_text(
         ["lambda", "lhs", "rhs", "lhs_se", "rhs_se", "margin", "violation"], rows)}
-    return rep, series, {}
+    return series, {}
 
 
-def _run_moricz(walk, scenery, n, m_sceneries, g0_kind, seed):
-    rep = harness.check_moricz(scenery, sample_path(walk, n, seed), n, g0_kind=g0_kind,
-                               m_sceneries=m_sceneries, x_seed=seed)
-    rep.passed = None if not (rep.super_additive and rep.hypothesis_ok) \
-        else rep.violations == 0
+def _moricz_tables(rep):
     rows = [[b, k, e, s, bd, mg] for (b, k), e, s, bd, mg in zip(
         [tuple(w) for w in rep.windows], rep.m4_estimates, rep.m4_se,
         rep.bounds, rep.margins)]
     series = {"moricz.csv": reportio.csv_text(
         ["b", "k", "m4_estimate", "m4_se", "bound", "margin"], rows)}
-    return rep, series, {}
+    return series, {}
 
 
-def _run_tightness(**fields):
-    rep = harness.estimate_tightness_modulus(**fields)
+def _tightness_tables(rep):
     rows = [[d, rep.estimates[d]] for d in rep.delta_ladder]
     series = {"tightness.csv": reportio.csv_text(["delta", "estimate"], rows)}
     charts = {"tightness.svg": reportio.svg_line_chart(
         rep.delta_ladder, {"mu(modulus >= eps)": [rep.estimates[d]
                                                   for d in rep.delta_ladder]},
         title="modulus of continuity", xlabel="delta", ylabel="probability")}
-    return rep, series, charts
+    return series, charts
 
 
-def _run_transient(walk, scenery, n, m_sceneries, n_omegas, k_max, seed):
-    rep = harness.transient_variance_check(scenery, walk, n, m_sceneries, seed,
-                                           n_omegas=n_omegas, k_max=k_max)
-    rep.passed = rep.agree
+def _transient_tables(rep):
     series = {"transient_variance.csv": reportio.csv_text(
         ["series_value", "series_truncated", "tail_estimate", "exact_mean",
          "exact_se", "mc_mean", "mc_se"],
         [[rep.series_value, rep.series_truncated, rep.tail_estimate,
           rep.exact_mean, rep.exact_se, rep.mc_mean, rep.mc_se]])}
-    return rep, series, {}
+    return series, {}
 
 
-def _run_truncation_ladder(**fields):
-    rep = harness.run_truncation_ladder(**fields)
+def _truncation_ladder_tables(rep):
     rows = list(zip(rep.terms_ladder, rep.norm_c_dropped, rep.density_sup_bound,
                     rep.var_y1))
     series = {"truncation_ladder.csv": reportio.csv_text(
         ["terms", "norm_c_dropped", "density_sup_bound", "var_y1"], rows)}
-    return rep, series, {}
+    return series, {}
 
 
 class Experiment(NamedTuple):
     anchor: str        # the result the experiment exercises
     fields: dict       # field spec, on top of _COMMON
-    runner: Callable   # runner(**parsed fields) -> (report, series, charts)
-    rules: dict = {}   # field -> the runner's own check of its parsed value
+    runner: str        # harness.<runner>(**parsed fields) -> report
+    tables: Callable   # tables(report) -> (series, charts)
+    rules: dict        # field -> the runner's own check of its parsed value
 
 
 _PLANAR = {"walk": harness.require_planar_recurrent}
+_FCLT_RULES = {**_PLANAR, "t_grid": harness.require_t_grid}
 
 
 EXPERIMENTS = {
     "fclt-iid": Experiment("quenched FCLT for i.i.d. sceneries along a planar walk",
-                           _FCLT, _run_fclt, _PLANAR),
+                           _FCLT, "run_fclt", _fclt_tables, _FCLT_RULES),
     "fclt-ma": Experiment("quenched FCLT for moving-average sceneries (variance |sum a_q|^2 / (pi sqrt det Sigma))",
-                          _FCLT, _run_fclt, _PLANAR),
+                          _FCLT, "run_fclt", _fclt_tables, _FCLT_RULES),
     "fclt-toral": Experiment("quenched FCLT for commuting toral automorphism fields",
-                             _FCLT, _run_fclt, _PLANAR),
+                             _FCLT, "run_fclt", _fclt_tables, _FCLT_RULES),
     "variance-ladder": Experiment("variance collapse for degenerate moving averages",
-                                  {**_LADDER, "scenery": _scenery}, _run_variance_ladder,
-                                  _PLANAR),
+                                  {**_LADDER, "scenery": _scenery}, "track_variance_ladder",
+                                  _variance_ladder_tables, _PLANAR),
     "lln-variance": Experiment("law of large numbers for self-intersection counts V_n / (C0 n log n) -> 1",
-                               {**_LADDER, "p_set": _P_SET}, _run_lln, _PLANAR),
+                               {**_LADDER, "p_set": _P_SET}, "track_variance_lln", _lln_tables,
+                               _PLANAR),
     "orthogonality": Experiment("asymptotic orthogonality of cross-interval coincidence counts",
-                                {**_LADDER, "windows": _WINDOWS, "p_set": _P_SET},
-                                _run_orthogonality),
+                                {**_LADDER, "windows": _list(_number), "p_set": _P_SET},
+                                "check_increment_orthogonality", _orthogonality_tables,
+                                {"windows": harness.require_windows}),
     "erdos-taylor": Experiment("Erdos-Taylor / Dembo-Peres-Rosen-Zeitouni sup local time limit 1/pi",
-                               {**_LADDER, "epsilon": (_number, 0.1)}, _run_erdos_taylor,
-                               {"walk": harness.require_aperiodic_planar}),
+                               {**_LADDER, "epsilon": (_number, 0.1)}, "track_erdos_taylor",
+                               _erdos_taylor_tables, {"walk": harness.require_aperiodic_planar}),
     "newman-wright": Experiment("Newman-Wright maximal inequality for associated summands",
-                                {**_PATH, "lambda_grid": _list(_number)}, _run_newman_wright,
-                                {"scenery": harness.require_associated}),
+                                {**_PATH, "lambda_grid": _list(_number)}, "check_newman_wright",
+                                _newman_wright_tables, {"scenery": harness.require_associated}),
     "moricz": Experiment("Moricz fourth-moment maximal bound with C_max = (1 - 2^-1/4)^-4",
-                         {**_PATH, "g0_kind": (_G0_KIND, "self_intersection")}, _run_moricz,
-                         {"scenery": harness.require_iid}),
+                         {**_PATH_VAR, "g0_kind": (lambda field, v: v, "self_intersection")},
+                         "check_moricz", _moricz_tables,
+                         {"scenery": harness.require_iid, "g0_kind": harness.require_g0_kind}),
     "tightness": Experiment("modulus-of-continuity tightness estimates for the rescaled process",
                             {**_SCALED, "m_sceneries": _at_least(100),
                              "delta_ladder": _list(_number), "epsilon": _number,
-                             "grid_points": (_at_least(1), 128)}, _run_tightness, _PLANAR),
+                             "grid_points": (_at_least(1), 128)}, "estimate_tightness_modulus",
+                            _tightness_tables, _PLANAR),
     "transient-variance": Experiment("Green-series asymptotic variance for transient walks",
-                                     {**_PATH, "n_omegas": (_at_least(1), 10),
-                                      "k_max": (_at_least(0), 60)}, _run_transient,
-                                     {"walk": harness.require_transient}),
+                                     {**_PATH_VAR, "n_omegas": (_at_least(1), 10),
+                                      "k_max": (_at_least(0), 60)}, "transient_variance_check",
+                                     _transient_tables, {"walk": harness.require_transient}),
     "truncation-ladder": Experiment("trig-polynomial approximation ladder for toral observables",
                                     {**_SCALED, "terms_ladder": _list(_at_least(1))},
-                                    _run_truncation_ladder,
+                                    "run_truncation_ladder", _truncation_ladder_tables,
                                     {**_PLANAR, "scenery": harness.require_toral}),
 }
 
@@ -387,7 +374,10 @@ def run_experiment(doc: dict):
     empty unless ``output.charts`` asks for them."""
     name, values = _parse(doc)
     want_charts = values.pop("output")
-    report, series, charts = EXPERIMENTS[name].runner(**values)
+    exp = EXPERIMENTS[name]
+    # looked up at call time, so a wrapper installed on the harness module runs
+    report = getattr(harness, exp.runner)(**values)
+    series, charts = exp.tables(report)
     return report, series, charts if want_charts else {}
 
 

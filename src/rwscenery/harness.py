@@ -17,6 +17,13 @@ quenched standard deviation (computable from window local times and the
 field correlations); the slowly converging level is reported separately as
 a variance-ratio series.  Finite-n acceptance bands are pilot-calibrated
 fixtures, never literal limits with tight tolerances.
+
+Runner contract.  Each experiment is one runner whose keyword-only
+parameters are exactly its config fields (``cli.EXPERIMENTS``), with no
+defaults: cli.py declares each default once.  A runner checks its inputs
+through the ``require_*`` rules, which ``rwscenery validate`` applies to the
+same fields, and its report carries its own pass rule as ``passed``
+(None, or absent, for a report-only result).
 """
 
 from __future__ import annotations
@@ -44,6 +51,9 @@ from .walk import RECURRENT, WalkModel, WalkPath, sample_path
 from . import scenery as scenery_mod
 
 MORICZ_CMAX = (1.0 - 2.0 ** -0.25) ** -4.0
+# run_fclt's pass rule (offdiag_pass_fraction is reported, not judged)
+FCLT_THRESHOLDS = {"ks_p": 0.01, "ks_pass_fraction": 0.9, "offdiag_abs": 0.1,
+                   "offdiag_pass_fraction": 0.9}
 SQRT2 = math.sqrt(2.0)
 
 
@@ -88,6 +98,18 @@ require_iid = _rule(lambda s: isinstance(s, IIDScenery),
                     "exact fourth-moment verification needs an i.i.d. scenery")
 require_toral = _rule(lambda s: isinstance(s, scenery_mod.ToralScenery),
                       "truncation ladder applies to toral sceneries")
+require_t_grid = _rule(lambda g: len(g) > 0 and g[-1] == 1.0
+                       and all(a < b for a, b in zip((0.0, *g), g)),
+                       "t_grid must increase strictly within (0, 1] and end at 1.0")
+require_windows = _rule(lambda w: len(w) == 4 and 0 < w[0] < w[1] < w[2] < w[3] < 1,
+                        "windows need [A, B, C, D] with 0 < A < B < C < D < 1")
+require_g0_kind = _rule(lambda k: k in ("sqrt3k", "self_intersection"),
+                        "g0_kind must be 'sqrt3k' or 'self_intersection'")
+
+
+class _Report:
+    def to_dict(self) -> dict:
+        return asdict(self)  # recurses into nested dataclasses
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +131,7 @@ class OmegaFcltStats:
 
 
 @dataclass
-class FcltReport:
+class FcltReport(_Report):
     n: int
     t_grid: tuple
     m_sceneries: int
@@ -129,13 +151,9 @@ class FcltReport:
     thresholds: dict
     passed: Optional[bool]
 
-    def to_dict(self) -> dict:
-        return asdict(self)  # recurses into the per-omega dataclasses
-
 
 def run_fclt(*, walk: WalkModel, scenery: SceneryModel, n: int, t_grid,
-             m_sceneries: int, n_omegas: int, seed: int,
-             tolerances: Optional[dict] = None) -> FcltReport:
+             m_sceneries: int, n_omegas: int, seed: int) -> FcltReport:
     """Quenched FCLT check: per-omega KS tests of the rescaled increments
     against the normal law, increment decorrelation, and variance tracking.
 
@@ -144,11 +162,9 @@ def run_fclt(*, walk: WalkModel, scenery: SceneryModel, n: int, t_grid,
     """
     require_planar_recurrent(walk)
     t_grid = tuple(float(t) for t in t_grid)
+    require_t_grid(t_grid)
     edges = window_boundaries(n, t_grid)
-    if not t_grid or t_grid[-1] != 1.0:
-        raise ValueError("t_grid must end at 1.0 so Y_n(1) is defined")
-    tol = {"ks_p": 0.01, "ks_pass_fraction": 0.9, "offdiag_abs": 0.1,
-           "offdiag_pass_fraction": 0.9, **(tolerances or {})}
+    tol = FCLT_THRESHOLDS
     logn, c0 = math.log(n), walk.c0
     sigma2 = spectral_density(scenery, dimension=2).at_zero()
     degenerate = abs(sigma2) < 1e-12
@@ -213,11 +229,11 @@ def run_fclt(*, walk: WalkModel, scenery: SceneryModel, n: int, t_grid,
         pooled_offdiag=pooled_off, pooled_offdiag_max=pooled_off_max,
         pooled_exact_var_y1=float(np.mean([o.exact_var_y1 for o in per_omega])),
         pooled_mc_var_y1=float(np.mean([o.mc_var_y1 for o in per_omega])),
-        thresholds=tol, passed=passed)
+        thresholds=dict(tol), passed=passed)
 
 
 @dataclass
-class VarianceLadderReport:
+class VarianceLadderReport(_Report):
     """Var(Y_n(1)) along an n-ladder (degenerate-scenery collapse witness)."""
 
     n_ladder: list
@@ -225,9 +241,6 @@ class VarianceLadderReport:
     degenerate: list
     decreasing: bool
     passed: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def track_variance_ladder(*, walk: WalkModel, scenery: SceneryModel, n_ladder: Sequence[int],
@@ -272,12 +285,12 @@ class LlnReport:
         }
 
 
-def track_variance_lln(model: WalkModel, n_ladder: Sequence[int], p_set,
-                       n_omegas: int, seed: int) -> LlnReport:
+def track_variance_lln(*, walk: WalkModel, n_ladder: Sequence[int], n_omegas: int,
+                       p_set, seed: int) -> LlnReport:
     """V_n(omega, p) / (C0 n log n) along an n-ladder; the limit is 1 for
     every p.  Prefix windows of a single path per omega keep the ladder
     internally consistent (common random numbers)."""
-    require_planar_recurrent(model)
+    require_planar_recurrent(walk)
     n_ladder = sorted(int(n) for n in n_ladder)
     p_set = [tuple(int(c) for c in p) for p in p_set]
 
@@ -286,18 +299,18 @@ def track_variance_lln(model: WalkModel, n_ladder: Sequence[int], p_set,
         row = {}
         for n in n_ladder:
             tab = local_times(path, (0, n))
-            denom = model.c0 * n * math.log(n)
+            denom = walk.c0 * n * math.log(n)
             row.update({(n, p): pair_count_tables(tab, tab, p) / denom for p in p_set})
         return row
 
-    rows = _omega_pass(model, n_ladder[-1], n_omegas, seed, omega)
+    rows = _omega_pass(walk, n_ladder[-1], n_omegas, seed, omega)
     ratios = {(n, p): [r[(n, p)] for r in rows] for n in n_ladder for p in p_set}
     mean_r = {k: float(np.mean(v)) for k, v in ratios.items()}
     std_r = {k: float(np.std(v, ddof=1)) if len(v) > 1 else 0.0 for k, v in ratios.items()}
     max_r = {k: float(np.max(v)) for k, v in ratios.items()}
     trend = {p: [abs(mean_r[(n, p)] - 1.0) for n in n_ladder] for p in p_set}
     return LlnReport(n_ladder=n_ladder, p_set=p_set, n_omegas=n_omegas,
-                     c0=model.c0, mean_ratio=mean_r, std_ratio=std_r,
+                     c0=walk.c0, mean_ratio=mean_r, std_ratio=std_r,
                      max_ratio=max_r, trend_to_one=trend)
 
 
@@ -321,14 +334,13 @@ class OrthogonalityReport:
         }
 
 
-def check_increment_orthogonality(model: WalkModel, n_ladder: Sequence[int],
-                                  windows, p_set, n_omegas: int, seed: int
+def check_increment_orthogonality(*, walk: WalkModel, n_ladder: Sequence[int],
+                                  n_omegas: int, windows, p_set, seed: int
                                   ) -> OrthogonalityReport:
     """Cross-interval coincidence counts V(omega, [nA, nB), [nC, nD), p),
     normalized by n log n; asymptotic orthogonality drives them to 0."""
+    require_windows(windows)
     a, b, c, d = windows
-    if not 0.0 < a < b < c < d < 1.0:
-        raise ValueError("need 0 < A < B < C < D < 1")
     n_ladder = sorted(int(n) for n in n_ladder)
     p_set = [tuple(int(x) for x in p) for p in p_set]
 
@@ -342,7 +354,7 @@ def check_increment_orthogonality(model: WalkModel, n_ladder: Sequence[int],
                         for p in p_set})
         return row
 
-    rows = _omega_pass(model, n_ladder[-1], n_omegas, seed, omega)
+    rows = _omega_pass(walk, n_ladder[-1], n_omegas, seed, omega)
     series = {(n, p): [r[(n, p)] for r in rows] for n in n_ladder for p in p_set}
     mean_norm = {k: float(np.mean(v)) for k, v in series.items()}
     dec = {p: float(np.mean(np.less(series[(n_ladder[-1], p)], series[(n_ladder[0], p)])))
@@ -359,7 +371,7 @@ def check_increment_orthogonality(model: WalkModel, n_ladder: Sequence[int],
 
 
 @dataclass
-class NewmanWrightReport:
+class NewmanWrightReport(_Report):
     lambdas: list
     lhs: list          # mu(max_k |S_k| >= lambda ||S_n||)
     rhs: list          # 2 mu(|S_n| >= (lambda - sqrt 2) ||S_n||)
@@ -370,23 +382,26 @@ class NewmanWrightReport:
     l2_norm: float
     m_sceneries: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+    @property
+    def passed(self) -> bool:
+        return not any(self.violations)
 
 
-def check_newman_wright(scen: SceneryModel, path: WalkPath, lambda_grid,
-                        m_sceneries: int = 10000, x_seed: int = 0) -> NewmanWrightReport:
-    """Maximal inequality for associated summands along the fixed path:
+def check_newman_wright(*, walk: WalkModel, scenery: SceneryModel, n: int, m_sceneries: int,
+                        lambda_grid, seed: int) -> NewmanWrightReport:
+    """Maximal inequality for associated summands along the n-step path of
+    ``seed``:
 
         mu(max |S_k| >= lam ||S_n||_2) <= 2 mu(|S_n| >= (lam - sqrt 2) ||S_n||_2)
 
     Rejects sceneries without an association certificate.  Both sides are
     Monte Carlo estimates with binomial standard errors; ||S_n||_2 is exact
-    from the counting layer.
+    from the counting layer.  ``seed`` also keys the scenery draws.
     """
-    require_associated(scen)
-    l2 = math.sqrt(quenched_variance(scen, path, (0, path.n)))
-    max_abs, s_n = _running_max_abs(scen, path_table(path), _x_seeds(x_seed, 0, m_sceneries))
+    require_associated(scenery)
+    path = sample_path(walk, n, seed)
+    l2 = math.sqrt(quenched_variance(scenery, path, (0, n)))
+    max_abs, s_n = _running_max_abs(scenery, path_table(path), _x_seeds(seed, 0, m_sceneries))
     lhs, rhs, lhs_se, rhs_se, margins, viol = [], [], [], [], [], []
     m = m_sceneries
     for lam in lambda_grid:
@@ -452,7 +467,7 @@ def _fourth_moment_window(path: WalkPath, law, b: int, k: int) -> float:
 
 
 @dataclass
-class MoriczReport:
+class MoriczReport(_Report):
     n: int
     g0_kind: str
     super_additive: bool
@@ -467,32 +482,31 @@ class MoriczReport:
     violations: int
     m_sceneries: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+    @property
+    def passed(self) -> Optional[bool]:  # undecided where the bound's hypotheses fail
+        return self.violations == 0 if self.super_additive and self.hypothesis_ok else None
 
 
-def check_moricz(scen: SceneryModel, path: WalkPath, n: int,
-                 g0_kind: str = "self_intersection", m_sceneries: int = 4000,
-                 x_seed: int = 0) -> MoriczReport:
+def check_moricz(*, walk: WalkModel, scenery: SceneryModel, n: int, m_sceneries: int,
+                 g0_kind: str, seed: int) -> MoriczReport:
     """Fourth-moment maximal bound E max_k |S_{b,k}|^4 <= C_max G0(b,n)^2
-    with C_max = (1 - 2^{-1/4})^{-4}.
+    with C_max = (1 - 2^{-1/4})^{-4}, along the n-step path of ``seed``
+    (which also keys the scenery draws).
 
     The hypothesis E |S_{b,k}|^4 <= G0(b,k)^2 is verified EXACTLY (local
     times and law moments, no Monte Carlo) on every window of the dyadic
     grid, and super-additivity of G0 is verified exhaustively over all
     index triples.  Only the max-moment side is estimated.
     """
-    if n > path.n:
-        raise ValueError("n exceeds the path length")
-    require_iid(scen)
-    law = scen.law
+    require_iid(scenery)
+    require_g0_kind(g0_kind)
+    path = sample_path(walk, n, seed)
+    law = scenery.law
     v_table = _window_v_table(path, n)
     if g0_kind == "sqrt3k":
         g0 = np.sqrt(3.0) * np.tile(np.arange(n + 1, dtype=np.float64), (n + 1, 1))
-    elif g0_kind == "self_intersection":
-        g0 = 2.0 * math.sqrt(law.fourth_moment) * v_table
     else:
-        raise ValueError("g0_kind must be 'sqrt3k' or 'self_intersection'")
+        g0 = 2.0 * math.sqrt(law.fourth_moment) * v_table
 
     super_additive = _check_super_additive(g0, n)
 
@@ -502,7 +516,7 @@ def check_moricz(scen: SceneryModel, path: WalkPath, n: int,
     hypothesis_ok = all(m >= -1e-6 for m in hyp_margins)
 
     big = [w for w in windows if w[1] >= 8]  # max over a single step carries no info
-    m4_draws = _window_max4(scen, path_table(path), _x_seeds(x_seed, 0, m_sceneries), n, big)
+    m4_draws = _window_max4(scenery, path_table(path), _x_seeds(seed, 0, m_sceneries), n, big)
     est, ses, bounds, margins = [], [], [], []
     worst_units = math.inf
     viol = 0
@@ -587,7 +601,7 @@ class TightnessReport:
 
 def estimate_tightness_modulus(*, walk: WalkModel, scenery: SceneryModel, n: int,
                                m_sceneries: int, n_omegas: int, seed: int, delta_ladder,
-                               epsilon: float, grid_points: int = 128) -> TightnessReport:
+                               epsilon: float, grid_points: int) -> TightnessReport:
     """Empirical mu(sup_{|t'-t|<=delta} |Y_n(t') - Y_n(t)| >= eps) per delta.
 
     The sup over t is approximated on a grid of ``grid_points`` strides;
@@ -646,13 +660,13 @@ class ErdosTaylorReport:
                 "distance_to_limit": {str(k): v for k, v in self.distance_to_limit.items()}}
 
 
-def track_erdos_taylor(model: WalkModel, n_ladder: Sequence[int], n_omegas: int,
-                       seed: int, epsilon: float = 0.1) -> ErdosTaylorReport:
+def track_erdos_taylor(*, walk: WalkModel, n_ladder: Sequence[int], n_omegas: int,
+                       epsilon: float, seed: int) -> ErdosTaylorReport:
     """sup_l w_n / (log n)^2 along a ladder (planar limit 1/pi), plus the
     o(n^eps) witness sup_l w_n / n^eps."""
-    require_aperiodic_planar(model)
+    require_aperiodic_planar(walk)
     n_ladder = sorted(int(n) for n in n_ladder)
-    rows = _omega_pass(model, n_ladder[-1], n_omegas, seed,
+    rows = _omega_pass(walk, n_ladder[-1], n_omegas, seed,
                        lambda i, path_seed, path: [max_local_time(path, n) for n in n_ladder])
     sup = {n: [r[k] for r in rows] for k, n in enumerate(n_ladder)}
     log_ratio = {n: [s / math.log(n) ** 2 for s in v] for n, v in sup.items()}
@@ -672,7 +686,7 @@ def track_erdos_taylor(model: WalkModel, n_ladder: Sequence[int], n_omegas: int,
 
 
 @dataclass
-class TransientVarianceReport:
+class TransientVarianceReport(_Report):
     n: int
     n_omegas: int
     m_sceneries: int
@@ -686,13 +700,14 @@ class TransientVarianceReport:
     combined_error: float
     agree: bool
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+    @property
+    def passed(self) -> bool:
+        return self.agree
 
 
-def transient_variance_check(scen: SceneryModel, model: WalkModel, n: int,
-                             m_sceneries: int, seed: int, n_omegas: int = 10,
-                             k_max: int = 60) -> TransientVarianceReport:
+def transient_variance_check(*, walk: WalkModel, scenery: SceneryModel, n: int,
+                             m_sceneries: int, n_omegas: int, k_max: int,
+                             seed: int) -> TransientVarianceReport:
     """||S_n||^2 / n against the Green-series limit for transient walks.
 
     Both an exact per-omega value (counts times correlations) and a scenery
@@ -700,15 +715,15 @@ def transient_variance_check(scen: SceneryModel, model: WalkModel, n: int,
     error bars (3 SE over omegas plus half the series tail, which is an
     estimate rather than a bound).
     """
-    require_transient(model)
-    est = scenery_mod.asymptotic_variance(scen, model, k_max=k_max)
+    require_transient(walk)
+    est = scenery_mod.asymptotic_variance(scenery, walk, k_max=k_max)
     series = est.value + est.tail_estimate
 
     def omega(i, path_seed, path):
-        inc = field_increments(scen, path, [1.0], _x_seeds(seed, i, m_sceneries))
-        return quenched_variance(scen, path, (0, n)) / n, float(inc[:, 0].var(ddof=1)) / n
+        inc = field_increments(scenery, path, [1.0], _x_seeds(seed, i, m_sceneries))
+        return quenched_variance(scenery, path, (0, n)) / n, float(inc[:, 0].var(ddof=1)) / n
 
-    rows = _omega_pass(model, n, n_omegas, seed, omega)
+    rows = _omega_pass(walk, n, n_omegas, seed, omega)
     exact_vals, mc_vals = [e for e, _ in rows], [m for _, m in rows]
     exact_mean = float(np.mean(exact_vals))
     exact_se = float(np.std(exact_vals, ddof=1) / math.sqrt(n_omegas)) if n_omegas > 1 else 0.0
@@ -729,14 +744,11 @@ def transient_variance_check(scen: SceneryModel, model: WalkModel, n: int,
 
 
 @dataclass
-class TruncationLadderReport:
+class TruncationLadderReport(_Report):
     terms_ladder: list
     norm_c_dropped: list      # ||f - f_k||_c per rung
     density_sup_bound: list   # ||phi_{f - f_k}||_inf <= ||f - f_k||_c^2
     var_y1: list              # pooled exact Var(Y_n(1)) per rung
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def run_truncation_ladder(*, walk: WalkModel, scenery: SceneryModel, n: int,

@@ -18,7 +18,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -62,9 +62,6 @@ class OrbitExitError(RuntimeError):
 
 class Law:
     name = "law"
-    unit_variance = True
-    bounded = False
-    bound: Optional[float] = None
 
     def values(self, words: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -88,8 +85,6 @@ class Law:
 
 class Rademacher(Law):
     name = "rademacher"
-    bounded = True
-    bound = 1.0
 
     def values(self, words):
         return np.where(words.view(np.int64) < 0, 1.0, -1.0)  # the top bit
@@ -107,8 +102,6 @@ class Rademacher(Law):
 
 class CenteredUniform(Law):
     name = "uniform"
-    bounded = True
-    bound = math.sqrt(3.0)
 
     def values(self, words):
         return (2.0 * u64_to_uniform(words) - 1.0) * math.sqrt(3.0)
@@ -149,7 +142,6 @@ class TruncatedGaussian(Law):
     comparisons across laws share randomness."""
 
     name = "truncated_gaussian"
-    bounded = True
 
     def __init__(self, level: float):
         self.level = float(level)
@@ -158,7 +150,6 @@ class TruncatedGaussian(Law):
         if var <= 0:
             raise ValueError("truncation level leaves no variance")
         self._scale = math.sqrt(var)
-        self.bound = (abs(self.level) + self._shift) / self._scale + 1.0
 
     def values(self, words):
         g = special.ndtri(u64_to_uniform(words))
@@ -198,8 +189,6 @@ class TruncationPart(Law):
     makes the two parts sum to the original field sample by sample.
     """
 
-    unit_variance = False
-
     def __init__(self, base: Law, level: float, side: str):
         if side not in ("bounded", "tail"):
             raise ValueError("side must be 'bounded' or 'tail'")
@@ -208,10 +197,6 @@ class TruncationPart(Law):
         self.side = side
         self.name = f"{base.name}-{side}@{level:g}"
         self._mean_below = base.partial_moment(1, self.level)
-        self._mass_below = base.partial_moment(0, self.level)
-        # the split bounds only the upper tail; boundedness follows the base law
-        self.bounded = base.bounded
-        self.bound = base.bound
 
     def values(self, words):
         x = self.base.values(words)
@@ -436,7 +421,9 @@ def spectral_density(scenery: SceneryModel, dimension: int = 2) -> SpectralDensi
             for q2 in qs:
                 l = tuple(a - b for a, b in zip(q1, q2))
                 table[l] = table.get(l, 0.0) + scenery.coeffs[q1] * scenery.coeffs[q2]
-        table = {l: v for l, v in table.items() if abs(v) > 1e-15}
+        # <T^l f, f> = Var X sum_{q1 - q2 = l} a_q1 a_q2
+        var = scenery.law.variance
+        table = {l: var * v for l, v in table.items() if abs(v) > 1e-15}
         if not table:
             table = {(0, 0): 0.0}
         return SpectralDensity(table)

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -99,10 +100,13 @@ REJECTED = [
     (dict(LADDER, n_ladder=[1, 64]), "n_ladder[0]"),
     (dict(TINY_FCLT, experiment="variance-ladder", t_grid=[1.0], n_ladder=[]), "n_ladder"),
     (dict(PATH_CHECK, experiment="moricz", g0_kind="foo"), "g0_kind"),
+    # a variance over the scenery draws needs two of them
+    (dict(PATH_CHECK, experiment="moricz", m_sceneries=1), "m_sceneries"),
+    (dict(PATH_CHECK, experiment="transient-variance", walk={"preset": "simple3d"},
+          m_sceneries=1), "m_sceneries"),
     (dict(TINY_FCLT, seed=True), "seed"),
     (dict(PATH_CHECK, experiment="transient-variance", n_omegas="abc"), "n_omegas"),
     (dict(PATH_CHECK, lambda_grid=[]), "lambda_grid"),
-    (dict(TINY_FCLT, tolerances=[1]), "tolerances"),
     (dict(TIGHTNESS, grid_points=0), "grid_points"),
     (dict(LADDER, walk={}), "walk"),
     (dict(LADDER, experiment="lln-variance", walk={"preset": "lazy2d"},
@@ -115,6 +119,8 @@ REJECTED = [
     (dict(LADDER, n_ladder=[256, 64]), "n_ladder"),
     (dict(LADDER, experiment="orthogonality", windows=[0.1, 0.2, 0.3, 0.4], p_set=[[0, 0]],
           n_ladder=[64, 64]), "n_ladder"),
+    (dict(LADDER, experiment="orthogonality", windows=[0.4, 0.1, 0.6, 0.9], p_set=[[0, 0]]),
+     "windows"),
     # the runner's own walk and scenery rules
     (dict(TINY_FCLT, walk={"preset": "simple3d"}), "walk"),
     (dict(TINY_FCLT, experiment="variance-ladder", t_grid=[1.0], n_ladder=[256, 512],
@@ -155,6 +161,16 @@ def test_validate_rejects_bad_field(tmp_path, capsys, doc, field):
     err = capsys.readouterr().err
     assert f"config field {field}:" in err
     assert "required field is missing" not in err
+
+
+@pytest.mark.parametrize("name", sorted(cli.EXPERIMENTS))
+def test_runner_takes_exactly_the_config_fields(name):
+    # the registry calls harness.<runner>(**parsed fields) with no adapter, and
+    # each default is declared once, in the field spec
+    exp = cli.EXPERIMENTS[name]
+    params = inspect.signature(getattr(harness, exp.runner)).parameters
+    assert all(p.kind is p.KEYWORD_ONLY and p.default is p.empty for p in params.values())
+    assert set(params) == set({**cli._COMMON, **exp.fields}) - {"output"}
 
 
 def test_validate_accepts_max_steps():
@@ -305,9 +321,9 @@ def test_run_exit_codes(tmp_path, capsys, monkeypatch):
         def to_dict():
             return {"passed": False}
 
-    failing = cli.EXPERIMENTS["fclt-iid"]._replace(
-        runner=lambda **fields: (FailingReport, {}, {}))
-    monkeypatch.setitem(cli.EXPERIMENTS, "fclt-iid", failing)
+    monkeypatch.setattr(harness, "run_fclt", lambda **fields: FailingReport)
+    monkeypatch.setitem(cli.EXPERIMENTS, "fclt-iid",
+                        cli.EXPERIMENTS["fclt-iid"]._replace(tables=lambda rep: ({}, {})))
     path = write_config(tmp_path, TINY_FCLT)
     assert cli.main(["run", path, "--out", str(tmp_path / "fail")]) == 2
 

@@ -81,27 +81,36 @@ def test_fclt_simple2d_exact_c0(simple2d_model):
 
 def test_lln_guards(lazy_model, simple2d_model, simple3d_model):
     with pytest.raises(ValueError):
-        harness.track_variance_lln(simple3d_model, [64], [(0, 0, 0)], 2, 0)
+        harness.track_variance_lln(walk=simple3d_model, n_ladder=[64], p_set=[(0, 0, 0)],
+                                   n_omegas=2, seed=0)
     line = walk.build_walk_model(walk.increment_law([((1, 0), 0.5), ((-1, 0), 0.5)]))
-    with pytest.raises(ValueError):
-        harness.track_variance_lln(line, [64], [(0, 0)], 2, 0)  # rank 1: no C0
-    rep = harness.track_variance_lln(simple2d_model, [64], [(0, 0)], 2, 0)
+    with pytest.raises(ValueError):  # rank 1: no C0
+        harness.track_variance_lln(walk=line, n_ladder=[64], p_set=[(0, 0)], n_omegas=2,
+                                   seed=0)
+    rep = harness.track_variance_lln(walk=simple2d_model, n_ladder=[64], p_set=[(0, 0)],
+                                     n_omegas=2, seed=0)
     assert rep.c0 == pytest.approx(2 / math.pi, rel=1e-12)
-    rep = harness.track_variance_lln(lazy_model, [256, 1024], [(0, 0)], 4, 0)
+    rep = harness.track_variance_lln(walk=lazy_model, n_ladder=[256, 1024], p_set=[(0, 0)],
+                                     n_omegas=4, seed=0)
     assert set(rep.mean_ratio) == {(256, (0, 0)), (1024, (0, 0))}
     assert rep.max_ratio[(1024, (0, 0))] >= rep.mean_ratio[(1024, (0, 0))]
 
 
-def test_orthogonality_window_validation(lazy_model):
-    with pytest.raises(ValueError):
-        harness.check_increment_orthogonality(lazy_model, [256], (0.4, 0.1, 0.6, 0.9),
-                                              [(0, 0)], 2, 0)
+def test_orthogonality_window_validation(lazy_model, monkeypatch):
+    # bad windows fail before any path is drawn
+    monkeypatch.setattr(harness, "sample_path", None)
+    for windows in [(0.4, 0.1, 0.6, 0.9), (0.1, 0.2, 0.3), (0.1, 0.2, 0.3, 1.0)]:
+        with pytest.raises(ValueError, match="windows"):
+            harness.check_increment_orthogonality(walk=lazy_model, n_ladder=[256],
+                                                  windows=windows, p_set=[(0, 0)],
+                                                  n_omegas=2, seed=0)
 
 
 def test_orthogonality_disjoint_windows_straight_path():
     det = walk.build_walk_model(walk.deterministic_law((1, 0)))
-    rep = harness.check_increment_orthogonality(det, [512], (0.1, 0.4, 0.6, 0.9),
-                                                [(0, 0)], 2, 0)
+    rep = harness.check_increment_orthogonality(walk=det, n_ladder=[512],
+                                                windows=(0.1, 0.4, 0.6, 0.9), p_set=[(0, 0)],
+                                                n_omegas=2, seed=0)
     assert rep.mean_normalized[(512, (0, 0))] == 0.0
 
 
@@ -114,36 +123,49 @@ def test_cross_count_monotone_in_window(lazy_model):
 
 def test_newman_wright_rejects_unsigned_ma(lazy_model):
     mixed = scenery.moving_average_scenery({(0, 0): 1.0, (1, 0): -1.0})
-    path = walk.sample_path(lazy_model, 128, seed=0)
     with pytest.raises(ValueError):
-        harness.check_newman_wright(mixed, path, [2.0], m_sceneries=100)
+        harness.check_newman_wright(walk=lazy_model, scenery=mixed, n=128, m_sceneries=100,
+                                    lambda_grid=[2.0], seed=0)
 
 
 def test_newman_wright_constant_path_closed_form():
     # S_k = k X0 for the walk frozen at the origin: max |S_k| = n = ||S_n||_2,
     # so the left side is 1{lambda <= 1} and the right side 2*1{lambda <= 1+sqrt2}
     const = walk.build_walk_model(walk.deterministic_law((0, 0)))
-    path = walk.sample_path(const, 50, seed=0)
-    rep = harness.check_newman_wright(scenery.iid_scenery("rademacher"), path,
-                                      [0.5, 2.0, 3.0], m_sceneries=500)
+    rep = harness.check_newman_wright(walk=const, scenery=scenery.iid_scenery("rademacher"),
+                                      n=50, m_sceneries=500, lambda_grid=[0.5, 2.0, 3.0],
+                                      seed=0)
     assert rep.lhs == [1.0, 0.0, 0.0]
     assert rep.rhs == [2.0, 2.0, 0.0]
-    assert not any(rep.violations)
+    assert not any(rep.violations) and rep.passed
 
 
 def test_newman_wright_small_lambda_vacuous(lazy_model):
-    path = walk.sample_path(lazy_model, 512, seed=1)
-    rep = harness.check_newman_wright(scenery.iid_scenery("rademacher"), path,
-                                      [1.0], m_sceneries=500)
+    rep = harness.check_newman_wright(walk=lazy_model, scenery=scenery.iid_scenery("rademacher"),
+                                      n=512, m_sceneries=500, lambda_grid=[1.0], seed=1)
     assert rep.rhs[0] == 2.0  # threshold below sqrt2 makes the bound vacuous
     assert not rep.violations[0]
 
 
 def test_newman_wright_ma_positive_part(lazy_model):
     pos = scenery.moving_average_scenery({(0, 0): 0.5, (1, 0): 0.5})
-    path = walk.sample_path(lazy_model, 512, seed=2)
-    rep = harness.check_newman_wright(pos, path, [2.0, 3.0], m_sceneries=1000)
+    rep = harness.check_newman_wright(walk=lazy_model, scenery=pos, n=512, m_sceneries=1000,
+                                      lambda_grid=[2.0, 3.0], seed=2)
     assert not any(rep.violations)
+
+
+def test_maximal_pass_rules_are_report_properties():
+    nw = harness.NewmanWrightReport(lambdas=[2.0], lhs=[0.5], rhs=[0.1], lhs_se=[0.01],
+                                    rhs_se=[0.01], margins=[-0.4], violations=[True],
+                                    l2_norm=1.0, m_sceneries=100)
+    assert nw.passed is False and "passed" not in nw.to_dict()
+    mo = dict(n=8, g0_kind="sqrt3k", super_additive=True, hypothesis_ok=True,
+              hypothesis_worst=0.0, windows=[], m4_estimates=[], m4_se=[], bounds=[],
+              margins=[], worst_margin_se_units=math.inf, violations=0, m_sceneries=100)
+    assert harness.MoriczReport(**mo).passed is True
+    assert harness.MoriczReport(**dict(mo, violations=1)).passed is False
+    assert harness.MoriczReport(**dict(mo, hypothesis_ok=False)).passed is None
+    assert "passed" not in harness.MoriczReport(**mo).to_dict()
 
 
 def test_moricz_rademacher_exact_moments():
@@ -153,8 +175,8 @@ def test_moricz_rademacher_exact_moments():
     for k in (1, 2, 7, 32):
         m4 = harness._fourth_moment_window(path, iid.law, 0, k)
         assert m4 == 3 * k * k - 2 * k
-    rep = harness.check_moricz(iid, path, 128, g0_kind="sqrt3k",
-                               m_sceneries=800, x_seed=1)
+    rep = harness.check_moricz(walk=det, scenery=iid, n=128, m_sceneries=800,
+                               g0_kind="sqrt3k", seed=1)
     assert rep.super_additive and rep.hypothesis_ok
     assert rep.hypothesis_worst == pytest.approx(2.0)  # at k = 1: 3 - 1
     assert rep.violations == 0
@@ -184,9 +206,8 @@ def test_super_additivity_checker_rejects_sqrt():
 
 def test_moricz_walk_case(lazy_model):
     iid = scenery.iid_scenery("rademacher")
-    path = walk.sample_path(lazy_model, 128, seed=3)
-    rep = harness.check_moricz(iid, path, 128, g0_kind="self_intersection",
-                               m_sceneries=800, x_seed=2)
+    rep = harness.check_moricz(walk=lazy_model, scenery=iid, n=128, m_sceneries=800,
+                               g0_kind="self_intersection", seed=3)
     assert rep.super_additive and rep.hypothesis_ok
     assert rep.violations == 0
     assert rep.worst_margin_se_units > 3.0
@@ -230,14 +251,16 @@ def test_maximal_checks_match_pre_change_reference(lazy_model, monkeypatch, name
     got = harness._running_max_abs(scen, table, seeds)
     want = _reference_running_max_abs(scen, table, seeds)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-    checks = [lambda: harness.check_newman_wright(scen, path, [1.0, 2.0, 3.0],
-                                                  m_sceneries=m, x_seed=5)]
+    fields = dict(walk=lazy_model, scenery=scen, m_sceneries=m, seed=21)
+    checks = [lambda: harness.check_newman_wright(**fields, n=700,
+                                                  lambda_grid=[1.0, 2.0, 3.0])]
     if isinstance(scen, scenery.IIDScenery):
         windows = [(0, 8), (8, 8), (0, 64), (64, 64), (0, 512)]
         got = harness._window_max4(scen, table, seeds, 512, windows)
         want = _reference_window_max4(scen, table, seeds, 512, windows)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-        checks.append(lambda: harness.check_moricz(scen, path, 512, m_sceneries=m, x_seed=5))
+        checks.append(lambda: harness.check_moricz(**fields, n=512,
+                                                   g0_kind="self_intersection"))
     reports = [reportio.canonical_json(check().to_dict()) for check in checks]
     monkeypatch.setattr(harness, "_running_max_abs", _reference_running_max_abs)
     monkeypatch.setattr(harness, "_window_max4", _reference_window_max4)
@@ -273,8 +296,9 @@ def test_tightness_degenerate_scenery_collapses(lazy_model):
 def test_erdos_taylor_guards(simple2d_model):
     det = walk.build_walk_model(walk.deterministic_law((1, 0)))
     with pytest.raises(ValueError):
-        harness.track_erdos_taylor(det, [256], 2, 0)
-    rep = harness.track_erdos_taylor(simple2d_model, [256, 1024], 3, 0)
+        harness.track_erdos_taylor(walk=det, n_ladder=[256], n_omegas=2, epsilon=0.1, seed=0)
+    rep = harness.track_erdos_taylor(walk=simple2d_model, n_ladder=[256, 1024], n_omegas=3,
+                                     epsilon=0.1, seed=0)
     assert rep.mean_log_ratio[256] > 0
     assert len(rep.quantiles_log_ratio[1024]) == 3
     for n in rep.n_ladder:
@@ -289,9 +313,10 @@ def test_erdos_taylor_guards(simple2d_model):
 def test_transient_check_guards_and_trivial_bound(simple3d_model, lazy_model):
     iid = scenery.iid_scenery("rademacher")
     with pytest.raises(ValueError):
-        harness.transient_variance_check(iid, lazy_model, 256, 10, 0)
-    rep = harness.transient_variance_check(iid, simple3d_model, 2**12, 100, 1,
-                                           n_omegas=4, k_max=30)
+        harness.transient_variance_check(walk=lazy_model, scenery=iid, n=256, m_sceneries=10,
+                                         n_omegas=10, k_max=60, seed=0)
+    rep = harness.transient_variance_check(walk=simple3d_model, scenery=iid, n=2**12,
+                                           m_sceneries=100, n_omegas=4, k_max=30, seed=1)
     assert rep.exact_mean >= 1.0  # indicator term of the series
     assert rep.series_truncated >= 1.0
 

@@ -173,7 +173,8 @@ def test_max_local_time_and_ratio(lazy_model):
     assert localtime.max_local_time(const, 50) == 50
     straight = walk.sample_path(walk.build_walk_model(walk.deterministic_law((1, 0))), 50, seed=0)
     assert localtime.max_local_time(straight, 50) == 1
-    rep = harness.track_erdos_taylor(lazy_model, [1000], n_omegas=1, seed=4)
+    rep = harness.track_erdos_taylor(walk=lazy_model, n_ladder=[1000], n_omegas=1, epsilon=0.1,
+                                     seed=4)
     path = walk.sample_path(lazy_model, 1000, harness._omega_seed(4, 0))
     assert rep.log_ratio[1000] == [localtime.max_local_time(path, 1000) / math.log(1000) ** 2]
 

@@ -203,11 +203,16 @@ def test_field_sum_cumulative_grid(lazy_model):
 
 def test_ma_identity_filter_matches_iid(lazy_model):
     path = walk.sample_path(lazy_model, 500, seed=4)
-    iid = scenery.iid_scenery("uniform")
-    ma = scenery.moving_average_scenery({(0, 0): 1.0}, law="uniform")
-    a = scenery.field_increments(iid, path, [0.5, 1.0], range(8))
-    b = scenery.field_increments(ma, path, [0.5, 1.0], range(8))
-    assert np.allclose(a, b)
+    # Rademacher's bounded part at level 0 takes the values -1/2 and 1/2: Var X = 1/4
+    for law in (scenery.base_law("uniform"),
+                scenery.TruncationPart(scenery.base_law("rademacher"), 0.0, "bounded")):
+        iid = scenery.IIDScenery(law=law)
+        ma = scenery.MovingAverageScenery(law=law, coeffs={(0, 0): 1.0})
+        a = scenery.field_increments(iid, path, [0.5, 1.0], range(8))
+        b = scenery.field_increments(ma, path, [0.5, 1.0], range(8))
+        assert np.allclose(a, b)
+        assert scenery.quenched_variance(ma, path, (0, 500)) == \
+            scenery.quenched_variance(iid, path, (0, 500))
 
 
 _MA_FRACTIONAL = {(0, 0): 1.0, (1, 0): 0.37, (0, -1): -0.61}

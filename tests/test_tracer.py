@@ -99,3 +99,21 @@ def test_tracer_records_ks_spans_through_the_deferred_scipy_stats():
     done = subprocess.run([sys.executable, "-c", script], cwd=bench.parent, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_tracer_records_the_runner_the_registry_calls():
+    """The cli reaches each runner through the harness module at call time, so
+    the tracer's wrapper on ``harness.check_newman_wright`` records its span."""
+    from rwscenery import cli
+
+    tracer = _load_tracer()
+    doc = {"experiment": "newman-wright", "seed": 7, "walk": {"preset": "lazy2d"},
+           "scenery": {"variant": "iid", "law": {"name": "rademacher"}},
+           "n": 64, "m_sceneries": 50, "lambda_grid": [1.0, 2.0]}
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        cli.run_experiment(doc)
+    finally:
+        tr.uninstall()
+    assert [s[0] for s in tr.spans].count("harness.check_newman_wright") == 1
