@@ -153,6 +153,7 @@ _LADDER = {"walk": _walk, "n_ladder": _N_LADDER, "n_omegas": _at_least(1)}
 _PATH = {"walk": _walk, "scenery": _scenery, "n": _steps(1),
          "m_sceneries": _at_least(1)}
 # moricz and transient-variance estimate a variance over the scenery draws
+# (and transient-variance its standard errors over the omegas)
 _PATH_VAR = {**_PATH, "m_sceneries": _at_least(2)}
 
 
@@ -305,7 +306,8 @@ EXPERIMENTS = {
     "orthogonality": Experiment("asymptotic orthogonality of cross-interval coincidence counts",
                                 {**_LADDER, "windows": _list(_number), "p_set": _P_SET},
                                 "check_increment_orthogonality", _orthogonality_tables,
-                                {"windows": harness.require_windows}),
+                                {"walk": harness.require_planar,
+                                 "windows": harness.require_windows}),
     "erdos-taylor": Experiment("Erdos-Taylor / Dembo-Peres-Rosen-Zeitouni sup local time limit 1/pi",
                                {**_LADDER, "epsilon": (_number, 0.1)}, "track_erdos_taylor",
                                _erdos_taylor_tables, {"walk": harness.require_aperiodic_planar}),
@@ -322,7 +324,7 @@ EXPERIMENTS = {
                              "grid_points": (_at_least(1), 128)}, "estimate_tightness_modulus",
                             _tightness_tables, _PLANAR),
     "transient-variance": Experiment("Green-series asymptotic variance for transient walks",
-                                     {**_PATH_VAR, "n_omegas": (_at_least(1), 10),
+                                     {**_PATH_VAR, "n_omegas": (_at_least(2), 10),
                                       "k_max": (_at_least(0), 60)}, "transient_variance_check",
                                      _transient_tables, {"walk": harness.require_transient}),
     "truncation-ladder": Experiment("trig-polynomial approximation ladder for toral observables",

@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .localtime import local_times, max_local_time, pair_count_tables, path_table
+from .localtime import max_local_time, pair_count_tables, path_table, window_tables
 from .rng import derive_seed
 from .scenery import (
     IIDScenery,
@@ -86,6 +86,8 @@ def _rule(ok, message: str):
 require_planar_recurrent = _rule(lambda w: w.c0 is not None,
                                  "the runner normalizes by C0 n log n, which needs a centered "
                                  "planar walk whose support spans a rank-2 lattice")
+require_planar = _rule(lambda w: w.dimension == 2,
+                       "the p_set lags are planar, so the runner needs a planar walk")
 require_aperiodic_planar = _rule(  # planar and recurrent: centered, not deterministic
     lambda w: w.dimension == 2 and w.classification == RECURRENT and w.aperiodic,
     "sup-local-time tracking needs a centered aperiodic planar walk, not a deterministic one")
@@ -171,9 +173,8 @@ def run_fclt(*, walk: WalkModel, scenery: SceneryModel, n: int, t_grid,
 
     def omega(i, path_seed, path):
         """The omega's statistics; the variances are still unscaled by C0."""
-        win_var = [quenched_variance(scenery, path, (edges[j], edges[j + 1]))
-                   for j in range(len(edges) - 1)]
-        exact_var_y1 = quenched_variance(scenery, path, (0, edges[-1]))
+        *win_var, exact_var_y1 = quenched_variance(
+            scenery, path, [*zip(edges, edges[1:]), (0, edges[-1])])
         inc = field_increments(scenery, path, t_grid, _x_seeds(seed, i, m_sceneries))
         ks_stat, ks_p, offdiag = [], [], []
         if not degenerate:
@@ -249,8 +250,8 @@ def track_variance_ladder(*, walk: WalkModel, scenery: SceneryModel, n_ladder: S
     prefixes of one pass of n_ladder[-1]-step paths (sample_path is prefix-stable)."""
     require_planar_recurrent(walk)
     n_ladder = sorted(int(n) for n in n_ladder)
-    rows = _omega_pass(walk, n_ladder[-1], n_omegas, seed, lambda i, path_seed, path: [
-        quenched_variance(scenery, path, (0, n)) for n in n_ladder])
+    rows = _omega_pass(walk, n_ladder[-1], n_omegas, seed, lambda i, path_seed, path:
+                       quenched_variance(scenery, path, [(0, n) for n in n_ladder]))
     vals = [float(np.mean([float(v) / (walk.c0 * n * math.log(n)) for v in rung]))
             for n, rung in zip(n_ladder, zip(*rows))]
     degenerate = abs(spectral_density(scenery, dimension=2).at_zero()) < 1e-12
@@ -296,12 +297,9 @@ def track_variance_lln(*, walk: WalkModel, n_ladder: Sequence[int], n_omegas: in
 
     def omega(i, path_seed, path):
         """{(n, p): V_n(omega, p) / (C0 n log n)}"""
-        row = {}
-        for n in n_ladder:
-            tab = local_times(path, (0, n))
-            denom = walk.c0 * n * math.log(n)
-            row.update({(n, p): pair_count_tables(tab, tab, p) / denom for p in p_set})
-        return row
+        v = pair_count_tables(path, [((0, n), (0, n)) for n in n_ladder], p_set)
+        return {(n, p): int(v[r, c]) / (walk.c0 * n * math.log(n))
+                for r, n in enumerate(n_ladder) for c, p in enumerate(p_set)}
 
     rows = _omega_pass(walk, n_ladder[-1], n_omegas, seed, omega)
     ratios = {(n, p): [r[(n, p)] for r in rows] for n in n_ladder for p in p_set}
@@ -339,6 +337,7 @@ def check_increment_orthogonality(*, walk: WalkModel, n_ladder: Sequence[int],
                                   ) -> OrthogonalityReport:
     """Cross-interval coincidence counts V(omega, [nA, nB), [nC, nD), p),
     normalized by n log n; asymptotic orthogonality drives them to 0."""
+    require_planar(walk)
     require_windows(windows)
     a, b, c, d = windows
     n_ladder = sorted(int(n) for n in n_ladder)
@@ -346,13 +345,10 @@ def check_increment_orthogonality(*, walk: WalkModel, n_ladder: Sequence[int],
 
     def omega(i, path_seed, path):
         """{(n, p): V(omega, [nA, nB), [nC, nD), p) / (n log n)}"""
-        row = {}
-        for n in n_ladder:
-            tab_i = local_times(path, (int(n * a), int(n * b)))
-            tab_j = local_times(path, (int(n * c), int(n * d)))
-            row.update({(n, p): pair_count_tables(tab_i, tab_j, p) / (n * math.log(n))
-                        for p in p_set})
-        return row
+        v = pair_count_tables(path, [((int(n * a), int(n * b)), (int(n * c), int(n * d)))
+                                     for n in n_ladder], p_set)
+        return {(n, p): int(v[r, k]) / (n * math.log(n))
+                for r, n in enumerate(n_ladder) for k, p in enumerate(p_set)}
 
     rows = _omega_pass(walk, n_ladder[-1], n_omegas, seed, omega)
     series = {(n, p): [r[(n, p)] for r in rows] for n in n_ladder for p in p_set}
@@ -400,7 +396,7 @@ def check_newman_wright(*, walk: WalkModel, scenery: SceneryModel, n: int, m_sce
     """
     require_associated(scenery)
     path = sample_path(walk, n, seed)
-    l2 = math.sqrt(quenched_variance(scenery, path, (0, n)))
+    l2 = math.sqrt(quenched_variance(scenery, path, [(0, n)])[0])
     max_abs, s_n = _running_max_abs(scenery, path_table(path), _x_seeds(seed, 0, m_sceneries))
     lhs, rhs, lhs_se, rhs_se, margins, viol = [], [], [], [], [], []
     m = m_sceneries
@@ -424,25 +420,27 @@ def check_newman_wright(*, walk: WalkModel, scenery: SceneryModel, n: int, m_sce
 
 
 def _running_max_abs(scen: SceneryModel, table, seeds) -> tuple:
-    """max_k |S_k| and S_n along the path, one entry per scenery draw.
-
-    256 draws at a time through one pair of (256, n) buffers, reused by every
-    chunk: the per-visit values, then their running sums, made absolute in
-    place.
-    """
+    """max_k |S_k| and S_n along the whole path, one entry per scenery draw."""
     max_abs, s_n = np.empty(len(seeds)), np.empty(len(seeds))
-    vals = np.empty((min(len(seeds), 256), len(table.inverse)))
-    cs = np.empty_like(vals)
+    for lo, cs in _prefix_sums(scen, table, seeds, len(table.inverse)):
+        s_n[lo:lo + len(cs)] = cs[:, -1]
+        np.abs(cs, out=cs)
+        np.max(cs, axis=1, out=max_abs[lo:lo + len(cs)])
+    return max_abs, s_n
+
+
+def _prefix_sums(scen: SceneryModel, table, seeds, n: int):
+    """``(lo, cs)`` per chunk of 256 draws: S_0 = 0, S_1, ..., S_n of the
+    per-visit values of draws lo..lo+k, in buffers that the next chunk reuses."""
+    vals = np.empty((min(len(seeds), 256), n))
+    cs = np.zeros((len(vals), n + 1))
     for lo in range(0, len(seeds), 256):
         k = min(256, len(seeds) - lo)
         # mode="clip" gathers straight into out; "raise" would buffer a copy
-        np.take(site_values(scen, table.sites, seeds[lo:lo + k]), table.inverse, axis=1,
+        np.take(site_values(scen, table.sites, seeds[lo:lo + k]), table.inverse[:n], axis=1,
                 out=vals[:k], mode="clip")
-        np.cumsum(vals[:k], axis=1, out=cs[:k])
-        s_n[lo:lo + k] = cs[:k, -1]
-        np.abs(cs[:k], out=cs[:k])
-        np.max(cs[:k], axis=1, out=max_abs[lo:lo + k])
-    return max_abs, s_n
+        np.cumsum(vals[:k], axis=1, out=cs[:k, 1:])
+        yield lo, cs[:k]
 
 
 def _window_v_table(path: WalkPath, n: int) -> np.ndarray:
@@ -459,8 +457,7 @@ def _window_v_table(path: WalkPath, n: int) -> np.ndarray:
 def _fourth_moment_window(path: WalkPath, law, b: int, k: int) -> float:
     """Exact E |S_{[b,b+k)}|^4 for an i.i.d. scenery from window local times:
     3 (E X^2)^2 sum_{l1 != l2} w^2 w^2 + E X^4 sum_l w^4."""
-    tab = local_times(path, (b, b + k))
-    w2 = tab.counts.astype(np.float64) ** 2
+    w2 = window_tables(path, [(b, b + k)])[0].astype(np.float64) ** 2
     v = float(w2.sum())
     w4 = float((w2**2).sum())
     return 3.0 * law.moment(2) ** 2 * (v * v - w4) + law.fourth_moment * w4
@@ -543,19 +540,14 @@ def check_moricz(*, walk: WalkModel, scenery: SceneryModel, n: int, m_sceneries:
 
 def _window_max4(scen: SceneryModel, table, seeds, n: int, windows) -> list:
     """max_{0 < j <= k} |S_{b+j} - S_b|^4 per scenery draw, one array per
-    window (b, k) inside the first n steps.
-
-    The prefix sums and the window differences are one (m, n) array each;
-    every window reuses the second in place.
-    """
-    cs = np.zeros((len(seeds), n + 1))  # S_0 = 0, then S_1, ..., S_n per draw
-    np.cumsum(site_values(scen, table.sites, seeds)[:, table.inverse[:n]], axis=1,
-              out=cs[:, 1:])
-    seg = np.empty((len(seeds), n))
-    out = []
-    for b, k in windows:
-        d = np.subtract(cs[:, b + 1:b + k + 1], cs[:, b:b + 1], out=seg[:, :k])
-        out.append(np.max(np.abs(d, out=d), axis=1) ** 4)
+    window (b, k) inside the first n steps; every window reuses one
+    difference buffer in place."""
+    out = [np.empty(len(seeds)) for _ in windows]
+    seg = np.empty((min(len(seeds), 256), n))
+    for lo, cs in _prefix_sums(scen, table, seeds, n):
+        for m4, (b, k) in zip(out, windows):
+            d = np.subtract(cs[:, b + 1:b + k + 1], cs[:, b:b + 1], out=seg[:len(cs), :k])
+            m4[lo:lo + len(cs)] = np.max(np.abs(d, out=d), axis=1) ** 4
     return out
 
 
@@ -721,14 +713,14 @@ def transient_variance_check(*, walk: WalkModel, scenery: SceneryModel, n: int,
 
     def omega(i, path_seed, path):
         inc = field_increments(scenery, path, [1.0], _x_seeds(seed, i, m_sceneries))
-        return quenched_variance(scenery, path, (0, n)) / n, float(inc[:, 0].var(ddof=1)) / n
+        return quenched_variance(scenery, path, [(0, n)])[0] / n, float(inc[:, 0].var(ddof=1)) / n
 
     rows = _omega_pass(walk, n, n_omegas, seed, omega)
     exact_vals, mc_vals = [e for e, _ in rows], [m for _, m in rows]
     exact_mean = float(np.mean(exact_vals))
-    exact_se = float(np.std(exact_vals, ddof=1) / math.sqrt(n_omegas)) if n_omegas > 1 else 0.0
+    exact_se = float(np.std(exact_vals, ddof=1) / math.sqrt(n_omegas))
     mc_mean = float(np.mean(mc_vals))
-    mc_se = float(np.std(mc_vals, ddof=1) / math.sqrt(n_omegas)) if n_omegas > 1 else 0.0
+    mc_se = float(np.std(mc_vals, ddof=1) / math.sqrt(n_omegas))
     combined = 3.0 * mc_se + 0.5 * abs(est.tail_estimate)
     agree = abs(mc_mean - series) <= combined and abs(exact_mean - series) <= (
         3.0 * exact_se + 0.5 * abs(est.tail_estimate))
@@ -767,7 +759,7 @@ def run_truncation_ladder(*, walk: WalkModel, scenery: SceneryModel, n: int,
         subs.append(scenery_mod.ToralScenery(pair=scenery.pair, poly=fk, q_mod=scenery.q_mod,
                                              orbit_box=scenery.orbit_box))
     rows = _omega_pass(walk, n, n_omegas, seed, lambda i, path_seed, path: [
-        quenched_variance(sub, path, (0, n)) for sub in subs])
+        quenched_variance(sub, path, [(0, n)])[0] for sub in subs])
     var1 = [float(np.mean([v / (walk.c0 * n * math.log(n)) for v in rung]))
             for rung in zip(*rows)]
     return TruncationLadderReport(terms_ladder=[int(t) for t in terms_ladder],

@@ -18,9 +18,13 @@ same table.  When the bounding box of the n positions has at most
 them in row-major box order, which is lexicographic order, in O(n + cells).
 Wider boxes (3-d and drifted walks, far-flung hand-built paths) sort the
 positions' packed integer keys with ``np.unique``; d > 3 or coordinates past
-the packed bit widths sort the rows themselves.  A window's table is a
-bincount of the index over the window.  Counts are 64-bit with explicit
-overflow guards (n <= 2^31).
+the packed bit widths sort the rows themselves.
+
+Every count reads one primitive.  A window's local times are a dense
+bincount of the index over the window (``window_tables``), one slot per
+site plus a zero sentinel slot.  A lag p is one index map (``site_shift``)
+from each site to the slot of site - p: V(I, J, p) = w_I . w_J[shift_p].
+Counts are 64-bit with explicit overflow guards (n <= 2^31).
 """
 
 from __future__ import annotations
@@ -121,41 +125,6 @@ def _counted_sites(points: np.ndarray, lo: list, extents: list) -> tuple:
     return sites, inverse, pack_sites(sites, d)
 
 
-@dataclass
-class LocalTimeTable:
-    """Visit counts of a path over an index window [start, stop)."""
-
-    window: tuple
-    dimension: int
-    sites: np.ndarray   # (m, d) int64
-    counts: np.ndarray  # (m,) int64
-    keys: Optional[np.ndarray] = None  # sorted uint64 packed keys, None if unpackable
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def lookup(self, points: np.ndarray) -> np.ndarray:
-        """Counts at each of the given points (0 where unvisited)."""
-        points = np.asarray(points, dtype=np.int64).reshape(-1, self.dimension)
-        if self.keys is not None and _pack_shift_ok(points, self.dimension):
-            wanted = pack_sites(points, self.dimension)
-            pos = np.searchsorted(self.keys, wanted)
-            pos = np.minimum(pos, len(self.keys) - 1) if len(self.keys) else pos
-            out = np.zeros(len(points), dtype=np.int64)
-            if len(self.keys):
-                hit = self.keys[pos] == wanted
-                out[hit] = self.counts[pos[hit]]
-            return out
-        table = {tuple(s): int(c) for s, c in zip(self.sites, self.counts)}
-        return np.array([table.get(tuple(p), 0) for p in points], dtype=np.int64)
-
-    def as_dict(self) -> dict:
-        return {tuple(int(c) for c in s): int(c2) for s, c2 in zip(self.sites, self.counts)}
-
-
 @dataclass(frozen=True)
 class PathTable:
     """Every site a path visits, sorted, and the index of each step's site."""
@@ -174,82 +143,109 @@ def path_table(path: WalkPath) -> PathTable:
     return cached
 
 
-def window_counts(path: WalkPath, edges) -> tuple:
-    """Visit counts of each window [edges[j], edges[j+1]) of the path.
-
-    Returns ``(ids, counts)``: the indices into ``path_table(path).sites`` of
-    the sites visited in [edges[0], edges[-1]), ascending, and their (M, s)
-    int64 counts, one column per window.
-    """
-    path.window_positions(edges[0], edges[-1])  # IndexError outside [0, n]
+def window_tables(path: WalkPath, windows) -> np.ndarray:
+    """Local times of each window [lo, hi), one int64 row per window: the
+    bincount of the path's site index over its M sites, plus a zero slot M."""
     table = path_table(path)
-    cols = [np.bincount(table.inverse[lo:hi], minlength=len(table.sites))
-            for lo, hi in zip(edges, edges[1:])]
-    counts = np.stack(cols, axis=1)
-    ids = np.flatnonzero(counts.any(axis=1))
-    return ids, counts[ids]
+    out = np.empty((len(windows), len(table.sites) + 1), dtype=np.int64)
+    for row, (lo, hi) in zip(out, windows):
+        lo, hi = int(lo), int(hi)
+        path.window_positions(lo, hi)  # IndexError outside [0, n]
+        row[:] = np.bincount(table.inverse[lo:hi], minlength=len(row))
+    return out
+
+
+def site_shift(path: WalkPath, p) -> np.ndarray:
+    """The lag map of p: the slot of sites[i] - p for each site i, M where it is
+    unvisited (and M for M).  Packed keys are matched by searchsorted; d > 3,
+    or a shift past the packed bit widths, matches rows through a dict."""
+    table = path_table(path)
+    m, d = table.sites.shape
+    p = np.asarray(p, dtype=np.int64)
+    if not p.any():
+        return np.arange(m + 1)
+    moved = table.sites - p
+    shift = np.full(m + 1, m)
+    if table.keys is not None and _pack_shift_ok(moved, d):
+        wanted = pack_sites(moved, d)
+        pos = np.searchsorted(table.keys, wanted)
+        hit = table.keys[np.minimum(pos, m - 1)] == wanted
+        shift[:m][hit] = pos[hit]
+    else:
+        index = {s: i for i, s in enumerate(map(tuple, table.sites.tolist()))}
+        shift[:m] = [index.get(s, m) for s in map(tuple, moved.tolist())]
+    return shift
+
+
+def window_counts(path: WalkPath, edges) -> tuple:
+    """``(ids, counts)`` of the windows [edges[j], edges[j+1]): the ascending
+    indices into ``path_table(path).sites`` of the sites they visit, and the
+    (len(ids), s) int64 counts there, one column per window."""
+    counts = window_tables(path, list(zip(edges, edges[1:])))[:, :-1]
+    ids = np.flatnonzero(counts.any(axis=0))
+    return ids, np.ascontiguousarray(counts[:, ids].T)
+
+
+@dataclass
+class LocalTimeTable:
+    """Visit counts of a path over an index window, visited sites only."""
+
+    sites: np.ndarray   # (m, d) int64
+    counts: np.ndarray  # (m,) int64
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def total(self) -> int:
+        return int(self.counts.sum())
+
+    def as_dict(self) -> dict:
+        return {tuple(int(c) for c in s): int(c2) for s, c2 in zip(self.sites, self.counts)}
 
 
 def local_times(path: WalkPath, window) -> LocalTimeTable:
-    """Local-time table w(omega, [start, stop), .), cut from the path's table."""
-    start, stop = int(window[0]), int(window[1])
-    ids, counts = window_counts(path, (start, stop))
-    table = path_table(path)
-    keys = None if table.keys is None else table.keys[ids]
-    return LocalTimeTable((start, stop), path.model.dimension, table.sites[ids],
-                          counts[:, 0], keys=keys)
+    """Local-time table w(omega, [start, stop), .), cut from the window's bincount."""
+    counts = window_tables(path, [window])[0]
+    ids = np.flatnonzero(counts)
+    return LocalTimeTable(path_table(path).sites[ids], counts[ids])
 
 
-def pair_count_tables(tab_i: LocalTimeTable, tab_j: LocalTimeTable, p) -> int:
-    """V = sum_x w_I(x) w_J(x - p), iterating over the smaller table.
-
-    V_n(omega, 0) of one table is the dot product of its counts, no lookup.
-    """
-    p = np.asarray(p, dtype=np.int64)
-    if tab_i is tab_j and not p.any():
-        return int(np.dot(tab_i.counts, tab_i.counts))
-    if len(tab_i) <= len(tab_j):
-        other = tab_j.lookup(tab_i.sites - p)
-        return int(np.dot(tab_i.counts, other))
-    other = tab_i.lookup(tab_j.sites + p)
-    return int(np.dot(tab_j.counts, other))
+def pair_count_tables(path: WalkPath, window_pairs, p_set) -> np.ndarray:
+    """V(omega, I, J, p) = sum_x w_I(x) w_J(x - p), exact in int64, per window
+    pair (I, J) (rows) and lag p (columns); each window and lag map built once."""
+    window_pairs = [(tuple(map(int, i)), tuple(map(int, j))) for i, j in window_pairs]
+    windows = list(dict.fromkeys(w for pair in window_pairs for w in pair))
+    w = dict(zip(windows, window_tables(path, windows)))
+    out = np.empty((len(window_pairs), len(p_set)), dtype=np.int64)
+    for col, p in enumerate(p_set):
+        shift = site_shift(path, p)
+        for row, (i, j) in enumerate(window_pairs):
+            out[row, col] = np.dot(w[i], w[j][shift])
+    return out
 
 
 def pair_count(path: WalkPath, window_i, window_j, p) -> int:
     """V(omega, I, J, p) = #{(u, v) in I x J : Z_u - Z_v = p}."""
-    tab_i = local_times(path, window_i)
-    tab_j = local_times(path, window_j)
-    return pair_count_tables(tab_i, tab_j, p)
+    return int(pair_count_tables(path, [(window_i, window_j)], [p])[0, 0])
 
 
 def self_intersections(path: WalkPath, n_prefix: int, p=None) -> int:
     """V_n(omega, p) over the prefix window [0, n_prefix); p defaults to 0."""
-    if p is None:
-        p = (0,) * path.model.dimension
-    tab = local_times(path, (0, n_prefix))
-    return pair_count_tables(tab, tab, p)
+    p = (0,) * path.model.dimension if p is None else p
+    return pair_count(path, (0, n_prefix), (0, n_prefix), p)
 
 
 def quadruple_count(path: WalkPath, n_prefix: int, ells) -> int:
-    """W_n = sum_x w(x) w(x+l1) w(x+l2) w(x+l3) over the prefix table."""
+    """W_n = sum_x w(x) w(x+l1) w(x+l2) w(x+l3) over the prefix window."""
     if len(ells) != 3:
         raise ValueError("quadruple_count expects three displacement vectors")
-    tab = local_times(path, (0, n_prefix))
-    if len(tab) == 0:
-        return 0
-    factors = [tab.counts]
-    for ell in ells:
-        ell = np.asarray(ell, dtype=np.int64)
-        factors.append(tab.lookup(tab.sites + ell))
-    max_count = max(int(f.max(initial=0)) for f in factors)
-    if max_count < 2**15:  # product of four fits int64
-        prod = factors[0] * factors[1] * factors[2] * factors[3]
-        return int(prod.sum())
-    return sum(int(a) * int(b) * int(c) * int(e)
-               for a, b, c, e in zip(*factors))
+    w = window_tables(path, [(0, n_prefix)])[0]
+    factors = [w] + [w[site_shift(path, -np.asarray(ell, dtype=np.int64))] for ell in ells]
+    if int(w.max()) >= 2**15:  # a product of four could overflow int64
+        factors = [f.astype(object) for f in factors]
+    return int(np.sum(factors[0] * factors[1] * factors[2] * factors[3]))
 
 
 def max_local_time(path: WalkPath, n_prefix: int) -> int:
     """sup_l w_n(omega, l) over the prefix window."""
-    tab = local_times(path, (0, n_prefix))
-    return int(tab.counts.max(initial=0))
+    return int(window_tables(path, [(0, n_prefix)]).max())

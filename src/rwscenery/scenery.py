@@ -23,7 +23,7 @@ from typing import Union
 import numpy as np
 
 from . import algebra
-from .localtime import local_times, pair_count_tables, path_table, unique_sites, window_counts
+from .localtime import pair_count_tables, path_table, unique_sites, window_counts
 from .rng import derive_seed, hash_sites, philox_gen, splitmix64, u64_to_uniform
 from .trigpoly import TrigPolynomial
 from .walk import RECURRENT, WalkModel, WalkPath, green_series_table
@@ -662,18 +662,22 @@ def _toral_values(scenery: ToralScenery, freqs: np.ndarray, x_seeds) -> np.ndarr
     return vals.T
 
 
-def quenched_variance(scenery: SceneryModel, path: WalkPath, window) -> float:
-    """Exact Var_x of S over an index window: sum_p V(omega, J, p) a_p.
+def quenched_variance(scenery: SceneryModel, path: WalkPath, windows) -> list:
+    """Exact Var_x of S over each index window J: sum_p a_p V(omega, J, J, p).
 
     Ties the counting layer to the field correlations; for i.i.d. sceneries
-    this is just the self-intersection count of the window.
+    this is just the self-intersection count of the window.  The spectral
+    density is read once and every V comes from one ``pair_count_tables``.
     """
-    density = spectral_density(scenery, dimension=path.model.dimension)
-    tab = local_times(path, window)
-    total = 0.0
-    for p, a in density.fourier.items():
-        total += a * pair_count_tables(tab, tab, p)
-    return total
+    lags = spectral_density(scenery, dimension=path.model.dimension).fourier
+    counts = pair_count_tables(path, [(w, w) for w in windows], list(lags))
+    out = []
+    for row in counts:
+        total = 0.0
+        for a, v in zip(lags.values(), row):
+            total += a * int(v)
+        out.append(total)
+    return out
 
 
 def truncate_field(scenery: SceneryModel, level: float):

@@ -164,7 +164,7 @@ def test_criterion_3_variance_identity(lazy_model):
         exact = total / 2 ** len(weights)
         vn = localtime.self_intersections(path, n)
         assert exact == vn
-        assert scenery.quenched_variance(iid, path, (0, n)) == exact
+        assert scenery.quenched_variance(iid, path, [(0, n)]) == [exact]
         checked += 1
     assert criterion(3, checked == 50,
                      f"E_x|S_n|^2 = V_n exactly on {checked} exhaustive instances")

@@ -106,6 +106,9 @@ REJECTED = [
           m_sceneries=1), "m_sceneries"),
     (dict(TINY_FCLT, seed=True), "seed"),
     (dict(PATH_CHECK, experiment="transient-variance", n_omegas="abc"), "n_omegas"),
+    # the standard errors over the omegas need two of them
+    (dict(PATH_CHECK, experiment="transient-variance", walk={"preset": "simple3d"},
+          n_omegas=1), "n_omegas"),
     (dict(PATH_CHECK, lambda_grid=[]), "lambda_grid"),
     (dict(TIGHTNESS, grid_points=0), "grid_points"),
     (dict(LADDER, walk={}), "walk"),
@@ -130,6 +133,9 @@ REJECTED = [
     *((dict(doc, walk={"preset": preset}), "walk")
       for doc in (TIGHTNESS, TRUNCATION) for preset in ("simple3d", "det1d")),
     (dict(LADDER, walk={"preset": "det1d"}), "walk"),
+    # the p_set lags are planar
+    *((dict(LADDER, experiment="orthogonality", windows=[0.1, 0.4, 0.6, 0.9], p_set=[[0, 0]],
+            walk={"preset": preset}), "walk") for preset in ("simple3d", "det1d")),
     (dict(PATH_CHECK, experiment="transient-variance"), "walk"),
     (dict(PATH_CHECK, scenery=MIXED_MA), "scenery"),
     (dict(PATH_CHECK, experiment="moricz", scenery=MIXED_MA), "scenery"),
@@ -141,11 +147,13 @@ REJECTED = [
 
 
 def _rejected_id(doc, field):
-    """experiment:field, and the preset of a walk that the runner's rule rejects
-    or the toral constant that the scenery rejects."""
+    """experiment:field, and the preset of a walk that the runner's rule rejects,
+    the toral constant that the scenery rejects or an n_omegas below its bound."""
     extra = None
     if field == "walk":
         extra = doc["walk"].get("preset", "atoms" if "atoms" in doc["walk"] else None)
+    elif field == "n_omegas" and isinstance(doc[field], int):
+        extra = doc[field]
     elif field == "scenery" and doc["scenery"].get("variant") == "toral":
         key = "orbit_box" if "orbit_box" in doc["scenery"] else "q_mod"
         extra = f"{key}={doc['scenery'][key]!r}"
@@ -364,6 +372,6 @@ def test_truncation_ladder_runs_the_period_2_walk_at_exact_c0(tmp_path, capsys):
     n = doc["n"]
     path = walk.sample_path(walk.build_walk_model(walk.simple_walk_law(2)), n,
                             harness._omega_seed(doc["seed"], 0))
-    var = scenery.quenched_variance(cli._scenery("scenery", doc["scenery"]), path, (0, n))
+    var, = scenery.quenched_variance(cli._scenery("scenery", doc["scenery"]), path, [(0, n)])
     assert report["var_y1"][-1] == pytest.approx(var / (2 / math.pi * n * math.log(n)),
                                                  rel=1e-12)

@@ -405,3 +405,25 @@ def test_one_path_alive_at_a_time(monkeypatch, name):
     cli.run_experiment(ALIVE[name])
     assert len(drawn) == ALIVE[name]["n_omegas"]
     assert all(ref() is None for ref in drawn)
+
+
+@pytest.mark.parametrize("name, counted", [("lln-variance", "pair_count_tables"),
+                                           ("orthogonality", "pair_count_tables"),
+                                           ("fclt-iid-exact", "quenched_variance")])
+def test_counting_layer_runs_once_per_omega(monkeypatch, name, counted):
+    # one count call per omega reads every rung, window and lag, and each
+    # path's site table is sorted once however many windows it serves
+    calls = {counted: 0, "unique_sites": 0}
+
+    def count(module, attr):
+        original = getattr(module, attr)
+
+        def counting(*args, **kwargs):
+            calls[attr] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, attr, counting)
+
+    count(harness, counted)
+    count(localtime, "unique_sites")
+    cli.run_experiment(ALIVE[name])
+    assert calls == {counted: 3, "unique_sites": 3}

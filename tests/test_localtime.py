@@ -182,12 +182,12 @@ def test_max_local_time_and_ratio(lazy_model):
 def test_zero_displacement_pair_count(lazy_model):
     path = walk.sample_path(lazy_model, 3000, seed=8)
     tab = localtime.local_times(path, (0, 3000))
-    assert localtime.pair_count_tables(tab, tab, (0, 0)) == int(np.dot(tab.counts, tab.counts))
-    # two table objects at p = 0 go through lookup: a cross-window count, and
-    # V_n again for two copies of one window
+    assert localtime.pair_count_tables(path, [((0, 3000), (0, 3000))], [(0, 0)]).tolist() == \
+        [[int(np.dot(tab.counts, tab.counts))]]
+    # the identity lag map: a cross-window count, and V_n again for one window
+    assert localtime.site_shift(path, (0, 0)).tolist() == list(range(len(tab) + 1))
     for wi, wj in (((0, 1000), (500, 3000)), ((0, 3000), (0, 3000))):
-        tab_i, tab_j = localtime.local_times(path, wi), localtime.local_times(path, wj)
-        assert localtime.pair_count_tables(tab_i, tab_j, (0, 0)) == \
+        assert localtime.pair_count_tables(path, [(wi, wj)], [(0, 0)])[0, 0] == \
             brute_pair_count(path.positions, wi, wj, (0, 0))
 
 
@@ -196,7 +196,7 @@ def test_dict_fallback_for_high_dimension():
     m = walk.build_walk_model(law)
     path = walk.sample_path(m, 200, seed=6)
     tab = localtime.local_times(path, (0, 200))
-    assert tab.keys is None
+    assert localtime.path_table(path).keys is None
     assert tab.total() == 200
     assert localtime.self_intersections(path, 200) == \
         brute_pair_count(path.positions, (0, 200), (0, 200), (0, 0, 0, 0))
@@ -238,10 +238,35 @@ def test_packed_key_bit_width_boundary(d, bits):
         for lo, hi in [(0, len(rows)), (2, 6)]:
             tab = localtime.local_times(path, (lo, hi))
             assert _items(tab) == sorted(Counter(map(tuple, rows[lo:hi])).items())
-        full = localtime.local_times(path, (0, len(rows)))
-        assert full.lookup(np.asarray(rows)).tolist() == [want[tuple(r)] for r in rows]
+        full = localtime.window_tables(path, [(0, len(rows))])[0]
+        assert full[localtime.path_table(path).inverse].tolist() == [want[tuple(r)] for r in rows]
         assert localtime.self_intersections(path, len(rows)) == \
             sum(c * c for c in want.values())
+        # a lag that moves the edge sites one past the width takes the dict route
+        for p in [(1,) * d, (-1,) * d]:
+            assert localtime.self_intersections(path, len(rows), p) == \
+                brute_pair_count(path.positions, (0, len(rows)), (0, len(rows)), p)
+
+
+@given(st.integers(1, 4), st.integers(1, 120), st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_pair_count_tables_match_brute_force(d, n, seed, near_edge):
+    # d = 4 has no packed keys; near the edge, a site at the last packable
+    # coordinate is pushed past the width by the lag -1 (and by some others)
+    gen = np.random.default_rng(seed)
+    points = gen.integers(-3, 4, size=(n, d))
+    if near_edge and d in localtime._PACK_BITS:
+        points += 2 ** localtime._PACK_BITS[d] - 5
+        points[0] = 2 ** localtime._PACK_BITS[d] - 2
+    path = _hand_path(points)
+    pairs = [tuple(tuple(sorted(gen.integers(0, n + 1, size=2).tolist())) for _ in range(2))
+             for _ in range(3)]
+    lags = [(0,) * d, (-1,) * d, tuple(gen.integers(-4, 5, size=d).tolist())]
+    lags += [tuple((points[i] - points[j]).tolist()) for i, j in gen.integers(0, n, size=(3, 2))]
+    got = localtime.pair_count_tables(path, pairs, lags)
+    assert got.dtype == np.int64 and got.shape == (len(pairs), len(lags))
+    assert got.tolist() == [[brute_pair_count(path.positions, wi, wj, p) for p in lags]
+                            for wi, wj in pairs]
 
 
 def test_windows_of_one_path_share_one_sort(lazy_model, monkeypatch):

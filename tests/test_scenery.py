@@ -181,7 +181,7 @@ def test_variance_identity_exhaustive_tiny(lazy_model):
             total += s * s
         exact = total / 2 ** len(weights)
         assert exact == localtime.self_intersections(path, 8)
-        assert scenery.quenched_variance(iid, path, (0, 8)) == exact
+        assert scenery.quenched_variance(iid, path, [(0, 8)]) == [exact]
 
 
 def test_field_sum_constant_path():
@@ -211,8 +211,8 @@ def test_ma_identity_filter_matches_iid(lazy_model):
         a = scenery.field_increments(iid, path, [0.5, 1.0], range(8))
         b = scenery.field_increments(ma, path, [0.5, 1.0], range(8))
         assert np.allclose(a, b)
-        assert scenery.quenched_variance(ma, path, (0, 500)) == \
-            scenery.quenched_variance(iid, path, (0, 500))
+        assert scenery.quenched_variance(ma, path, [(0, 500)]) == \
+            scenery.quenched_variance(iid, path, [(0, 500)])
 
 
 _MA_FRACTIONAL = {(0, 0): 1.0, (1, 0): 0.37, (0, -1): -0.61}
@@ -479,7 +479,7 @@ def test_toral_empirical_correlation_matches_table(sl3_pair, toral):
 
 def test_toral_quenched_variance_vs_monte_carlo(lazy_model, toral):
     path = walk.sample_path(lazy_model, 800, seed=5)
-    exact = scenery.quenched_variance(toral, path, (0, 800))
+    exact, = scenery.quenched_variance(toral, path, [(0, 800)])
     inc = scenery.field_increments(toral, path, [1.0], range(4000))
     mc = float(inc[:, 0].var(ddof=1))
     se = exact * math.sqrt(2.0 / 3999)
@@ -577,7 +577,7 @@ def test_two_primes_give_consistent_statistics(sl3_pair, four_term_poly, lazy_mo
     a = scenery.field_increments(t1, path, [1.0], range(3000))
     b = scenery.field_increments(t2, path, [1.0], range(3000))
     va, vb = a.var(), b.var()
-    exact = scenery.quenched_variance(t1, path, (0, 600))
+    exact, = scenery.quenched_variance(t1, path, [(0, 600)])
     se = exact * math.sqrt(2.0 / 2999)
     assert abs(va - vb) < 6 * se
 
