@@ -283,7 +283,8 @@ class Experiment(NamedTuple):
     fields: dict       # field spec, on top of _COMMON
     runner: str        # harness.<runner>(**parsed fields) -> report
     tables: Callable   # tables(report) -> (series, charts)
-    rules: dict        # field -> the runner's own check of its parsed value
+    rules: dict        # field (or a tuple of fields, the first named on failure)
+                       # -> the runner's own check of the parsed values
 
 
 _PLANAR = {"walk": harness.require_planar_recurrent}
@@ -313,11 +314,14 @@ EXPERIMENTS = {
                                _erdos_taylor_tables, {"walk": harness.require_aperiodic_planar}),
     "newman-wright": Experiment("Newman-Wright maximal inequality for associated summands",
                                 {**_PATH, "lambda_grid": _list(_number)}, "check_newman_wright",
-                                _newman_wright_tables, {"scenery": harness.require_associated}),
+                                _newman_wright_tables,
+                                {"scenery": harness.require_associated,
+                                 ("n", "m_sceneries"): harness.require_newman_wright_memory}),
     "moricz": Experiment("Moricz fourth-moment maximal bound with C_max = (1 - 2^-1/4)^-4",
                          {**_PATH_VAR, "g0_kind": (lambda field, v: v, "self_intersection")},
                          "check_moricz", _moricz_tables,
-                         {"scenery": harness.require_iid, "g0_kind": harness.require_g0_kind}),
+                         {"scenery": harness.require_iid, "g0_kind": harness.require_g0_kind,
+                          "n": harness.require_moricz_memory}),
     "tightness": Experiment("modulus-of-continuity tightness estimates for the rescaled process",
                             {**_SCALED, "m_sceneries": _at_least(100),
                              "delta_ladder": _list(_number), "epsilon": _number,
@@ -357,11 +361,12 @@ def _parse(doc) -> tuple:
     name = _field(doc, "experiment", _experiment)
     spec = {**_COMMON, **EXPERIMENTS[name].fields}
     values = {f: _field(doc, f, s) for f, s in spec.items()}
-    for field, rule in EXPERIMENTS[name].rules.items():
+    for fields, rule in EXPERIMENTS[name].rules.items():
+        fields = (fields,) if isinstance(fields, str) else fields
         try:
-            rule(values[field])
+            rule(*(values[f] for f in fields))
         except ValueError as exc:
-            raise ConfigError(field, str(exc)) from None
+            raise ConfigError(fields[0], str(exc)) from None
     return name, values
 
 

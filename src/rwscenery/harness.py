@@ -29,6 +29,7 @@ same fields, and its report carries its own pass rule as ``passed``
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, asdict
 from typing import Optional, Sequence
 
@@ -41,6 +42,7 @@ from .scenery import (
     SceneryModel,
     field_increments,
     is_associated,
+    lag_sum,
     quenched_variance,
     site_values,
     spectral_density,
@@ -107,6 +109,29 @@ require_windows = _rule(lambda w: len(w) == 4 and 0 < w[0] < w[1] < w[2] < w[3] 
                         "windows need [A, B, C, D] with 0 < A < B < C < D < 1")
 require_g0_kind = _rule(lambda k: k in ("sqrt3k", "self_intersection"),
                         "g0_kind must be 'sqrt3k' or 'self_intersection'")
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory on this machine (``os.sysconf``)."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _require_memory(what: str, nbytes: int) -> None:
+    if nbytes > physical_memory():
+        raise ValueError(f"{what} would take {nbytes / 2**30:.1f} GiB, more than the "
+                         f"{physical_memory() / 2**30:.1f} GiB of physical memory")
+
+
+def require_moricz_memory(n: int) -> None:
+    """check_moricz holds two (n+1) x (n+1) float64 tables: V and G0 per window."""
+    _require_memory("the two (n+1)^2 float64 window tables", 16 * (n + 1) ** 2)
+
+
+def require_newman_wright_memory(n: int, m_sceneries: int) -> None:
+    """check_newman_wright holds two min(m, 256) x (n+1) float64 buffers:
+    a chunk of per-visit values and their running sums."""
+    _require_memory("the two min(m_sceneries, 256) x (n+1) float64 buffers",
+                    16 * min(m_sceneries, 256) * (n + 1))
 
 
 class _Report:
@@ -758,8 +783,16 @@ def run_truncation_ladder(*, walk: WalkModel, scenery: SceneryModel, n: int,
                                    if k not in fk.coeffs)))
         subs.append(scenery_mod.ToralScenery(pair=scenery.pair, poly=fk, q_mod=scenery.q_mod,
                                              orbit_box=scenery.orbit_box))
-    rows = _omega_pass(walk, n, n_omegas, seed, lambda i, path_seed, path: [
-        quenched_variance(sub, path, [(0, n)])[0] for sub in subs])
+    # one count call per omega over every rung's lags; each rung sums its own
+    # lags in its own spectral-density order, as quenched_variance does
+    fouriers = [spectral_density(sub, dimension=walk.dimension).fourier for sub in subs]
+    lags = list(dict.fromkeys(p for fourier in fouriers for p in fourier))
+
+    def omega(i, path_seed, path):
+        v = dict(zip(lags, pair_count_tables(path, [((0, n), (0, n))], lags)[0]))
+        return [lag_sum(fourier, v) for fourier in fouriers]
+
+    rows = _omega_pass(walk, n, n_omegas, seed, omega)
     var1 = [float(np.mean([v / (walk.c0 * n * math.log(n)) for v in rung]))
             for rung in zip(*rows)]
     return TruncationLadderReport(terms_ladder=[int(t) for t in terms_ladder],

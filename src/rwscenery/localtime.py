@@ -12,13 +12,16 @@ All quantities here are integers computed exactly from local-time tables:
                               window, so the factorization is exact)
 
 Each path is tabulated once and the table is cached on the path: the sorted
-site list and every step's index into it.  For d <= 3 two routes give the
-same table.  When the bounding box of the n positions has at most
+site list and every step's int32 index into it.  For d <= 3 two routes give
+the same table.  When the bounding box of the n positions has at most
 4n + _DENSE_SLACK cells, a counting sort marks the visited cells and ranks
 them in row-major box order, which is lexicographic order, in O(n + cells).
-Wider boxes (3-d and drifted walks, far-flung hand-built paths) sort the
-positions' packed integer keys with ``np.unique``; d > 3 or coordinates past
-the packed bit widths sort the rows themselves.
+It reads the path's steps, not its positions, a chunk at a time: prefix sums
+of the atoms' coordinates give the box, and prefix sums of the atoms' box
+offsets fill the int32 index, which is then ranked in place.  Wider boxes
+(3-d and drifted walks, far-flung hand-built paths) sort the positions'
+packed integer keys with ``np.unique``; d > 3 or coordinates past the packed
+bit widths sort the rows themselves.
 
 Every count reads one primitive.  A window's local times are a dense
 bincount of the index over the window (``window_tables``), one slot per
@@ -35,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .walk import WalkPath
+from .walk import STEP_CHUNK, WalkPath
 
 _PACK_BITS = {1: 62, 2: 31, 3: 20}  # per coordinate; a field takes bits + 1
 
@@ -79,19 +82,29 @@ def unique_sites(points: np.ndarray) -> tuple:
     are ranked by a counting sort over the box; wider boxes sort packed keys.
     """
     n, d = points.shape
-    packed = d in _PACK_BITS
-    if packed and n:
+    if d in _PACK_BITS and n:
         # per-column reductions: min(axis=0) over an (n, d) array is far slower
         lo = [int(points[:, j].min()) for j in range(d)]
         hi = [int(points[:, j].max()) for j in range(d)]
-        lim = 2 ** _PACK_BITS[d] - 1
-        packed = -lim < min(lo) and max(hi) < lim
-        extents = [b - a + 1 for a, b in zip(lo, hi)]
-        # n < 2^31 keeps the distinct count M below 2^31, so the int32 cumsum
-        # of the marks cannot wrap; a path of exactly MAX_STEPS is sorted
-        if packed and n < 2**31 and math.prod(extents) <= 4 * n + _DENSE_SLACK:
-            return _counted_sites(points, lo, extents)
-    if packed:
+
+        def fill(strides, out):
+            for a in range(0, n, STEP_CHUNK):
+                chunk = points[a:a + STEP_CHUNK]
+                box = np.zeros(len(chunk), dtype=np.int64)
+                for j in range(d):
+                    box += np.subtract(chunk[:, j], lo[j], dtype=np.int64) * strides[j]
+                out[a:a + len(box)] = box
+
+        table = _counted_sites(n, lo, hi, fill)
+        if table is not None:
+            return table
+    return _sorted_sites(points)
+
+
+def _sorted_sites(points: np.ndarray) -> tuple:
+    """unique_sites by sorting: np.unique on packed keys when they fit, else on the rows."""
+    d = points.shape[1]
+    if _pack_shift_ok(points, d):
         keys, inverse = np.unique(pack_sites(points, d), return_inverse=True)
         sites = unpack_sites(keys, d)
     else:
@@ -101,28 +114,78 @@ def unique_sites(points: np.ndarray) -> tuple:
     return sites, inverse.reshape(-1).astype(np.int32), keys
 
 
-def _counted_sites(points: np.ndarray, lo: list, extents: list) -> tuple:
-    """unique_sites by a counting sort over the bounding box lo + [0, extents)."""
-    d = points.shape[1]
-    # row-major offset of each point in the box; box order is lexicographic
-    box = np.subtract(points[:, 0], lo[0], dtype=np.int64)
-    for j in range(1, d):
-        box *= extents[j]
-        box += points[:, j]
-        box -= lo[j]
-    present = np.zeros(math.prod(extents), dtype=bool)
-    present[box] = True
+def _counted_sites(n: int, lo: list, hi: list, fill) -> Optional[tuple]:
+    """unique_sites of n points by a counting sort over their bounding box
+    lo..hi, or None when the box does not pack or is too wide to count in.
+
+    ``fill(strides, out)`` writes each point's row-major box offset (box order
+    is lexicographic order) into the int32 buffer ``out``; the cells it marks
+    are ranked, and the buffer is ranked in place, a chunk at a time.
+    """
+    lim = 2 ** _PACK_BITS[len(lo)] - 1
+    extents = [b - a + 1 for a, b in zip(lo, hi)]
+    cells = math.prod(extents)
+    # cells < 2^31 keeps every offset, and the distinct count, inside int32
+    if not (-lim < min(lo) and max(hi) < lim and cells <= 4 * n + _DENSE_SLACK
+            and cells < 2**31):
+        return None
+    strides = [math.prod(extents[j + 1:]) for j in range(len(extents))]
+    inverse = np.empty(n, dtype=np.int32)
+    fill(strides, inverse)
+    present = np.zeros(cells, dtype=bool)
+    present[inverse] = True
     rank = np.cumsum(present, dtype=np.int32)
     rank -= 1
-    inverse = rank[box]
+    for a in range(0, n, STEP_CHUNK):
+        chunk = inverse[a:a + STEP_CHUNK]
+        # mode="clip" gathers straight into the chunk; "raise" would buffer a copy
+        np.take(rank, chunk, out=chunk, mode="clip")
     # the visited cells in box order, back to coordinates
     offset = np.flatnonzero(present)
-    sites = np.empty((len(offset), d), dtype=np.int64)
-    for j in range(d - 1, 0, -1):
+    sites = np.empty((len(offset), len(lo)), dtype=np.int64)
+    for j in range(len(lo) - 1, 0, -1):
         offset, sites[:, j] = np.divmod(offset, extents[j])
         sites[:, j] += lo[j]
     sites[:, 0] = offset + lo[0]
-    return sites, inverse, pack_sites(sites, d)
+    return sites, inverse, pack_sites(sites, len(lo))
+
+
+def _path_sites(path: WalkPath) -> tuple:
+    """unique_sites of the path's positions, counted from its steps where it
+    packs: one chunked pass of per-coordinate prefix sums gives the box, and
+    the box offset of Z_k is a prefix sum of each step atom's offset."""
+    d, steps = path.model.dimension, path.steps
+    if d in _PACK_BITS:
+        atoms = path.model.law.site_array()
+        lo, hi = list(path.origin), list(path.origin)
+        for j in range(d):
+            z = path.origin[j]
+            for a in range(0, len(steps), STEP_CHUNK):
+                column = _prefix_sum(atoms[:, j], steps[a:a + STEP_CHUNK], z)
+                lo[j] = min(lo[j], int(column.min()))
+                hi[j] = max(hi[j], int(column.max()))
+                z = int(column[-1])
+
+        def fill(strides, out):
+            offsets = atoms @ np.asarray(strides, dtype=np.int64)
+            out[0] = z = sum((c - b) * s for c, b, s in zip(path.origin, lo, strides))
+            for a in range(0, len(steps), STEP_CHUNK):
+                box = _prefix_sum(offsets, steps[a:a + STEP_CHUNK], z)
+                out[a + 1:a + 1 + len(box)] = box
+                z = int(box[-1])
+
+        table = _counted_sites(path.n, lo, hi, fill)
+        if table is not None:
+            return table
+    return _sorted_sites(path.positions)
+
+
+def _prefix_sum(values: np.ndarray, steps: np.ndarray, start: int) -> np.ndarray:
+    """start + the running sum of values[steps], in int64."""
+    out = values.take(steps)
+    np.cumsum(out, out=out)
+    out += start
+    return out
 
 
 @dataclass(frozen=True)
@@ -130,7 +193,7 @@ class PathTable:
     """Every site a path visits, sorted, and the index of each step's site."""
 
     sites: np.ndarray             # (M, d) int64, lexicographic order
-    inverse: np.ndarray           # (n,) index into ``sites`` of each position
+    inverse: np.ndarray           # (n,) int32 index into ``sites`` of each position
     keys: Optional[np.ndarray]    # (M,) packed uint64 keys, None when unpackable
 
 
@@ -138,7 +201,7 @@ def path_table(path: WalkPath) -> PathTable:
     """The path's site table, tabulated once and cached on the path instance."""
     cached = getattr(path, "_site_table", None)
     if cached is None:
-        cached = PathTable(*unique_sites(path.positions))
+        cached = PathTable(*_path_sites(path))
         object.__setattr__(path, "_site_table", cached)
     return cached
 
@@ -150,7 +213,8 @@ def window_tables(path: WalkPath, windows) -> np.ndarray:
     out = np.empty((len(windows), len(table.sites) + 1), dtype=np.int64)
     for row, (lo, hi) in zip(out, windows):
         lo, hi = int(lo), int(hi)
-        path.window_positions(lo, hi)  # IndexError outside [0, n]
+        if not (0 <= lo <= hi <= path.n):
+            raise IndexError(f"window [{lo}, {hi}) out of range [0, {path.n})")
         row[:] = np.bincount(table.inverse[lo:hi], minlength=len(row))
     return out
 

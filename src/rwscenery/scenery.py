@@ -671,13 +671,16 @@ def quenched_variance(scenery: SceneryModel, path: WalkPath, windows) -> list:
     """
     lags = spectral_density(scenery, dimension=path.model.dimension).fourier
     counts = pair_count_tables(path, [(w, w) for w in windows], list(lags))
-    out = []
-    for row in counts:
-        total = 0.0
-        for a, v in zip(lags.values(), row):
-            total += a * int(v)
-        out.append(total)
-    return out
+    return [lag_sum(lags, dict(zip(lags, row))) for row in counts]
+
+
+def lag_sum(fourier: dict, counts: dict) -> float:
+    """sum_p a_p V(p), added in the order of ``fourier`` (p -> a_p); ``counts``
+    maps every lag p of ``fourier`` to its count V(p)."""
+    total = 0.0
+    for p, a in fourier.items():
+        total += a * int(counts[p])
+    return total
 
 
 def truncate_field(scenery: SceneryModel, level: float):

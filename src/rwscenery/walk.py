@@ -12,6 +12,9 @@ that normalizes self-intersection counts and the sums along the walk.  By
 the local limit theorem P(S_k = 0) averages r / (2 pi k sqrt(det Sigma))
 over the residue classes of the period, whatever the period is (Spitzer,
 Principles of Random Walk, P7.9), so E V_n ~ C0 n log n.
+
+A sampled path is its origin plus the atom index of each step, one byte per
+step for laws of at most 256 atoms; its positions are derived on demand.
 """
 
 from __future__ import annotations
@@ -224,12 +227,33 @@ def phi_ratio(model: WalkModel, t) -> float:
 
 @dataclass(frozen=True)
 class WalkPath:
-    """One realization: positions Z_0 .. Z_{n-1} plus the seed regenerating it."""
+    """One realization Z_0 .. Z_{n-1}, kept as its origin Z_0 and the atom
+    index of each of its n - 1 steps, plus the seed regenerating it.
+
+    ``steps`` takes one byte per step for every law of at most 256 atoms;
+    ``positions`` rebuilds the (n, d) int64 coordinates on each access.
+    """
 
     model: WalkModel
     n: int
-    positions: np.ndarray  # (n, d) int64
     seed: int
+    origin: tuple         # Z_0, d ints
+    steps: np.ndarray     # (n - 1,) atom indices, the smallest unsigned dtype
+
+    @property
+    def positions(self) -> np.ndarray:
+        """(n, d) int64: the origin plus a per-column cumsum of the step atoms."""
+        atoms = self.model.law.site_array()
+        positions = np.empty((self.n, atoms.shape[1]), dtype=np.int64)
+        positions[0] = self.origin
+        # per column: 1-d gathers and cumsums run several times faster than
+        # an (n, d) fancy gather and an axis-0 cumsum
+        for j, z in enumerate(self.origin):
+            column = positions[1:, j]
+            np.cumsum(atoms[:, j].take(self.steps), out=column)
+            if z:
+                column += z
+        return positions
 
     def window_positions(self, start: int, stop: int) -> np.ndarray:
         if not (0 <= start <= stop <= self.n):
@@ -237,52 +261,66 @@ class WalkPath:
         return self.positions[start:stop]
 
 
-def sample_path(model: WalkModel, n: int, seed: int) -> WalkPath:
-    """Draw n positions starting at 0, increments by inverse CDF over the atoms.
+def step_dtype(law: IncrementLaw) -> np.dtype:
+    """The smallest unsigned dtype that holds every atom index of ``law``."""
+    return np.min_scalar_type(len(law.sites) - 1)
 
-    The generator is counter-based and keyed by ``seed``; rebuilding from
-    (model, n, seed) reproduces the positions bit-exactly.
+
+# uniforms drawn per chunk: a 256 KiB float64 buffer that stays in cache
+STEP_CHUNK = 2**15
+
+
+def sample_path(model: WalkModel, n: int, seed: int) -> WalkPath:
+    """Draw an n-step path from the origin, each step's atom by inverse CDF.
+
+    The generator is counter-based and keyed by ``seed``; the uniforms come
+    in chunks of STEP_CHUNK from that one stream, so rebuilding from
+    (model, n, seed) reproduces the steps bit-exactly, and the first k steps
+    of a longer path are the k-step path.  Only the atom indices are kept.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if n > MAX_STEPS:
         raise ValueError(f"n = {n} exceeds the supported maximum {MAX_STEPS}")
-    d = model.dimension
-    positions = np.zeros((n, d), dtype=np.int64)
+    steps = np.empty(n - 1, dtype=step_dtype(model.law))
     if n > 1:
         gen = philox_gen(derive_seed(seed, "walk-increments"))
-        idx = _atom_indices(model.law, gen.random(n - 1))
-        steps = model.law.site_array()
-        # per column: 1-d gathers and cumsums run several times faster than
-        # an (n, d) fancy gather and an axis-0 cumsum
-        for j in range(d):
-            np.cumsum(steps[:, j].take(idx), out=positions[1:, j])
-    return WalkPath(model=model, n=n, positions=positions, seed=seed)
+        cdf = _cdf(model.law)
+        u = np.empty(min(n - 1, STEP_CHUNK))
+        for lo in range(0, n - 1, STEP_CHUNK):
+            hi = min(lo + STEP_CHUNK, n - 1)
+            gen.random(out=u[:hi - lo])
+            _atom_indices(cdf, u[:hi - lo], steps[lo:hi])
+    return WalkPath(model=model, n=n, seed=seed, origin=(0,) * model.dimension, steps=steps)
 
 
 # laws with at most this many atoms invert the CDF by counting comparisons
 _SCAN_ATOMS = 16
 
 
-def _atom_indices(law: IncrementLaw, u: np.ndarray) -> np.ndarray:
-    """Inverse CDF: the index of the atom each uniform in [0, 1) draws.
+def _cdf(law: IncrementLaw) -> np.ndarray:
+    cdf = np.cumsum(law.prob_array())
+    cdf[-1] = 1.0
+    return cdf
+
+
+def _atom_indices(cdf: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
+    """Inverse CDF into ``out``: the index of the atom each uniform in [0, 1) draws.
 
     That index is the number of cdf entries <= u, as
     ``np.searchsorted(cdf, u, side="right")`` finds it.  The cdf is
     nondecreasing and u < 1 = cdf[-1], so for up to _SCAN_ATOMS atoms the
-    count over cdf[:-1], summed in uint8, is the same index at a fraction of
-    the cost; larger laws keep the binary search.
+    count over cdf[:-1], summed in ``out``, is the same index at a fraction
+    of the cost; larger laws keep the binary search.
     """
-    cdf = np.cumsum(law.prob_array())
-    cdf[-1] = 1.0
     if len(cdf) > _SCAN_ATOMS:
-        return np.searchsorted(cdf, u, side="right")
-    idx = np.zeros(u.shape, dtype=np.uint8)
+        out[...] = np.searchsorted(cdf, u, side="right")
+        return
+    out.fill(0)
     below = np.empty(u.shape, dtype=bool)
     for c in cdf[:-1]:
         np.greater_equal(u, c, out=below)
-        idx += below
-    return idx
+        out += below
 
 
 @dataclass(frozen=True)
@@ -408,11 +446,13 @@ def _green_monte_carlo(model: WalkModel, site, k_max: int, m_paths: int, seed: i
     target = np.asarray(site, dtype=np.int64)
     counts = np.zeros(m_paths, dtype=np.int64)
     batch = max(1, int(2e7 // max(k_max, 1)))
+    cdf = _cdf(model.law)
     done = 0
     while done < m_paths:
         b = min(batch, m_paths - done)
         gen = philox_gen(derive_seed(seed, "green-mc", done))
-        idx = _atom_indices(model.law, gen.random((b, k_max)))
+        idx = np.empty((b, k_max), dtype=step_dtype(model.law))
+        _atom_indices(cdf, gen.random((b, k_max)), idx)
         steps = model.law.site_array()[idx]  # (b, k_max, d)
         pos = np.cumsum(steps, axis=1)
         hits = np.all(pos == target, axis=2) | np.all(pos == -target, axis=2)

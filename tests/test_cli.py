@@ -143,14 +143,21 @@ REJECTED = [
     # ToralScenery's integer constants: orbit_box >= 1, q_mod a prime in (2^20, 2^31)
     *((_toral(orbit_box=v), "scenery") for v in ("6", 6.0, True, 0, -1)),
     *((_toral(q_mod=v), "scenery") for v in (2147483647.0, "2147483647", True)),
+    # buffers past physical memory: Moricz's two (n+1)^2 tables (596 GiB here),
+    # Newman-Wright's two 256 x (n+1) chunk buffers (8 TiB at MAX_STEPS)
+    (dict(PATH_CHECK, experiment="moricz", n=200000), "n"),
+    (dict(PATH_CHECK, n=MAX_STEPS, m_sceneries=1000), "n"),
 ]
 
 
 def _rejected_id(doc, field):
     """experiment:field, and the preset of a walk that the runner's rule rejects,
-    the toral constant that the scenery rejects or an n_omegas below its bound."""
+    the toral constant that the scenery rejects, an n_omegas below its bound or
+    an n whose buffers exceed memory."""
     extra = None
-    if field == "walk":
+    if field == "n" and doc[field] <= MAX_STEPS:
+        extra = "memory"
+    elif field == "walk":
         extra = doc["walk"].get("preset", "atoms" if "atoms" in doc["walk"] else None)
     elif field == "n_omegas" and isinstance(doc[field], int):
         extra = doc[field]
@@ -181,11 +188,26 @@ def test_runner_takes_exactly_the_config_fields(name):
     assert set(params) == set({**cli._COMMON, **exp.fields}) - {"output"}
 
 
-def test_validate_accepts_max_steps():
-    # parsing only: nothing of the 2^31-step walk is allocated
+def test_validate_accepts_max_steps(monkeypatch):
+    # parsing only: nothing of the 2^31-step walk is allocated.  The field's
+    # range alone: Newman-Wright's buffer rule has its own boundary test
+    monkeypatch.setattr(harness, "physical_memory", lambda: 2**62)
     assert cli.validate_config(dict(LADDER, n_ladder=[64, MAX_STEPS])) == "erdos-taylor"
     assert cli.validate_config(dict(PATH_CHECK, n=MAX_STEPS)) == "newman-wright"
     assert cli.validate_config(dict(TINY_FCLT, n=MAX_STEPS)) == "fclt-iid"
+
+
+@pytest.mark.parametrize("experiment, m, per_step", [
+    ("moricz", 50, None), ("newman-wright", 50, 16 * 50), ("newman-wright", 1000, 16 * 256)])
+def test_validate_memory_rule_boundary(monkeypatch, experiment, m, per_step):
+    # the buffers of n = 1000 fill the probed memory exactly; n = 1001 is over
+    budget = 16 * 1001**2 if per_step is None else per_step * 1001
+    monkeypatch.setattr(harness, "physical_memory", lambda: budget)
+    doc = dict(PATH_CHECK, experiment=experiment, m_sceneries=m)
+    assert cli.validate_config(dict(doc, n=1000)) == experiment
+    with pytest.raises(cli.ConfigError, match="physical memory") as exc:
+        cli.validate_config(dict(doc, n=1001))
+    assert exc.value.field == "n"
 
 
 def test_validate_variance_ladder_needs_four_fields():

@@ -413,7 +413,7 @@ def test_one_path_alive_at_a_time(monkeypatch, name):
 def test_counting_layer_runs_once_per_omega(monkeypatch, name, counted):
     # one count call per omega reads every rung, window and lag, and each
     # path's site table is sorted once however many windows it serves
-    calls = {counted: 0, "unique_sites": 0}
+    calls = {counted: 0, "_path_sites": 0}
 
     def count(module, attr):
         original = getattr(module, attr)
@@ -424,6 +424,23 @@ def test_counting_layer_runs_once_per_omega(monkeypatch, name, counted):
         monkeypatch.setattr(module, attr, counting)
 
     count(harness, counted)
-    count(localtime, "unique_sites")
+    count(localtime, "_path_sites")
     cli.run_experiment(ALIVE[name])
-    assert calls == {counted: 3, "unique_sites": 3}
+    assert calls == {counted: 3, "_path_sites": 3}
+
+
+def test_truncation_ladder_counts_once_per_omega(tmp_path, monkeypatch):
+    # every rung reads one pair-count table per omega over the union of the
+    # rungs' lags, and the bundled fixture keeps its recorded payload bytes
+    calls = []
+    for module in (harness, scenery):
+        original = module.pair_count_tables
+        monkeypatch.setattr(module, "pair_count_tables",
+                            lambda *a, _f=original: calls.append(1) or _f(*a))
+    doc = cli.load_fixture("truncation_ladder.json")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert cli.main(["run", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == doc["n_omegas"]
+    assert hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest() == \
+        "57af9b1a717f4dbe4799481841c04092f3f1dbd2b351b13f875b5e776e8efd0f"

@@ -1,5 +1,6 @@
 from collections import Counter
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,9 +139,8 @@ def test_shift_covariance(lazy_model):
     # counts over [b, b+k) match the path re-based at time b
     path = walk.sample_path(lazy_model, 3000, seed=31)
     b, k = 700, 900
-    rebased = walk.WalkPath(model=path.model, n=k,
-                            positions=path.positions[b:b + k] - path.positions[b],
-                            seed=path.seed)
+    rebased = walk.WalkPath(model=path.model, n=k, seed=path.seed, origin=(0, 0),
+                            steps=path.steps[b:b + k - 1])
     for p in [(0, 0), (1, 0)]:
         assert localtime.pair_count(path, (b, b + k), (b, b + k), p) == \
             localtime.self_intersections(rebased, k, p)
@@ -207,9 +207,19 @@ def _items(tab):
 
 
 def _hand_path(positions):
+    """The path through ``positions``: its origin, and steps over the uniform
+    law on its own distinct differences (the zero step for one position)."""
     positions = np.asarray(positions, dtype=np.int64)
-    model = walk.build_walk_model(walk.simple_walk_law(positions.shape[1]))
-    return walk.WalkPath(model=model, n=len(positions), positions=positions, seed=0)
+    diffs = np.diff(positions, axis=0)
+    atoms = sorted(set(map(tuple, diffs.tolist()))) or [(0,) * positions.shape[1]]
+    law = walk.increment_law([(a, 1 / len(atoms)) for a in atoms])
+    index = {a: i for i, a in enumerate(atoms)}
+    steps = np.array([index[a] for a in map(tuple, diffs.tolist())],
+                     dtype=walk.step_dtype(law))
+    path = walk.WalkPath(model=walk.build_walk_model(law), n=len(positions), seed=0,
+                         origin=tuple(positions[0].tolist()), steps=steps)
+    assert np.array_equal(path.positions, positions)
+    return path
 
 
 @given(st.integers(1, 4), st.integers(1, 300), st.integers(0, 2**32 - 1),
@@ -271,8 +281,8 @@ def test_pair_count_tables_match_brute_force(d, n, seed, near_edge):
 
 def test_windows_of_one_path_share_one_sort(lazy_model, monkeypatch):
     calls = []
-    unique = localtime.unique_sites
-    monkeypatch.setattr(localtime, "unique_sites", lambda pts: calls.append(1) or unique(pts))
+    tabulate = localtime._path_sites
+    monkeypatch.setattr(localtime, "_path_sites", lambda p: calls.append(1) or tabulate(p))
     path = walk.sample_path(lazy_model, 1000, seed=8)
     first = localtime.local_times(path, (0, 600))
     second = localtime.local_times(path, (400, 1000))
@@ -350,6 +360,61 @@ def test_counting_sort_cell_bound(dense, extents, monkeypatch):
                                  [[2**19, 0, -(2**19)], [-(2**19), 1, 2**19]]])
 def test_far_apart_points_take_the_sort(far, monkeypatch):
     assert _unique_route(np.array(far, dtype=np.int64), monkeypatch)
+
+
+@st.composite
+def _stepped_paths(draw):
+    """A WalkPath of random atoms (drifted or not, with steps that stretch the
+    box past the counting bound) from an origin that may sit at the packing edge."""
+    d = draw(st.integers(1, 4))
+    reach = draw(st.sampled_from([1, 3, 40]))
+    atoms = draw(st.lists(st.tuples(*[st.integers(-reach, reach)] * d), min_size=1,
+                          max_size=20, unique=True))
+    law = walk.increment_law([(a, 1 / len(atoms)) for a in atoms])
+    n = draw(st.integers(1, 400))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps = gen.integers(0, len(atoms), size=n - 1).astype(walk.step_dtype(law))
+    edge = 2 ** localtime._PACK_BITS.get(d, 20) - 2
+    origin = tuple(draw(st.sampled_from([0, 5, edge, -edge, edge - reach * n]))
+                   for _ in range(d))
+    return walk.WalkPath(model=walk.build_walk_model(law), n=n, seed=0, origin=origin,
+                         steps=steps)
+
+
+@given(_stepped_paths())
+@settings(max_examples=150, deadline=None)
+def test_path_table_from_steps_equals_unique_sites(path):
+    # the table counted from the steps is the sort of the positions, value
+    # for value and dtype for dtype, on every route
+    got = localtime.path_table(path)
+    want = localtime.unique_sites(path.positions)
+    for g, w in zip((got.sites, got.inverse, got.keys), want):
+        if w is None:
+            assert g is None
+        else:
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def test_planar_path_keeps_one_byte_per_step(lazy_model):
+    # a 2^20-step lazy2d path is its steps, one byte each; drawing it and
+    # tabulating its sites peaks at 17.5 MiB (40 MiB with int64 positions)
+    n = 2**20
+    tracemalloc.start()
+    try:
+        path = walk.sample_path(lazy_model, n, 5)
+        localtime.path_table(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.steps.nbytes == n - 1
+    assert peak <= 27 * 2**20
+
+
+def test_window_tables_range_guard(lazy_model):
+    path = walk.sample_path(lazy_model, 300, 2)
+    assert localtime.window_tables(path, [(100, 300)])[0].sum() == 200
+    with pytest.raises(IndexError):
+        localtime.window_tables(path, [(100, 301)])
 
 
 def test_planar_path_is_tabulated_without_np_unique(lazy_model, monkeypatch):

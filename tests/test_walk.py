@@ -172,8 +172,8 @@ def test_sample_path_basics(lazy_model):
 
 
 def test_sample_path_rejects_past_max_steps(lazy_model):
-    # raises before allocating the (n, d) positions; n = MAX_STEPS itself
-    # would allocate 34 GB and is left to the config parser's boundary test
+    # raises before allocating the n - 1 steps; n = MAX_STEPS itself would
+    # allocate 2 GiB and is left to the config parser's boundary test
     with pytest.raises(ValueError, match="exceeds the supported maximum"):
         walk.sample_path(lazy_model, walk.MAX_STEPS + 1, 0)
 
@@ -282,6 +282,28 @@ def test_sample_path_matches_searchsorted_sampler(name, n):
         want = _searchsorted_positions(model, n, seed)
         assert got.dtype == want.dtype and got.flags.c_contiguous
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["16 atoms", "17 atoms"])
+@pytest.mark.parametrize("k", [-1, 0, 1, walk.STEP_CHUNK])
+def test_chunked_draw_matches_one_shot_draw(name, k):
+    # n - 1 steps at and around the chunk edge: the uniforms drawn chunk by
+    # chunk are the one-shot stream, and only the atom indices are kept
+    n = walk.STEP_CHUNK + k + 1
+    model = walk.build_walk_model(_CUSTOM_LAWS[name])
+    path = walk.sample_path(model, n, 3)
+    u = philox_gen(derive_seed(3, "walk-increments")).random(n - 1)
+    want = np.searchsorted(walk._cdf(model.law), u, side="right")
+    assert path.steps.dtype == np.uint8 and path.steps.shape == (n - 1,)
+    assert np.array_equal(path.steps, want)
+    assert np.array_equal(path.positions, _searchsorted_positions(model, n, 3))
+
+
+def test_window_positions_range_guard(lazy_model):
+    path = walk.sample_path(lazy_model, 50, 1)
+    assert np.array_equal(path.window_positions(10, 50), path.positions[10:])
+    with pytest.raises(IndexError):
+        path.window_positions(10, 51)
 
 
 @pytest.mark.parametrize("name", sorted(cli.WALK_PRESETS) + ["17 atoms"])
