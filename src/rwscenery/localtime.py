@@ -12,16 +12,16 @@ All quantities here are integers computed exactly from local-time tables:
                               window, so the factorization is exact)
 
 Each path is tabulated once and the table is cached on the path: the sorted
-site list and every step's int32 index into it.  For d <= 3 two routes give
-the same table.  When the bounding box of the n positions has at most
-4n + _DENSE_SLACK cells, a counting sort marks the visited cells and ranks
-them in row-major box order, which is lexicographic order, in O(n + cells).
-It reads the path's steps, not its positions, a chunk at a time: prefix sums
-of the atoms' coordinates give the box, and prefix sums of the atoms' box
-offsets fill the int32 index, which is then ranked in place.  Wider boxes
-(3-d and drifted walks, far-flung hand-built paths) sort the positions'
-packed integer keys with ``np.unique``; d > 3 or coordinates past the packed
-bit widths sort the rows themselves.
+site list, every step's int32 index into it, and each site's key, its int64
+row-major offset in the bounding box of the path.  Box order is lexicographic
+order, so the keys ascend with the sites.  The table is counted from the
+path's steps, not its positions, a chunk at a time: prefix sums of the atoms'
+coordinates give the box, and prefix sums of the atoms' box offsets give each
+step's key.  When the box has at most 4n + _DENSE_SLACK cells, a counting
+sort marks the visited cells and ranks the keys in place, in O(n + cells).
+Wider boxes (3-d, drifted and high-dimensional walks, far-flung hand-built
+paths) write the keys to an int64 buffer and ``np.unique`` it.  Only a box of
+2^62 cells or more has no keys; its rows are sorted themselves.
 
 Every count reads one primitive.  A window's local times are a dense
 bincount of the index over the window (``window_tables``), one slot per
@@ -40,144 +40,62 @@ import numpy as np
 
 from .walk import STEP_CHUNK, WalkPath
 
-_PACK_BITS = {1: 62, 2: 31, 3: 20}  # per coordinate; a field takes bits + 1
+# a site's key is its offset in a box of fewer than 2^62 cells, so a lag's
+# move key - p . strides stays inside int64
+_KEYED_CELLS = 2**62
 
-# unique_sites counts into the bounding box while it has at most
-# 4n + _DENSE_SLACK cells: a bool mark and an int32 rank per cell
+# keys are counted into the box while it has at most 4n + _DENSE_SLACK
+# cells: a bool mark and an int32 rank per cell
 _DENSE_SLACK = 65536
-
-
-def _pack_shift_ok(points: np.ndarray, d: int) -> bool:
-    if d not in _PACK_BITS:
-        return False
-    lim = 2 ** _PACK_BITS[d] - 1
-    return points.size == 0 or bool(-lim < points.min() and points.max() < lim)
-
-
-def pack_sites(points: np.ndarray, d: int) -> np.ndarray:
-    """Pack (m, d) integer coordinates into uint64 keys, order-preserving per field."""
-    bits = _PACK_BITS[d]
-    keys = np.zeros(points.shape[0], dtype=np.uint64)
-    for j in range(d):
-        field = (points[:, j].astype(np.int64) + (1 << bits)).astype(np.uint64)
-        keys |= field << np.uint64((d - 1 - j) * (bits + 1))
-    return keys
-
-
-def unpack_sites(keys: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of ``pack_sites``: (m,) uint64 keys back to (m, d) int64 coordinates."""
-    bits = _PACK_BITS[d]
-    mask = np.uint64((1 << (bits + 1)) - 1)
-    return np.stack([((keys >> np.uint64((d - 1 - j) * (bits + 1))) & mask).astype(np.int64)
-                     - (1 << bits) for j in range(d)], axis=1)
 
 
 def unique_sites(points: np.ndarray) -> tuple:
     """Distinct rows of an (n, d) int64 array in lexicographic order.
 
-    Returns ``(sites, inverse, keys)``: the rows, each input row's index into
-    them, and their packed keys.  Keys are None for d > 3 or coordinates past
-    the packed bit widths; ``np.unique(axis=0)`` then gives the same order.
-    Packable points whose bounding box has at most 4n + _DENSE_SLACK cells
-    are ranked by a counting sort over the box; wider boxes sort packed keys.
+    Returns ``(sites, inverse, keys)``: the rows, each input row's int32
+    index into them, and their int64 offsets in the bounding box (None when
+    it has 2^62 cells or more).
     """
     n, d = points.shape
-    if d in _PACK_BITS and n:
-        # per-column reductions: min(axis=0) over an (n, d) array is far slower
-        lo = [int(points[:, j].min()) for j in range(d)]
-        hi = [int(points[:, j].max()) for j in range(d)]
+    # per-column reductions: min(axis=0) over an (n, d) array is far slower
+    lo = [int(points[:, j].min()) if n else 0 for j in range(d)]
+    hi = [int(points[:, j].max()) if n else 0 for j in range(d)]
 
-        def fill(strides, out):
-            for a in range(0, n, STEP_CHUNK):
-                chunk = points[a:a + STEP_CHUNK]
-                box = np.zeros(len(chunk), dtype=np.int64)
-                for j in range(d):
-                    box += np.subtract(chunk[:, j], lo[j], dtype=np.int64) * strides[j]
-                out[a:a + len(box)] = box
+    def fill(strides, out):
+        for a in range(0, n, STEP_CHUNK):
+            chunk = points[a:a + STEP_CHUNK]
+            box = np.zeros(len(chunk), dtype=np.int64)
+            for j in range(d):
+                box += np.subtract(chunk[:, j], lo[j], dtype=np.int64) * strides[j]
+            out[a:a + len(box)] = box
 
-        table = _counted_sites(n, lo, hi, fill)
-        if table is not None:
-            return table
-    return _sorted_sites(points)
-
-
-def _sorted_sites(points: np.ndarray) -> tuple:
-    """unique_sites by sorting: np.unique on packed keys when they fit, else on the rows."""
-    d = points.shape[1]
-    if _pack_shift_ok(points, d):
-        keys, inverse = np.unique(pack_sites(points, d), return_inverse=True)
-        sites = unpack_sites(keys, d)
-    else:
-        sites, inverse = np.unique(points, axis=0, return_inverse=True)
-        keys = None
-    # n <= MAX_STEPS = 2^31, so every index fits int32 at half the memory
-    return sites, inverse.reshape(-1).astype(np.int32), keys
-
-
-def _counted_sites(n: int, lo: list, hi: list, fill) -> Optional[tuple]:
-    """unique_sites of n points by a counting sort over their bounding box
-    lo..hi, or None when the box does not pack or is too wide to count in.
-
-    ``fill(strides, out)`` writes each point's row-major box offset (box order
-    is lexicographic order) into the int32 buffer ``out``; the cells it marks
-    are ranked, and the buffer is ranked in place, a chunk at a time.
-    """
-    lim = 2 ** _PACK_BITS[len(lo)] - 1
-    extents = [b - a + 1 for a, b in zip(lo, hi)]
-    cells = math.prod(extents)
-    # cells < 2^31 keeps every offset, and the distinct count, inside int32
-    if not (-lim < min(lo) and max(hi) < lim and cells <= 4 * n + _DENSE_SLACK
-            and cells < 2**31):
-        return None
-    strides = [math.prod(extents[j + 1:]) for j in range(len(extents))]
-    inverse = np.empty(n, dtype=np.int32)
-    fill(strides, inverse)
-    present = np.zeros(cells, dtype=bool)
-    present[inverse] = True
-    rank = np.cumsum(present, dtype=np.int32)
-    rank -= 1
-    for a in range(0, n, STEP_CHUNK):
-        chunk = inverse[a:a + STEP_CHUNK]
-        # mode="clip" gathers straight into the chunk; "raise" would buffer a copy
-        np.take(rank, chunk, out=chunk, mode="clip")
-    # the visited cells in box order, back to coordinates
-    offset = np.flatnonzero(present)
-    sites = np.empty((len(offset), len(lo)), dtype=np.int64)
-    for j in range(len(lo) - 1, 0, -1):
-        offset, sites[:, j] = np.divmod(offset, extents[j])
-        sites[:, j] += lo[j]
-    sites[:, 0] = offset + lo[0]
-    return sites, inverse, pack_sites(sites, len(lo))
+    return _box_sites(n, lo, hi, fill)
 
 
 def _path_sites(path: WalkPath) -> tuple:
-    """unique_sites of the path's positions, counted from its steps where it
-    packs: one chunked pass of per-coordinate prefix sums gives the box, and
-    the box offset of Z_k is a prefix sum of each step atom's offset."""
+    """unique_sites of the path's positions, counted from its steps: one
+    chunked pass of per-coordinate prefix sums gives the box, and the box
+    offset of Z_k is a prefix sum of each step atom's offset."""
     d, steps = path.model.dimension, path.steps
-    if d in _PACK_BITS:
-        atoms = path.model.law.site_array()
-        lo, hi = list(path.origin), list(path.origin)
-        for j in range(d):
-            z = path.origin[j]
-            for a in range(0, len(steps), STEP_CHUNK):
-                column = _prefix_sum(atoms[:, j], steps[a:a + STEP_CHUNK], z)
-                lo[j] = min(lo[j], int(column.min()))
-                hi[j] = max(hi[j], int(column.max()))
-                z = int(column[-1])
+    atoms = path.model.law.site_array()
+    lo, hi = list(path.origin), list(path.origin)
+    for j in range(d):
+        z = path.origin[j]
+        for a in range(0, len(steps), STEP_CHUNK):
+            column = _prefix_sum(atoms[:, j], steps[a:a + STEP_CHUNK], z)
+            lo[j] = min(lo[j], int(column.min()))
+            hi[j] = max(hi[j], int(column.max()))
+            z = int(column[-1])
 
-        def fill(strides, out):
-            offsets = atoms @ np.asarray(strides, dtype=np.int64)
-            out[0] = z = sum((c - b) * s for c, b, s in zip(path.origin, lo, strides))
-            for a in range(0, len(steps), STEP_CHUNK):
-                box = _prefix_sum(offsets, steps[a:a + STEP_CHUNK], z)
-                out[a + 1:a + 1 + len(box)] = box
-                z = int(box[-1])
+    def fill(strides, out):
+        offsets = atoms @ np.asarray(strides, dtype=np.int64)
+        out[0] = z = sum((c - b) * s for c, b, s in zip(path.origin, lo, strides))
+        for a in range(0, len(steps), STEP_CHUNK):
+            box = _prefix_sum(offsets, steps[a:a + STEP_CHUNK], z)
+            out[a + 1:a + 1 + len(box)] = box
+            z = int(box[-1])
 
-        table = _counted_sites(path.n, lo, hi, fill)
-        if table is not None:
-            return table
-    return _sorted_sites(path.positions)
+    return _box_sites(path.n, lo, hi, fill)
 
 
 def _prefix_sum(values: np.ndarray, steps: np.ndarray, start: int) -> np.ndarray:
@@ -188,13 +106,75 @@ def _prefix_sum(values: np.ndarray, steps: np.ndarray, start: int) -> np.ndarray
     return out
 
 
+def _strides(extents: list) -> list:
+    """Row-major strides of a box with these extents."""
+    return [math.prod(extents[j + 1:]) for j in range(len(extents))]
+
+
+def _box_sites(n: int, lo: list, hi: list, fill) -> tuple:
+    """unique_sites of n points in the box lo..hi.
+
+    ``fill(strides, out)`` writes each point's offset sum_j (z_j - lo_j) s_j
+    into the integer buffer ``out``.  A box of 2^62 cells or more fills the
+    rows one coordinate at a time (unit strides) and sorts them.
+    """
+    d = len(lo)
+    extents = [b - a + 1 for a, b in zip(lo, hi)]
+    cells = math.prod(extents)
+    if cells >= _KEYED_CELLS:
+        rows = np.empty((n, d), dtype=np.int64)
+        for j in range(d):
+            fill([int(i == j) for i in range(d)], rows[:, j])
+            rows[:, j] += lo[j]
+        sites, inverse = np.unique(rows, axis=0, return_inverse=True)
+        # n <= MAX_STEPS = 2^31, so every index fits int32 at half the memory
+        return sites, inverse.reshape(-1).astype(np.int32), None
+    strides = _strides(extents)
+    # cells < 2^31 keeps every offset, and the distinct count, inside int32
+    if cells <= 4 * n + _DENSE_SLACK and cells < 2**31:
+        inverse = np.empty(n, dtype=np.int32)
+        fill(strides, inverse)
+        keys = _rank_in_place(inverse, cells)
+    else:
+        keys = np.empty(n, dtype=np.int64)
+        fill(strides, keys)
+        keys, inverse = np.unique(keys, return_inverse=True)
+        inverse = inverse.reshape(-1).astype(np.int32)
+    # the keys back to coordinates
+    sites = np.empty((len(keys), d), dtype=np.int64)
+    offset = keys
+    for j in range(d - 1, 0, -1):
+        offset, sites[:, j] = np.divmod(offset, extents[j])
+        sites[:, j] += lo[j]
+    sites[:, 0] = offset + lo[0]
+    return sites, inverse, keys
+
+
+def _rank_in_place(inverse: np.ndarray, cells: int) -> np.ndarray:
+    """Counting sort: replace each box offset in ``inverse`` by its rank among
+    the distinct ones, a chunk at a time, and return those, ascending."""
+    present = np.zeros(cells, dtype=bool)
+    present[inverse] = True
+    keys = np.flatnonzero(present)
+    rank = present.astype(np.int32)
+    del present
+    np.cumsum(rank, out=rank)
+    rank -= 1
+    for a in range(0, len(inverse), STEP_CHUNK):
+        chunk = inverse[a:a + STEP_CHUNK]
+        # mode="clip" gathers straight into the chunk; "raise" would buffer a copy
+        np.take(rank, chunk, out=chunk, mode="clip")
+    return keys
+
+
 @dataclass(frozen=True)
 class PathTable:
     """Every site a path visits, sorted, and the index of each step's site."""
 
     sites: np.ndarray             # (M, d) int64, lexicographic order
     inverse: np.ndarray           # (n,) int32 index into ``sites`` of each position
-    keys: Optional[np.ndarray]    # (M,) packed uint64 keys, None when unpackable
+    keys: Optional[np.ndarray]    # (M,) int64 offsets in the bounding box of ``sites``,
+                                  # None when it has 2^62 cells or more
 
 
 def path_table(path: WalkPath) -> PathTable:
@@ -221,23 +201,37 @@ def window_tables(path: WalkPath, windows) -> np.ndarray:
 
 def site_shift(path: WalkPath, p) -> np.ndarray:
     """The lag map of p: the slot of sites[i] - p for each site i, M where it is
-    unvisited (and M for M).  Packed keys are matched by searchsorted; d > 3,
-    or a shift past the packed bit widths, matches rows through a dict."""
+    unvisited (and M for M).  A key moves by p . strides, and the moved keys
+    of the sites that stay in the box are matched by searchsorted.  A box of
+    2^62 cells or more matches rows through a dict."""
     table = path_table(path)
-    m, d = table.sites.shape
-    p = np.asarray(p, dtype=np.int64)
-    if not p.any():
+    sites, keys = table.sites, table.keys
+    m, d = sites.shape
+    p = [int(c) for c in p]
+    if not any(p):
         return np.arange(m + 1)
-    moved = table.sites - p
     shift = np.full(m + 1, m)
-    if table.keys is not None and _pack_shift_ok(moved, d):
-        wanted = pack_sites(moved, d)
-        pos = np.searchsorted(table.keys, wanted)
-        hit = table.keys[np.minimum(pos, m - 1)] == wanted
-        shift[:m][hit] = pos[hit]
-    else:
-        index = {s: i for i, s in enumerate(map(tuple, table.sites.tolist()))}
+    if keys is None:
+        index = {s: i for i, s in enumerate(map(tuple, sites.tolist()))}
+        moved = sites - np.asarray(p, dtype=np.int64)
         shift[:m] = [index.get(s, m) for s in map(tuple, moved.tolist())]
+        return shift
+    lo = [int(sites[:, j].min()) for j in range(d)]
+    hi = [int(sites[:, j].max()) for j in range(d)]
+    extents = [b - a + 1 for a, b in zip(lo, hi)]
+    if any(abs(c) >= e for c, e in zip(p, extents)):
+        return shift
+    # sites[i] - p stays in the box iff each moved coordinate does
+    hit = np.ones(m, dtype=bool)
+    for j, c in enumerate(p):
+        if c > 0:
+            hit &= sites[:, j] >= lo[j] + c
+        elif c < 0:
+            hit &= sites[:, j] <= hi[j] + c
+    wanted = keys - sum(c * s for c, s in zip(p, _strides(extents)))
+    pos = np.searchsorted(keys, wanted)
+    hit &= keys[np.minimum(pos, m - 1)] == wanted
+    np.copyto(shift[:m], pos, where=hit)
     return shift
 
 

@@ -3,7 +3,9 @@
 A model is built from a finite increment law.  Derived data: mean and
 covariance of one step, the index r of the lattice L that the support
 spans (an exact integer Hermite-form computation; aperiodic means r = 1),
-the recurrent/transient/deterministic classification, and, for a centered
+the recurrent/transient/deterministic classification (a centered walk whose
+support spans a line or a plane is recurrent in any Z^d, by Chung-Fuchs;
+every other walk of two or more atoms is transient), and, for a centered
 planar walk whose support spans rank 2, the constant
 
     C0 = r / (pi * sqrt(det Sigma))
@@ -175,8 +177,9 @@ def build_walk_model(law: IncrementLaw) -> WalkModel:
     centered = bool(np.all(np.abs(mean) <= 1e-12))
     if len(law.sites) == 1:
         classification = DETERMINISTIC
-    elif d <= 2:
-        classification = RECURRENT if centered else TRANSIENT
+    elif centered and np.linalg.matrix_rank(sites) <= 2:
+        # a centered walk is recurrent iff its support spans at most a plane
+        classification = RECURRENT
     else:
         classification = TRANSIENT
 
@@ -231,7 +234,9 @@ class WalkPath:
     index of each of its n - 1 steps, plus the seed regenerating it.
 
     ``steps`` takes one byte per step for every law of at most 256 atoms;
-    ``positions`` rebuilds the (n, d) int64 coordinates on each access.
+    ``positions`` rebuilds the (n, d) int64 coordinates on each access.  The
+    site table (``localtime.path_table``) is counted from the steps, in any
+    dimension, and never builds the positions.
     """
 
     model: WalkModel

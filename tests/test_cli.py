@@ -89,6 +89,9 @@ TIGHTNESS = dict(TINY_FCLT, experiment="tightness", t_grid=[1.0], delta_ladder=[
 TRUNCATION = dict(TINY_FCLT, experiment="truncation-ladder", scenery=TORAL, terms_ladder=[2])
 # centered and planar, but its support spans a line: no C0 normalizes its sums
 LINE_WALK = {"atoms": [{"site": [1, 0], "prob": 0.5}, {"site": [-1, 0], "prob": 0.5}]}
+# centered in Z^3, but its support spans a plane: recurrent, with det Sigma = 0
+PLANE_WALK_3D = {"atoms": [{"site": s, "prob": 0.25}
+                           for s in ([1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0])]}
 
 
 # configs that would crash at run time (or, for an empty list, run a vacuous
@@ -137,6 +140,7 @@ REJECTED = [
     *((dict(LADDER, experiment="orthogonality", windows=[0.1, 0.4, 0.6, 0.9], p_set=[[0, 0]],
             walk={"preset": preset}), "walk") for preset in ("simple3d", "det1d")),
     (dict(PATH_CHECK, experiment="transient-variance"), "walk"),
+    (dict(PATH_CHECK, experiment="transient-variance", walk=PLANE_WALK_3D), "walk"),
     (dict(PATH_CHECK, scenery=MIXED_MA), "scenery"),
     (dict(PATH_CHECK, experiment="moricz", scenery=MIXED_MA), "scenery"),
     (dict(TINY_FCLT, experiment="truncation-ladder", terms_ladder=[2]), "scenery"),

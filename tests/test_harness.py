@@ -374,6 +374,21 @@ def test_one_draw_per_omega_keeps_the_report_bytes(tmp_path, monkeypatch, name):
     assert hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest() == sha256
 
 
+def test_transient_variance_keeps_the_report_bytes(tmp_path):
+    # simple3d paths of 4096 steps overflow the counting-sort box, so this
+    # pins the payload of the wide-box site tables
+    doc = _tiny("transient_3d.json", n=4096, n_omegas=3, m_sceneries=20)
+    model = walk.build_walk_model(walk.simple_walk_law(3))
+    table = localtime.path_table(walk.sample_path(model, 4096, harness._omega_seed(doc["seed"], 0)))
+    extents = table.sites.max(axis=0) - table.sites.min(axis=0) + 1
+    assert int(np.prod(extents)) > 4 * 4096 + localtime._DENSE_SLACK
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert cli.main(["run", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest() == \
+        "42ae49fffe372f7da766582a800fbb6b281a54131a90970362f342a1aa84287b"
+
+
 LADDER = {"n_ladder": [64, 256], "n_omegas": 3, "seed": 4}
 ALIVE = {
     "fclt-iid-exact": _tiny("fclt_iid.json", n=256, m_sceneries=100, n_omegas=3),

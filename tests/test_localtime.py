@@ -17,6 +17,48 @@ def brute_pair_count(positions, wi, wj, p):
     return total
 
 
+def reference_table(points):
+    """(sites, inverse) by sorting the rows themselves."""
+    sites, inverse = np.unique(points, axis=0, return_inverse=True)
+    return sites, inverse.reshape(-1).astype(np.int32)
+
+
+def reference_keys(sites):
+    """Each site's row-major offset in the bounding box, in exact integers, or
+    None when the box has 2^62 cells or more."""
+    lo, hi = sites.min(axis=0).tolist(), sites.max(axis=0).tolist()
+    extents = [b - a + 1 for a, b in zip(lo, hi)]
+    if math.prod(extents) >= 2**62:
+        return None
+    keys = []
+    for site in sites.tolist():
+        key = 0
+        for c, a, e in zip(site, lo, extents):
+            key = key * e + (c - a)
+        keys.append(key)
+    return keys
+
+
+def reference_shift(sites, p):
+    """The lag map of p through a dict of the rows."""
+    index = {s: i for i, s in enumerate(map(tuple, sites.tolist()))}
+    moved = sites - np.asarray(p, dtype=np.int64)
+    return [index.get(s, len(sites)) for s in map(tuple, moved.tolist())] + [len(sites)]
+
+
+def assert_reference_table(table, points):
+    """sites, inverse and keys equal the references, value for value and
+    dtype for dtype; keys are int64 or None."""
+    sites, inverse = reference_table(points)
+    assert table.sites.dtype == np.int64 and np.array_equal(table.sites, sites)
+    assert table.inverse.dtype == np.int32 and np.array_equal(table.inverse, inverse)
+    want = reference_keys(sites)
+    if want is None:
+        assert table.keys is None
+    else:
+        assert table.keys.dtype == np.int64 and table.keys.tolist() == want
+
+
 def index_loop_quadruple(positions, n, ells):
     """Independent oracle: loop the anchor index, count matching indices per
     displacement from a position-keyed index table (O(n^2 / lookup))."""
@@ -191,15 +233,18 @@ def test_zero_displacement_pair_count(lazy_model):
             brute_pair_count(path.positions, wi, wj, (0, 0))
 
 
-def test_dict_fallback_for_high_dimension():
-    law = walk.increment_law([((1, 0, 0, 0), 0.5), ((-1, 0, 0, 0), 0.5)])
-    m = walk.build_walk_model(law)
-    path = walk.sample_path(m, 200, seed=6)
-    tab = localtime.local_times(path, (0, 200))
-    assert localtime.path_table(path).keys is None
-    assert tab.total() == 200
-    assert localtime.self_intersections(path, 200) == \
-        brute_pair_count(path.positions, (0, 200), (0, 200), (0, 0, 0, 0))
+def test_high_dimension_path_gets_keys():
+    # d = 4 and 5 paths are keyed by their box offsets like any other
+    for d in (4, 5):
+        path = walk.sample_path(walk.build_walk_model(walk.simple_walk_law(d)), 2000, seed=6)
+        table = localtime.path_table(path)
+        assert table.keys is not None
+        assert_reference_table(table, path.positions)
+        tab = localtime.local_times(path, (0, 2000))
+        assert tab.total() == 2000
+        for p in [(0,) * d, (1,) + (0,) * (d - 1), (0,) * (d - 1) + (-2,)]:
+            assert localtime.self_intersections(path, 2000, p) == \
+                brute_pair_count(path.positions, (0, 2000), (0, 2000), p)
 
 
 def _items(tab):
@@ -235,48 +280,74 @@ def test_local_times_equal_a_counter_in_lexicographic_order(d, n, seed, windows)
         assert _items(tab) == sorted(want.items())
 
 
-@pytest.mark.parametrize("d, bits", [(2, 31), (3, 20)])
-def test_packed_key_bit_width_boundary(d, bits):
-    # |coordinate| <= 2^bits - 2 packs into uint64 keys; 2^bits - 1 takes
-    # the row route, which must give the same table
-    for edge, packed in [(2**bits - 2, True), (2**bits - 1, False)]:
-        rows = [[edge] * d, [-edge] * d, [0] * d, [edge] + [-edge] * (d - 1),
-                [-edge] + [edge] * (d - 1), [edge] * d, [0] * d, [edge] * d]
+# boxes of 2^62 - 1 cells (keyed) and of 2^62 cells (rows), far from the origin
+_KEY_BOUNDARY = [
+    ((2**62 - 1,), (2**62,)),
+    ((2**31 - 1, 2**31 + 1), (2**31, 2**31)),
+    ((3, 715827883, 2**31 - 1), (2**20, 2**21, 2**21)),
+]
+
+
+@pytest.mark.parametrize("keyed_extents, row_extents", _KEY_BOUNDARY,
+                         ids=[f"d{len(k)}" for k, _ in _KEY_BOUNDARY])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_key_cell_bound(keyed_extents, row_extents, sign):
+    # 2^62 - 1 cells keep every key +- p . strides inside int64; one cell
+    # more sorts the rows and maps lags through a dict.  Both routes give the
+    # reference tables and lag maps, for lags that reach the box edge or
+    # step past it
+    assert math.prod(keyed_extents) == 2**62 - 1 and math.prod(row_extents) == 2**62
+    for extents, keyed in [(keyed_extents, True), (row_extents, False)]:
+        d = len(extents)
+        lo = np.array([sign * 2**61 - 7 * j for j in range(d)], dtype=np.int64)
+        hi = lo + np.array(extents, dtype=np.int64) - 1
+        corner = np.where(np.arange(d) % 2 == 0, lo, hi)
+        mid = lo + (hi - lo) // 2
+        rows = np.array([lo, hi, mid, corner, lo, hi, mid, lo], dtype=np.int64)
         path = _hand_path(rows)
-        assert (localtime.path_table(path).keys is not None) == packed
-        want = Counter(map(tuple, rows))
-        for lo, hi in [(0, len(rows)), (2, 6)]:
-            tab = localtime.local_times(path, (lo, hi))
-            assert _items(tab) == sorted(Counter(map(tuple, rows[lo:hi])).items())
+        table = localtime.path_table(path)
+        assert (table.keys is not None) == keyed
+        assert_reference_table(table, rows)
+        if keyed:
+            # box order is lexicographic order: the keys ascend with the sites
+            assert np.all(np.diff(table.keys) > 0)
+        want = Counter(map(tuple, rows.tolist()))
+        for wlo, whi in [(0, len(rows)), (2, 6)]:
+            tab = localtime.local_times(path, (wlo, whi))
+            assert _items(tab) == sorted(Counter(map(tuple, rows[wlo:whi].tolist())).items())
         full = localtime.window_tables(path, [(0, len(rows))])[0]
-        assert full[localtime.path_table(path).inverse].tolist() == [want[tuple(r)] for r in rows]
-        assert localtime.self_intersections(path, len(rows)) == \
-            sum(c * c for c in want.values())
-        # a lag that moves the edge sites one past the width takes the dict route
-        for p in [(1,) * d, (-1,) * d]:
+        assert full[table.inverse].tolist() == [want[tuple(r)] for r in rows.tolist()]
+        span = hi - lo
+        lags = [np.zeros(d, dtype=np.int64), span, -span, span + 1, np.ones(d, dtype=np.int64),
+                -np.ones(d, dtype=np.int64), hi - mid, corner - lo, lo - corner]
+        lags += [np.eye(d, dtype=np.int64)[j] * (extents[j] - 1) for j in range(d)]
+        lags += [np.eye(d, dtype=np.int64)[j] * extents[j] for j in range(d)]
+        for p in lags:
+            assert localtime.site_shift(path, p).tolist() == reference_shift(table.sites, p)
             assert localtime.self_intersections(path, len(rows), p) == \
-                brute_pair_count(path.positions, (0, len(rows)), (0, len(rows)), p)
+                brute_pair_count(rows, (0, len(rows)), (0, len(rows)), p)
 
 
-@given(st.integers(1, 4), st.integers(1, 120), st.integers(0, 2**32 - 1), st.booleans())
-@settings(max_examples=60, deadline=None)
-def test_pair_count_tables_match_brute_force(d, n, seed, near_edge):
-    # d = 4 has no packed keys; near the edge, a site at the last packable
-    # coordinate is pushed past the width by the lag -1 (and by some others)
+@given(st.integers(1, 5), st.integers(1, 120), st.integers(0, 2**32 - 1),
+       st.sampled_from([1, 1000, 10**5]), st.sampled_from([0, 2**40, -(2**40)]))
+@settings(max_examples=80, deadline=None)
+def test_pair_count_tables_match_brute_force(d, n, seed, scale, offset):
+    # scale 1 keeps the box dense; 1000 and 10^5 take np.unique on the keys
+    # or, past 2^62 cells (d >= 4 at 10^5), the rows
     gen = np.random.default_rng(seed)
-    points = gen.integers(-3, 4, size=(n, d))
-    if near_edge and d in localtime._PACK_BITS:
-        points += 2 ** localtime._PACK_BITS[d] - 5
-        points[0] = 2 ** localtime._PACK_BITS[d] - 2
+    points = gen.integers(-3, 4, size=(n, d)) * scale + offset
     path = _hand_path(points)
     pairs = [tuple(tuple(sorted(gen.integers(0, n + 1, size=2).tolist())) for _ in range(2))
              for _ in range(3)]
-    lags = [(0,) * d, (-1,) * d, tuple(gen.integers(-4, 5, size=d).tolist())]
+    lags = [(0,) * d, (-scale,) * d, tuple((gen.integers(-4, 5, size=d) * scale).tolist())]
     lags += [tuple((points[i] - points[j]).tolist()) for i, j in gen.integers(0, n, size=(3, 2))]
     got = localtime.pair_count_tables(path, pairs, lags)
     assert got.dtype == np.int64 and got.shape == (len(pairs), len(lags))
     assert got.tolist() == [[brute_pair_count(path.positions, wi, wj, p) for p in lags]
                             for wi, wj in pairs]
+    sites = localtime.path_table(path).sites
+    for p in lags:
+        assert localtime.site_shift(path, p).tolist() == reference_shift(sites, p)
 
 
 def test_windows_of_one_path_share_one_sort(lazy_model, monkeypatch):
@@ -293,33 +364,15 @@ def test_windows_of_one_path_share_one_sort(lazy_model, monkeypatch):
     assert len(calls) == 2
 
 
-def _sorted_reference(points):
-    """unique_sites before the counting sort, verbatim: np.unique on packed
-    keys when they fit, else on the rows."""
-    d = points.shape[1]
-    if localtime._pack_shift_ok(points, d):
-        keys, inverse = np.unique(localtime.pack_sites(points, d), return_inverse=True)
-        sites = localtime.unpack_sites(keys, d)
-    else:
-        sites, inverse = np.unique(points, axis=0, return_inverse=True)
-        keys = None
-    return sites, inverse.reshape(-1).astype(np.int32), keys
-
-
 def _unique_route(points, monkeypatch):
-    """unique_sites of the points, checked against the sorting reference
-    value for value and dtype for dtype; returns whether np.unique ran."""
+    """unique_sites of the points, checked against the references value for
+    value and dtype for dtype; returns whether np.unique ran."""
     calls = []
     unique = np.unique
     monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
     got = localtime.unique_sites(points)
     monkeypatch.undo()
-    for g, w in zip(got, _sorted_reference(points)):
-        if w is None:
-            assert g is None
-        else:
-            assert g.dtype == w.dtype and g.shape == w.shape
-            assert np.array_equal(g, w)
+    assert_reference_table(localtime.PathTable(*got), points)
     return bool(calls)
 
 
@@ -348,7 +401,7 @@ def test_counting_sort_one_point_and_repeated_points(monkeypatch):
 ])
 def test_counting_sort_cell_bound(dense, extents, monkeypatch):
     # four points span the box; 4 * 4 + 65536 = 65552 cells is the last
-    # the counting sort takes, one cell more goes to the packed sort
+    # the counting sort takes, one cell more goes to np.unique on the keys
     lo = np.array([-5, -7, 11][:len(extents)])
     hi = lo + np.array(extents) - 1
     points = np.stack([lo, hi, hi, (lo + hi) // 2])
@@ -364,9 +417,10 @@ def test_far_apart_points_take_the_sort(far, monkeypatch):
 
 @st.composite
 def _stepped_paths(draw):
-    """A WalkPath of random atoms (drifted or not, with steps that stretch the
-    box past the counting bound) from an origin that may sit at the packing edge."""
-    d = draw(st.integers(1, 4))
+    """A WalkPath of random atoms in d = 1..5 (drifted or not, with steps that
+    stretch the box past the counting bound, and in d >= 4 past 2^62 cells)
+    from an origin that may sit far from 0."""
+    d = draw(st.integers(1, 5))
     reach = draw(st.sampled_from([1, 3, 40]))
     atoms = draw(st.lists(st.tuples(*[st.integers(-reach, reach)] * d), min_size=1,
                           max_size=20, unique=True))
@@ -374,8 +428,7 @@ def _stepped_paths(draw):
     n = draw(st.integers(1, 400))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     steps = gen.integers(0, len(atoms), size=n - 1).astype(walk.step_dtype(law))
-    edge = 2 ** localtime._PACK_BITS.get(d, 20) - 2
-    origin = tuple(draw(st.sampled_from([0, 5, edge, -edge, edge - reach * n]))
+    origin = tuple(draw(st.sampled_from([0, 5, 2**40, -(2**40), 2**62 - reach * n]))
                    for _ in range(d))
     return walk.WalkPath(model=walk.build_walk_model(law), n=n, seed=0, origin=origin,
                          steps=steps)
@@ -385,19 +438,33 @@ def _stepped_paths(draw):
 @settings(max_examples=150, deadline=None)
 def test_path_table_from_steps_equals_unique_sites(path):
     # the table counted from the steps is the sort of the positions, value
-    # for value and dtype for dtype, on every route
-    got = localtime.path_table(path)
-    want = localtime.unique_sites(path.positions)
-    for g, w in zip((got.sites, got.inverse, got.keys), want):
-        if w is None:
-            assert g is None
-        else:
-            assert g.dtype == w.dtype and np.array_equal(g, w)
+    # for value and dtype for dtype, on every route, and so are its lag maps
+    table = localtime.path_table(path)
+    assert_reference_table(table, path.positions)
+    for p in [(1,) + (0,) * (path.model.dimension - 1), path.positions[-1] - path.positions[0]]:
+        assert localtime.site_shift(path, p).tolist() == reference_shift(table.sites, p)
+
+
+@pytest.mark.parametrize("law", [walk.lazy_walk_law_2d(), walk.simple_walk_law(3),
+                                 walk.simple_walk_law(5)], ids=["lazy2d", "simple3d", "simple5d"])
+def test_path_table_never_builds_positions(law, monkeypatch):
+    path = walk.sample_path(walk.build_walk_model(law), 5000, seed=3)
+    want = path.positions
+
+    def forbidden(self):
+        raise AssertionError("the site table read the path's positions")
+
+    monkeypatch.setattr(walk.WalkPath, "positions", property(forbidden))
+    table = localtime.path_table(path)
+    monkeypatch.undo()
+    assert_reference_table(table, want)
 
 
 def test_planar_path_keeps_one_byte_per_step(lazy_model):
     # a 2^20-step lazy2d path is its steps, one byte each; drawing it and
-    # tabulating its sites peaks at 17.5 MiB (40 MiB with int64 positions)
+    # tabulating its sites peaks at 12.1 MiB.  The bound fails a counting
+    # sort that keeps its per-cell marks and ranks while it decodes the sites
+    # (17.5 MiB), and int64 positions (40 MiB)
     n = 2**20
     tracemalloc.start()
     try:
@@ -407,7 +474,7 @@ def test_planar_path_keeps_one_byte_per_step(lazy_model):
     finally:
         tracemalloc.stop()
     assert path.steps.nbytes == n - 1
-    assert peak <= 27 * 2**20
+    assert peak <= 14 * 2**20
 
 
 def test_window_tables_range_guard(lazy_model):
@@ -427,19 +494,3 @@ def test_planar_path_is_tabulated_without_np_unique(lazy_model, monkeypatch):
     table = localtime.path_table(path)
     assert table.keys is not None
     assert len(table.inverse) == 2**16
-
-
-@pytest.mark.parametrize("sign", [1, -1])
-def test_pack_sites_planar_coordinate_limits(sign):
-    # d = 2 packs 31 bits plus a sign offset per coordinate: |x| <= 2^31 - 2
-    edge = sign * (2**31 - 2)
-    points = np.array([[edge, 0], [0, edge], [edge, -edge], [0, 0]], dtype=np.int64)
-    assert localtime._pack_shift_ok(points, 2)
-    keys = localtime.pack_sites(points, 2)
-    assert np.array_equal(localtime.unpack_sites(keys, 2), points)
-    order = np.lexsort(points[:, ::-1].T)
-    assert np.array_equal(np.argsort(keys, kind="stable"), order)
-    for j in range(2):
-        past = points.copy()
-        past[0, j] = sign * (2**31 - 1)
-        assert not localtime._pack_shift_ok(past, 2)

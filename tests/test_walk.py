@@ -84,6 +84,27 @@ def test_classification_by_dimension_and_centering():
     assert walk.build_walk_model(walk.simple_walk_law(3)).classification == walk.TRANSIENT
 
 
+def test_classification_by_rank_of_the_support():
+    # a centered walk is recurrent iff its support spans at most a plane,
+    # in any Z^d; a rank-2 walk in Z^3 has det Sigma = 0 and no Green series
+    def model(*sites):
+        return walk.build_walk_model(walk.increment_law([(s, 1 / len(sites)) for s in sites]))
+
+    plane_3d = model((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
+    assert plane_3d.classification == walk.RECURRENT
+    assert not plane_3d.effectively_transient and plane_3d.c0 is None
+    with pytest.raises(ValueError):
+        walk.green_series(plane_3d, (0, 0, 0))
+    # a tilted plane and a line in higher dimensions
+    assert model((1, 1, 0), (-1, -1, 0), (0, 1, 1), (0, -1, -1)).classification == walk.RECURRENT
+    assert model((0, 0, 0, 2), (0, 0, 0, -2)).classification == walk.RECURRENT
+    # rank 3, or a drift, is transient
+    assert model((1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 0), (0, 0, 1, 1),
+                 (0, 0, -1, -1)).classification == walk.TRANSIENT
+    assert model((1, 0, 0), (0, 1, 0)).classification == walk.TRANSIENT
+    assert model((1, 1), (-1, -1)).classification == walk.RECURRENT
+
+
 def test_hermite_lattice_index():
     assert walk.hermite_lattice_index([(1, 0), (0, 1)], 2) == 1
     assert walk.hermite_lattice_index([(2, 0), (0, 2), (1, 1)], 2) == 2
