@@ -328,6 +328,59 @@ def test_key_cell_bound(keyed_extents, row_extents, sign):
                 brute_pair_count(rows, (0, len(rows)), (0, len(rows)), p)
 
 
+@pytest.mark.parametrize("d, bits", [(2, 31), (3, 20)])
+def test_packed_key_bit_width_boundary(d, bits):
+    # sites at +-(2^bits - 2) and +-(2^bits - 1) span a box past 2^62 cells
+    # and take the row route; the same sites clipped to [0, edge] are keyed
+    # while the box stays under 2^62 cells.  Both routes give the same tables
+    routes = set()
+    for edge in (2**bits - 2, 2**bits - 1):
+        full = np.array([[edge] * d, [-edge] * d, [0] * d, [edge] + [-edge] * (d - 1),
+                         [-edge] + [edge] * (d - 1), [edge] * d, [0] * d, [edge] * d],
+                        dtype=np.int64)
+        for rows in (full, np.maximum(full, 0)):
+            path = _hand_path(rows)
+            table = localtime.path_table(path)
+            keyed = math.prod((rows.max(axis=0) - rows.min(axis=0) + 1).tolist()) < 2**62
+            assert (table.keys is not None) == keyed
+            routes.add(keyed)
+            assert_reference_table(table, rows)
+            want = Counter(map(tuple, rows.tolist()))
+            for lo, hi in [(0, len(rows)), (2, 6)]:
+                tab = localtime.local_times(path, (lo, hi))
+                assert _items(tab) == sorted(Counter(map(tuple, rows[lo:hi].tolist())).items())
+            counts = localtime.window_tables(path, [(0, len(rows))])[0]
+            assert counts[table.inverse].tolist() == [want[tuple(r)] for r in rows.tolist()]
+            assert localtime.self_intersections(path, len(rows)) == \
+                sum(c * c for c in want.values())
+            # a lag that moves the edge sites one past the box edge
+            for p in [(1,) * d, (-1,) * d]:
+                assert localtime.self_intersections(path, len(rows), p) == \
+                    brute_pair_count(rows, (0, len(rows)), (0, len(rows)), p)
+    assert routes == {True, False}
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_pack_sites_planar_coordinate_limits(sign):
+    # planar sites in sign * [0, 2^31 - 2] fill a box of (2^31 - 1)^2 < 2^62
+    # cells and are keyed; one more step on both axes makes 2^62 cells and
+    # the rows are sorted instead.  Keys decode to the sites, ascend in
+    # lexicographic order, and both routes index every point
+    for top, keyed in [(2**31 - 2, True), (2**31 - 1, False)]:
+        edge = sign * top
+        points = np.array([[edge, 0], [0, edge], [edge, edge], [0, 0], [edge, 0]],
+                          dtype=np.int64)
+        sites, inverse, keys = localtime.unique_sites(points)
+        assert (keys is not None) == keyed
+        want_sites, want_inverse = reference_table(points)
+        assert np.array_equal(sites, want_sites) and np.array_equal(inverse, want_inverse)
+        assert np.array_equal(sites[inverse], points)
+        if keyed:
+            assert keys.dtype == np.int64 and keys.tolist() == reference_keys(sites)
+            order = np.lexsort(points[:, ::-1].T)
+            assert np.array_equal(np.argsort(keys[inverse], kind="stable"), order)
+
+
 @given(st.integers(1, 5), st.integers(1, 120), st.integers(0, 2**32 - 1),
        st.sampled_from([1, 1000, 10**5]), st.sampled_from([0, 2**40, -(2**40)]))
 @settings(max_examples=80, deadline=None)
