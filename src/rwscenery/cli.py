@@ -321,7 +321,7 @@ EXPERIMENTS = {
                          {**_PATH_VAR, "g0_kind": (lambda field, v: v, "self_intersection")},
                          "check_moricz", _moricz_tables,
                          {"scenery": harness.require_iid, "g0_kind": harness.require_g0_kind,
-                          "n": harness.require_moricz_memory}),
+                          ("n", "m_sceneries"): harness.require_moricz_memory}),
     "tightness": Experiment("modulus-of-continuity tightness estimates for the rescaled process",
                             {**_SCALED, "m_sceneries": _at_least(100),
                              "delta_ladder": _list(_number), "epsilon": _number,

@@ -36,8 +36,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .localtime import max_local_time, pair_count_tables, path_table, window_tables
-from .rng import derive_seed
+from .rng import derive_seed, derive_seeds
 from .scenery import (
+    _DRAW_CHUNK,
     IIDScenery,
     SceneryModel,
     field_increments,
@@ -49,7 +50,7 @@ from .scenery import (
     stats,
     window_boundaries,
 )
-from .walk import RECURRENT, WalkModel, WalkPath, sample_path
+from .walk import RECURRENT, STEP_CHUNK, WalkModel, WalkPath, sample_path
 from . import scenery as scenery_mod
 
 MORICZ_CMAX = (1.0 - 2.0 ** -0.25) ** -4.0
@@ -57,6 +58,11 @@ MORICZ_CMAX = (1.0 - 2.0 ** -0.25) ** -4.0
 FCLT_THRESHOLDS = {"ks_p": 0.01, "ks_pass_fraction": 0.9, "offdiag_abs": 0.1,
                    "offdiag_pass_fraction": 0.9}
 SQRT2 = math.sqrt(2.0)
+# draws per step-major block of _visit_sums: one (sites x draws) value
+# table, one walk of the path
+_VISIT_DRAWS = 1024
+# running-sum rows per batch that _running_max_abs folds
+_FOLD_ROWS = 64
 
 
 def _omega_seed(master: int, i: int) -> int:
@@ -64,7 +70,7 @@ def _omega_seed(master: int, i: int) -> int:
 
 
 def _x_seeds(master: int, i: int, m: int) -> list:
-    return [derive_seed(master, "scenery", i, j) for j in range(m)]
+    return derive_seeds(master, "scenery", i, count=m)
 
 
 def _omega_pass(model: WalkModel, n: int, n_omegas: int, seed: int, fn) -> list:
@@ -122,16 +128,28 @@ def _require_memory(what: str, nbytes: int) -> None:
                          f"{physical_memory() / 2**30:.1f} GiB of physical memory")
 
 
-def require_moricz_memory(n: int) -> None:
-    """check_moricz holds two (n+1) x (n+1) float64 tables: V and G0 per window."""
-    _require_memory("the two (n+1)^2 float64 window tables", 16 * (n + 1) ** 2)
+def _visit_bytes(n: int, m_sceneries: int) -> int:
+    """_visit_sums' buffers that grow with n: a (sites x min(m, 1024)) value
+    table, at most n+1 sites, and one 256-draw site_values chunk."""
+    return 8 * (n + 1) * (min(m_sceneries, _VISIT_DRAWS) + _DRAW_CHUNK)
+
+
+def require_moricz_memory(n: int, m_sceneries: int) -> None:
+    """check_moricz holds two (n+1) x (n+1) float64 tables (V and G0 per
+    window), the n+1 running-sum rows of min(m, 1024) draws, and the value
+    table and site_values chunk they are summed from."""
+    _require_memory("the two (n+1)^2 float64 window tables and the (n+1) x "
+                    "min(m_sceneries, 1024) running sums",
+                    16 * (n + 1) ** 2 + 8 * (n + 1) * min(m_sceneries, _VISIT_DRAWS)
+                    + _visit_bytes(n, m_sceneries))
 
 
 def require_newman_wright_memory(n: int, m_sceneries: int) -> None:
-    """check_newman_wright holds two min(m, 256) x (n+1) float64 buffers:
-    a chunk of per-visit values and their running sums."""
-    _require_memory("the two min(m_sceneries, 256) x (n+1) float64 buffers",
-                    16 * min(m_sceneries, 256) * (n + 1))
+    """check_newman_wright holds an (n+1) x min(m, 1024) float64 value table
+    and one 256 x (n+1) site_values chunk; its running sums are folded in
+    batches of _FOLD_ROWS rows."""
+    _require_memory("the (n+1) x min(m_sceneries, 1024) float64 value table",
+                    _visit_bytes(n, m_sceneries))
 
 
 class _Report:
@@ -445,27 +463,53 @@ def check_newman_wright(*, walk: WalkModel, scenery: SceneryModel, n: int, m_sce
 
 
 def _running_max_abs(scen: SceneryModel, table, seeds) -> tuple:
-    """max_k |S_k| and S_n along the whole path, one entry per scenery draw."""
-    max_abs, s_n = np.empty(len(seeds)), np.empty(len(seeds))
-    for lo, cs in _prefix_sums(scen, table, seeds, len(table.inverse)):
-        s_n[lo:lo + len(cs)] = cs[:, -1]
-        np.abs(cs, out=cs)
-        np.max(cs, axis=1, out=max_abs[lo:lo + len(cs)])
-    return max_abs, s_n
+    """max_k |S_k| and S_n along the whole path, one entry per scenery draw.
+    max |S_k| = max(max S_k, -min S_k) over k = 0..n, folded in as the rows
+    come; S_0 = 0 starts both folds."""
+    hi, low, s_n = np.zeros(len(seeds)), np.zeros(len(seeds)), np.empty(len(seeds))
+    for lo, rows in _visit_sums(scen, table, seeds, len(table.inverse), _FOLD_ROWS):
+        part = slice(lo, lo + rows.shape[1])
+        np.maximum(hi[part], rows.max(axis=0), out=hi[part])
+        np.minimum(low[part], rows.min(axis=0), out=low[part])
+        s_n[part] = rows[-1]
+    return np.maximum(hi, -low), s_n
 
 
-def _prefix_sums(scen: SceneryModel, table, seeds, n: int):
-    """``(lo, cs)`` per chunk of 256 draws: S_0 = 0, S_1, ..., S_n of the
-    per-visit values of draws lo..lo+k, in buffers that the next chunk reuses."""
-    vals = np.empty((min(len(seeds), 256), n))
-    cs = np.zeros((len(vals), n + 1))
-    for lo in range(0, len(seeds), 256):
-        k = min(256, len(seeds) - lo)
-        # mode="clip" gathers straight into out; "raise" would buffer a copy
-        np.take(site_values(scen, table.sites, seeds[lo:lo + k]), table.inverse[:n], axis=1,
-                out=vals[:k], mode="clip")
-        np.cumsum(vals[:k], axis=1, out=cs[:k, 1:])
-        yield lo, cs[:k]
+def _visit_sums(scen: SceneryModel, table, seeds, n: int, span: int):
+    """Running sums S_0 = 0, S_1, ..., S_n of the per-visit values of the
+    first n steps, step-major.
+
+    Per block of up to _VISIT_DRAWS draws, ``site_values`` fills a (sites x
+    draws) value table, _DRAW_CHUNK draws at a time, and the path's site
+    index is walked once: S_1 is the first visit's values and S_{i+1} =
+    S_i + table[site of step i], one vector add across the draws, so each
+    draw adds the terms of ``np.cumsum`` in its order.  Yields ``(lo,
+    rows)`` with rows[r, j] = S_{i+r} of draw lo + j, for up to span + 1
+    consecutive steps i + r; each batch starts with the previous batch's
+    last row (S_0 in a block's first), in a buffer the next batch reuses.
+    """
+    width = min(len(seeds), _VISIT_DRAWS)
+    vals = np.empty((len(table.sites), width))
+    buf = np.empty((min(span, n) + 1, width))
+    add = np.add
+    for lo in range(0, len(seeds), _VISIT_DRAWS):
+        k = min(_VISIT_DRAWS, len(seeds) - lo)
+        for c in range(0, k, _DRAW_CHUNK):
+            chunk = seeds[lo + c:lo + min(c + _DRAW_CHUNK, k)]
+            vals[:, c:c + len(chunk)] = site_values(scen, table.sites, chunk).T
+        rows, v = list(buf[:, :k]), list(vals[:, :k])
+        rows[0][:] = 0.0
+        rows[1][:] = v[table.inverse[0]]
+        r, last = 1, len(rows) - 1
+        for a in range(1, n, STEP_CHUNK):
+            for s in table.inverse[a:min(a + STEP_CHUNK, n)].tolist():
+                if r == last:
+                    yield lo, buf[:, :k]
+                    rows[0][:] = rows[r]
+                    r = 0
+                add(rows[r], v[s], rows[r + 1])
+                r += 1
+        yield lo, buf[:r + 1, :k]
 
 
 def _window_v_table(path: WalkPath, n: int) -> np.ndarray:
@@ -565,30 +609,41 @@ def check_moricz(*, walk: WalkModel, scenery: SceneryModel, n: int, m_sceneries:
 
 def _window_max4(scen: SceneryModel, table, seeds, n: int, windows) -> list:
     """max_{0 < j <= k} |S_{b+j} - S_b|^4 per scenery draw, one array per
-    window (b, k) inside the first n steps; every window reuses one
-    difference buffer in place."""
+    window (b, k) of a dyadic grid inside the first n steps (b a multiple of
+    k).  Per level k, one reshape max and min along the step axis give every
+    block's extremes, and max_j |S_{b+j} - S_b| = max(max S - S_b, S_b - min S)
+    exactly, since rounding is monotone."""
+    if any(b % k for b, k in windows):
+        raise ValueError("every window (b, k) needs b a multiple of k")
     out = [np.empty(len(seeds)) for _ in windows]
-    seg = np.empty((min(len(seeds), 256), n))
-    for lo, cs in _prefix_sums(scen, table, seeds, n):
-        for m4, (b, k) in zip(out, windows):
-            d = np.subtract(cs[:, b + 1:b + k + 1], cs[:, b:b + 1], out=seg[:len(cs), :k])
-            m4[lo:lo + len(cs)] = np.max(np.abs(d, out=d), axis=1) ** 4
+    levels = sorted({k for _, k in windows})
+    for lo, rows in _visit_sums(scen, table, seeds, n, n):
+        part = slice(lo, lo + rows.shape[1])
+        for k in levels:
+            q = n // k
+            steps = rows[1:q * k + 1].reshape(q, k, -1)
+            base = rows[:q * k:k]
+            top = np.maximum(steps.max(axis=1) - base, base - steps.min(axis=1))
+            for m4, (b, kw) in zip(out, windows):
+                if kw == k:
+                    m4[part] = top[b // k] ** 4
     return out
 
 
 def _check_super_additive(g0: np.ndarray, n: int) -> bool:
-    """G0(b,k) + G0(b+k,l) <= G0(b,k+l) for every b, k, l; exhaustive."""
+    """G0(b,k) + G0(b+k,l) <= G0(b,k+l) for every b, k, l; exhaustive.
+
+    One outer sum per midpoint c = b + k, over every b < c and l <= n - c,
+    against a strided view of G0(b, c - b + l): in the flat (n+1) x (n+1)
+    table, (b, c - b + l) sits at c + b n + l."""
     if float(np.max(np.abs(g0[:, 0]))) > 1e-12:
         return False
-    for b in range(n - 1):
-        rest = n - b
-        ks = np.arange(1, rest)
-        ls = np.arange(1, rest)
-        tot = ks[:, None] + ls[None, :]
-        valid = tot <= rest
-        lhs = g0[b, ks][:, None] + g0[b + ks][:, ls]
-        rhs = g0[b, np.minimum(tot, rest)]
-        if np.any((lhs - rhs)[valid] > 1e-9):
+    g = np.ascontiguousarray(g0[:n + 1, :n + 1], dtype=np.float64)
+    flat, step = g.reshape(-1), g.itemsize
+    for c in range(1, n):
+        left = np.lib.stride_tricks.as_strided(flat[c:], (c,), (n * step,))  # G0(b, c - b)
+        right = np.lib.stride_tricks.as_strided(flat[c + 1:], (c, n - c), (n * step, step))
+        if np.any(np.add.outer(left, g[c, 1:n - c + 1]) - right > 1e-9):
             return False
     return True
 

@@ -52,6 +52,22 @@ def derive_seed(master_seed: int, *parts) -> int:
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
 
+def derive_seeds(master_seed: int, *parts, count: int) -> list:
+    """[derive_seed(master_seed, *parts, j) for j in range(count)], bit for bit.
+
+    The repr of the shared prefix is hashed once; each index only copies
+    that SHA-256 state and feeds its own ``j)`` tail.
+    """
+    head = hashlib.sha256(("(" + ", ".join(map(repr, (int(master_seed),) + parts))
+                           + ", ").encode())
+    seeds = []
+    for j in range(count):
+        h = head.copy()
+        h.update(f"{j})".encode())
+        seeds.append(int.from_bytes(h.digest()[:8], "big"))
+    return seeds
+
+
 def philox_gen(seed: int) -> np.random.Generator:
     """Counter-based generator keyed by ``seed`` (numpy Philox 4x64)."""
     return np.random.Generator(np.random.Philox(key=np.uint64(seed & (2**64 - 1))))

@@ -83,11 +83,18 @@ class Law:
         return self.moment(4)
 
 
+_SIGN_BIT = np.uint64(1 << 63)
+_MINUS_ONE_BITS = np.uint64(0xBFF0000000000000)  # the float64 bits of -1.0
+
+
 class Rademacher(Law):
     name = "rademacher"
 
     def values(self, words):
-        return np.where(words.view(np.int64) < 0, 1.0, -1.0)  # the top bit
+        # the top bit, moved into the sign of -1.0: set gives 1.0, clear -1.0
+        signs = np.bitwise_and(words, _SIGN_BIT)
+        signs ^= _MINUS_ONE_BITS
+        return signs.view(np.float64)
 
     def moment(self, k):
         return 0.0 if k % 2 else 1.0

@@ -148,7 +148,7 @@ REJECTED = [
     *((_toral(orbit_box=v), "scenery") for v in ("6", 6.0, True, 0, -1)),
     *((_toral(q_mod=v), "scenery") for v in (2147483647.0, "2147483647", True)),
     # buffers past physical memory: Moricz's two (n+1)^2 tables (596 GiB here),
-    # Newman-Wright's two 256 x (n+1) chunk buffers (8 TiB at MAX_STEPS)
+    # Newman-Wright's (n+1) x 1000 value table and 256-draw chunk (20 TiB at MAX_STEPS)
     (dict(PATH_CHECK, experiment="moricz", n=200000), "n"),
     (dict(PATH_CHECK, n=MAX_STEPS, m_sceneries=1000), "n"),
 ]
@@ -201,11 +201,15 @@ def test_validate_accepts_max_steps(monkeypatch):
     assert cli.validate_config(dict(TINY_FCLT, n=MAX_STEPS)) == "fclt-iid"
 
 
-@pytest.mark.parametrize("experiment, m, per_step", [
-    ("moricz", 50, None), ("newman-wright", 50, 16 * 50), ("newman-wright", 1000, 16 * 256)])
-def test_validate_memory_rule_boundary(monkeypatch, experiment, m, per_step):
+# per step of n + 1: a value-table row of min(m, 1024) draws and a 256-draw
+# site_values column; moricz adds its running-sum rows and two (n+1)^2 tables
+@pytest.mark.parametrize("experiment, m, budget", [
+    ("moricz", 50, 16 * 1001**2 + 8 * (2 * 50 + 256) * 1001),
+    ("moricz", 1500, 16 * 1001**2 + 8 * (2 * 1024 + 256) * 1001),
+    ("newman-wright", 50, 8 * (50 + 256) * 1001),
+    ("newman-wright", 1500, 8 * (1024 + 256) * 1001)])
+def test_validate_memory_rule_boundary(monkeypatch, experiment, m, budget):
     # the buffers of n = 1000 fill the probed memory exactly; n = 1001 is over
-    budget = 16 * 1001**2 if per_step is None else per_step * 1001
     monkeypatch.setattr(harness, "physical_memory", lambda: budget)
     doc = dict(PATH_CHECK, experiment=experiment, m_sceneries=m)
     assert cli.validate_config(dict(doc, n=1000)) == experiment

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from rwscenery import cli, harness, localtime, reportio, scenery, walk
+from rwscenery import cli, harness, localtime, reportio, rng, scenery, walk
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +195,51 @@ def test_moricz_constant():
     assert harness.MORICZ_CMAX == pytest.approx((1 - 2 ** -0.25) ** -4)
 
 
+def _reference_check_super_additive(g0, n):
+    """The exhaustive check as it was first written: one masked (k, l) table per b."""
+    if float(np.max(np.abs(g0[:, 0]))) > 1e-12:
+        return False
+    for b in range(n - 1):
+        rest = n - b
+        ks = np.arange(1, rest)
+        ls = np.arange(1, rest)
+        tot = ks[:, None] + ls[None, :]
+        valid = tot <= rest
+        lhs = g0[b, ks][:, None] + g0[b + ks][:, ls]
+        rhs = g0[b, np.minimum(tot, rest)]
+        if np.any((lhs - rhs)[valid] > 1e-9):
+            return False
+    return True
+
+
+def _g0_tables(n, gen, lazy_model):
+    """(name, G0) pairs: sqrt3k, self-intersection, random, and tables with one
+    violated triple, the last at b = n - 2."""
+    k = np.arange(n + 1, dtype=np.float64)
+    sqrt3k = np.sqrt(3.0) * np.tile(k, (n + 1, 1))
+    path = walk.sample_path(lazy_model, n, seed=int(gen.integers(1000)))
+    v = harness._window_v_table(path, n)
+    # convex in k, so only the noise on short windows can break a triple
+    noise = np.tile(k**1.5, (n + 1, 1)) + gen.normal(0.0, 0.3, (n + 1, n + 1))
+    noise[:, 0] = 0.0
+    out = [("sqrt3k", sqrt3k), ("self_intersection", 2.0 * v), ("random", noise)]
+    for b in sorted({int(gen.integers(n - 1)), n - 2}):
+        bad = sqrt3k.copy()
+        bad[b, 2] -= 1e-6  # G0(b,1) + G0(b+1,1) > G0(b,2) only
+        out.append((f"violated-at-{b}", bad))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 64])
+def test_super_additivity_matches_exhaustive_reference(lazy_model, n):
+    gen = np.random.default_rng(n)
+    for name, g0 in _g0_tables(n, gen, lazy_model):
+        want = _reference_check_super_additive(g0, n)
+        assert harness._check_super_additive(g0, n) == want, name
+        if name.startswith("violated"):
+            assert not want
+
+
 def test_super_additivity_checker_rejects_sqrt():
     n = 16
     k = np.arange(n + 1, dtype=np.float64)
@@ -211,6 +256,16 @@ def test_moricz_walk_case(lazy_model):
     assert rep.super_additive and rep.hypothesis_ok
     assert rep.violations == 0
     assert rep.worst_margin_se_units > 3.0
+
+
+@pytest.mark.parametrize("master", [0, 2**63, -7])
+def test_derive_seeds_match_derive_seed(master):
+    for parts in [("scenery", 0), ("scenery", 3), ("walk-increments",), ()]:
+        want = [rng.derive_seed(master, *parts, j) for j in range(3000)]
+        assert rng.derive_seeds(master, *parts, count=3000) == want
+    assert harness._x_seeds(master, 3, 50) == [rng.derive_seed(master, "scenery", 3, j)
+                                               for j in range(50)]
+    assert rng.derive_seeds(master, "scenery", 0, count=0) == []
 
 
 def _reference_running_max_abs(scen, table, seeds):
@@ -241,7 +296,12 @@ _MAXIMAL_SCENERIES = {
 }
 
 
-@pytest.mark.parametrize("m", [100, 300])  # under one 256-draw chunk; a ragged last one
+def _dyadic_windows(n):
+    return [(b, 2**j) for j in range(3, n.bit_length()) for b in range(0, n - 2**j + 1, 2**j)]
+
+
+# under one 256-draw chunk; a ragged last chunk; a ragged last 1024-draw block
+@pytest.mark.parametrize("m", [100, 300, 1500])
 @pytest.mark.parametrize("name", list(_MAXIMAL_SCENERIES))
 def test_maximal_checks_match_pre_change_reference(lazy_model, monkeypatch, name, m):
     scen = _MAXIMAL_SCENERIES[name]
@@ -255,12 +315,14 @@ def test_maximal_checks_match_pre_change_reference(lazy_model, monkeypatch, name
     checks = [lambda: harness.check_newman_wright(**fields, n=700,
                                                   lambda_grid=[1.0, 2.0, 3.0])]
     if isinstance(scen, scenery.IIDScenery):
-        windows = [(0, 8), (8, 8), (0, 64), (64, 64), (0, 512)]
-        got = harness._window_max4(scen, table, seeds, 512, windows)
-        want = _reference_window_max4(scen, table, seeds, 512, windows)
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-        checks.append(lambda: harness.check_moricz(**fields, n=512,
-                                                   g0_kind="self_intersection"))
+        # n = 700 is not a power of 2: every level leaves a tail of steps out
+        for n, windows in [(512, [(0, 8), (8, 8), (0, 64), (64, 64), (0, 512)]),
+                           (700, _dyadic_windows(700))]:
+            got = harness._window_max4(scen, table, seeds, n, windows)
+            want = _reference_window_max4(scen, table, seeds, n, windows)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        checks += [lambda: harness.check_moricz(**fields, n=512, g0_kind="self_intersection"),
+                   lambda: harness.check_moricz(**fields, n=700, g0_kind="sqrt3k")]
     reports = [reportio.canonical_json(check().to_dict()) for check in checks]
     monkeypatch.setattr(harness, "_running_max_abs", _reference_running_max_abs)
     monkeypatch.setattr(harness, "_window_max4", _reference_window_max4)

@@ -17,6 +17,20 @@ def toral(sl3_pair, four_term_poly):
     return scenery.toral_scenery(sl3_pair, four_term_poly, q_mod=2**31 - 1)
 
 
+def test_rademacher_values_match_the_sign_test():
+    edges = np.array([0, 2**63 - 1, 2**63, 2**64 - 1], dtype=np.uint64)
+    words = np.random.default_rng(4).integers(0, 2**64, size=(3, 5000), dtype=np.uint64)
+    law = scenery.base_law("rademacher")
+    for w in (edges, words):
+        before = w.copy()
+        want = np.where(w.view(np.int64) < 0, 1.0, -1.0)
+        got = law.values(w)
+        assert got.dtype == np.float64 and got.shape == w.shape
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(w, before)  # the words are not written
+    assert law.values(edges).tolist() == [-1.0, -1.0, 1.0, 1.0]
+
+
 def test_base_laws_centered_unit_variance():
     gen = np.random.default_rng(0)
     words = gen.integers(0, 2**64, size=200000, dtype=np.uint64)
