@@ -7,9 +7,9 @@ partition lattice:
     E(X_1...X_r)  = sum_Q s(I_1) ... s(I_p)
 
 with Q ranging over partitions of {1..r} and s(I) the cumulant of the
-block I.  Both directions are implemented against caller-supplied oracles
-indexed by subsets, so exact moment tables (e.g. from toral characters)
-plug in directly.
+block I.  The first direction is implemented against a caller-supplied
+moment oracle indexed by subsets, so exact moment tables (e.g. from toral
+characters) plug in directly.
 """
 
 from __future__ import annotations
@@ -59,33 +59,6 @@ def joint_cumulant(moment: Callable[[tuple], float], r: int) -> float:
         term = (-1) ** (p - 1) * _FACT[p - 1]
         for block in q:
             term *= moment(block)
-        total += term
-    return total
-
-
-def subset_cumulants(moment: Callable[[tuple], float], r: int) -> dict:
-    """Cumulant s(I) for every nonempty subset I of {1..r}, bottom-up."""
-    from itertools import combinations
-
-    s = {}
-    for size in range(1, r + 1):
-        for subset in combinations(range(1, r + 1), size):
-            relabel = {i + 1: subset[i] for i in range(size)}
-
-            def sub_moment(block, relabel=relabel):
-                return moment(tuple(relabel[i] for i in block))
-
-            s[subset] = joint_cumulant(sub_moment, size)
-    return s
-
-
-def moments_from_cumulants(cumulant: Callable[[tuple], float], r: int) -> float:
-    """E(X_1...X_r) = sum over partitions of products of block cumulants."""
-    total = 0.0
-    for q in set_partitions(r):
-        term = 1.0
-        for block in q:
-            term *= cumulant(block)
         total += term
     return total
 

@@ -479,15 +479,17 @@ def _visit_sums(scen: SceneryModel, table, seeds, n: int, span: int):
     """Running sums S_0 = 0, S_1, ..., S_n of the per-visit values of the
     first n steps, step-major.
 
-    Per block of up to _VISIT_DRAWS draws, ``site_values`` fills a (sites x
-    draws) value table, _DRAW_CHUNK draws at a time, and the path's site
-    index is walked once: S_1 is the first visit's values and S_{i+1} =
-    S_i + table[site of step i], one vector add across the draws, so each
-    draw adds the terms of ``np.cumsum`` in its order.  Yields ``(lo,
-    rows)`` with rows[r, j] = S_{i+r} of draw lo + j, for up to span + 1
-    consecutive steps i + r; each batch starts with the previous batch's
-    last row (S_0 in a block's first), in a buffer the next batch reuses.
+    ``site_values`` is built once for the path's sites.  Per block of up to
+    _VISIT_DRAWS draws it fills a (sites x draws) value table, _DRAW_CHUNK
+    draws at a time, and the path's site index is walked once: S_1 is the
+    first visit's values and S_{i+1} = S_i + table[site of step i], one
+    vector add across the draws, so each draw adds the terms of
+    ``np.cumsum`` in its order.  Yields ``(lo, rows)`` with rows[r, j] =
+    S_{i+r} of draw lo + j, for up to span + 1 consecutive steps i + r; each
+    batch starts with the previous batch's last row (S_0 in a block's
+    first), in a buffer the next batch reuses.
     """
+    values = site_values(scen, table.sites)
     width = min(len(seeds), _VISIT_DRAWS)
     vals = np.empty((len(table.sites), width))
     buf = np.empty((min(span, n) + 1, width))
@@ -496,7 +498,7 @@ def _visit_sums(scen: SceneryModel, table, seeds, n: int, span: int):
         k = min(_VISIT_DRAWS, len(seeds) - lo)
         for c in range(0, k, _DRAW_CHUNK):
             chunk = seeds[lo + c:lo + min(c + _DRAW_CHUNK, k)]
-            vals[:, c:c + len(chunk)] = site_values(scen, table.sites, chunk).T
+            vals[:, c:c + len(chunk)] = values(chunk).T
         rows, v = list(buf[:, :k]), list(vals[:, :k])
         rows[0][:] = 0.0
         rows[1][:] = v[table.inverse[0]]

@@ -282,24 +282,14 @@ def pair_count_tables(path: WalkPath, window_pairs, p_set) -> np.ndarray:
     return out
 
 
-def pair_count(path: WalkPath, window_i, window_j, p) -> int:
-    """V(omega, I, J, p) = #{(u, v) in I x J : Z_u - Z_v = p}."""
-    return int(pair_count_tables(path, [(window_i, window_j)], [p])[0, 0])
-
-
-def self_intersections(path: WalkPath, n_prefix: int, p=None) -> int:
-    """V_n(omega, p) over the prefix window [0, n_prefix); p defaults to 0."""
-    p = (0,) * path.model.dimension if p is None else p
-    return pair_count(path, (0, n_prefix), (0, n_prefix), p)
-
-
 def quadruple_count(path: WalkPath, n_prefix: int, ells) -> int:
     """W_n = sum_x w(x) w(x+l1) w(x+l2) w(x+l3) over the prefix window."""
     if len(ells) != 3:
         raise ValueError("quadruple_count expects three displacement vectors")
     w = window_tables(path, [(0, n_prefix)])[0]
     factors = [w] + [w[site_shift(path, -np.asarray(ell, dtype=np.int64))] for ell in ells]
-    if int(w.max()) >= 2**15:  # a product of four could overflow int64
+    # each term is at most max(w)^3 w(x), so the sum is at most max(w)^3 n_prefix
+    if int(w.max()) ** 3 * n_prefix >= 2**63:
         factors = [f.astype(object) for f in factors]
     return int(np.sum(factors[0] * factors[1] * factors[2] * factors[3]))
 

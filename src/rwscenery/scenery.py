@@ -32,10 +32,10 @@ from .walk import RECURRENT, WalkModel, WalkPath, green_series_table
 def _lazy_module(name: str):
     """``name`` registered in ``sys.modules`` now but executed on its first
     attribute access (the ``importlib.util.LazyLoader`` recipe of the Python
-    docs), so a run that never draws a Gaussian, integrates or tests pays
-    nothing for scipy.  Python 3.11's LazyLoader can race when two threads
-    touch a module mid-load (fixed in 3.12); the program is single-threaded
-    at the Python level, so that cannot happen here."""
+    docs), so a run that never draws a Gaussian or tests pays nothing for
+    scipy.  Python 3.11's LazyLoader can race when two threads touch a
+    module mid-load (fixed in 3.12); the program is single-threaded at the
+    Python level, so that cannot happen here."""
     if name in sys.modules:
         return sys.modules[name]
     spec = importlib.util.find_spec(name)
@@ -47,7 +47,6 @@ def _lazy_module(name: str):
     return module
 
 
-integrate = _lazy_module("scipy.integrate")
 special = _lazy_module("scipy.special")
 stats = _lazy_module("scipy.stats")
 
@@ -57,7 +56,7 @@ class OrbitExitError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# base laws (centered; unit variance unless a derived truncation part)
+# base laws (centered, unit variance)
 
 
 class Law:
@@ -68,10 +67,6 @@ class Law:
 
     def moment(self, k: int) -> float:
         """E X^k for k = 0..4."""
-        raise NotImplementedError
-
-    def partial_moment(self, k: int, level: float) -> float:
-        """E[X^k 1_{X <= level}] for k = 0..4."""
         raise NotImplementedError
 
     @property
@@ -99,13 +94,6 @@ class Rademacher(Law):
     def moment(self, k):
         return 0.0 if k % 2 else 1.0
 
-    def partial_moment(self, k, level):
-        total = 0.0
-        for atom in (-1.0, 1.0):
-            if atom <= level:
-                total += 0.5 * atom**k
-        return total
-
 
 class CenteredUniform(Law):
     name = "uniform"
@@ -117,13 +105,6 @@ class CenteredUniform(Law):
         # uniform on [-sqrt(3), sqrt(3)]: E X^k = 3^{k/2} / (k+1) for even k
         return 0.0 if k % 2 else 3.0 ** (k / 2.0) / (k + 1)
 
-    def partial_moment(self, k, level):
-        b = math.sqrt(3.0)
-        hi = min(level, b)
-        if hi <= -b:
-            return 0.0
-        return ((hi ** (k + 1)) - ((-b) ** (k + 1))) / (2.0 * b * (k + 1))
-
 
 class Gaussian(Law):
     name = "gaussian"
@@ -134,13 +115,15 @@ class Gaussian(Law):
     def moment(self, k):
         return {0: 1.0, 1: 0.0, 2: 1.0, 3: 0.0, 4: 3.0}[k]
 
-    def partial_moment(self, k, level):
-        # M_k = -level^{k-1} phi(level) + (k-1) M_{k-2}
-        phi = stats.norm.pdf(level)
-        m = [stats.norm.cdf(level), -phi]
-        for j in range(2, k + 1):
-            m.append(-(level ** (j - 1)) * phi + (j - 1) * m[j - 2])
-        return m[k]
+
+def _gaussian_partial_moment(k: int, level: float) -> float:
+    """E[g^k 1_{g <= level}] for a standard Gaussian g, by the recursion
+    M_k = -level^{k-1} phi(level) + (k-1) M_{k-2}."""
+    phi = stats.norm.pdf(level)
+    m = [stats.norm.cdf(level), -phi]
+    for j in range(2, k + 1):
+        m.append(-(level ** (j - 1)) * phi + (j - 1) * m[j - 2])
+    return m[k]
 
 
 class TruncatedGaussian(Law):
@@ -165,64 +148,14 @@ class TruncatedGaussian(Law):
 
     def _raw(self, k):
         # E[(g 1_{g<=L} + shift)^k] via Gaussian partial moments
-        g = Gaussian()
         total = 0.0
         for j in range(k + 1):
-            pm = 1.0 if j == 0 else g.partial_moment(j, self.level)
+            pm = 1.0 if j == 0 else _gaussian_partial_moment(j, self.level)
             total += math.comb(k, j) * pm * self._shift ** (k - j)
         return total
 
     def moment(self, k):
         return self._raw(k) / self._scale**k
-
-    def partial_moment(self, k, level):
-        t = float(level)
-        cut = min(self.level, t * self._scale - self._shift)
-        val = 0.0
-        if cut > -40.0:
-            val, _ = integrate.quad(
-                lambda g: ((g + self._shift) / self._scale) ** k * stats.norm.pdf(g), -40.0, cut)
-        atom_value = self._shift / self._scale
-        if atom_value <= t:
-            val += atom_value**k * stats.norm.sf(self.level)
-        return val
-
-
-class TruncationPart(Law):
-    """One side of the pathwise split X = hat(X) + tilde(X) at ``level``.
-
-    ``side`` is "bounded" for X 1_{X<=L} - E(X 1_{X<=L}) and "tail" for the
-    complement.  Values reuse the base law's word mapping, which is what
-    makes the two parts sum to the original field sample by sample.
-    """
-
-    def __init__(self, base: Law, level: float, side: str):
-        if side not in ("bounded", "tail"):
-            raise ValueError("side must be 'bounded' or 'tail'")
-        self.base = base
-        self.level = float(level)
-        self.side = side
-        self.name = f"{base.name}-{side}@{level:g}"
-        self._mean_below = base.partial_moment(1, self.level)
-
-    def values(self, words):
-        x = self.base.values(words)
-        below = x <= self.level
-        if self.side == "bounded":
-            return np.where(below, x, 0.0) - self._mean_below
-        return np.where(below, 0.0, x) - (self.base.moment(1) - self._mean_below)
-
-    def _indicator_raw(self, k):
-        if k == 0:
-            return 1.0
-        pm = self.base.partial_moment(k, self.level)
-        return pm if self.side == "bounded" else self.base.moment(k) - pm
-
-    def moment(self, k):
-        shift = self._mean_below if self.side == "bounded" else (
-            self.base.moment(1) - self._mean_below)
-        return sum(math.comb(k, j) * self._indicator_raw(j) * (-shift) ** (k - j)
-                   for j in range(k + 1))
 
 
 _LAWS = {
@@ -241,10 +174,7 @@ def base_law(name: str, **params) -> Law:
 
 def law_from_dict(doc: dict) -> Law:
     doc = dict(doc)
-    name = doc.pop("name")
-    if name == "truncation_part":
-        return TruncationPart(law_from_dict(doc["base"]), doc["level"], doc["side"])
-    return base_law(name, **doc)
+    return base_law(doc.pop("name"), **doc)
 
 
 # ---------------------------------------------------------------------------
@@ -490,23 +420,18 @@ def window_boundaries(n: int, t_grid) -> list:
     return edges
 
 
-def site_values(scenery: SceneryModel, sites: np.ndarray, x_seeds) -> np.ndarray:
-    """Field values at each site for each scenery draw, shape (m, M).
+def site_values(scenery: SceneryModel, sites: np.ndarray):
+    """The field at ``sites`` as a function of the scenery draws: x_seeds ->
+    (m, M) values, one row per draw.
 
-    The one place where hash words become field values.  i.i.d.: the law of
-    splitmix64(hash_sites(0, l) ^ x_seed); moving average: sum_q a_q X_{l-q}
-    in ``coeffs`` order, each distinct underlying site hashed once; toral:
-    f(A^l x) with x keyed by x_seed.  The toral result is the transpose of a
-    C-ordered (M, m) array, the others are C-ordered (m, M).
+    The one place where hash words become field values.  The per-site work
+    (site hashes, the moving average's underlying sites, the toral
+    transported frequencies) is done once here, not per call.  i.i.d.: the
+    law of splitmix64(hash_sites(0, l) ^ x_seed); moving average: sum_q a_q
+    X_{l-q} in ``coeffs`` order, each distinct underlying site hashed once;
+    toral: f(A^l x) with x keyed by x_seed.  The toral result is the
+    transpose of a C-ordered (M, m) array, the others are C-ordered (m, M).
     """
-    return _site_evaluator(scenery, sites)(x_seeds)
-
-
-def _site_evaluator(scenery: SceneryModel, sites: np.ndarray):
-    """``site_values`` with the sites fixed: the per-site work (site hashes,
-    the moving average's underlying sites, the toral transported
-    frequencies) is done once here; the returned function maps x_seeds to
-    the (m, M) values."""
     if isinstance(scenery, ToralScenery):
         freqs = np.ascontiguousarray(
             _toral_transported_freqs(scenery, sites).transpose(1, 0, 2))  # (h, M, rho)
@@ -555,7 +480,7 @@ def field_increments(scenery: SceneryModel, path: WalkPath, t_grid,
     ids, counts = window_counts(path, window_boundaries(path.n, t_grid))
     sites = path_table(path).sites[ids]
     weights = counts.astype(np.float64)
-    values = _site_evaluator(scenery, sites)
+    values = site_values(scenery, sites)
     out = np.zeros((len(x_seeds), weights.shape[1]))
     for lo in range(0, len(x_seeds), _DRAW_CHUNK):
         seeds = x_seeds[lo:lo + _DRAW_CHUNK]
@@ -688,19 +613,6 @@ def lag_sum(fourier: dict, counts: dict) -> float:
     for p, a in fourier.items():
         total += a * int(counts[p])
     return total
-
-
-def truncate_field(scenery: SceneryModel, level: float):
-    """Split an i.i.d. scenery into its bounded and tail parts at ``level``.
-
-    Both parts are centered and share the site-keyed randomness of the
-    original, so they add back to it pathwise.
-    """
-    if not isinstance(scenery, IIDScenery):
-        raise ValueError("truncate_field is defined for i.i.d. sceneries")
-    hat = IIDScenery(law=TruncationPart(scenery.law, level, "bounded"))
-    tail = IIDScenery(law=TruncationPart(scenery.law, level, "tail"))
-    return hat, tail
 
 
 # ---------------------------------------------------------------------------

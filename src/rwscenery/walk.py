@@ -260,11 +260,6 @@ class WalkPath:
                 column += z
         return positions
 
-    def window_positions(self, start: int, stop: int) -> np.ndarray:
-        if not (0 <= start <= stop <= self.n):
-            raise IndexError(f"window [{start}, {stop}) out of range [0, {self.n})")
-        return self.positions[start:stop]
-
 
 def step_dtype(law: IncrementLaw) -> np.dtype:
     """The smallest unsigned dtype that holds every atom index of ``law``."""

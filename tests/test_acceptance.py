@@ -19,6 +19,7 @@ import pytest
 
 from rwscenery import algebra, cumulant, harness, localtime, scenery, walk
 from rwscenery.cli import WALK_PRESETS, load_fixture, run_experiment
+from test_cumulant import cumulants_by_subset, moment_from_cumulants
 
 # one verdict line per criterion test; conftest.pytest_terminal_summary
 # prints them in an "acceptance criteria" section
@@ -88,9 +89,9 @@ def test_criterion_1_counting_oracles(lazy_model, simple2d_model):
         p = tuple(int(x) for x in gen.integers(-3, 4, size=2))
         b1, b2 = sorted(gen.integers(0, n + 1, size=2))
         c1, c2 = sorted(gen.integers(0, n + 1, size=2))
-        assert localtime.pair_count(path, (b1, b2), (c1, c2), p) == \
+        assert localtime.pair_count_tables(path, [((b1, b2), (c1, c2))], [p])[0, 0] == \
             brute_pair(path.positions, (b1, b2), (c1, c2), p)
-        assert localtime.self_intersections(path, n, p) == \
+        assert localtime.pair_count_tables(path, [((0, n), (0, n))], [p])[0, 0] == \
             brute_pair(path.positions, (0, n), (0, n), p)
         checked += 1
     for _ in range(80):
@@ -132,8 +133,8 @@ def test_criterion_2_cumulant_algebra():
         for size in range(1, r + 1):
             for sub in itertools.combinations(range(1, r + 1), size):
                 table[sub] = float(gen.normal())
-        s = cumulant.subset_cumulants(lambda b: table[tuple(sorted(b))], r)
-        back = cumulant.moments_from_cumulants(lambda b: s[tuple(sorted(b))], r)
+        s = cumulants_by_subset(lambda b: table[tuple(sorted(b))], r)
+        back = moment_from_cumulants(lambda b: s[tuple(sorted(b))], r)
         worst = max(worst, abs(back - table[tuple(range(1, r + 1))]))
     a = gen.normal(size=(4, 4))
     cov = a @ a.T
@@ -162,7 +163,7 @@ def test_criterion_3_variance_identity(lazy_model):
             s = int(np.dot(signs, weights))
             total += s * s
         exact = total / 2 ** len(weights)
-        vn = localtime.self_intersections(path, n)
+        vn = localtime.pair_count_tables(path, [((0, n), (0, n))], [(0, 0)])[0, 0]
         assert exact == vn
         assert scenery.quenched_variance(iid, path, [(0, n)]) == [exact]
         checked += 1

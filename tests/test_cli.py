@@ -144,6 +144,10 @@ REJECTED = [
     (dict(PATH_CHECK, scenery=MIXED_MA), "scenery"),
     (dict(PATH_CHECK, experiment="moricz", scenery=MIXED_MA), "scenery"),
     (dict(TINY_FCLT, experiment="truncation-ladder", terms_ladder=[2]), "scenery"),
+    # no law splits a field into its bounded and tail parts
+    (dict(TINY_FCLT, scenery={"variant": "iid", "law": {
+        "name": "truncation_part", "base": {"name": "gaussian"}, "level": 1.0,
+        "side": "bounded"}}), "scenery"),
     # ToralScenery's integer constants: orbit_box >= 1, q_mod a prime in (2^20, 2^31)
     *((_toral(orbit_box=v), "scenery") for v in ("6", 6.0, True, 0, -1)),
     *((_toral(q_mod=v), "scenery") for v in (2147483647.0, "2147483647", True)),

@@ -1,7 +1,7 @@
-"""scipy.stats, scipy.special and scipy.integrate are registered when the
-program is imported but run only when a Gaussian law, ``quad`` or a KS test
-first needs them; the deferred modules must give the same values as direct
-scipy calls."""
+"""scipy.stats and scipy.special are registered when the program is
+imported but run only when a Gaussian law or a KS test first needs them; the
+program does not import scipy.integrate at all.  The deferred modules must
+give the same values as direct scipy calls."""
 
 import os
 import subprocess
@@ -18,15 +18,15 @@ import_program()
 from importlib import resources
 from rwscenery import cli
 assert cli.main(["validate", str(resources.files("rwscenery.fixtures") / "lln_variance.json")]) == 0
-for name in ("scipy.stats._stats_py", "scipy.integrate._quadpack_py"):
-    assert name not in sys.modules, name
+assert "scipy.stats._stats_py" not in sys.modules
+assert "scipy.integrate" not in sys.modules
 
 import scipy
 assert scipy.stats.norm.cdf(0.0) == 0.5
 assert scipy.stats is sys.modules["scipy.stats"]
 
 import numpy as np
-import scipy.integrate, scipy.special
+import scipy.special
 from rwscenery import scenery
 from rwscenery.rng import u64_to_uniform
 w = np.random.default_rng(5).integers(0, 2**64, size=4096, dtype=np.uint64)
@@ -38,15 +38,6 @@ for level in (-0.5, 1.0, 2.5):
     shift = norm.pdf(level)
     assert tg._shift == shift
     assert tg._scale == math.sqrt(norm.cdf(level) - level * norm.pdf(level) - shift**2)
-    for k in range(5):
-        for t in (-1.0, 0.2, 3.0):
-            cut = min(level, t * tg._scale - shift)
-            want = scipy.integrate.quad(
-                lambda g: ((g + shift) / tg._scale) ** k * norm.pdf(g), -40.0, cut)[0]
-            atom = shift / tg._scale
-            if atom <= t:
-                want += atom**k * norm.sf(level)
-            assert tg.partial_moment(k, t) == want, (level, k, t)
 """
 
 

@@ -116,8 +116,8 @@ def test_orthogonality_disjoint_windows_straight_path():
 
 def test_cross_count_monotone_in_window(lazy_model):
     path = walk.sample_path(lazy_model, 2048, seed=11)
-    small = localtime.pair_count(path, (200, 800), (1200, 1800), (0, 0))
-    bigger = localtime.pair_count(path, (100, 900), (1200, 1800), (0, 0))
+    small, bigger = localtime.pair_count_tables(
+        path, [((200, 800), (1200, 1800)), ((100, 900), (1200, 1800))], [(0, 0)])[:, 0]
     assert bigger >= small
 
 
@@ -273,7 +273,7 @@ def _reference_running_max_abs(scen, table, seeds):
     cumsum and abs per 256-draw chunk."""
     max_abs, s_n = np.empty(len(seeds)), np.empty(len(seeds))
     for lo in range(0, len(seeds), 256):
-        vals = scenery.site_values(scen, table.sites, seeds[lo:lo + 256])[:, table.inverse]
+        vals = scenery.site_values(scen, table.sites)(seeds[lo:lo + 256])[:, table.inverse]
         cs = np.cumsum(vals, axis=1)
         max_abs[lo:lo + len(cs)] = np.max(np.abs(cs), axis=1)
         s_n[lo:lo + len(cs)] = cs[:, -1]
@@ -283,7 +283,7 @@ def _reference_running_max_abs(scen, table, seeds):
 def _reference_window_max4(scen, table, seeds, n, windows):
     """Window maxima as computed before the reused buffers: concatenated
     prefix sums and a fresh difference per window."""
-    vals = scenery.site_values(scen, table.sites, seeds)[:, table.inverse[:n]]
+    vals = scenery.site_values(scen, table.sites)(seeds)[:, table.inverse[:n]]
     cs = np.concatenate([np.zeros((len(seeds), 1)), np.cumsum(vals, axis=1)], axis=1)
     return [np.max(np.abs(cs[:, b + 1:b + k + 1] - cs[:, b:b + 1]), axis=1) ** 4
             for b, k in windows]
@@ -327,6 +327,20 @@ def test_maximal_checks_match_pre_change_reference(lazy_model, monkeypatch, name
     monkeypatch.setattr(harness, "_running_max_abs", _reference_running_max_abs)
     monkeypatch.setattr(harness, "_window_max4", _reference_window_max4)
     assert reports == [reportio.canonical_json(check().to_dict()) for check in checks]
+
+
+@pytest.mark.parametrize("name", ["rademacher", "ma-0.3-0.7"])
+def test_visit_sums_hash_the_sites_once(lazy_model, monkeypatch, name):
+    # 1500 draws run in six 256-draw chunks over two blocks; the site hashes
+    # depend only on the sites, so one hash_sites call serves every chunk
+    table = localtime.path_table(walk.sample_path(lazy_model, 700, seed=21))
+    calls = []
+    hash_sites = scenery.hash_sites
+    monkeypatch.setattr(scenery, "hash_sites", lambda *a: calls.append(1) or hash_sites(*a))
+    for _ in harness._visit_sums(_MAXIMAL_SCENERIES[name], table, harness._x_seeds(5, 0, 1500),
+                                 700, harness._FOLD_ROWS):
+        pass
+    assert len(calls) == 1
 
 
 def test_tightness_monotone_and_stride_stable(small_omegas):

@@ -17,6 +17,16 @@ def brute_pair_count(positions, wi, wj, p):
     return total
 
 
+def count_pairs(path, wi, wj, p):
+    """V(omega, I, J, p), one entry of ``pair_count_tables``."""
+    return localtime.pair_count_tables(path, [(wi, wj)], [p])[0, 0]
+
+
+def prefix_pairs(path, n, p):
+    """V_n(omega, p) over the prefix window [0, n)."""
+    return count_pairs(path, (0, n), (0, n), p)
+
+
 def reference_table(points):
     """(sites, inverse) by sorting the rows themselves."""
     sites, inverse = np.unique(points, axis=0, return_inverse=True)
@@ -108,9 +118,9 @@ def test_window_out_of_range(lazy_model):
 
 def test_pair_count_monotone_under_inclusion(lazy_model):
     path = walk.sample_path(lazy_model, 3000, seed=9)
-    small = localtime.pair_count(path, (100, 500), (1500, 2000), (0, 0))
-    bigger = localtime.pair_count(path, (100, 900), (1500, 2000), (0, 0))
-    biggest = localtime.pair_count(path, (100, 900), (1200, 2400), (0, 0))
+    small = count_pairs(path, (100, 500), (1500, 2000), (0, 0))
+    bigger = count_pairs(path, (100, 900), (1500, 2000), (0, 0))
+    biggest = count_pairs(path, (100, 900), (1200, 2400), (0, 0))
     assert small <= bigger <= biggest
 
 
@@ -118,25 +128,25 @@ def test_pair_count_trivial_cases():
     const = walk.build_walk_model(walk.deterministic_law((0, 0)))
     n = 64
     path = walk.sample_path(const, n, seed=0)
-    assert localtime.pair_count(path, (0, n), (0, n), (0, 0)) == n * n
+    assert count_pairs(path, (0, n), (0, n), (0, 0)) == n * n
     straight = walk.sample_path(walk.build_walk_model(walk.deterministic_law((1, 0))), n, seed=0)
-    assert localtime.pair_count(straight, (0, n), (0, n), (0, 0)) == n
+    assert count_pairs(straight, (0, n), (0, n), (0, 0)) == n
 
 
 def test_self_intersections_straight_path():
     m = walk.build_walk_model(walk.deterministic_law((1, 0)))
     path = walk.sample_path(m, 100, seed=0)
-    assert localtime.self_intersections(path, 100) == 100
-    assert localtime.self_intersections(path, 100, (1, 0)) == 99
-    assert localtime.self_intersections(path, 100, (-1, 0)) == 99
+    assert prefix_pairs(path, 100, (0, 0)) == 100
+    assert prefix_pairs(path, 100, (1, 0)) == 99
+    assert prefix_pairs(path, 100, (-1, 0)) == 99
 
 
 def test_self_intersection_symmetry(lazy_model):
     path = walk.sample_path(lazy_model, 2000, seed=17)
     for p in [(1, 0), (0, 1), (2, -1)]:
         mp = tuple(-c for c in p)
-        assert localtime.self_intersections(path, 2000, p) == \
-            localtime.self_intersections(path, 2000, mp)
+        assert prefix_pairs(path, 2000, p) == \
+            prefix_pairs(path, 2000, mp)
 
 
 def test_quadruple_trivial_and_straight(lazy_model):
@@ -166,14 +176,25 @@ def test_quadruple_big_counts_use_exact_integers():
     assert localtime.quadruple_count(path, n, [(0, 0), (0, 0), (0, 0)]) == n**4
 
 
+@pytest.mark.parametrize("sites", [8, 9])
+def test_quadruple_sum_overflow_boundary(sites):
+    # 32767 visits per site keep each w^4 inside int64, but the sum of 9 of
+    # them passes 2^63: the bound max(w)^3 n_prefix sends 9 sites to exact
+    # integers, while 8 sites (8 * 32767^4 < 2^63) stay in int64
+    visits = 2**15 - 1
+    path = _hand_path(np.repeat([[k, 0] for k in range(sites)], visits, axis=0))
+    zero = [(0, 0)] * 3
+    assert localtime.quadruple_count(path, path.n, zero) == sites * visits**4
+
+
 def test_additivity_over_disjoint_windows(lazy_model):
     path = walk.sample_path(lazy_model, 4000, seed=23)
     i, j = (100, 1300), (1300, 3100)
     u = (100, 3100)
     p = (1, 0)
-    total = localtime.pair_count(path, u, u, p)
-    parts = (localtime.pair_count(path, i, i, p) + localtime.pair_count(path, j, j, p)
-             + localtime.pair_count(path, i, j, p) + localtime.pair_count(path, j, i, p))
+    total = count_pairs(path, u, u, p)
+    parts = (count_pairs(path, i, i, p) + count_pairs(path, j, j, p)
+             + count_pairs(path, i, j, p) + count_pairs(path, j, i, p))
     assert total == parts
 
 
@@ -184,8 +205,8 @@ def test_shift_covariance(lazy_model):
     rebased = walk.WalkPath(model=path.model, n=k, seed=path.seed, origin=(0, 0),
                             steps=path.steps[b:b + k - 1])
     for p in [(0, 0), (1, 0)]:
-        assert localtime.pair_count(path, (b, b + k), (b, b + k), p) == \
-            localtime.self_intersections(rebased, k, p)
+        assert count_pairs(path, (b, b + k), (b, b + k), p) == \
+            prefix_pairs(rebased, k, p)
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(2, 600))
@@ -195,9 +216,9 @@ def test_super_additivity_of_self_intersections(seed, n):
     m = walk.build_walk_model(walk.lazy_walk_law_2d())
     path = walk.sample_path(m, n, seed=seed)
     k = n // 2
-    left = localtime.pair_count(path, (0, k), (0, k), (0, 0))
-    right = localtime.pair_count(path, (k, n), (k, n), (0, 0))
-    total = localtime.pair_count(path, (0, n), (0, n), (0, 0))
+    left = count_pairs(path, (0, k), (0, k), (0, 0))
+    right = count_pairs(path, (k, n), (k, n), (0, 0))
+    total = count_pairs(path, (0, n), (0, n), (0, 0))
     assert left + right <= total
 
 
@@ -205,9 +226,9 @@ def test_bounded_sum_over_p_and_diagonal(lazy_model):
     path = walk.sample_path(lazy_model, 1500, seed=2)
     n = 1500
     ps = [(a, b) for a in range(-2, 3) for b in range(-2, 3)]
-    total = sum(localtime.self_intersections(path, n, p) for p in ps)
+    total = sum(prefix_pairs(path, n, p) for p in ps)
     assert total <= n * n
-    assert localtime.self_intersections(path, n) >= n
+    assert prefix_pairs(path, n, (0, 0)) >= n
 
 
 def test_max_local_time_and_ratio(lazy_model):
@@ -243,7 +264,7 @@ def test_high_dimension_path_gets_keys():
         tab = localtime.local_times(path, (0, 2000))
         assert tab.total() == 2000
         for p in [(0,) * d, (1,) + (0,) * (d - 1), (0,) * (d - 1) + (-2,)]:
-            assert localtime.self_intersections(path, 2000, p) == \
+            assert prefix_pairs(path, 2000, p) == \
                 brute_pair_count(path.positions, (0, 2000), (0, 2000), p)
 
 
@@ -324,7 +345,7 @@ def test_key_cell_bound(keyed_extents, row_extents, sign):
         lags += [np.eye(d, dtype=np.int64)[j] * extents[j] for j in range(d)]
         for p in lags:
             assert localtime.site_shift(path, p).tolist() == reference_shift(table.sites, p)
-            assert localtime.self_intersections(path, len(rows), p) == \
+            assert prefix_pairs(path, len(rows), p) == \
                 brute_pair_count(rows, (0, len(rows)), (0, len(rows)), p)
 
 
@@ -351,11 +372,11 @@ def test_packed_key_bit_width_boundary(d, bits):
                 assert _items(tab) == sorted(Counter(map(tuple, rows[lo:hi].tolist())).items())
             counts = localtime.window_tables(path, [(0, len(rows))])[0]
             assert counts[table.inverse].tolist() == [want[tuple(r)] for r in rows.tolist()]
-            assert localtime.self_intersections(path, len(rows)) == \
+            assert prefix_pairs(path, len(rows), (0,) * d) == \
                 sum(c * c for c in want.values())
             # a lag that moves the edge sites one past the box edge
             for p in [(1,) * d, (-1,) * d]:
-                assert localtime.self_intersections(path, len(rows), p) == \
+                assert prefix_pairs(path, len(rows), p) == \
                     brute_pair_count(rows, (0, len(rows)), (0, len(rows)), p)
     assert routes == {True, False}
 

@@ -55,11 +55,11 @@ def test_law_fourth_moments():
 
 
 def test_gaussian_partial_moments_vs_quadrature():
-    g = scenery.base_law("gaussian")
+    # the recursion behind TruncatedGaussian.moment
     for level in (-0.7, 0.3, 1.5):
         for k in range(5):
             direct, _ = quad(lambda x: x**k * norm.pdf(x), -40, level)
-            assert g.partial_moment(k, level) == pytest.approx(direct, abs=1e-9)
+            assert scenery._gaussian_partial_moment(k, level) == pytest.approx(direct, abs=1e-9)
 
 
 def test_ma_flags():
@@ -194,7 +194,7 @@ def test_variance_identity_exhaustive_tiny(lazy_model):
             s = int(np.dot(signs, weights))
             total += s * s
         exact = total / 2 ** len(weights)
-        assert exact == localtime.self_intersections(path, 8)
+        assert exact == localtime.pair_count_tables(path, [((0, 8), (0, 8))], [(0, 0)])[0, 0]
         assert scenery.quenched_variance(iid, path, [(0, 8)]) == [exact]
 
 
@@ -215,11 +215,21 @@ def test_field_sum_cumulative_grid(lazy_model):
     assert full.shape == (3,)
 
 
+class _HalfRademacher(scenery.Law):
+    """The values -1/2 and 1/2: Var X = 1/4, a law whose variance is not 1."""
+
+    name = "half_rademacher"
+
+    def values(self, words):
+        return 0.5 * scenery.Rademacher().values(words)
+
+    def moment(self, k):
+        return 0.0 if k % 2 else 0.5**k
+
+
 def test_ma_identity_filter_matches_iid(lazy_model):
     path = walk.sample_path(lazy_model, 500, seed=4)
-    # Rademacher's bounded part at level 0 takes the values -1/2 and 1/2: Var X = 1/4
-    for law in (scenery.base_law("uniform"),
-                scenery.TruncationPart(scenery.base_law("rademacher"), 0.0, "bounded")):
+    for law in (scenery.base_law("uniform"), _HalfRademacher()):
         iid = scenery.IIDScenery(law=law)
         ma = scenery.MovingAverageScenery(law=law, coeffs={(0, 0): 1.0})
         a = scenery.field_increments(iid, path, [0.5, 1.0], range(8))
@@ -262,8 +272,25 @@ def test_site_values_per_visit_match_brute_force(lazy_model, scen):
     path = walk.sample_path(lazy_model, 300, seed=12)
     table = localtime.path_table(path)
     seeds = [3, 2**63 + 5, 977]
-    got = scenery.site_values(scen, table.sites, seeds)[:, table.inverse]
+    got = scenery.site_values(scen, table.sites)(seeds)[:, table.inverse]
     assert got.tobytes() == _per_visit_brute(scen, path.positions, seeds).tobytes()
+
+
+@pytest.mark.parametrize("scen", [
+    scenery.iid_scenery("gaussian"),
+    scenery.moving_average_scenery(_MA_FRACTIONAL, law="gaussian"),
+], ids=["iid-gaussian", "ma-fractional-gaussian"])
+def test_site_values_hash_the_sites_when_built(lazy_model, monkeypatch, scen):
+    # the per-site work is done by site_values itself; its evaluator only maps draws
+    sites = localtime.path_table(walk.sample_path(lazy_model, 300, seed=12)).sites
+    calls = []
+    hash_sites = scenery.hash_sites
+    monkeypatch.setattr(scenery, "hash_sites", lambda *a: calls.append(1) or hash_sites(*a))
+    values = scenery.site_values(scen, sites)
+    assert len(calls) == 1
+    first = values([3, 977])
+    assert values([3, 977]).tobytes() == first.tobytes()
+    assert len(calls) == 1
 
 
 _SPLITMIX_EDGES = [0, 1, 2**63 - 1, 2**63, 2**64 - 1]
@@ -424,7 +451,7 @@ def test_toral_kernel_is_byte_identical_to_einsum(sl3_pair, kernel_sites, kernel
                                                  poly, m, c):
     scen = scenery.toral_scenery(sl3_pair, kernel_polys[poly])
     sites, seeds = kernel_sites[:m], list(range(7, 7 + c))
-    got = scenery.site_values(scen, sites, seeds)
+    got = scenery.site_values(scen, sites)(seeds)
     want = _einsum_toral_values(scen, sites, seeds)
     assert got.shape == want.shape == (c, m)
     assert got.flags.f_contiguous  # the transpose of a C-ordered (M, c) array
@@ -435,8 +462,8 @@ def test_toral_values_of_a_draw_do_not_depend_on_its_chunk(sl3_pair, kernel_site
                                                            kernel_polys):
     scen = scenery.toral_scenery(sl3_pair, kernel_polys["truncation_ladder"])
     sites, seeds = kernel_sites[:513], list(range(40, 296))
-    chunk = scenery.site_values(scen, sites, seeds)
-    assert scenery.site_values(scen, sites, seeds[5:6]).tobytes() == chunk[5:6].tobytes()
+    values = scenery.site_values(scen, sites)
+    assert values(seeds[5:6]).tobytes() == values(seeds)[5:6].tobytes()
 
 
 def test_toral_values_peak_memory(kernel_sites, toral):
@@ -444,7 +471,7 @@ def test_toral_values_peak_memory(kernel_sites, toral):
     sites, seeds = kernel_sites[:4000], list(range(256))
     tracemalloc.start()
     try:
-        scenery.site_values(toral, sites, seeds)
+        scenery.site_values(toral, sites)(seeds)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -463,7 +490,7 @@ def test_toral_values_exact_at_rho_4(companion_pair):
     sites = np.vstack([[[40, 40], [-40, -40], [40, -40], [0, 0]],
                        gen.integers(-40, 41, size=(60, 2))]).astype(np.int64)
     seeds = [3, 17, 2**63 + 1]
-    got = scenery.site_values(scen, sites, seeds)
+    got = scenery.site_values(scen, sites)(seeds)
     q = scen.q_mod
     for r, seed in enumerate(seeds):
         p = [int(v) for v in scenery._toral_point(scen, seed)]
@@ -498,56 +525,6 @@ def test_toral_quenched_variance_vs_monte_carlo(lazy_model, toral):
     mc = float(inc[:, 0].var(ddof=1))
     se = exact * math.sqrt(2.0 / 3999)
     assert abs(mc - exact) < 4 * se
-
-
-def test_truncation_pathwise_decomposition(lazy_model):
-    g = scenery.iid_scenery("gaussian")
-    hat, tail = scenery.truncate_field(g, 1.0)
-    path = walk.sample_path(lazy_model, 300, seed=6)
-    xs = scenery.field_increments(g, path, [0.5, 1.0], range(40))
-    xh = scenery.field_increments(hat, path, [0.5, 1.0], range(40))
-    xt = scenery.field_increments(tail, path, [0.5, 1.0], range(40))
-    assert np.allclose(xs, xh + xt, atol=1e-10)
-
-
-def test_truncation_tail_variance_gaussian():
-    g = scenery.iid_scenery("gaussian")
-    _, tail = scenery.truncate_field(g, 1.0)
-    # quadrature oracle for E[X^2; X>1] - E[X; X>1]^2
-    m2, _ = quad(lambda x: x * x * norm.pdf(x), 1.0, 40.0)
-    m1, _ = quad(lambda x: x * norm.pdf(x), 1.0, 40.0)
-    expect = m2 - m1 * m1
-    assert tail.law.variance == pytest.approx(expect, abs=1e-9)
-    # Monte Carlo within 3 standard errors
-    gen = np.random.default_rng(1)
-    words = gen.integers(0, 2**64, size=100000, dtype=np.uint64)
-    sample = tail.law.values(words)
-    se = sample.var(ddof=1) * math.sqrt(2.0 / (len(sample) - 1))
-    assert abs(sample.var(ddof=1) - expect) < 3 * se
-
-
-def test_truncation_tail_vanishes_for_bounded_laws():
-    r = scenery.iid_scenery("rademacher")
-    _, tail = scenery.truncate_field(r, 2.0)
-    gen = np.random.default_rng(2)
-    words = gen.integers(0, 2**64, size=1000, dtype=np.uint64)
-    assert np.allclose(tail.law.values(words), 0.0)
-    assert tail.law.variance == pytest.approx(0.0, abs=1e-12)
-
-
-def test_truncation_tail_variance_monotone_in_level():
-    g = scenery.iid_scenery("gaussian")
-    variances = []
-    for level in (0.5, 1.0, 2.0, 3.0):
-        _, tail = scenery.truncate_field(g, level)
-        variances.append(tail.law.variance)
-    assert all(b < a for a, b in zip(variances, variances[1:]))
-
-
-def test_truncate_field_rejects_non_iid():
-    ma = scenery.moving_average_scenery({(0, 0): 1.0})
-    with pytest.raises(ValueError):
-        scenery.truncate_field(ma, 1.0)
 
 
 def test_window_boundaries_validation():
@@ -605,7 +582,8 @@ def test_field_increments_transport_toral_frequencies_once(lazy_model, toral, mo
     ids, counts = localtime.window_counts(path, scenery.window_boundaries(path.n, grid))
     sites = localtime.path_table(path).sites[ids]
     chunk = scenery._DRAW_CHUNK
-    want = np.concatenate([scenery.site_values(toral, sites, seeds[lo:lo + chunk])
+    values = scenery.site_values(toral, sites)
+    want = np.concatenate([values(seeds[lo:lo + chunk])
                            @ counts.astype(np.float64) for lo in range(0, 2000, chunk)])
     calls = []
     transported = scenery._toral_transported_freqs

@@ -320,13 +320,6 @@ def test_chunked_draw_matches_one_shot_draw(name, k):
     assert np.array_equal(path.positions, _searchsorted_positions(model, n, 3))
 
 
-def test_window_positions_range_guard(lazy_model):
-    path = walk.sample_path(lazy_model, 50, 1)
-    assert np.array_equal(path.window_positions(10, 50), path.positions[10:])
-    with pytest.raises(IndexError):
-        path.window_positions(10, 51)
-
-
 @pytest.mark.parametrize("name", sorted(cli.WALK_PRESETS) + ["17 atoms"])
 def test_sample_path_is_prefix_stable(name):
     # one step draws one double, so a shorter path is the prefix of a longer
