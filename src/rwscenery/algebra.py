@@ -21,7 +21,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import add, neg
 
 import numpy as np
 
@@ -326,6 +325,12 @@ def exact_joint_moment(pair: MatrixPair, f: TrigPolynomial, ells,
     transported frequencies are distinct (the dual action is injective), so
     each partial sum s meets at most one of them, -s, and the terms add in
     partial-dict order as a full last convolution would add them.
+
+    Each frequency is keyed by one integer, its coordinates as digits in
+    balanced base 2^w with r max|coordinate| < 2^(w-1).  Every partial sum
+    has its coordinates in that range, so the key is injective on them and
+    adds as the vectors add: the dicts get the keys and the order they would
+    get under tuple keys.
     """
     r = len(ells)
     support = f.support
@@ -333,19 +338,28 @@ def exact_joint_moment(pair: MatrixPair, f: TrigPolynomial, ells,
         raise ValueError("combinatorial budget exceeded")
     if r == 0:
         return 1.0
-    partial = {(0,) * f.rho: 1.0 + 0.0j}
-    for ell in ells[:-1]:
-        transported = [(dual_orbit(pair, k, ell), f.coeffs[k]) for k in support]
+    orbits = [[dual_orbit(pair, k, ell) for k in support] for ell in ells]
+    w = (r * max((abs(x) for kks in orbits for kk in kks for x in kk), default=0)
+         ).bit_length() + 1
+    coeffs = [f.coeffs[k] for k in support]
+
+    def keyed(kks):
+        return [(sum(x << (w * j) for j, x in enumerate(kk)), c)
+                for kk, c in zip(kks, coeffs)]
+
+    partial = {0: 1.0 + 0.0j}
+    for kks in orbits[:-1]:
+        transported = keyed(kks)
         nxt = {}
         for s, acc in partial.items():
             for kk, c in transported:
-                key = tuple(map(add, s, kk))
+                key = s + kk
                 nxt[key] = nxt.get(key, 0.0 + 0.0j) + acc * c
         partial = nxt
-    last = {dual_orbit(pair, k, ells[-1]): f.coeffs[k] for k in support}
+    last = dict(keyed(orbits[-1]))
     total = 0.0 + 0.0j
     for s, acc in partial.items():
-        c = last.get(tuple(map(neg, s)))
+        c = last.get(-s)
         if c is not None:
             total += acc * c
     assert abs(total.imag) < 1e-9
@@ -423,6 +437,15 @@ def find_cumulant_radius(pair: MatrixPair, f: TrigPolynomial, scan: int = 2,
 # the four-term relation A^{l1} g - A^{l2} g + A^{l3} g - g = 0
 
 
+# both search routes keep this many solution rows: the first in sorted-triple,
+# then lexicographic-gamma, order
+SAMPLE_CAP = 1000
+# values of l1 per cofactor product in ``_singular_triples``: the product's
+# temporaries stay small (4 L^2 floats), and at L = 121 blocks of 4 ran
+# faster than blocks of 1, 8 or 16
+_SCREEN_BLOCK = 4
+
+
 @dataclass
 class SUnitReport:
     solutions: list       # sample of (l1, l2, l3, gamma) tuples (capped)
@@ -432,7 +455,7 @@ class SUnitReport:
     n_triples: int
     ell_bound: int
     gamma_bound: int
-    sample_cap: int = 1000
+    sample_cap: int = SAMPLE_CAP
 
 
 def _det3_mod(m: np.ndarray, p: int) -> np.ndarray:
@@ -469,7 +492,6 @@ def sunit_search(pair: MatrixPair, gamma_bound: int, ell_bound: int) -> SUnitRep
     primitive = np.gcd.reduce(np.abs(gammas), axis=1) == 1
 
     ident = np.asarray(mat_identity(3), dtype=object)
-    sample_cap = 1000
     solutions = []
     n_solutions = 0
     n_prim = 0
@@ -483,14 +505,52 @@ def sunit_search(pair: MatrixPair, gamma_bound: int, ell_bound: int) -> SUnitRep
         if not good.any():
             continue
         triples.add((e1, e2, e3))
-        n_solutions += int(good.sum())
-        n_prim += int((good & primitive).sum())
-        for g in gammas[good][:max(0, sample_cap - len(solutions))]:
-            solutions.append((e1, e2, e3, tuple(int(x) for x in g)))
+        n_solutions += int(np.count_nonzero(good))
+        n_prim += int(np.count_nonzero(good & primitive))
+        room = SAMPLE_CAP - len(solutions)
+        if room > 0:  # gather only the sampled rows
+            solutions += [(e1, e2, e3, tuple(g))
+                          for g in gammas[np.flatnonzero(good)[:room]].tolist()]
     return SUnitReport(solutions=solutions, n_solutions=n_solutions,
                        n_primitive=n_prim, triples=sorted(triples),
                        n_triples=len(triples), ell_bound=ell_bound,
-                       gamma_bound=gamma_bound, sample_cap=sample_cap)
+                       gamma_bound=gamma_bound)
+
+
+def _adj3(a: np.ndarray) -> np.ndarray:
+    """Adjugate of the 3 x 3 matrices over the last two axes (a @ adj = det I).
+
+    Cofactors in cyclic form carry their own signs.  On int64 residues below
+    2^20 every product is below 2^40, so the entries are exact.
+    """
+    out = np.empty_like(a)
+    for i, j in itertools.product(range(3), repeat=2):
+        j1, j2, i1, i2 = (j + 1) % 3, (j + 2) % 3, (i + 1) % 3, (i + 2) % 3
+        out[..., i, j] = a[..., j1, i1] * a[..., j2, i2] - a[..., j1, i2] * a[..., j2, i1]
+    return out
+
+
+def _adj_det_mod(m: np.ndarray, q: int):
+    """(adj m, det m) modulo q for int64 residues m (..., 3, 3) of a q < 2^20."""
+    adj = _adj3(m) % q
+    return adj, (m[..., 0, :] * adj[..., :, 0]).sum(axis=-1) % q
+
+
+def _det_sum_mod(rows: np.ndarray, cols: np.ndarray, q: int) -> np.ndarray:
+    """det(B + C) mod q for every row B and column C, from the cofactor tables.
+
+    For 3 x 3 matrices det(B + C) = det B + tr(adj(B) C) + tr(B adj(C)) + det C,
+    so with the rows [det B, adj B, B, 1] and the columns [1, C^T, adj(C)^T,
+    det C] (20 residues each) it is one matrix product.  Each dot product adds
+    18 products below q^2 and two residues, below 18 * 2^40 + 2^21 < 2^45, so
+    every partial sum is an integer that float64 holds exactly, in any BLAS
+    blocking or thread count.
+    """
+    out = rows @ cols
+    # out < 2^45, so out / q is within 2^-27 of a quotient whose fraction is
+    # 0 or at least 1 / q > 2^-20: its floor is exact
+    out -= q * np.floor(out / q)
+    return out
 
 
 def _singular_triples(mats: dict, ells: list) -> set:
@@ -498,20 +558,37 @@ def _singular_triples(mats: dict, ells: list) -> set:
     modulo two primes: a superset of the exactly singular ones.
 
     M is the same integer matrix for (l1, l2, l3) and (l3, l2, l1), so only
-    i3 >= i1 is screened and the hits are mirrored.  Each of those is
-    screened by broadcasting modulo the first prime; only its zeros are
-    rechecked modulo the second.
+    i3 >= i1 is screened and the hits are mirrored.  Modulo the first prime,
+    M = B + C with B = A^{l1} - A^{l2} - I and C = A^{l3}, and a block of
+    ``_SCREEN_BLOCK`` values of l1 is one product of the B cofactor rows with
+    the C cofactor columns (``_det_sum_mod``); only its zeros are rechecked
+    modulo the second prime.
     """
     q1, q2 = 1048573, 1048583
+    n = len(ells)
     powers = np.stack([mats[e] for e in ells])  # (L, 3, 3) Python ints
     arr1, arr2 = ((powers % q).astype(np.int64) for q in (q1, q2))
     ident = np.eye(3, dtype=np.int64)
+    adj_c, det_c = _adj_det_mod(arr1, q1)
+    cols = np.empty((20, n))
+    cols[0] = 1
+    cols[1:10] = arr1.transpose(0, 2, 1).reshape(n, 9).T
+    cols[10:19] = adj_c.transpose(0, 2, 1).reshape(n, 9).T
+    cols[19] = det_c
     hits = []
-    for i1 in range(len(ells)):
-        det = _det3_mod(arr1[i1][None, None] - arr1[:, None] + arr1[None, i1:] - ident, q1)
-        idx2, idx3 = np.nonzero(det == 0)
-        hits.append(np.stack([np.full_like(idx2, i1), idx2, idx3 + i1], axis=1))
-    i1, i2, i3 = np.concatenate(hits).T
+    for lo in range(0, n, _SCREEN_BLOCK):
+        hi = min(lo + _SCREEN_BLOCK, n)
+        b = ((arr1[lo:hi, None] - arr1[None, :] - ident) % q1).reshape(-1, 3, 3)
+        adj_b, det_b = _adj_det_mod(b, q1)
+        rows = np.empty((len(b), 20))
+        rows[:, 0] = det_b
+        rows[:, 1:10] = adj_b.reshape(-1, 9)
+        rows[:, 10:19] = b.reshape(-1, 9)
+        rows[:, 19] = 1
+        row, col = np.nonzero(_det_sum_mod(rows, cols[:, lo:], q1) == 0)
+        i1, i2, i3 = lo + row // n, row % n, lo + col
+        hits.append(np.stack([i1, i2, i3])[:, i3 >= i1])
+    i1, i2, i3 = np.concatenate(hits, axis=1)
     keep = _det3_mod(arr2[i1] - arr2[i2] + arr2[i3] - ident, q2) == 0
     half = {(ells[a], ells[b], ells[c]) for a, b, c in zip(i1[keep], i2[keep], i3[keep])}
     return half | {(e3, e2, e1) for e1, e2, e3 in half}
@@ -566,6 +643,8 @@ def _sunit_search_generic(pair: MatrixPair, gamma_bound: int, ell_bound: int) ->
     gammas = [g for g in itertools.product(range(-gamma_bound, gamma_bound + 1),
                                            repeat=pair.rho) if any(g)]
     solutions = []
+    n_solutions = 0
+    n_prim = 0
     triples = set()
     for e1, e2, e3 in itertools.product(ells, repeat=3):
         if e1 == e2 or e2 == e3 or e1 == (0, 0) or e3 == (0, 0):
@@ -579,10 +658,12 @@ def _sunit_search_generic(pair: MatrixPair, gamma_bound: int, ell_bound: int) ->
                 continue
             if _has_vanishing_subsum(v1, v2, v3, g):
                 continue
-            solutions.append((e1, e2, e3, g))
+            n_solutions += 1
+            n_prim += math.gcd(*g) == 1
             triples.add((e1, e2, e3))
-    n_prim = sum(1 for *_, g in solutions if math.gcd(*[abs(x) for x in g]) == 1)
-    return SUnitReport(solutions=solutions, n_solutions=len(solutions),
+            if len(solutions) < SAMPLE_CAP:
+                solutions.append((e1, e2, e3, g))
+    return SUnitReport(solutions=solutions, n_solutions=n_solutions,
                        n_primitive=n_prim, triples=sorted(triples),
                        n_triples=len(triples), ell_bound=ell_bound,
                        gamma_bound=gamma_bound)

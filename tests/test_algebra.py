@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,6 +259,47 @@ def test_joint_moment_matches_full_dict_convolution(sl3_pair, four_term_poly, po
             _full_dict_joint_moment(sl3_pair, f, ells), ells
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_packed_keys_match_full_dict_far_out(sl3_pair, four_term_poly, r):
+    # |l|_inf up to 40: dual-orbit coordinates pass 2^63, so each key digit is
+    # wider than 64 bits; repeated and nearby indices make frequencies cancel
+    gen = np.random.default_rng(500 + r)
+    far = max(abs(x) for k in COMPLEX_POLY.support
+              for x in algebra.dual_orbit(sl3_pair, k, (40, -40)))
+    assert far > 2**63
+    nonzero = 0
+    for f in (four_term_poly, COMPLEX_POLY):
+        for _ in range(12):
+            base = [tuple(e) for e in gen.integers(-40, 41, size=(r, 2)).tolist()]
+            near = [(a + int(gen.integers(-1, 2)), b + int(gen.integers(-1, 2)))
+                    for a, b in base]
+            for ells in (base, near, base[: r - r // 2] + base[: r // 2], base[:1] * r):
+                got = algebra.exact_joint_moment(sl3_pair, f, ells)
+                assert got == _full_dict_joint_moment(sl3_pair, f, ells), ells
+                nonzero += got != 0.0
+    assert nonzero or r == 1  # the comparison sees cancelling frequencies
+
+
+@pytest.mark.parametrize("r,big", [(3, 341), (4, 256), (5, 2**40 - 1), (2, 2**61)])
+def test_packed_keys_at_the_digit_boundary(sl3_pair, r, big):
+    # at l = 0 the frequencies stay put, so partial sums reach r * big, the
+    # edge of the balanced digits (r * big = 2^10 - 1, 2^10, ...).  Digits
+    # sized for one term would merge -a - a - b = (-3 big, 1, 0) with
+    # a + a - a = (big, 0, 0) at r = 4, big = 256.
+    f = trigpoly.TrigPolynomial({
+        (big, 0, 0): 0.25 + 0.5j, (-big, 0, 0): 0.25 - 0.5j,
+        (big, -1, 0): 0.4 - 0.1j, (-big, 1, 0): 0.4 + 0.1j,
+        (big - 1, 1, 0): 0.3, (1 - big, -1, 0): 0.3,
+        (-1, 1, 0): 0.1 - 0.2j, (1, -1, 0): 0.1 + 0.2j,
+        (0, big, -big): 0.7, (0, -big, big): 0.7,
+    })
+    for ells in itertools.product([(0, 0), (1, 0)], repeat=r):
+        ells = list(ells)
+        assert algebra.exact_joint_moment(sl3_pair, f, ells) == \
+            _full_dict_joint_moment(sl3_pair, f, ells), ells
+    assert algebra.exact_joint_moment(sl3_pair, f, [(0, 0)] * r) != 0.0
+
+
 def test_joint_moment_budget_raises_before_any_work(sl3_pair, four_term_poly, monkeypatch):
     def no_work(*args):
         raise AssertionError("work done before the budget check")
@@ -374,12 +417,110 @@ def test_each_subsum_exclusion_is_exercised(first):
     assert {tuple(g) for g in gammas[mask].tolist()} == {(1, 1, 2), (-1, -1, -2)}
 
 
-def test_sunit_modular_screen_matches_generic(sl3_pair):
-    fast = algebra.sunit_search(sl3_pair, gamma_bound=3, ell_bound=1)
-    slow = algebra._sunit_search_generic(sl3_pair, gamma_bound=3, ell_bound=1)
+@pytest.fixture(scope="module")
+def order4_pair():
+    """(A, A^2) with A the companion matrix of x^3 - x^2 + x - 1 = (x - 1)(x^2 + 1):
+    det A = 1 and A^4 = I, so many four-term relations hold for every gamma."""
+    a1 = ((0, 0, 1), (1, 0, -1), (0, 1, 1))
+    return algebra.matrix_pair(a1, algebra.mat_mul(a1, a1))
+
+
+def test_sunit_modular_screen_matches_generic(order4_pair):
+    fast = algebra.sunit_search(order4_pair, gamma_bound=1, ell_bound=1)
+    slow = algebra._sunit_search_generic(order4_pair, gamma_bound=1, ell_bound=1)
+    assert (fast.n_triples, fast.n_solutions) == (36, 648)
     assert fast.n_solutions == slow.n_solutions
     assert fast.triples == slow.triples
     assert sorted(fast.solutions) == sorted(slow.solutions)
+
+
+def test_sunit_routes_give_equal_capped_reports(order4_pair):
+    fast = algebra.sunit_search(order4_pair, gamma_bound=2, ell_bound=1)
+    slow = algebra._sunit_search_generic(order4_pair, gamma_bound=2, ell_bound=1)
+    assert fast.n_solutions == 3672 > algebra.SAMPLE_CAP
+    assert len(slow.solutions) == fast.sample_cap == algebra.SAMPLE_CAP
+    for name in (f.name for f in dataclasses.fields(algebra.SUnitReport)):
+        assert getattr(fast, name) == getattr(slow, name), name
+
+
+def _broadcast_screen(mats, ells):
+    """Reference _singular_triples: one broadcast (L, L, 3, 3) determinant per
+    l1 on the i3 >= i1 half grid, zeros rechecked modulo the second prime."""
+    q1, q2 = 1048573, 1048583
+    powers = np.stack([mats[e] for e in ells])
+    arr1, arr2 = ((powers % q).astype(np.int64) for q in (q1, q2))
+    ident = np.eye(3, dtype=np.int64)
+    hits = []
+    for i1 in range(len(ells)):
+        det = algebra._det3_mod(arr1[i1][None, None] - arr1[:, None] + arr1[None, i1:] - ident,
+                                q1)
+        idx2, idx3 = np.nonzero(det == 0)
+        hits.append(np.stack([np.full_like(idx2, i1), idx2, idx3 + i1], axis=1))
+    i1, i2, i3 = np.concatenate(hits).T
+    keep = algebra._det3_mod(arr2[i1] - arr2[i2] + arr2[i3] - ident, q2) == 0
+    half = {(ells[a], ells[b], ells[c]) for a, b, c in zip(i1[keep], i2[keep], i3[keep])}
+    return half | {(e3, e2, e1) for e1, e2, e3 in half}
+
+
+@pytest.mark.parametrize("pair_name,ell_bound",
+                         [("sl3", b) for b in range(6)] + [("order4", b) for b in (1, 2, 3)])
+def test_cofactor_screen_equals_broadcast_screen(sl3_pair, order4_pair, pair_name, ell_bound):
+    pair = sl3_pair if pair_name == "sl3" else order4_pair
+    ells = list(itertools.product(range(-ell_bound, ell_bound + 1), repeat=2))
+    mats = {e: np.asarray(algebra.mat_pow_pair(pair, e), dtype=object) for e in ells}
+    want = _broadcast_screen(mats, ells)
+    assert want  # (0, 0, 0) at least: M = 0
+    assert algebra._singular_triples(mats, ells) == want
+
+
+def _exact_adjugate(m):
+    """adj(m)[i][j] = (-1)^(i+j) times the minor of m without row j and column i."""
+    return [[(-1) ** (i + j) * algebra.mat_det(tuple(
+                tuple(m[r][c] for c in range(3) if c != i) for r in range(3) if r != j))
+             for j in range(3)] for i in range(3)]
+
+
+def test_adj3_matches_exact_cofactors(sl3_pair):
+    gen = np.random.default_rng(3)
+    mats = [algebra.mat_pow_pair(sl3_pair, e) for e in [(0, 0), (5, -3), (-9, 7)]]
+    mats += [algebra.mat_tuplify(m) for m in gen.integers(-10**6, 10**6, size=(20, 3, 3))]
+    for m in mats:
+        assert algebra._adj3(np.asarray(m, dtype=object)).tolist() == _exact_adjugate(m)
+    res = gen.integers(0, 1048573, size=(50, 3, 3))  # int64 residues, as the screen has them
+    for m, got in zip(res.tolist(), algebra._adj3(res).tolist()):
+        assert got == _exact_adjugate(m)
+
+
+def test_det_sum_is_exact_at_the_residue_boundary():
+    q = 1048573
+    gen = np.random.default_rng(4)
+    rows = np.full((6, 20), q - 1.0)
+    cols = np.full((20, 5), q - 1.0)
+    rows[3:] = gen.integers(q - 64, q, size=(3, 20))
+    cols[:, 2:] = gen.integers(q - 64, q, size=(20, 3))
+    got = algebra._det_sum_mod(rows, cols, q)
+    exact = [[sum(int(a) * int(b) for a, b in zip(row, col)) for col in cols.T] for row in rows]
+    assert exact[0][0] == 20 * (q - 1) ** 2 < 2**53
+    assert got.tolist() == [[float(x % q) for x in row] for row in exact]
+    # the cofactor terms the tables hold, from residues at and just below q - 1
+    b = np.full((1, 3, 3), q - 1, dtype=np.int64)
+    c = (np.arange(9, dtype=np.int64).reshape(1, 3, 3) + q - 9) % q
+    for m in (b, c, b + c - q):
+        adj, det = algebra._adj_det_mod(m, q)
+        assert det.tolist() == [algebra._exact_det3(m[0]) % q]
+        assert adj[0].tolist() == [[x % q for x in row] for row in _exact_adjugate(m[0].tolist())]
+
+
+def test_sunit_search_memory_stays_flat(sl3_pair):
+    algebra.sunit_search(sl3_pair, gamma_bound=30, ell_bound=5)  # warm the power cache
+    tracemalloc.start()
+    try:
+        algebra.sunit_search(sl3_pair, gamma_bound=30, ell_bound=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an unblocked (L, L, L) determinant table at L = 121 would add ~14 MiB
+    assert peak < 17.9 * 2**20
 
 
 def test_sunit_structural_exclusions(sl3_pair):
