@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -49,22 +49,24 @@ def mat_transpose(a: tuple) -> tuple:
     return tuple(zip(*a))
 
 
-def mat_det(a: tuple) -> int:
-    n = len(a)
-    if n == 1:
-        return a[0][0]
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        # permutation sign by counting inversions
-        inv = sum(1 for i in range(n) for j in range(i + 1, n) if seen[i] > seen[j])
-        sign = -1 if inv % 2 else 1
-        prod = 1
-        for i, j in enumerate(perm):
-            prod *= a[i][j]
-        total += sign * prod
-    return total
+def mat_det(a) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination: every
+    division is exact, so the entries stay integers, of the size of minors."""
+    m = [[int(x) for x in row] for row in a]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
 
 
 def mat_inverse_unimodular(a: tuple) -> tuple:
@@ -73,17 +75,13 @@ def mat_inverse_unimodular(a: tuple) -> tuple:
     det = mat_det(a)
     if det not in (1, -1):
         raise ValueError(f"matrix is not unimodular (det = {det})")
-    cof = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = tuple(tuple(a[r][c] for c in range(n) if c != j)
-                          for r in range(n) if r != i)
-            m = mat_det(minor) if n > 1 else 1
-            row.append((-1) ** (i + j) * m)
-        cof.append(tuple(row))
-    adj = mat_transpose(tuple(cof))
-    return tuple(tuple(x * det for x in row) for row in adj)
+
+    def cofactor(i, j):
+        minor = [[a[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
+        return (-1) ** (i + j) * mat_det(minor) if n > 1 else 1
+
+    # adj(a)[i][j] is the (j, i) cofactor, and 1 / det = det
+    return tuple(tuple(cofactor(j, i) * det for j in range(n)) for i in range(n))
 
 
 def mat_tuplify(rows) -> tuple:
@@ -437,10 +435,12 @@ def find_cumulant_radius(pair: MatrixPair, f: TrigPolynomial, scan: int = 2,
 # the four-term relation A^{l1} g - A^{l2} g + A^{l3} g - g = 0
 
 
-# both search routes keep this many solution rows: the first in sorted-triple,
-# then lexicographic-gamma, order
+# the search keeps this many solution rows: the first in sorted-triple, then
+# lexicographic-gamma, order
 SAMPLE_CAP = 1000
-# values of l1 per cofactor product in ``_singular_triples``: the product's
+# the screen's two primes; below 2^20, so a minor product is below 2^40
+_Q1, _Q2 = 1048573, 1048583
+# values of l1 per minor-table product in ``_singular_triples``: the product's
 # temporaries stay small (4 L^2 floats), and at L = 121 blocks of 4 ran
 # faster than blocks of 1, 8 or 16
 _SCREEN_BLOCK = 4
@@ -458,19 +458,6 @@ class SUnitReport:
     sample_cap: int = SAMPLE_CAP
 
 
-def _det3_mod(m: np.ndarray, p: int) -> np.ndarray:
-    """det(m) mod p over the last two axes, for 3 p^3 < 2^63 (p ~ 2^20 here).
-
-    On residues 0 <= a < p the cofactor expansion stays within +-3 p^3, so
-    the int64 determinant is exact and only the result needs reducing.
-    """
-    a = m % p
-    d = (a[..., 0, 0] * (a[..., 1, 1] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 1])
-         - a[..., 0, 1] * (a[..., 1, 0] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 0])
-         + a[..., 0, 2] * (a[..., 1, 0] * a[..., 2, 1] - a[..., 1, 1] * a[..., 2, 0]))
-    return d % p
-
-
 def sunit_search(pair: MatrixPair, gamma_bound: int, ell_bound: int) -> SUnitReport:
     """Enumerate all (l1, l2, l3, gamma) in the boxes solving the four-term
     relation exactly, with every vanishing-proper-sub-sum tuple filtered out.
@@ -480,18 +467,25 @@ def sunit_search(pair: MatrixPair, gamma_bound: int, ell_bound: int) -> SUnitRep
     statement is about.  Triples where a sub-sum vanishes identically
     (l1 = l2, l2 = l3, l1 = 0, l3 = 0) are skipped outright; the remaining
     candidates come from singular combinations found by a two-prime modular
-    determinant screen and are then verified in exact arithmetic.
+    determinant screen and are then verified in exact arithmetic.  The
+    screen is exact in float64 while C(2 rho, rho) (q1 - 1)^2 < 2^53, that
+    is for rho <= 7; a larger rho is refused.
     """
-    if pair.rho != 3:
-        return _sunit_search_generic(pair, gamma_bound, ell_bound)
+    for name, bound in (("gamma_bound", gamma_bound), ("ell_bound", ell_bound)):
+        if bound < 0:
+            raise ValueError(f"{name} must be >= 0, got {bound}")
+    rho = pair.rho
+    if math.comb(2 * rho, rho) * (_Q1 - 1) ** 2 >= 2**53:
+        raise ValueError(f"rho = {rho}: the S-unit screen's float64 sums would pass 2^53")
     ells = list(itertools.product(range(-ell_bound, ell_bound + 1), repeat=2))
     mats = {ell: np.asarray(mat_pow_pair(pair, ell), dtype=object) for ell in ells}
     side = 2 * gamma_bound + 1
-    gammas = np.indices((side,) * 3, dtype=np.int64).reshape(3, -1).T - gamma_bound
-    gammas = gammas[np.any(gammas != 0, axis=1)]
-    primitive = np.gcd.reduce(np.abs(gammas), axis=1) == 1
+    gammas = np.indices((side,) * rho, dtype=np.int64).reshape(rho, -1).T - gamma_bound
+    zero = len(gammas) // 2  # the centre of the lexicographic grid
+    gammas = np.concatenate([gammas[:zero], gammas[zero + 1:]])
+    primitive = reduce(np.gcd, gammas.T, 0) == 1  # gcd(0, g) = |g|
 
-    ident = np.asarray(mat_identity(3), dtype=object)
+    ident = np.asarray(mat_identity(rho), dtype=object)
     solutions = []
     n_solutions = 0
     n_prim = 0
@@ -517,38 +511,64 @@ def sunit_search(pair: MatrixPair, gamma_bound: int, ell_bound: int) -> SUnitRep
                        gamma_bound=gamma_bound)
 
 
-def _adj3(a: np.ndarray) -> np.ndarray:
-    """Adjugate of the 3 x 3 matrices over the last two axes (a @ adj = det I).
+@lru_cache(maxsize=None)
+def _minor_plan(rho: int) -> list:
+    """Per k = 2..rho, over the k-subsets of range(rho) in ``itertools.combinations``
+    order, the index arrays that expand each k x k minor along its first row:
+    per t, the t-th element of the subset and the index of the (k - 1)-subset
+    left without it."""
+    plan = []
+    for k in range(2, rho + 1):
+        at = {s: i for i, s in enumerate(itertools.combinations(range(rho), k - 1))}
+        subs = list(itertools.combinations(range(rho), k))
+        plan.append([(np.array([s[t] for s in subs]),
+                      np.array([at[s[:t] + s[t + 1:]] for s in subs])) for t in range(k)])
+    return plan
 
-    Cofactors in cyclic form carry their own signs.  On int64 residues below
-    2^20 every product is below 2^40, so the entries are exact.
-    """
-    out = np.empty_like(a)
-    for i, j in itertools.product(range(3), repeat=2):
-        j1, j2, i1, i2 = (j + 1) % 3, (j + 2) % 3, (i + 1) % 3, (i + 2) % 3
-        out[..., i, j] = a[..., j1, i1] * a[..., j2, i2] - a[..., j1, i2] * a[..., j2, i1]
-    return out
+
+def _minor_tables(m: np.ndarray, q: int) -> list:
+    """The k x k minors modulo q of the int64 residues m (..., rho, rho), for
+    k = 0..rho: entry k has [..., a, b] = det m[I_a, J_b] mod q, with I_a and
+    J_b the a-th and b-th k-subsets (``_minor_plan`` order).  Each minor adds
+    k signed products of residues below q^2 < 2^40, so the int64 sums are exact."""
+    tables = [np.ones(m.shape[:-2] + (1, 1), dtype=np.int64), m]
+    for terms in _minor_plan(m.shape[-1]):
+        first, rest = (x[:, None] for x in terms[0])  # row I[0], the rows I - I[0]
+        acc = 0
+        for t, (col, drop) in enumerate(terms):
+            term = m[..., first, col] * tables[-1][..., rest, drop]
+            acc = acc - term if t % 2 else acc + term
+        tables.append(acc % q)
+    return tables
 
 
-def _adj_det_mod(m: np.ndarray, q: int):
-    """(adj m, det m) modulo q for int64 residues m (..., 3, 3) of a q < 2^20."""
-    adj = _adj3(m) % q
-    return adj, (m[..., 0, :] * adj[..., :, 0]).sum(axis=-1) % q
+def _laplace_table(m: np.ndarray, q: int, right: bool = False) -> np.ndarray:
+    """Each int64 residue matrix of m (n, rho, rho) as one float64 row of its
+    C(2 rho, rho) minors modulo q (k = 0..rho, as ``_minor_tables`` has them);
+    with ``right``, as the column that pairs with those rows.
+
+    The Laplace expansion of a sum (Marcus, "Determinants of sums", College
+    Math. J. 21, 1990) is det(B + C) = sum (-1)^(sum I + sum J) det B[I, J]
+    det C[I^c, J^c].  The signed minors of C are the minors of S C S for
+    S = diag((-1)^i), and complementing reverses the subset order (it
+    complements the indicator vectors, whose binary values give it).  So
+    det(B + C) is the row of B times the reversed row of S C S, modulo q."""
+    if right:
+        m = m * (-1) ** np.add.outer(range(m.shape[-1]), range(m.shape[-1])) % q
+    out = np.concatenate([t.reshape(len(m), -1) for t in _minor_tables(m, q)], axis=1,
+                         dtype=np.float64)
+    return np.ascontiguousarray(out[:, ::-1].T) if right else out
 
 
 def _det_sum_mod(rows: np.ndarray, cols: np.ndarray, q: int) -> np.ndarray:
-    """det(B + C) mod q for every row B and column C, from the cofactor tables.
-
-    For 3 x 3 matrices det(B + C) = det B + tr(adj(B) C) + tr(B adj(C)) + det C,
-    so with the rows [det B, adj B, B, 1] and the columns [1, C^T, adj(C)^T,
-    det C] (20 residues each) it is one matrix product.  Each dot product adds
-    18 products below q^2 and two residues, below 18 * 2^40 + 2^21 < 2^45, so
+    """det(B + C) mod q for every row B and column C of the Laplace tables.
+    A dot product of C(2 rho, rho) residue products stays below
+    C(2 rho, rho) (q - 1)^2 < 2^53 (``sunit_search`` refuses a larger rho), so
     every partial sum is an integer that float64 holds exactly, in any BLAS
-    blocking or thread count.
-    """
+    blocking or thread count."""
     out = rows @ cols
-    # out < 2^45, so out / q is within 2^-27 of a quotient whose fraction is
-    # 0 or at least 1 / q > 2^-20: its floor is exact
+    # out < 2^53, so out / q < 2^34 is within 2^-20 of a quotient whose
+    # fraction is 0 or at least 1 / q > 2^-20: its floor is exact
     out -= q * np.floor(out / q)
     return out
 
@@ -560,113 +580,53 @@ def _singular_triples(mats: dict, ells: list) -> set:
     M is the same integer matrix for (l1, l2, l3) and (l3, l2, l1), so only
     i3 >= i1 is screened and the hits are mirrored.  Modulo the first prime,
     M = B + C with B = A^{l1} - A^{l2} - I and C = A^{l3}, and a block of
-    ``_SCREEN_BLOCK`` values of l1 is one product of the B cofactor rows with
-    the C cofactor columns (``_det_sum_mod``); only its zeros are rechecked
-    modulo the second prime.
+    ``_SCREEN_BLOCK`` values of l1 is one product of the B Laplace rows with
+    the C Laplace columns (``_det_sum_mod``); only its zeros are rechecked
+    modulo the second prime, by the rho x rho minor.
     """
-    q1, q2 = 1048573, 1048583
     n = len(ells)
-    powers = np.stack([mats[e] for e in ells])  # (L, 3, 3) Python ints
-    arr1, arr2 = ((powers % q).astype(np.int64) for q in (q1, q2))
-    ident = np.eye(3, dtype=np.int64)
-    adj_c, det_c = _adj_det_mod(arr1, q1)
-    cols = np.empty((20, n))
-    cols[0] = 1
-    cols[1:10] = arr1.transpose(0, 2, 1).reshape(n, 9).T
-    cols[10:19] = adj_c.transpose(0, 2, 1).reshape(n, 9).T
-    cols[19] = det_c
+    powers = np.stack([mats[e] for e in ells])  # (L, rho, rho) Python ints
+    rho = powers.shape[-1]
+    arr1, arr2 = ((powers % q).astype(np.int64) for q in (_Q1, _Q2))
+    ident = np.eye(rho, dtype=np.int64)
+    cols = _laplace_table(arr1, _Q1, right=True)
     hits = []
     for lo in range(0, n, _SCREEN_BLOCK):
-        hi = min(lo + _SCREEN_BLOCK, n)
-        b = ((arr1[lo:hi, None] - arr1[None, :] - ident) % q1).reshape(-1, 3, 3)
-        adj_b, det_b = _adj_det_mod(b, q1)
-        rows = np.empty((len(b), 20))
-        rows[:, 0] = det_b
-        rows[:, 1:10] = adj_b.reshape(-1, 9)
-        rows[:, 10:19] = b.reshape(-1, 9)
-        rows[:, 19] = 1
-        row, col = np.nonzero(_det_sum_mod(rows, cols[:, lo:], q1) == 0)
+        b = ((arr1[lo:lo + _SCREEN_BLOCK, None] - arr1 - ident) % _Q1).reshape(-1, rho, rho)
+        rows = _laplace_table(b, _Q1)
+        row, col = np.nonzero(_det_sum_mod(rows, cols[:, lo:], _Q1) == 0)
         i1, i2, i3 = lo + row // n, row % n, lo + col
         hits.append(np.stack([i1, i2, i3])[:, i3 >= i1])
     i1, i2, i3 = np.concatenate(hits, axis=1)
-    keep = _det3_mod(arr2[i1] - arr2[i2] + arr2[i3] - ident, q2) == 0
+    m = (arr2[i1] - arr2[i2] + arr2[i3] - ident) % _Q2
+    keep = _minor_tables(m, _Q2)[rho][:, 0, 0] == 0
     half = {(ells[a], ells[b], ells[c]) for a, b, c in zip(i1[keep], i2[keep], i3[keep])}
     return half | {(e3, e2, e1) for e1, e2, e3 in half}
 
 
 def _kernel_mask(d, gammas: np.ndarray, gamma_bound: int) -> np.ndarray:
     """Exactly which rows g of ``gammas`` (all nonzero) solve d g = 0."""
-    if _exact_det3(d) != 0:
+    rows = d.tolist()  # Python integers
+    if mat_det(rows) != 0:
         return np.zeros(len(gammas), dtype=bool)
-    big = max(abs(int(x)) for x in d.ravel())
+    big = max(abs(x) for row in rows for x in row)
     if big == 0:
         return np.ones(len(gammas), dtype=bool)  # every g solves 0 g = 0
     # int64 products while the dot product fits; Python integers past that
-    d = d.astype(np.int64 if 3 * big * gamma_bound < 2**62 else object)
+    d = d.astype(np.int64 if len(d) * big * gamma_bound < 2**62 else object)
     return np.all(gammas @ d.T == 0, axis=1)
 
 
 def _subsum_mask(p1, p2, p3, gammas: np.ndarray, gamma_bound: int) -> np.ndarray:
     """Rows g of ``gammas`` for which a proper sub-sum of the terms +P1 g,
-    -P2 g, +P3 g, -g vanishes, i.e. a pair does (see _has_vanishing_subsum)."""
-    ident = np.asarray(mat_identity(3), dtype=object)
+    -P2 g, +P3 g, -g vanishes.  That is the case iff a pair does: a vanishing
+    triple forces the complementary single term to vanish, which cannot
+    happen for g != 0 and invertible matrices."""
+    ident = np.asarray(mat_identity(len(p1)), dtype=object)
     out = np.zeros(len(gammas), dtype=bool)
     for d in (p1 - p2, p1 + p3, p1 - ident, p3 - p2, p2 + ident, p3 - ident):
         out |= _kernel_mask(d, gammas, gamma_bound)
     return out
-
-
-def _exact_det3(m) -> int:
-    return (int(m[0][0]) * (int(m[1][1]) * int(m[2][2]) - int(m[1][2]) * int(m[2][1]))
-            - int(m[0][1]) * (int(m[1][0]) * int(m[2][2]) - int(m[1][2]) * int(m[2][0]))
-            + int(m[0][2]) * (int(m[1][0]) * int(m[2][1]) - int(m[1][1]) * int(m[2][0])))
-
-
-def _has_vanishing_subsum(v1, v2, v3, g) -> bool:
-    # terms are +v1, -v2, +v3, -g; a proper sub-sum vanishes iff a pair does
-    # (a vanishing triple forces the complementary single term to vanish,
-    # which cannot happen for g != 0 and invertible matrices)
-    pairs = [
-        tuple(a - b for a, b in zip(v1, v2)),
-        tuple(a + b for a, b in zip(v1, v3)),
-        tuple(a - b for a, b in zip(v1, g)),
-        tuple(b - a for a, b in zip(v2, v3)),
-        tuple(-(a + b) for a, b in zip(v2, g)),
-        tuple(a - b for a, b in zip(v3, g)),
-    ]
-    return any(all(x == 0 for x in s) for s in pairs)
-
-
-def _sunit_search_generic(pair: MatrixPair, gamma_bound: int, ell_bound: int) -> SUnitReport:
-    """Plain exact enumeration for rho != 3 (no modular shortcut)."""
-    ells = list(itertools.product(range(-ell_bound, ell_bound + 1), repeat=2))
-    gammas = [g for g in itertools.product(range(-gamma_bound, gamma_bound + 1),
-                                           repeat=pair.rho) if any(g)]
-    solutions = []
-    n_solutions = 0
-    n_prim = 0
-    triples = set()
-    for e1, e2, e3 in itertools.product(ells, repeat=3):
-        if e1 == e2 or e2 == e3 or e1 == (0, 0) or e3 == (0, 0):
-            continue
-        p1 = mat_pow_pair(pair, e1)
-        p2 = mat_pow_pair(pair, e2)
-        p3 = mat_pow_pair(pair, e3)
-        for g in gammas:
-            v1, v2, v3 = mat_vec(p1, g), mat_vec(p2, g), mat_vec(p3, g)
-            if any(a - b + c - d != 0 for a, b, c, d in zip(v1, v2, v3, g)):
-                continue
-            if _has_vanishing_subsum(v1, v2, v3, g):
-                continue
-            n_solutions += 1
-            n_prim += math.gcd(*g) == 1
-            triples.add((e1, e2, e3))
-            if len(solutions) < SAMPLE_CAP:
-                solutions.append((e1, e2, e3, g))
-    return SUnitReport(solutions=solutions, n_solutions=n_solutions,
-                       n_primitive=n_prim, triples=sorted(triples),
-                       n_triples=len(triples), ell_bound=ell_bound,
-                       gamma_bound=gamma_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -332,6 +333,66 @@ def test_dual_orbit_cache_matches_transpose_action(sl3_pair):
             assert algebra.dual_orbit(sl3_pair, np.array(k), list(ell)) == want
 
 
+def _det3_mod(m, p):
+    """det(m) mod p over the last two axes of int64 residues, for 3 p^3 < 2^63."""
+    a = m % p
+    d = (a[..., 0, 0] * (a[..., 1, 1] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 1])
+         - a[..., 0, 1] * (a[..., 1, 0] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 0])
+         + a[..., 0, 2] * (a[..., 1, 0] * a[..., 2, 1] - a[..., 1, 1] * a[..., 2, 0]))
+    return d % p
+
+
+def _exact_det3(m):
+    return (int(m[0][0]) * (int(m[1][1]) * int(m[2][2]) - int(m[1][2]) * int(m[2][1]))
+            - int(m[0][1]) * (int(m[1][0]) * int(m[2][2]) - int(m[1][2]) * int(m[2][0]))
+            + int(m[0][2]) * (int(m[1][0]) * int(m[2][1]) - int(m[1][1]) * int(m[2][0])))
+
+
+def _has_vanishing_subsum(v1, v2, v3, g):
+    # terms are +v1, -v2, +v3, -g; a proper sub-sum vanishes iff a pair does
+    pairs = [
+        tuple(a - b for a, b in zip(v1, v2)),
+        tuple(a + b for a, b in zip(v1, v3)),
+        tuple(a - b for a, b in zip(v1, g)),
+        tuple(b - a for a, b in zip(v2, v3)),
+        tuple(-(a + b) for a, b in zip(v2, g)),
+        tuple(a - b for a, b in zip(v3, g)),
+    ]
+    return any(all(x == 0 for x in s) for s in pairs)
+
+
+def _brute_force_sunit(pair, gamma_bound, ell_bound):
+    """Reference sunit_search: every (triple, gamma) in exact Python integers."""
+    ells = list(itertools.product(range(-ell_bound, ell_bound + 1), repeat=2))
+    gammas = [g for g in itertools.product(range(-gamma_bound, gamma_bound + 1),
+                                           repeat=pair.rho) if any(g)]
+    solutions = []
+    n_solutions = 0
+    n_prim = 0
+    triples = set()
+    for e1, e2, e3 in itertools.product(ells, repeat=3):
+        if e1 == e2 or e2 == e3 or e1 == (0, 0) or e3 == (0, 0):
+            continue
+        p1 = algebra.mat_pow_pair(pair, e1)
+        p2 = algebra.mat_pow_pair(pair, e2)
+        p3 = algebra.mat_pow_pair(pair, e3)
+        for g in gammas:
+            v1, v2, v3 = (algebra.mat_vec(p, g) for p in (p1, p2, p3))
+            if any(a - b + c - d != 0 for a, b, c, d in zip(v1, v2, v3, g)):
+                continue
+            if _has_vanishing_subsum(v1, v2, v3, g):
+                continue
+            n_solutions += 1
+            n_prim += math.gcd(*g) == 1
+            triples.add((e1, e2, e3))
+            if len(solutions) < algebra.SAMPLE_CAP:
+                solutions.append((e1, e2, e3, g))
+    return algebra.SUnitReport(solutions=solutions, n_solutions=n_solutions,
+                               n_primitive=n_prim, triples=sorted(triples),
+                               n_triples=len(triples), ell_bound=ell_bound,
+                               gamma_bound=gamma_bound)
+
+
 def _full_grid_screen(mats, ells):
     """Reference _singular_triples: every (l1, l2, l3) of the grid screened."""
     q1, q2 = 1048573, 1048583
@@ -340,12 +401,12 @@ def _full_grid_screen(mats, ells):
     ident = np.eye(3, dtype=np.int64)
     hits = []
     for i1 in range(len(ells)):
-        det = algebra._det3_mod(arr1[i1][None, None] - arr1[:, None] + arr1[None, :] - ident,
+        det = _det3_mod(arr1[i1][None, None] - arr1[:, None] + arr1[None, :] - ident,
                                 q1)
         idx2, idx3 = np.nonzero(det == 0)
         hits.append(np.stack([np.full_like(idx2, i1), idx2, idx3], axis=1))
     i1, i2, i3 = np.concatenate(hits).T
-    keep = algebra._det3_mod(arr2[i1] - arr2[i2] + arr2[i3] - ident, q2) == 0
+    keep = _det3_mod(arr2[i1] - arr2[i2] + arr2[i3] - ident, q2) == 0
     return {(ells[a], ells[b], ells[c]) for a, b, c in zip(i1[keep], i2[keep], i3[keep])}
 
 
@@ -364,13 +425,13 @@ def test_sunit_screen_keeps_every_singular_triple(sl3_pair):
     ident = np.asarray(algebra.mat_identity(3), dtype=object)
     triples = list(itertools.product(ells, repeat=3))
     combined = [mats[a] - mats[b] + mats[c] - ident for a, b, c in triples]
-    exact = [algebra._exact_det3(m) for m in combined]
+    exact = [_exact_det3(m) for m in combined]
     singular = {t for t, d in zip(triples, exact) if d == 0}
     assert singular  # the check is not vacuous
     assert singular <= algebra._singular_triples(mats, ells)
     stack = np.stack(combined)
     for q in (1048573, 1048583):  # the int64 determinant modulo q is exact
-        got = algebra._det3_mod((stack % q).astype(np.int64), q)
+        got = _det3_mod((stack % q).astype(np.int64), q)
         assert got.tolist() == [d % q for d in exact]
 
 
@@ -411,7 +472,7 @@ def test_each_subsum_exclusion_is_exercised(first):
             for a, b, c in zip(first, (2, 3, 7), (4, 9, 6))]
     gammas = np.array([g for g in itertools.product(range(-3, 4), repeat=3) if any(g)])
     mask = algebra._subsum_mask(*(np.asarray(m, dtype=object) for m in mats), gammas, 3)
-    brute = [algebra._has_vanishing_subsum(*(algebra.mat_vec(m, g.tolist()) for m in mats),
+    brute = [_has_vanishing_subsum(*(algebra.mat_vec(m, g.tolist()) for m in mats),
                                            g.tolist()) for g in gammas]
     assert mask.tolist() == brute
     assert {tuple(g) for g in gammas[mask].tolist()} == {(1, 1, 2), (-1, -1, -2)}
@@ -427,7 +488,7 @@ def order4_pair():
 
 def test_sunit_modular_screen_matches_generic(order4_pair):
     fast = algebra.sunit_search(order4_pair, gamma_bound=1, ell_bound=1)
-    slow = algebra._sunit_search_generic(order4_pair, gamma_bound=1, ell_bound=1)
+    slow = _brute_force_sunit(order4_pair, gamma_bound=1, ell_bound=1)
     assert (fast.n_triples, fast.n_solutions) == (36, 648)
     assert fast.n_solutions == slow.n_solutions
     assert fast.triples == slow.triples
@@ -436,11 +497,66 @@ def test_sunit_modular_screen_matches_generic(order4_pair):
 
 def test_sunit_routes_give_equal_capped_reports(order4_pair):
     fast = algebra.sunit_search(order4_pair, gamma_bound=2, ell_bound=1)
-    slow = algebra._sunit_search_generic(order4_pair, gamma_bound=2, ell_bound=1)
+    slow = _brute_force_sunit(order4_pair, gamma_bound=2, ell_bound=1)
     assert fast.n_solutions == 3672 > algebra.SAMPLE_CAP
     assert len(slow.solutions) == fast.sample_cap == algebra.SAMPLE_CAP
     for name in (f.name for f in dataclasses.fields(algebra.SUnitReport)):
         assert getattr(fast, name) == getattr(slow, name), name
+
+
+@pytest.fixture(scope="module")
+def salem_pair():
+    """(C, C - I) with C the companion matrix of the Salem quartic
+    x^4 - x^3 - x^2 - x + 1: rho = 4, totally ergodic but not hyperbolic."""
+    c = ((0, 0, 0, -1), (1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1))
+    return algebra.matrix_pair(c, tuple(tuple(v - (i == j) for j, v in enumerate(row))
+                                        for i, row in enumerate(c)))
+
+
+@pytest.mark.parametrize("pair_name,gamma_bound,ell_bound,n_solutions",
+                         [("companion2", 1, 1, 32), ("companion2", 3, 1, 192),
+                          ("sl3", 1, 1, 0), ("salem", 1, 1, 160)])
+def test_sunit_search_equals_brute_force(companion_pair, sl3_pair, salem_pair,
+                                         pair_name, gamma_bound, ell_bound, n_solutions):
+    """Every rho takes the one route; order4 is compared in the tests above."""
+    pair = {"companion2": companion_pair(2), "sl3": sl3_pair, "salem": salem_pair}[pair_name]
+    fast = algebra.sunit_search(pair, gamma_bound, ell_bound)
+    slow = _brute_force_sunit(pair, gamma_bound, ell_bound)
+    for name in (f.name for f in dataclasses.fields(algebra.SUnitReport)):
+        assert getattr(fast, name) == getattr(slow, name), name
+    assert fast.n_solutions == n_solutions
+
+
+@pytest.mark.parametrize("name", ["gamma_bound", "ell_bound"])
+def test_sunit_search_refuses_a_negative_bound(sl3_pair, name):
+    bounds = {"gamma_bound": 1, "ell_bound": 1, name: -1}
+    with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+        algebra.sunit_search(sl3_pair, **bounds)
+
+
+@pytest.mark.parametrize("gamma_bound,ell_bound", [(0, 0), (0, 1), (2, 0)])
+def test_sunit_search_at_a_zero_bound_is_empty(order4_pair, gamma_bound, ell_bound):
+    rep = algebra.sunit_search(order4_pair, gamma_bound, ell_bound)
+    assert (rep.solutions, rep.n_solutions, rep.n_primitive, rep.triples, rep.n_triples) \
+        == ([], 0, 0, [], 0)
+    assert (rep.gamma_bound, rep.ell_bound) == (gamma_bound, ell_bound)
+
+
+def test_sunit_rho_limit_is_the_float64_bound(companion_pair, monkeypatch):
+    exact = [rho for rho in range(1, 12)
+             if math.comb(2 * rho, rho) * (algebra._Q1 - 1) ** 2 < 2**53]
+    assert exact == list(range(1, 8))
+    rep = algebra.sunit_search(companion_pair(7), gamma_bound=1, ell_bound=1)
+    assert rep.n_triples == 0 and rep.ell_bound == 1
+
+    def no_work(*args):
+        raise AssertionError("work done after the rho guard")
+
+    monkeypatch.setattr(algebra, "mat_pow_pair", no_work)
+    with pytest.raises(ValueError, match="rho = 8"):
+        algebra.sunit_search(companion_pair(8), gamma_bound=1, ell_bound=1)
+    with pytest.raises(AssertionError, match="after the rho guard"):
+        algebra.sunit_search(companion_pair(7), gamma_bound=1, ell_bound=1)
 
 
 def _broadcast_screen(mats, ells):
@@ -452,12 +568,12 @@ def _broadcast_screen(mats, ells):
     ident = np.eye(3, dtype=np.int64)
     hits = []
     for i1 in range(len(ells)):
-        det = algebra._det3_mod(arr1[i1][None, None] - arr1[:, None] + arr1[None, i1:] - ident,
+        det = _det3_mod(arr1[i1][None, None] - arr1[:, None] + arr1[None, i1:] - ident,
                                 q1)
         idx2, idx3 = np.nonzero(det == 0)
         hits.append(np.stack([np.full_like(idx2, i1), idx2, idx3 + i1], axis=1))
     i1, i2, i3 = np.concatenate(hits).T
-    keep = algebra._det3_mod(arr2[i1] - arr2[i2] + arr2[i3] - ident, q2) == 0
+    keep = _det3_mod(arr2[i1] - arr2[i2] + arr2[i3] - ident, q2) == 0
     half = {(ells[a], ells[b], ells[c]) for a, b, c in zip(i1[keep], i2[keep], i3[keep])}
     return half | {(e3, e2, e1) for e1, e2, e3 in half}
 
@@ -473,22 +589,57 @@ def test_cofactor_screen_equals_broadcast_screen(sl3_pair, order4_pair, pair_nam
     assert algebra._singular_triples(mats, ells) == want
 
 
-def _exact_adjugate(m):
-    """adj(m)[i][j] = (-1)^(i+j) times the minor of m without row j and column i."""
-    return [[(-1) ** (i + j) * algebra.mat_det(tuple(
-                tuple(m[r][c] for c in range(3) if c != i) for r in range(3) if r != j))
-             for j in range(3)] for i in range(3)]
+def _leibniz_det(a):
+    """Reference determinant: the signed sum over all permutations."""
+    n = len(a)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        total += (-1) ** inv * math.prod(a[i][j] for i, j in enumerate(perm))
+    return total
 
 
-def test_adj3_matches_exact_cofactors(sl3_pair):
+def test_mat_det_matches_permutation_expansion():
+    gen = np.random.default_rng(5)
+    for n in range(1, 7):
+        for scale in (2, 10**12):
+            m = gen.integers(-scale, scale + 1, size=(30, n, n)).astype(object) * 7
+            m[gen.random(m.shape) < 0.4] = 0  # zero pivots take the row swap
+            m[:5, -1] = m[:5, 0]  # singular with no zero pivot
+            for a in m.tolist():
+                assert algebra.mat_det(a) == _leibniz_det(a)
+
+
+def test_minor_tables_match_exact_minors():
+    q = algebra._Q1
     gen = np.random.default_rng(3)
-    mats = [algebra.mat_pow_pair(sl3_pair, e) for e in [(0, 0), (5, -3), (-9, 7)]]
-    mats += [algebra.mat_tuplify(m) for m in gen.integers(-10**6, 10**6, size=(20, 3, 3))]
-    for m in mats:
-        assert algebra._adj3(np.asarray(m, dtype=object)).tolist() == _exact_adjugate(m)
-    res = gen.integers(0, 1048573, size=(50, 3, 3))  # int64 residues, as the screen has them
-    for m, got in zip(res.tolist(), algebra._adj3(res).tolist()):
-        assert got == _exact_adjugate(m)
+    for rho in range(2, 6):
+        m = gen.integers(0, q, size=(6, rho, rho))
+        m[0] = q - 1  # every residue at the boundary: products reach (q - 1)^2
+        m[1, ::2] = q - 1
+        m[2] = gen.integers(q - 64, q, size=(rho, rho))
+        tables = algebra._minor_tables(m, q)
+        assert len(tables) == rho + 1
+        for k, table in enumerate(tables):
+            subs = list(itertools.combinations(range(rho), k))
+            assert table.shape == (len(m), len(subs), len(subs))
+            for x, got in zip(m.tolist(), table.tolist()):
+                want = [[algebra.mat_det([[x[i][j] for j in cols] for i in rows]) % q
+                         if k else 1 for cols in subs] for rows in subs]
+                assert got == want, (rho, k)
+
+
+@pytest.mark.parametrize("rho", [2, 3, 4, 5])
+def test_laplace_tables_give_the_determinant_of_a_sum(rho):
+    q = algebra._Q1
+    gen = np.random.default_rng(rho)
+    b, c = gen.integers(0, q, size=(2, 8, rho, rho))
+    b[0] = c[0] = q - 1
+    rows = algebra._laplace_table(b, q)
+    cols = algebra._laplace_table(c, q, right=True)
+    assert rows.shape == cols.T.shape == (8, math.comb(2 * rho, rho))
+    want = [[float(algebra.mat_det((x + y).tolist()) % q) for y in c] for x in b]
+    assert algebra._det_sum_mod(rows, cols, q).tolist() == want
 
 
 def test_det_sum_is_exact_at_the_residue_boundary():
@@ -502,13 +653,14 @@ def test_det_sum_is_exact_at_the_residue_boundary():
     exact = [[sum(int(a) * int(b) for a, b in zip(row, col)) for col in cols.T] for row in rows]
     assert exact[0][0] == 20 * (q - 1) ** 2 < 2**53
     assert got.tolist() == [[float(x % q) for x in row] for row in exact]
-    # the cofactor terms the tables hold, from residues at and just below q - 1
-    b = np.full((1, 3, 3), q - 1, dtype=np.int64)
-    c = (np.arange(9, dtype=np.int64).reshape(1, 3, 3) + q - 9) % q
-    for m in (b, c, b + c - q):
-        adj, det = algebra._adj_det_mod(m, q)
-        assert det.tolist() == [algebra._exact_det3(m[0]) % q]
-        assert adj[0].tolist() == [[x % q for x in row] for row in _exact_adjugate(m[0].tolist())]
+    # the widest tables the rho guard lets through: C(14, 7) terms at rho = 7
+    width = math.comb(14, 7)
+    rows = np.full((2, width), q - 1.0)
+    rows[1] = gen.integers(q - 64, q, size=width)
+    cols = np.full((width, 1), q - 1.0)
+    exact = [sum(int(a) * (q - 1) for a in row) for row in rows]
+    assert exact[0] == width * (q - 1) ** 2 < 2**53
+    assert algebra._det_sum_mod(rows, cols, q).ravel().tolist() == [float(x % q) for x in exact]
 
 
 def test_sunit_search_memory_stays_flat(sl3_pair):
