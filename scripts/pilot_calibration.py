@@ -51,9 +51,9 @@ def pilot(full=True):
 
     print("== green series / transient oracle ==")
     simple3 = walk.build_walk_model(walk.simple_walk_law(3))
-    gs = walk.green_series(simple3, (0, 0, 0), k_max=60)
-    series_value = gs.value + gs.tail_estimate
-    print(f"  I(0) truncated={gs.value:.6f} tail={gs.tail_estimate:.6f} "
+    green, tail = walk.green_series(simple3, [(0, 0, 0)], 60)
+    series_value = green[(0, 0, 0)] + tail
+    print(f"  I(0) truncated={green[(0, 0, 0)]:.6f} tail={tail:.6f} "
           f"total={series_value:.6f} (literature ~2.0328)")
     out["transient_series_i0"] = series_value
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -50,7 +50,7 @@ from .scenery import (
     stats,
     window_boundaries,
 )
-from .walk import RECURRENT, STEP_CHUNK, WalkModel, WalkPath, sample_path
+from .walk import RECURRENT, STEP_CHUNK, WalkModel, WalkPath, green_series, sample_path
 from . import scenery as scenery_mod
 
 MORICZ_CMAX = (1.0 - 2.0 ** -0.25) ** -4.0
@@ -152,9 +152,23 @@ def require_newman_wright_memory(n: int, m_sceneries: int) -> None:
                     _visit_bytes(n, m_sceneries))
 
 
+def _payload(value):
+    """``value`` with every dict key a string, at any depth: a (n, p) key
+    with a lag p reads "n|p", any other key str(key)."""
+    if isinstance(value, dict):
+        return {f"{k[0]}|{k[1]}" if isinstance(k, tuple) and isinstance(k[-1], tuple)
+                else str(k): _payload(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_payload(v) for v in value]
+    return value
+
+
 class _Report:
     def to_dict(self) -> dict:
-        return asdict(self)  # recurses into nested dataclasses
+        """The payload: every field not marked ``payload: False``, nested
+        dataclasses included (``asdict``), with string keys (``_payload``)."""
+        hidden = {f.name for f in fields(self) if not f.metadata.get("payload", True)}
+        return {k: _payload(v) for k, v in asdict(self).items() if k not in hidden}
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +322,7 @@ def track_variance_ladder(*, walk: WalkModel, scenery: SceneryModel, n_ladder: S
 
 
 @dataclass
-class LlnReport:
+class LlnReport(_Report):
     n_ladder: list
     p_set: list
     n_omegas: int
@@ -317,16 +331,6 @@ class LlnReport:
     std_ratio: dict
     max_ratio: dict       # empirical stand-in for the a.e.-finite K(omega)
     trend_to_one: dict    # p -> |mean - 1| along the ladder
-
-    def to_dict(self) -> dict:
-        return {
-            "n_ladder": list(self.n_ladder), "p_set": [list(p) for p in self.p_set],
-            "n_omegas": self.n_omegas, "c0": self.c0,
-            "mean_ratio": {f"{n}|{p}": v for (n, p), v in self.mean_ratio.items()},
-            "std_ratio": {f"{n}|{p}": v for (n, p), v in self.std_ratio.items()},
-            "max_ratio": {f"{n}|{p}": v for (n, p), v in self.max_ratio.items()},
-            "trend_to_one": {str(p): v for p, v in self.trend_to_one.items()},
-        }
 
 
 def track_variance_lln(*, walk: WalkModel, n_ladder: Sequence[int], n_omegas: int,
@@ -356,23 +360,15 @@ def track_variance_lln(*, walk: WalkModel, n_ladder: Sequence[int], n_omegas: in
 
 
 @dataclass
-class OrthogonalityReport:
+class OrthogonalityReport(_Report):
     n_ladder: list
     windows: tuple                 # (A, B, C, D)
     p_set: list
     n_omegas: int
-    normalized: dict               # (n, p) -> list over omegas of V/( n log n)
+    # (n, p) -> list over omegas of V / (n log n)
+    normalized: dict = field(metadata={"payload": False})
     mean_normalized: dict
     endpoint_decrease_fraction: dict  # p -> fraction of omegas with last < first
-
-    def to_dict(self) -> dict:
-        return {
-            "n_ladder": list(self.n_ladder), "windows": list(self.windows),
-            "p_set": [list(p) for p in self.p_set], "n_omegas": self.n_omegas,
-            "mean_normalized": {f"{n}|{p}": v for (n, p), v in self.mean_normalized.items()},
-            "endpoint_decrease_fraction": {str(p): v for p, v
-                                           in self.endpoint_decrease_fraction.items()},
-        }
 
 
 def check_increment_orthogonality(*, walk: WalkModel, n_ladder: Sequence[int],
@@ -655,7 +651,7 @@ def _check_super_additive(g0: np.ndarray, n: int) -> bool:
 
 
 @dataclass
-class TightnessReport:
+class TightnessReport(_Report):
     n: int
     epsilon: float
     delta_ladder: list
@@ -663,14 +659,6 @@ class TightnessReport:
     estimates: dict        # delta -> mean over omegas of mu(modulus >= eps)
     per_omega: dict        # delta -> list
     monotone_in_delta: bool
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "epsilon": self.epsilon,
-                "delta_ladder": list(self.delta_ladder),
-                "grid_points": self.grid_points,
-                "estimates": {str(k): v for k, v in self.estimates.items()},
-                "per_omega": {str(k): v for k, v in self.per_omega.items()},
-                "monotone_in_delta": self.monotone_in_delta}
 
 
 def estimate_tightness_modulus(*, walk: WalkModel, scenery: SceneryModel, n: int,
@@ -716,22 +704,15 @@ def estimate_tightness_modulus(*, walk: WalkModel, scenery: SceneryModel, n: int
 
 
 @dataclass
-class ErdosTaylorReport:
+class ErdosTaylorReport(_Report):
     n_ladder: list
     n_omegas: int
-    log_ratio: dict          # n -> list over omegas of sup w_n / (log n)^2
-                             # (kept out of to_dict() and the payload)
+    # n -> list over omegas of sup w_n / (log n)^2
+    log_ratio: dict = field(metadata={"payload": False})
     mean_log_ratio: dict     # n -> mean of log_ratio[n]
     quantiles_log_ratio: dict
     mean_power_ratio: dict   # n -> mean of sup w_n / n^0.1
     distance_to_limit: dict  # n -> |mean_log_ratio - 1/pi|
-
-    def to_dict(self) -> dict:
-        return {"n_ladder": list(self.n_ladder), "n_omegas": self.n_omegas,
-                "mean_log_ratio": {str(k): v for k, v in self.mean_log_ratio.items()},
-                "quantiles_log_ratio": {str(k): v for k, v in self.quantiles_log_ratio.items()},
-                "mean_power_ratio": {str(k): v for k, v in self.mean_power_ratio.items()},
-                "distance_to_limit": {str(k): v for k, v in self.distance_to_limit.items()}}
 
 
 def track_erdos_taylor(*, walk: WalkModel, n_ladder: Sequence[int], n_omegas: int,
@@ -790,8 +771,13 @@ def transient_variance_check(*, walk: WalkModel, scenery: SceneryModel, n: int,
     estimate rather than a bound).
     """
     require_transient(walk)
-    est = scenery_mod.asymptotic_variance(scenery, walk, k_max=k_max)
-    series = est.value + est.tail_estimate
+    # ||f||^2 + 2 sum_k sum_l P(Z_k = l) <T^l f, f> = sum_l a_l I(l), truncated at k_max
+    density = spectral_density(scenery, dimension=walk.dimension)
+    lags = sorted(density.fourier)
+    green, tail0 = green_series(walk, lags, k_max)
+    truncated = math.fsum(density.fourier[p] * green[p] for p in lags)
+    tail = tail0 * density.at_zero()
+    series = truncated + tail
 
     def omega(i, path_seed, path):
         inc = field_increments(scenery, path, [1.0], _x_seeds(seed, i, m_sceneries))
@@ -803,12 +789,12 @@ def transient_variance_check(*, walk: WalkModel, scenery: SceneryModel, n: int,
     exact_se = float(np.std(exact_vals, ddof=1) / math.sqrt(n_omegas))
     mc_mean = float(np.mean(mc_vals))
     mc_se = float(np.std(mc_vals, ddof=1) / math.sqrt(n_omegas))
-    combined = 3.0 * mc_se + 0.5 * abs(est.tail_estimate)
+    combined = 3.0 * mc_se + 0.5 * abs(tail)
     agree = abs(mc_mean - series) <= combined and abs(exact_mean - series) <= (
-        3.0 * exact_se + 0.5 * abs(est.tail_estimate))
+        3.0 * exact_se + 0.5 * abs(tail))
     return TransientVarianceReport(
         n=n, n_omegas=n_omegas, m_sceneries=m_sceneries, series_value=series,
-        series_truncated=est.value, tail_estimate=est.tail_estimate,
+        series_truncated=truncated, tail_estimate=tail,
         exact_mean=exact_mean, exact_se=exact_se, mc_mean=mc_mean, mc_se=mc_se,
         combined_error=combined, agree=agree)
 

@@ -17,7 +17,7 @@ import importlib.util
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -26,7 +26,7 @@ from . import algebra
 from .localtime import pair_count_tables, path_table, unique_sites, window_counts
 from .rng import derive_seed, hash_sites, philox_gen, splitmix64, u64_to_uniform
 from .trigpoly import TrigPolynomial
-from .walk import RECURRENT, WalkModel, WalkPath, green_series_table
+from .walk import WalkPath
 
 
 def _lazy_module(name: str):
@@ -184,14 +184,12 @@ def law_from_dict(doc: dict) -> Law:
 @dataclass(frozen=True)
 class IIDScenery:
     law: Law
-    variant: str = field(init=False, default="iid")
 
 
 @dataclass(frozen=True)
 class MovingAverageScenery:
     law: Law
     coeffs: dict  # site tuple q -> a_q, finite
-    variant: str = field(init=False, default="moving_average")
 
     def __post_init__(self):
         norm_coeffs = {tuple(int(c) for c in q): float(a) for q, a in self.coeffs.items()}
@@ -231,10 +229,6 @@ class ToralScenery:
         if not (2**20 < self.q_mod < 2**31):
             raise ValueError("q_mod must be a prime in (2^20, 2^31) for exact "
                              "uint64 modular arithmetic")
-
-    @property
-    def variant(self) -> str:
-        return "toral"
 
 
 SceneryModel = Union[IIDScenery, MovingAverageScenery, ToralScenery]
@@ -367,41 +361,6 @@ def spectral_density(scenery: SceneryModel, dimension: int = 2) -> SpectralDensi
     if isinstance(scenery, ToralScenery):
         return SpectralDensity(toral_correlations(scenery))
     raise TypeError(f"not a scenery model: {scenery!r}")
-
-
-@dataclass(frozen=True)
-class VarianceEstimate:
-    value: float
-    regime: str             # "recurrent" | "transient"
-    degenerate: bool
-    tail_estimate: float    # transient truncation tail; 0.0 in the recurrent case
-    k_max: int = 0
-
-
-def asymptotic_variance(scenery: SceneryModel, model: WalkModel,
-                        k_max: int = 60) -> VarianceEstimate:
-    """Recurrent planar walks: sigma^2 = phi_f(0), the variance after the
-    C0 n log n normalization.  Transient walks: the series
-    ||f||^2 + 2 sum_k sum_l P(Z_k = l) <T^l f, f>, truncated at k_max with
-    the local-limit tail reported.  A zero value is a flagged degeneracy,
-    not an error.
-    """
-    density = spectral_density(scenery, dimension=model.dimension)
-    if model.classification == RECURRENT and model.dimension == 2:
-        value = density.at_zero()
-        return VarianceEstimate(value=value, regime="recurrent",
-                                degenerate=abs(value) < 1e-12, tail_estimate=0.0)
-    if model.effectively_transient:
-        sites = sorted(density.fourier)
-        table = green_series_table(model, sites, k_max=k_max)
-        value = math.fsum(density.fourier[p] * table[p].value for p in sites)
-        tail0 = table[sites[0]].tail_estimate
-        tail = tail0 * density.at_zero()
-        return VarianceEstimate(value=value, regime="transient",
-                                degenerate=abs(value) < 1e-12,
-                                tail_estimate=tail, k_max=k_max)
-    raise ValueError("asymptotic variance covered for recurrent planar or "
-                     "transient walks only")
 
 
 # ---------------------------------------------------------------------------

@@ -57,22 +57,6 @@ class TrigPolynomial:
         """||f||_2^2 = sum |c_k|^2 (Parseval)."""
         return float(sum(abs(c) ** 2 for c in self.coeffs.values()))
 
-    def fourth_moment(self) -> float:
-        """E f^4 over Haar measure: zero-sum quadruples of frequencies."""
-        ks = self.support
-        cs = self.coeff_array()
-        total = 0.0 + 0.0j
-        sums2 = {}
-        for i, ki in enumerate(ks):
-            for j, kj in enumerate(ks):
-                s = tuple(a + b for a, b in zip(ki, kj))
-                sums2[s] = sums2.get(s, 0.0 + 0.0j) + cs[i] * cs[j]
-        for s, v in sums2.items():
-            ms = tuple(-x for x in s)
-            if ms in sums2:
-                total += v * sums2[ms]
-        return float(total.real)
-
     def evaluate(self, x) -> float:
         """f(x) at a float point of the torus."""
         x = np.asarray(x, dtype=np.float64)

@@ -323,15 +323,12 @@ def _atom_indices(cdf: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
         out += below
 
 
-@dataclass(frozen=True)
-class GreenSeries:
-    """Truncated Green-type series I(l) = 1_{l=0} + sum_k [P(Z_k=l) + P(Z_k=-l)]."""
-
-    value: float          # truncated at k_max (indicator included)
-    k_max: int
-    tail_estimate: float  # local-limit-theorem estimate of the mass beyond k_max
-    stderr: float         # Monte Carlo standard error; 0.0 for exact convolution
-    method: str           # "convolution" | "monte_carlo"
+# the k-fold convolution runs while _convolution_budget stays within this
+# bound; past it each site's series is a Monte Carlo estimate over
+# _GREEN_PATHS paths from the seed _GREEN_SEED
+_GREEN_BUDGET = 2e9
+_GREEN_PATHS = 20000
+_GREEN_SEED = 0
 
 
 def _convolution_budget(model: WalkModel, k_max: int) -> float:
@@ -357,53 +354,26 @@ def _tail_estimate(model: WalkModel, k_max: int) -> float:
     return coef * (2.0 / (d - 2)) * (k_max + 0.5) ** (1 - d / 2.0)
 
 
-def green_series(
-    model: WalkModel,
-    site,
-    k_max: int = 60,
-    m_paths: int = 20000,
-    seed: int = 0,
-    budget: float = 2e9,
-) -> GreenSeries:
-    """Estimate of I(site), exactly by k-fold convolution when affordable.
+def green_series(model: WalkModel, sites, k_max: int) -> tuple:
+    """({site: I(site) truncated at k_max}, local-limit tail estimate) for the
+    Green-type series I(l) = 1_{l=0} + sum_{k>=1} [P(Z_k = l) + P(Z_k = -l)].
 
-    Rejects recurrent models (the series diverges).  Falls back to Monte
-    Carlo with a reported standard error when the support box is too large
-    for exact convolution.
+    All sites share one exact k-fold convolution when it is affordable
+    (_GREEN_BUDGET); past that, each site is a Monte Carlo estimate.
+    Rejects recurrent models, whose series diverges.
     """
     if not model.effectively_transient:
         raise ValueError("green_series requires a transient walk; the series diverges otherwise")
-    site = tuple(int(c) for c in site)
-    d = model.dimension
-    if len(site) != d:
-        raise ValueError(f"site {site} has wrong dimension, expected {d}")
-
-    if _convolution_budget(model, k_max) <= budget:
-        value = _green_convolution_multi(model, [site], k_max)[site]
-        return GreenSeries(value=value, k_max=k_max, tail_estimate=_tail_estimate(model, k_max),
-                           stderr=0.0, method="convolution")
-    value, stderr = _green_monte_carlo(model, site, k_max, m_paths, seed)
-    return GreenSeries(value=value, k_max=k_max, tail_estimate=_tail_estimate(model, k_max),
-                       stderr=stderr, method="monte_carlo")
-
-
-def green_series_table(model: WalkModel, sites, k_max: int = 60,
-                       budget: float = 2e9) -> dict:
-    """Truncated I(site) for several sites in one exact convolution pass.
-
-    Used where a correlation table weights the series; all sites share the
-    walk distribution, so the k-fold convolution is done once.
-    """
-    if not model.effectively_transient:
-        raise ValueError("green series requires a transient walk")
     sites = [tuple(int(c) for c in s) for s in sites]
-    if _convolution_budget(model, k_max) > budget:
-        return {s: green_series(model, s, k_max=k_max) for s in sites}
-    values = _green_convolution_multi(model, sites, k_max)
-    tail = _tail_estimate(model, k_max)
-    return {s: GreenSeries(value=v, k_max=k_max, tail_estimate=tail,
-                           stderr=0.0, method="convolution")
-            for s, v in values.items()}
+    for site in sites:
+        if len(site) != model.dimension:
+            raise ValueError(f"site {site} has wrong dimension, expected {model.dimension}")
+    if _convolution_budget(model, k_max) <= _GREEN_BUDGET:
+        values = _green_convolution_multi(model, sites, k_max)
+    else:
+        values = {s: _green_monte_carlo(model, s, k_max, _GREEN_PATHS, _GREEN_SEED)[0]
+                  for s in sites}
+    return values, _tail_estimate(model, k_max)
 
 
 def _green_convolution_multi(model: WalkModel, sites, k_max: int) -> dict:
@@ -443,7 +413,9 @@ def _green_convolution_multi(model: WalkModel, sites, k_max: int) -> dict:
 
 
 def _green_monte_carlo(model: WalkModel, site, k_max: int, m_paths: int, seed: int):
+    """(I(site) truncated at k_max, its standard error) over m_paths paths."""
     target = np.asarray(site, dtype=np.int64)
+    origin = not target.any()
     counts = np.zeros(m_paths, dtype=np.int64)
     batch = max(1, int(2e7 // max(k_max, 1)))
     cdf = _cdf(model.law)
@@ -456,13 +428,8 @@ def _green_monte_carlo(model: WalkModel, site, k_max: int, m_paths: int, seed: i
         steps = model.law.site_array()[idx]  # (b, k_max, d)
         pos = np.cumsum(steps, axis=1)
         hits = np.all(pos == target, axis=2) | np.all(pos == -target, axis=2)
-        if np.all(target == 0):
-            hits = np.all(pos == 0, axis=2)
-            counts[done:done + b] = 2 * hits.sum(axis=1)
-        else:
-            counts[done:done + b] = hits.sum(axis=1)
+        # at the origin l = -l, so each visit counts for both terms
+        counts[done:done + b] = (2 if origin else 1) * hits.sum(axis=1)
         done += b
-    base = 1.0 if np.all(target == 0) else 0.0
-    mean = float(counts.mean())
     stderr = float(counts.std(ddof=1) / math.sqrt(m_paths)) if m_paths > 1 else 0.0
-    return base + mean, stderr
+    return float(origin) + float(counts.mean()), stderr

@@ -430,6 +430,37 @@ ONE_DRAW = {
 # runners whose reports are exact counts only: a scenery draw is wasted work
 NO_SCENERY_DRAWS = {"truncation-ladder", "variance-ladder"}
 
+LADDER = {"n_ladder": [64, 256], "n_omegas": 3, "seed": 4}
+# reduced runs of the remaining experiments, pinned by report.json sha256.
+# None of them reaches BLAS; transient-variance at k_max 100 is past the
+# convolution budget, so it pins the Monte Carlo Green series.
+PINNED = {
+    "lln-variance": (_tiny("lln_variance.json", **LADDER),
+                     "6bfc5d2527eadb768e8d37da295b8557aedf1ed3b239f73cf457b0ec72c8d876"),
+    "orthogonality": (_tiny("orthogonality.json", **LADDER),
+                      "ab6d0e1c2edefe8d52bb8c0bcebc1f1dbcd4f2184b8aa79540af6725d9cda1a1"),
+    "erdos-taylor": (_tiny("erdos_taylor.json", **LADDER),
+                     "23ee1b868f29a2231e81c0b2745b4d49b3f5ac9f9cb11feef46f07d9b1208dac"),
+    "newman-wright": (_tiny("newman_wright.json", n=256, m_sceneries=200),
+                      "2647d80d1f5811a39677f08a3da2d14324c05399f0b02b4105f7dcc1caeeecab"),
+    "moricz-self-intersection": (_tiny("moricz_walk.json", n=64, m_sceneries=200),
+                                 "27fc46946909697d85bd20599597156871acde90bbd1e3b6abd6a7de63795ef8"),
+    "moricz-sqrt3k": (_tiny("moricz_sequence.json", n=64, m_sceneries=200),
+                      "165be10f9e1a0b646cacaecf8b0dd4f28fd26bce9bfa950bbc786be60220fe93"),
+    "transient-variance-monte-carlo": (
+        _tiny("transient_3d.json", n=4096, n_omegas=3, m_sceneries=20, k_max=100),
+        "21bd5e4f60e3c94bbd60de62df57b8b6def88039ac913ef231afe7c4a8d255ab"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_reduced_run_keeps_the_report_bytes(tmp_path, name):
+    doc, sha256 = PINNED[name]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert cli.main(["run", str(config), "--out", str(tmp_path / "out")]) in (0, 2)
+    assert hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest() == sha256
+
 
 @pytest.mark.parametrize("name", list(ONE_DRAW))
 def test_one_draw_per_omega_keeps_the_report_bytes(tmp_path, monkeypatch, name):
@@ -465,7 +496,6 @@ def test_transient_variance_keeps_the_report_bytes(tmp_path):
         "42ae49fffe372f7da766582a800fbb6b281a54131a90970362f342a1aa84287b"
 
 
-LADDER = {"n_ladder": [64, 256], "n_omegas": 3, "seed": 4}
 ALIVE = {
     "fclt-iid-exact": _tiny("fclt_iid.json", n=256, m_sceneries=100, n_omegas=3),
     "lln-variance": _tiny("lln_variance.json", **LADDER),

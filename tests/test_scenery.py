@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from rwscenery import algebra, localtime, scenery, trigpoly, walk
+from rwscenery import algebra, harness, localtime, scenery, trigpoly, walk
 from rwscenery.cli import load_fixture
 
 
@@ -161,26 +161,28 @@ def test_toral_constants_must_be_integers(sl3_pair, four_term_poly, field, value
     assert type(getattr(tor, field)) is int and getattr(tor, field) == kw[field]
 
 
-def test_asymptotic_variance_recurrent(lazy_model):
+def test_asymptotic_variance_recurrent():
+    # after the C0 n log n normalization, sigma^2 = phi_f(0)
     ma = scenery.moving_average_scenery({(0, 0): 1.0, (1, 0): 1.0})
-    est = scenery.asymptotic_variance(ma, lazy_model)
-    assert est.regime == "recurrent" and est.value == pytest.approx(4.0)
-    assert not est.degenerate
+    assert scenery.spectral_density(ma).at_zero() == pytest.approx(4.0)
     iid = scenery.iid_scenery("rademacher")
-    assert scenery.asymptotic_variance(iid, lazy_model).value == pytest.approx(1.0)
+    assert scenery.spectral_density(iid).at_zero() == pytest.approx(1.0)
     deg = scenery.moving_average_scenery({(0, 0): 1.0, (1, 0): -1.0})
-    est_deg = scenery.asymptotic_variance(deg, lazy_model)
-    assert est_deg.degenerate and est_deg.value == pytest.approx(0.0)
+    assert scenery.spectral_density(deg).at_zero() == pytest.approx(0.0)
 
 
 def test_asymptotic_variance_transient(simple3d_model):
-    iid = scenery.iid_scenery("rademacher")
-    est = scenery.asymptotic_variance(iid, simple3d_model, k_max=40)
-    gs = walk.green_series(simple3d_model, (0, 0, 0), k_max=40)
-    assert est.regime == "transient"
-    assert est.value == pytest.approx(gs.value, abs=1e-12)
-    assert est.tail_estimate == pytest.approx(gs.tail_estimate, abs=1e-12)
-    assert est.value >= 1.0  # the k=0 indicator term alone contributes 1
+    # the runner's series is sum_l a_l I(l), its tail I(0)'s tail times phi_f(0)
+    ma = scenery.moving_average_scenery({(0, 0, 0): 1.0, (1, 0, 0): 0.5})
+    density = scenery.spectral_density(ma, dimension=3)
+    lags = sorted(density.fourier)
+    green, tail = walk.green_series(simple3d_model, lags, 40)
+    rep = harness.transient_variance_check(walk=simple3d_model, scenery=ma, n=256,
+                                           m_sceneries=10, n_omegas=2, k_max=40, seed=0)
+    assert rep.series_truncated == math.fsum(density.fourier[p] * green[p] for p in lags)
+    assert rep.tail_estimate == tail * 2.25 > 0.0
+    assert rep.series_value == rep.series_truncated + rep.tail_estimate
+    assert green[(0, 0, 0)] >= 1.0  # the k=0 indicator term alone contributes 1
 
 
 def test_variance_identity_exhaustive_tiny(lazy_model):

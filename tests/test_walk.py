@@ -94,7 +94,7 @@ def test_classification_by_rank_of_the_support():
     assert plane_3d.classification == walk.RECURRENT
     assert not plane_3d.effectively_transient and plane_3d.c0 is None
     with pytest.raises(ValueError):
-        walk.green_series(plane_3d, (0, 0, 0))
+        walk.green_series(plane_3d, [(0, 0, 0)], 60)
     # a tilted plane and a line in higher dimensions
     assert model((1, 1, 0), (-1, -1, 0), (0, 1, 1), (0, -1, -1)).classification == walk.RECURRENT
     assert model((0, 0, 0, 2), (0, 0, 0, -2)).classification == walk.RECURRENT
@@ -237,30 +237,44 @@ def test_recurrent_walk_keeps_returning(lazy_model):
 
 def test_green_series_deterministic_example():
     m = walk.build_walk_model(walk.deterministic_law((1,)))
-    gs = walk.green_series(m, (1,), k_max=10)
-    assert gs.value == pytest.approx(1.0)
-    assert gs.method == "convolution"
-    far = walk.green_series(m, (10**6,), k_max=10)
-    assert far.value == 0.0
+    assert walk._convolution_budget(m, 10) <= walk._GREEN_BUDGET
+    values, tail = walk.green_series(m, [(1,), (10**6,)], 10)
+    assert values[(1,)] == pytest.approx(1.0)
+    assert values[(10**6,)] == 0.0
+    assert tail == 0.0  # a drifting walk has no local-limit tail
 
 
 def test_green_series_rejects_recurrent(lazy_model):
     with pytest.raises(ValueError):
-        walk.green_series(lazy_model, (0, 0), k_max=10)
+        walk.green_series(lazy_model, [(0, 0)], 10)
+
+
+def test_green_series_rejects_a_site_of_the_wrong_dimension(simple3d_model):
+    with pytest.raises(ValueError, match="wrong dimension"):
+        walk.green_series(simple3d_model, [(0, 0, 0), (1, 0)], 10)
 
 
 def test_green_series_monte_carlo_agrees(simple3d_model):
-    exact = walk.green_series(simple3d_model, (0, 0, 0), k_max=20)
-    mc = walk.green_series(simple3d_model, (0, 0, 0), k_max=20, m_paths=40000,
-                           seed=3, budget=1.0)
-    assert mc.method == "monte_carlo"
-    assert abs(mc.value - exact.value) < 4 * mc.stderr
+    exact, _ = walk.green_series(simple3d_model, [(0, 0, 0)], 20)
+    value, stderr = walk._green_monte_carlo(simple3d_model, (0, 0, 0), 20, 40000, 3)
+    assert abs(value - exact[(0, 0, 0)]) < 4 * stderr
+
+
+def test_green_series_past_the_budget_is_the_monte_carlo_series(simple3d_model, monkeypatch):
+    sites = [(0, 0, 0), (1, 0, 0)]
+    exact, tail = walk.green_series(simple3d_model, sites, 8)
+    monkeypatch.setattr(walk, "_GREEN_BUDGET", 0)
+    mc, mc_tail = walk.green_series(simple3d_model, sites, 8)
+    assert mc == {s: walk._green_monte_carlo(simple3d_model, s, 8, walk._GREEN_PATHS,
+                                             walk._GREEN_SEED)[0] for s in sites}
+    assert mc != exact and mc_tail == tail
 
 
 def test_green_series_table_matches_single(simple3d_model):
-    table = walk.green_series_table(simple3d_model, [(0, 0, 0), (1, 0, 0)], k_max=15)
-    single = walk.green_series(simple3d_model, (1, 0, 0), k_max=15)
-    assert table[(1, 0, 0)].value == pytest.approx(single.value, abs=1e-15)
+    table, tail = walk.green_series(simple3d_model, [(0, 0, 0), (1, 0, 0)], 15)
+    single, single_tail = walk.green_series(simple3d_model, [(1, 0, 0)], 15)
+    assert table[(1, 0, 0)] == pytest.approx(single[(1, 0, 0)], abs=1e-15)
+    assert tail == single_tail
 
 
 def _searchsorted_positions(model, n, seed):
