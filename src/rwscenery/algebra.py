@@ -444,6 +444,10 @@ _Q1, _Q2 = 1048573, 1048583
 # temporaries stay small (4 L^2 floats), and at L = 121 blocks of 4 ran
 # faster than blocks of 1, 8 or 16
 _SCREEN_BLOCK = 4
+# most gamma rows per slab of ``sunit_search``: a slab fixes the leading
+# coordinates and runs over a grid of the trailing ones of at most this many
+# rows (one coordinate at least)
+_GAMMA_BLOCK = 2**16
 
 
 @dataclass
@@ -470,6 +474,16 @@ def sunit_search(pair: MatrixPair, gamma_bound: int, ell_bound: int) -> SUnitRep
     determinant screen and are then verified in exact arithmetic.  The
     screen is exact in float64 while C(2 rho, rho) (q1 - 1)^2 < 2^53, that
     is for rho <= 7; a larger rho is refused.
+
+    Each candidate triple walks the nonzero gamma box in lexicographic
+    slabs: a slab fixes the leading coordinates and takes the grid of the
+    trailing ones (at most ``_GAMMA_BLOCK`` rows, built once), and the slab
+    with a zero head drops its zero row.  Each of a triple's seven matrices
+    is classified once (``_kernel_op``), so only a singular nonzero one is
+    multiplied, slab by slab.  The first triple to walk the box keeps each
+    slab's primitive mask for the others, so the search holds one byte per
+    gamma and one slab's gamma rows and products, not the whole
+    (2 gamma + 1)^rho x rho grid.
     """
     for name, bound in (("gamma_bound", gamma_bound), ("ell_bound", ell_bound)):
         if bound < 0:
@@ -479,36 +493,63 @@ def sunit_search(pair: MatrixPair, gamma_bound: int, ell_bound: int) -> SUnitRep
         raise ValueError(f"rho = {rho}: the S-unit screen's float64 sums would pass 2^53")
     ells = list(itertools.product(range(-ell_bound, ell_bound + 1), repeat=2))
     mats = {ell: np.asarray(mat_pow_pair(pair, ell), dtype=object) for ell in ells}
-    side = 2 * gamma_bound + 1
-    gammas = np.indices((side,) * rho, dtype=np.int64).reshape(rho, -1).T - gamma_bound
-    zero = len(gammas) // 2  # the centre of the lexicographic grid
-    gammas = np.concatenate([gammas[:zero], gammas[zero + 1:]])
-    primitive = reduce(np.gcd, gammas.T, 0) == 1  # gcd(0, g) = |g|
 
     ident = np.asarray(mat_identity(rho), dtype=object)
     solutions = []
     n_solutions = 0
     n_prim = 0
     triples = set()
+    primitive = []  # per slab, which of its rows have coprime entries
     for (e1, e2, e3) in sorted(_singular_triples(mats, ells)):
         if e1 == e2 or e2 == e3 or e1 == (0, 0) or e3 == (0, 0):
             continue  # a proper sub-sum vanishes for every gamma
         p1, p2, p3 = mats[e1], mats[e2], mats[e3]
-        good = _kernel_mask(p1 - p2 + p3 - ident, gammas, gamma_bound)
-        good &= ~_subsum_mask(p1, p2, p3, gammas, gamma_bound)
-        if not good.any():
+        op = _kernel_op(p1 - p2 + p3 - ident, gamma_bound)
+        if op is False:
             continue
-        triples.add((e1, e2, e3))
-        n_solutions += int(np.count_nonzero(good))
-        n_prim += int(np.count_nonzero(good & primitive))
-        room = SAMPLE_CAP - len(solutions)
-        if room > 0:  # gather only the sampled rows
-            solutions += [(e1, e2, e3, tuple(g))
-                          for g in gammas[np.flatnonzero(good)[:room]].tolist()]
+        subsums = _subsum_ops(p1, p2, p3, gamma_bound)
+        if any(s is True for s in subsums):
+            continue  # a pair sum is the zero matrix
+        for i, gammas in enumerate(_gamma_slabs(rho, gamma_bound)):
+            if i == len(primitive):  # the first triple to walk the box
+                primitive.append(reduce(np.gcd, gammas.T, 0) == 1)  # gcd(0, g) = |g|
+            good = _kernel_rows(op, gammas)
+            if not good.any():
+                continue
+            if subsums:
+                good &= ~_subsum_rows(subsums, gammas)
+            n = int(np.count_nonzero(good))
+            if not n:
+                continue
+            triples.add((e1, e2, e3))
+            n_solutions += n
+            n_prim += int(np.count_nonzero(good & primitive[i]))
+            room = SAMPLE_CAP - len(solutions)
+            if room > 0:  # gather only the sampled rows
+                solutions += [(e1, e2, e3, tuple(g))
+                              for g in gammas[np.flatnonzero(good)[:room]].tolist()]
     return SUnitReport(solutions=solutions, n_solutions=n_solutions,
                        n_primitive=n_prim, triples=sorted(triples),
                        n_triples=len(triples), ell_bound=ell_bound,
                        gamma_bound=gamma_bound)
+
+
+def _gamma_slabs(rho: int, gamma_bound: int):
+    """The nonzero gamma in [-gamma_bound, gamma_bound]^rho in lexicographic
+    order, as int64 slabs: each fixes a head of leading coordinates and runs
+    over the trailing grid of at most ``_GAMMA_BLOCK`` rows (one coordinate at
+    least).  The slab whose head is zero drops the zero row.  The slabs share
+    one buffer: each is overwritten by the next."""
+    side = 2 * gamma_bound + 1
+    tail = 1
+    while tail < rho and side ** (tail + 1) <= _GAMMA_BLOCK:
+        tail += 1
+    slab = np.empty((side**tail, rho), dtype=np.int64)
+    slab[:, rho - tail:] = np.indices((side,) * tail).reshape(tail, -1).T - gamma_bound
+    zero = len(slab) // 2  # the centre of the lexicographic grid
+    for head in itertools.product(range(-gamma_bound, gamma_bound + 1), repeat=rho - tail):
+        slab[:, :rho - tail] = head
+        yield slab if any(head) else np.delete(slab, zero, axis=0)
 
 
 @lru_cache(maxsize=None)
@@ -604,28 +645,44 @@ def _singular_triples(mats: dict, ells: list) -> set:
     return half | {(e3, e2, e1) for e1, e2, e3 in half}
 
 
-def _kernel_mask(d, gammas: np.ndarray, gamma_bound: int) -> np.ndarray:
-    """Exactly which rows g of ``gammas`` (all nonzero) solve d g = 0."""
+def _kernel_op(d, gamma_bound: int):
+    """The integer matrix d classified once for ``_kernel_rows``: False when
+    det d != 0 (no nonzero g solves d g = 0), True when d = 0 (every g does),
+    else d^T, in int64 while the dot products with |g_i| <= gamma_bound fit
+    and in Python integers past that."""
     rows = d.tolist()  # Python integers
     if mat_det(rows) != 0:
-        return np.zeros(len(gammas), dtype=bool)
+        return False
     big = max(abs(x) for row in rows for x in row)
     if big == 0:
-        return np.ones(len(gammas), dtype=bool)  # every g solves 0 g = 0
-    # int64 products while the dot product fits; Python integers past that
-    d = d.astype(np.int64 if len(d) * big * gamma_bound < 2**62 else object)
-    return np.all(gammas @ d.T == 0, axis=1)
+        return True
+    return d.T.astype(np.int64 if len(d) * big * gamma_bound < 2**62 else object)
 
 
-def _subsum_mask(p1, p2, p3, gammas: np.ndarray, gamma_bound: int) -> np.ndarray:
-    """Rows g of ``gammas`` for which a proper sub-sum of the terms +P1 g,
-    -P2 g, +P3 g, -g vanishes.  That is the case iff a pair does: a vanishing
-    triple forces the complementary single term to vanish, which cannot
-    happen for g != 0 and invertible matrices."""
+def _kernel_rows(op, gammas: np.ndarray) -> np.ndarray:
+    """Exactly which rows g of ``gammas`` (all nonzero) solve d g = 0, for
+    op = ``_kernel_op(d, ...)``."""
+    if op is True or op is False:
+        return np.full(len(gammas), op)
+    return np.all(gammas @ op == 0, axis=1)
+
+
+def _subsum_ops(p1, p2, p3, gamma_bound: int) -> list:
+    """The pair sums of the terms +P1 g, -P2 g, +P3 g, -g that some nonzero g
+    can cancel, each classified by ``_kernel_op``.  A proper sub-sum vanishes
+    iff a pair does: a vanishing triple forces the complementary single term
+    to vanish, which cannot happen for g != 0 and invertible matrices."""
     ident = np.asarray(mat_identity(len(p1)), dtype=object)
+    ops = (_kernel_op(d, gamma_bound)
+           for d in (p1 - p2, p1 + p3, p1 - ident, p3 - p2, p2 + ident, p3 - ident))
+    return [op for op in ops if op is not False]
+
+
+def _subsum_rows(ops: list, gammas: np.ndarray) -> np.ndarray:
+    """Rows g of ``gammas`` for which a proper sub-sum vanishes (``_subsum_ops``)."""
     out = np.zeros(len(gammas), dtype=bool)
-    for d in (p1 - p2, p1 + p3, p1 - ident, p3 - p2, p2 + ident, p3 - ident):
-        out |= _kernel_mask(d, gammas, gamma_bound)
+    for op in ops:
+        out |= _kernel_rows(op, gammas)
     return out
 
 

@@ -16,8 +16,9 @@ site list, every step's int32 index into it, and each site's key, its int64
 row-major offset in the bounding box of the path.  Box order is lexicographic
 order, so the keys ascend with the sites.  The table is counted from the
 path's steps, not its positions, a chunk at a time: prefix sums of the atoms'
-coordinates give the box, and prefix sums of the atoms' box offsets give each
-step's key.  When the box has at most 4n + _DENSE_SLACK cells, a counting
+coordinates give the box, and prefix sums of the atoms' box offsets, written
+straight into the key buffer, give each step's key.  When the box has at most
+4n + _DENSE_SLACK cells, that buffer is the int32 index itself, and a counting
 sort marks the visited cells and ranks the keys in place, in O(n + cells).
 Wider boxes (3-d, drifted and high-dimensional walks, far-flung hand-built
 paths) write the keys to an int64 buffer and ``np.unique`` it.  Only a box of
@@ -78,30 +79,37 @@ def _path_sites(path: WalkPath) -> tuple:
     offset of Z_k is a prefix sum of each step atom's offset."""
     d, steps = path.model.dimension, path.steps
     atoms = path.model.law.site_array()
-    lo, hi = list(path.origin), list(path.origin)
-    for j in range(d):
-        z = path.origin[j]
-        for a in range(0, len(steps), STEP_CHUNK):
-            column = _prefix_sum(atoms[:, j], steps[a:a + STEP_CHUNK], z)
+    lo, hi, z = list(path.origin), list(path.origin), list(path.origin)
+    buf = np.empty(min(len(steps), STEP_CHUNK), dtype=np.int64)
+    for a in range(0, len(steps), STEP_CHUNK):
+        chunk = steps[a:a + STEP_CHUNK]
+        for j in range(d):
+            column = _prefix_sum(atoms[:, j], chunk, z[j], buf[:len(chunk)])
             lo[j] = min(lo[j], int(column.min()))
             hi[j] = max(hi[j], int(column.max()))
-            z = int(column[-1])
+            z[j] = int(column[-1])
 
     def fill(strides, out):
-        offsets = atoms @ np.asarray(strides, dtype=np.int64)
+        # a step moves the offset by its atom's; an atom the path takes moves
+        # it by less than the cells, so its offset fits out's dtype (int32 on
+        # the dense route), and one it never takes is never read
+        offsets = (atoms @ np.asarray(strides, dtype=np.int64)).astype(out.dtype)
         out[0] = z = sum((c - b) * s for c, b, s in zip(path.origin, lo, strides))
         for a in range(0, len(steps), STEP_CHUNK):
-            box = _prefix_sum(offsets, steps[a:a + STEP_CHUNK], z)
-            out[a + 1:a + 1 + len(box)] = box
-            z = int(box[-1])
+            chunk = steps[a:a + STEP_CHUNK]
+            z = int(_prefix_sum(offsets, chunk, z, out[a + 1:a + 1 + len(chunk)])[-1])
 
     return _box_sites(path.n, lo, hi, fill)
 
 
-def _prefix_sum(values: np.ndarray, steps: np.ndarray, start: int) -> np.ndarray:
-    """start + the running sum of values[steps], in int64."""
-    out = values.take(steps)
-    np.cumsum(out, out=out)
+def _prefix_sum(values: np.ndarray, steps: np.ndarray, start: int,
+                out: np.ndarray) -> np.ndarray:
+    """out = start + the running sum of values[steps], in out's dtype; the
+    partial sums are differences of box offsets, so int32 holds them while
+    the box has fewer than 2^31 cells."""
+    # mode="clip" gathers straight into out; "raise" would buffer a copy
+    np.take(values, steps, out=out, mode="clip")
+    np.cumsum(out, out=out, dtype=out.dtype)
     out += start
     return out
 
@@ -156,10 +164,9 @@ def _rank_in_place(inverse: np.ndarray, cells: int) -> np.ndarray:
     present = np.zeros(cells, dtype=bool)
     present[inverse] = True
     keys = np.flatnonzero(present)
-    rank = present.astype(np.int32)
     del present
-    np.cumsum(rank, out=rank)
-    rank -= 1
+    rank = np.empty(cells, dtype=np.int32)  # read at the present cells only
+    rank[keys] = np.arange(len(keys), dtype=np.int32)
     for a in range(0, len(inverse), STEP_CHUNK):
         chunk = inverse[a:a + STEP_CHUNK]
         # mode="clip" gathers straight into the chunk; "raise" would buffer a copy

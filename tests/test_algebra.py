@@ -435,14 +435,19 @@ def test_sunit_screen_keeps_every_singular_triple(sl3_pair):
         assert got.tolist() == [d % q for d in exact]
 
 
+def _kernel_mask(d, gammas, gamma_bound):
+    """Which rows g of ``gammas`` solve d g = 0, through the search's two steps."""
+    return algebra._kernel_rows(algebra._kernel_op(d, gamma_bound), gammas)
+
+
 def test_kernel_mask_is_exact_past_int64():
     gammas = np.array([g for g in itertools.product(range(-3, 4), repeat=3) if any(g)])
-    for scale in (7, 10**20):  # int64 products, then Python integers
+    for scale, dtype in ((7, np.int64), (10**20, object)):  # int64, then Python integers
         d = np.asarray([[scale, -2 * scale, 0], [1, -2, 0], [0, 0, 0]], dtype=object)
+        assert algebra._kernel_op(d, 3).dtype == dtype
         want = [int(g[0]) == 2 * int(g[1]) for g in gammas]
-        assert algebra._kernel_mask(d, gammas, 3).tolist() == want
-    assert not algebra._kernel_mask(np.eye(3, dtype=np.int64).astype(object),
-                                    gammas, 3).any()
+        assert _kernel_mask(d, gammas, 3).tolist() == want
+    assert not _kernel_mask(np.eye(3, dtype=np.int64).astype(object), gammas, 3).any()
 
 
 def test_kernel_mask_of_zero_matrix_matches_matmul():
@@ -450,7 +455,7 @@ def test_kernel_mask_of_zero_matrix_matches_matmul():
     zero = np.zeros((3, 3), dtype=np.int64)
     want = np.all(gammas @ zero.T == 0, axis=1)
     for d in (zero, zero.astype(object)):
-        got = algebra._kernel_mask(d, gammas, 3)
+        got = _kernel_mask(d, gammas, 3)
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
@@ -471,7 +476,8 @@ def test_each_subsum_exclusion_is_exercised(first):
     mats = [algebra.mat_mul(algebra.mat_mul(_U, ((a, 0, 0), (0, b, 0), (0, 0, c))), inv)
             for a, b, c in zip(first, (2, 3, 7), (4, 9, 6))]
     gammas = np.array([g for g in itertools.product(range(-3, 4), repeat=3) if any(g)])
-    mask = algebra._subsum_mask(*(np.asarray(m, dtype=object) for m in mats), gammas, 3)
+    ops = algebra._subsum_ops(*(np.asarray(m, dtype=object) for m in mats), 3)
+    mask = algebra._subsum_rows(ops, gammas)
     brute = [_has_vanishing_subsum(*(algebra.mat_vec(m, g.tolist()) for m in mats),
                                            g.tolist()) for g in gammas]
     assert mask.tolist() == brute
@@ -525,6 +531,87 @@ def test_sunit_search_equals_brute_force(companion_pair, sl3_pair, salem_pair,
     for name in (f.name for f in dataclasses.fields(algebra.SUnitReport)):
         assert getattr(fast, name) == getattr(slow, name), name
     assert fast.n_solutions == n_solutions
+
+
+@pytest.fixture(scope="module")
+def huge_pair():
+    """(R + H, R + I) on Z^2 x Z^2, with R the quarter turn and H = [[2, 1],
+    [1, 1]]^50, whose entries pass 2^64: some of its singular matrices need
+    Python-integer products at gamma_bound 1."""
+    h = algebra.mat_identity(2)
+    for _ in range(50):
+        h = algebra.mat_mul(h, ((2, 1), (1, 1)))
+
+    def blocks(top, bottom):
+        return tuple(row + (0, 0) for row in top) + tuple((0, 0) + row for row in bottom)
+
+    quarter = ((0, -1), (1, 0))
+    return algebra.matrix_pair(blocks(quarter, h), blocks(quarter, algebra.mat_identity(2)))
+
+
+@pytest.mark.parametrize("rho,gamma_bound,block,tail", [
+    (3, 1, 1, 1), (3, 1, 3, 1), (3, 1, 8, 1), (3, 1, 9, 2), (3, 1, 27, 3),
+    (3, 2, 24, 1), (4, 1, 9, 2), (2, 0, 1, 1), (1, 3, 2, 1),
+])
+def test_gamma_slabs_walk_the_nonzero_box_in_order(rho, gamma_bound, block, tail,
+                                                   monkeypatch):
+    monkeypatch.setattr(algebra, "_GAMMA_BLOCK", block)
+    slabs = [g.copy() for g in algebra._gamma_slabs(rho, gamma_bound)]
+    side = 2 * gamma_bound + 1
+    # side^tail rows a slab, but the one with a zero head lacks the zero row
+    sizes = [side ** tail] * side ** (rho - tail)
+    sizes[len(sizes) // 2] -= 1
+    assert [len(g) for g in slabs] == sizes
+    want = [g for g in itertools.product(range(-gamma_bound, gamma_bound + 1), repeat=rho)
+            if any(g)]
+    assert [tuple(g) for s in slabs for g in s.tolist()] == want
+    assert all(s.dtype == np.int64 for s in slabs)
+
+
+@pytest.mark.parametrize("pair_name,gamma_bound,ell_bound,block,cap", [
+    ("order4", 1, 1, 3, 20), ("order4", 2, 1, 7, 700), ("companion2", 3, 1, 2, 60),
+    ("salem", 1, 1, 9, 100), ("huge", 1, 1, 3, 70),
+])
+def test_sunit_slabs_equal_brute_force(order4_pair, companion_pair, salem_pair, huge_pair,
+                                       pair_name, gamma_bound, ell_bound, block, cap,
+                                       monkeypatch):
+    """Small slabs and a small sample: the sample runs across slabs and
+    triples, and every report field stays the brute force's."""
+    pair = {"order4": order4_pair, "companion2": companion_pair(2), "salem": salem_pair,
+            "huge": huge_pair}[pair_name]
+    monkeypatch.setattr(algebra, "_GAMMA_BLOCK", block)
+    monkeypatch.setattr(algebra, "SAMPLE_CAP", cap)
+    ops = []
+    kernel_op = algebra._kernel_op
+    monkeypatch.setattr(algebra, "_kernel_op", lambda *a: ops.append(kernel_op(*a)) or ops[-1])
+    fast = algebra.sunit_search(pair, gamma_bound, ell_bound)
+    slow = _brute_force_sunit(pair, gamma_bound, ell_bound)
+    for name in (f.name for f in dataclasses.fields(algebra.SUnitReport)):
+        assert getattr(fast, name) == getattr(slow, name), name
+    assert len(fast.solutions) == cap < fast.n_solutions
+    # the sample spans two triples, and the first triple's part two slabs
+    first = [g for *t, g in fast.solutions if tuple(t) == fast.solutions[0][:3]]
+    assert len({s[:3] for s in fast.solutions}) >= 2
+    side = 2 * gamma_bound + 1
+    tail = max(k for k in range(1, pair.rho + 1) if k == 1 or side**k <= block)
+    assert tail < pair.rho and len({g[:pair.rho - tail] for g in first}) >= 2
+    big = [op for op in ops if getattr(op, "dtype", None) == object]
+    assert bool(big) == (pair_name == "huge")
+
+
+def test_sunit_search_memory_stays_flat_at_rho_4(salem_pair):
+    algebra.sunit_search(salem_pair, gamma_bound=20, ell_bound=1)  # warm the power cache
+    tracemalloc.start()
+    try:
+        rep = algebra.sunit_search(salem_pair, gamma_bound=20, ell_bound=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.n_solutions == 5651520
+    # one byte per gamma for the primitive masks (2.7 MiB) and one slab of
+    # 41^2 rows (0.3 MiB); the whole 41^4 x 4 int64 grid with its products
+    # read 172.5 MiB
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("name", ["gamma_bound", "ell_bound"])
@@ -671,8 +758,9 @@ def test_sunit_search_memory_stays_flat(sl3_pair):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # an unblocked (L, L, L) determinant table at L = 121 would add ~14 MiB
-    assert peak < 17.9 * 2**20
+    # an unblocked (L, L, L) determinant table at L = 121 would add ~14 MiB,
+    # and the whole 61^3 x 3 int64 gamma grid with its products ~9 MiB
+    assert peak < 4 * 2**20
 
 
 def test_sunit_structural_exclusions(sl3_pair):

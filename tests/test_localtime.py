@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rwscenery import harness, localtime, walk
 
@@ -508,8 +508,31 @@ def _stepped_paths(draw):
                          steps=steps)
 
 
+def _walk_positions(n, d, seed):
+    """n positions of a lazy walk in d dimensions from the origin."""
+    steps = np.random.default_rng(seed).integers(-1, 2, size=(n - 1, d))
+    return np.concatenate([np.zeros((1, d), dtype=np.int64), np.cumsum(steps, axis=0)])
+
+
+# four points spanning boxes of 4 * 4 + _DENSE_SLACK = 65552 cells, the last
+# the counting sort takes, and of 65553 cells, past it
+_BOUNDARY_PATHS = {
+    "dense1d": [[-5], [65546], [65546], [3]], "sorted1d": [[-5], [65547], [65547], [3]],
+    "dense2d": [[-5, -7], [10, 4089], [10, 4089], [2, 2041]],
+    "sorted2d": [[-5, -7], [-3, 21843], [-3, 21843], [-4, 10918]],
+}
+
+
 @given(_stepped_paths())
 @settings(max_examples=150, deadline=None)
+@example(_hand_path([[5, -2]]))  # n = 1: no steps, an empty chunk buffer
+@example(_hand_path([[0], [3]]))  # n = 2: one step
+@example(_hand_path(_walk_positions(walk.STEP_CHUNK + 101, 2, 1)))  # a short last chunk
+@example(_hand_path(_walk_positions(2 * walk.STEP_CHUNK + 1, 3, 2)))  # two full chunks
+@example(_hand_path(_BOUNDARY_PATHS["dense1d"]))
+@example(_hand_path(_BOUNDARY_PATHS["sorted1d"]))
+@example(_hand_path(_BOUNDARY_PATHS["dense2d"]))
+@example(_hand_path(_BOUNDARY_PATHS["sorted2d"]))
 def test_path_table_from_steps_equals_unique_sites(path):
     # the table counted from the steps is the sort of the positions, value
     # for value and dtype for dtype, on every route, and so are its lag maps
@@ -551,9 +574,28 @@ def test_planar_path_keeps_one_byte_per_step(lazy_model):
     assert peak <= 14 * 2**20
 
 
+@pytest.mark.parametrize("name", list(_BOUNDARY_PATHS))
+def test_path_table_cell_bound(name, monkeypatch):
+    # the boundary paths of the test above take the route their names say
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+    path = _hand_path(_BOUNDARY_PATHS[name])
+    extents = np.ptp(path.positions, axis=0) + 1
+    assert math.prod(extents.tolist()) == 4 * path.n + localtime._DENSE_SLACK \
+        + name.startswith("sorted")
+    localtime.path_table(path)
+    assert bool(calls) is name.startswith("sorted")
+
+
 def test_window_tables_range_guard(lazy_model):
     path = walk.sample_path(lazy_model, 300, 2)
     assert localtime.window_tables(path, [(100, 300)])[0].sum() == 200
+    sites = len(localtime.path_table(path).sites)
+    for lo in (0, 150, 300):  # an empty window counts nothing
+        empty = localtime.window_tables(path, [(lo, lo), (0, 1)])
+        assert empty.dtype == np.int64 and empty.shape == (2, sites + 1)
+        assert not empty[0].any() and empty[1].sum() == 1
     with pytest.raises(IndexError):
         localtime.window_tables(path, [(100, 301)])
 
