@@ -49,12 +49,10 @@ def pilot(full=True):
     t0 = time.time()
     out = {}
 
-    print("== green series / transient oracle ==")
+    print("== spectral variance / transient oracle ==")
     simple3 = walk.build_walk_model(walk.simple_walk_law(3))
-    green, tail = walk.green_series(simple3, [(0, 0, 0)], 60)
-    series_value = green[(0, 0, 0)] + tail
-    print(f"  I(0) truncated={green[(0, 0, 0)]:.6f} tail={tail:.6f} "
-          f"total={series_value:.6f} (literature ~2.0328)")
+    series_value = walk.spectral_variance(simple3, {(0, 0, 0): 1.0})
+    print(f"  I(0)={series_value:.6f} (Watson 1939: 2 G(0) - 1 = 2.032772)")
     out["transient_series_i0"] = series_value
 
     print("== FCLT i.i.d. at fixture scale ==")

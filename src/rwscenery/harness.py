@@ -50,7 +50,7 @@ from .scenery import (
     stats,
     window_boundaries,
 )
-from .walk import RECURRENT, STEP_CHUNK, WalkModel, WalkPath, green_series, sample_path
+from .walk import RECURRENT, STEP_CHUNK, WalkModel, WalkPath, sample_path, spectral_variance
 from . import scenery as scenery_mod
 
 MORICZ_CMAX = (1.0 - 2.0 ** -0.25) ** -4.0
@@ -85,8 +85,8 @@ def _omega_pass(model: WalkModel, n: int, n_omegas: int, seed: int, fn) -> list:
 
 def _rule(ok, message: str):
     """A runner's rule for its walk or scenery; cli.py names the field that breaks it."""
-    def require(value) -> None:
-        if not ok(value):
+    def require(*values) -> None:
+        if not ok(*values):
             raise ValueError(message)
     return require
 
@@ -115,6 +115,12 @@ require_windows = _rule(lambda w: len(w) == 4 and 0 < w[0] < w[1] < w[2] < w[3] 
                         "windows need [A, B, C, D] with 0 < A < B < C < D < 1")
 require_g0_kind = _rule(lambda k: k in ("sqrt3k", "self_intersection"),
                         "g0_kind must be 'sqrt3k' or 'self_intersection'")
+require_scenery_dimension = _rule(  # (scenery, walk); an i.i.d. scenery takes any walk
+    lambda s, w: (w.dimension == 2 if isinstance(s, scenery_mod.ToralScenery) else
+                  all(len(q) == w.dimension for q in s.coeffs)
+                  if isinstance(s, scenery_mod.MovingAverageScenery) else True),
+    "the scenery's sites need the walk's dimension: 2 for a toral scenery, len(q) for a "
+    "moving average")
 
 
 def physical_memory() -> int:
@@ -745,14 +751,12 @@ class TransientVarianceReport(_Report):
     n: int
     n_omegas: int
     m_sceneries: int
-    series_value: float      # truncated series + tail correction
-    series_truncated: float
-    tail_estimate: float
+    series_value: float      # sum_l a_l I(l), the walk's spectral integral
     exact_mean: float        # mean over omegas of exact Var_x(S_n)/n
     exact_se: float
     mc_mean: float           # scenery-sampled estimate of the same
     mc_se: float
-    combined_error: float
+    combined_error: float    # 3 SE of the Monte Carlo mean
     agree: bool
 
     @property
@@ -761,42 +765,31 @@ class TransientVarianceReport(_Report):
 
 
 def transient_variance_check(*, walk: WalkModel, scenery: SceneryModel, n: int,
-                             m_sceneries: int, n_omegas: int, k_max: int,
+                             m_sceneries: int, n_omegas: int,
                              seed: int) -> TransientVarianceReport:
-    """||S_n||^2 / n against the Green-series limit for transient walks.
+    """||S_n||^2 / n against the limit sum_l a_l I(l) for transient walks.
 
     Both an exact per-omega value (counts times correlations) and a scenery
-    Monte Carlo estimate are produced; agreement is within the combined
-    error bars (3 SE over omegas plus half the series tail, which is an
-    estimate rather than a bound).
+    Monte Carlo estimate are produced; each agrees when its mean over the
+    omegas lies within 3 SE of the limit.
     """
     require_transient(walk)
-    # ||f||^2 + 2 sum_k sum_l P(Z_k = l) <T^l f, f> = sum_l a_l I(l), truncated at k_max
-    density = spectral_density(scenery, dimension=walk.dimension)
-    lags = sorted(density.fourier)
-    green, tail0 = green_series(walk, lags, k_max)
-    truncated = math.fsum(density.fourier[p] * green[p] for p in lags)
-    tail = tail0 * density.at_zero()
-    series = truncated + tail
+    # ||f||^2 + 2 sum_k sum_l P(Z_k = l) <T^l f, f> = sum_l a_l I(l)
+    series = spectral_variance(walk, spectral_density(scenery, dimension=walk.dimension).fourier)
 
     def omega(i, path_seed, path):
         inc = field_increments(scenery, path, [1.0], _x_seeds(seed, i, m_sceneries))
         return quenched_variance(scenery, path, [(0, n)])[0] / n, float(inc[:, 0].var(ddof=1)) / n
 
-    rows = _omega_pass(walk, n, n_omegas, seed, omega)
-    exact_vals, mc_vals = [e for e, _ in rows], [m for _, m in rows]
-    exact_mean = float(np.mean(exact_vals))
-    exact_se = float(np.std(exact_vals, ddof=1) / math.sqrt(n_omegas))
-    mc_mean = float(np.mean(mc_vals))
-    mc_se = float(np.std(mc_vals, ddof=1) / math.sqrt(n_omegas))
-    combined = 3.0 * mc_se + 0.5 * abs(tail)
-    agree = abs(mc_mean - series) <= combined and abs(exact_mean - series) <= (
-        3.0 * exact_se + 0.5 * abs(tail))
+    exact_vals, mc_vals = np.array(_omega_pass(walk, n, n_omegas, seed, omega)).T
+    exact_mean, mc_mean = float(np.mean(exact_vals)), float(np.mean(mc_vals))
+    exact_se, mc_se = (float(np.std(v, ddof=1) / math.sqrt(n_omegas))
+                       for v in (exact_vals, mc_vals))
+    agree = abs(mc_mean - series) <= 3.0 * mc_se and abs(exact_mean - series) <= 3.0 * exact_se
     return TransientVarianceReport(
         n=n, n_omegas=n_omegas, m_sceneries=m_sceneries, series_value=series,
-        series_truncated=truncated, tail_estimate=tail,
         exact_mean=exact_mean, exact_se=exact_se, mc_mean=mc_mean, mc_se=mc_se,
-        combined_error=combined, agree=agree)
+        combined_error=3.0 * mc_se, agree=agree)
 
 
 # ---------------------------------------------------------------------------

@@ -307,12 +307,12 @@ class SpectralDensity:
     def at_zero(self) -> float:
         return math.fsum(self.fourier.values())
 
-    def evaluate(self, t) -> float:
+    def evaluate(self, t):
+        """sum_l a_l cos(2 pi <l, t>), an array for ``t`` of shape (..., d)."""
         t = np.asarray(t, dtype=np.float64)
-        total = 0.0
-        for k, a in self.fourier.items():
-            total += a * math.cos(2.0 * math.pi * float(np.dot(k, t)))
-        return total
+        lags = np.array(list(self.fourier), dtype=np.float64).reshape(len(self.fourier), -1)
+        phi = np.cos(2.0 * np.pi * (t @ lags.T)) @ np.fromiter(self.fourier.values(), float)
+        return float(phi) if t.ndim == 1 else phi
 
 
 def toral_correlations(scenery: ToralScenery) -> dict:

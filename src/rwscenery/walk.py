@@ -15,6 +15,9 @@ the local limit theorem P(S_k = 0) averages r / (2 pi k sqrt(det Sigma))
 over the residue classes of the period, whatever the period is (Spitzer,
 Principles of Random Walk, P7.9), so E V_n ~ C0 n log n.
 
+For a transient walk, ``spectral_variance`` gives the limit variance
+sum_l a_l I(l) of a field's sums along it, an integral over a torus.
+
 A sampled path is its origin plus the atom index of each step, one byte per
 step for laws of at most 256 atoms; its positions are derived on demand.
 """
@@ -104,19 +107,17 @@ def deterministic_law(site) -> IncrementLaw:
     return increment_law([(tuple(site), 1.0)])
 
 
-def hermite_lattice_index(generators: Sequence, d: int) -> int:
-    """Index [Z^d : L] of the lattice spanned by integer ``generators``.
-
-    Exact integer column reduction (Hermite normal form); returns 0 when
-    the generators do not span rank d, i.e. the index is infinite.
-    """
+def _lattice_basis(generators: Sequence, d: int) -> list:
+    """A basis of the lattice L that integer ``generators`` span, by exact
+    column reduction (Hermite normal form): the leading rows of its vectors
+    increase strictly, and its length is the rank of L."""
     cols = [[int(c) for c in g] for g in generators]
     cols = [c for c in cols if any(c)]
-    index = 1
+    basis = []
     for row in range(d):
         live = [c for c in cols if c[row] != 0]
         if not live:
-            return 0
+            continue
         # Euclid across columns until a single nonzero entry survives in this row
         while len(live) > 1:
             live.sort(key=lambda c: abs(c[row]))
@@ -127,9 +128,33 @@ def hermite_lattice_index(generators: Sequence, d: int) -> int:
                     c[i] -= q * pivot[i]
             live = [c for c in live if c[row] != 0]
         pivot = live[0]
-        index *= abs(pivot[row])
+        basis.append(pivot)
         cols = [c for c in cols if c is not pivot and any(c[row:])]
-    return index
+    return basis
+
+
+def hermite_lattice_index(generators: Sequence, d: int) -> int:
+    """Index [Z^d : L] of the lattice spanned by integer ``generators``;
+    0 when they do not span rank d, i.e. the index is infinite."""
+    basis = _lattice_basis(generators, d)
+    if len(basis) < d:
+        return 0
+    return math.prod(abs(b[row]) for row, b in enumerate(basis))
+
+
+def _lattice_coords(basis: list, v) -> Optional[tuple]:
+    """The integers c with sum_i c_i basis[i] = v, or None when v is off the
+    lattice; ``basis`` is in the echelon form of ``_lattice_basis``."""
+    rest = [int(x) for x in v]
+    coords = []
+    for b in basis:
+        row = next(i for i, x in enumerate(b) if x)
+        c, remainder = divmod(rest[row], b[row])
+        if remainder:
+            return None
+        coords.append(c)
+        rest = [x - c * y for x, y in zip(rest, b)]
+    return None if any(rest) else tuple(coords)
 
 
 @dataclass(frozen=True)
@@ -153,16 +178,10 @@ class WalkModel:
 
     @property
     def effectively_transient(self) -> bool:
-        """True when the walk escapes to infinity (so Green-type series converge).
-
-        Deterministic walks with a nonzero step drift away and qualify; the
-        single-atom law at 0 behaves recurrently and does not.
-        """
-        if self.classification == TRANSIENT:
-            return True
-        if self.classification == DETERMINISTIC:
-            return any(c != 0 for c in self.law.sites[0])
-        return False
+        """True when the walk escapes to infinity: a transient walk, or a
+        deterministic one whose step is not 0 (which stays put)."""
+        return self.classification == TRANSIENT or (
+            self.classification == DETERMINISTIC and any(self.law.sites[0]))
 
 
 def build_walk_model(law: IncrementLaw) -> WalkModel:
@@ -205,27 +224,124 @@ def characteristic_fn(model: WalkModel, t) -> complex:
     returns an array of shape (...).
     """
     t = np.asarray(t, dtype=np.float64)
-    scalar = t.ndim == 1
-    phases = t @ model.law.site_array().astype(np.float64).T
-    psi = np.exp(2j * np.pi * phases) @ model.law.prob_array().astype(np.complex128)
-    return complex(psi) if scalar else psi
+    psi = np.exp(2j * np.pi * (t @ model.law.site_array().T)) @ model.law.prob_array()
+    return complex(psi) if t.ndim == 1 else psi
 
 
-def phi_ratio(model: WalkModel, t) -> float:
+def phi_ratio(model: WalkModel, t):
     """Phi(t) = (1 - |Psi|^2) / |1 - Psi|^2, nonnegative, zero iff |Psi| = 1.
 
     |Psi|^2 carries float roundoff of order 1e-16, so numerators below 1e-13
     snap to exactly zero (the deterministic walk has |Psi| identically 1 and
-    must report 0, not dust).
+    must report 0, not dust).  Vectorizes as ``characteristic_fn`` does.
     """
-    psi = characteristic_fn(model, np.asarray(t, dtype=np.float64))
-    denom = abs(1.0 - psi) ** 2
-    if denom < 1e-28:
-        raise PolePointError(f"Psi(t) = 1 at t = {t}; Phi has a pole there")
-    num = 1.0 - abs(psi) ** 2
-    if num < 1e-13:
-        return 0.0
-    return num / denom
+    psi = characteristic_fn(model, t)
+    denom = np.abs(1.0 - psi) ** 2
+    if np.any(denom < 1e-28):
+        raise PolePointError(f"Psi(t) = 1 at a point of {t}; Phi has a pole there")
+    num = 1.0 - np.abs(psi) ** 2
+    phi = np.where(num < 1e-13, 0.0, num / denom)
+    return float(phi) if phi.ndim == 0 else phi
+
+
+# the finest outer grid has n^(r-1) >= 2^_GRID_LOG2 points, in slabs of _SLAB_POINTS
+_GRID_LOG2 = 16
+_SLAB_POINTS = 2**14
+
+
+def _roots(coef: np.ndarray) -> np.ndarray:
+    """(M, deg) roots of the polynomials in the rows of ``coef`` (ascending
+    powers).  Quadratics, as for steps in {-1, 0, 1}, take the closed form
+    -w / 2a, -2c / w with w = b +- sqrt(b^2 - 4ac) away from cancellation, so
+    their bytes do not depend on the LAPACK build; other degrees take LAPACK."""
+    deg = coef.shape[1] - 1
+    if deg == 2:
+        c, b, a = coef.T
+        root = np.sqrt(b * b - 4.0 * a * c)
+        w = np.where((b.conj() * root).real >= 0.0, b + root, b - root)
+        return np.stack([-w / (2.0 * a), -2.0 * c / w], axis=1)
+    companion = np.zeros((len(coef), deg, deg), dtype=np.complex128)
+    companion[:, 0] = -coef[:, deg - 1::-1] / coef[:, deg:]
+    companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+    return np.linalg.eigvals(companion)
+
+
+def spectral_variance(model: WalkModel, fourier: dict) -> float:
+    """sigma^2 = sum_l a_l I(l) of a transient walk for an even Fourier table
+    ``fourier`` (l -> a_l), I(l) = 1_{l=0} + sum_{k>=1} P(Z_k = +-l).
+
+    In a basis of the lattice L its atoms span, of rank r, I(l) = 0 off L and
+    int_{T^r} cos(2 pi <l, t>) Phi(t) dt on L (Spitzer, Principles of Random
+    Walk, ch. II).  The coordinate s of largest drift is integrated exactly by
+    residues in z = exp(2 pi i s), since for a drifted walk Phi has a ridge
+    along <m, t> = 0 (m the mean step) that no product grid resolves.  The
+    other r - 1 take a half-offset midpoint rule at grid sizes n/4, n/2, n and
+    one Aitken step: the grid error's power of the step depends on the walk."""
+    if not model.effectively_transient:
+        raise ValueError("spectral_variance needs a transient walk; the series diverges otherwise")
+    d = model.dimension
+    if any(len(lag) != d for lag in fourier):
+        raise ValueError(f"a lag of {list(fourier)} has wrong dimension, expected {d}")
+    basis = _lattice_basis(model.law.sites, d)
+    r = len(basis)
+    sites = np.array([_lattice_coords(basis, x) for x in model.law.sites], dtype=np.int64)
+    probs = model.law.prob_array()
+    drift = (probs[:, None] * sites).sum(axis=0)
+    axis = 0 if model.centered else int(np.argmax(np.abs(drift)))
+    order = [axis] + [i for i in range(r) if i != axis]
+    sites = sites[:, order]
+    coords = {lag: _lattice_coords(basis, lag) for lag in fourier}
+    lags = {tuple(c[i] for i in order): fourier[lag]
+            for lag, c in coords.items() if c is not None}
+    # P(z) = z^q (1 - Psi) is a polynomial of degree deg in z
+    q = max(0, -int(sites[:, 0].min()))
+    deg = q + max(0, int(sites[:, 0].max()))
+    # in r = 1 the root z = 1 lies on the circle; Abel summation moves it to the side
+    # of the drift, which adds the point mass of Re 1/(1 - Psi) at t = 0
+    radius = 1.0 - 1e-9 * np.sign(drift[axis]) if r == 1 else 1.0
+
+    def slice_integral(t: np.ndarray) -> np.ndarray:
+        """int_0^1 phi_f Phi ds = 2 Re sum_l a_l e(<l', t'>) K_{l_1} - sum_{l_1=0}
+        a_l cos(2 pi <l', t'>) at each row t' of ``t``, e(x) = exp(2 pi i x), as
+        Phi = 2 Re 1/(1 - Psi) - 1; K_m = int_0^1 e(m s) / (1 - Psi) ds sums the
+        residues of z^(m+q-1) / P(z) inside the circle, or minus those outside
+        when m + q < 1."""
+        # einsum, not a BLAS product, so the bytes do not depend on the BLAS kernel
+        c = probs * np.exp(2j * np.pi * np.einsum("mj,aj->ma", t, sites[:, 1:]))
+        coef = np.zeros((len(t), deg + 1), dtype=np.complex128)
+        coef[:, q] = 1.0
+        for k, power in enumerate(sites[:, 0] + q):
+            coef[:, power] -= c[:, k]
+        z = _roots(coef)
+        slope = sum(k * coef[:, k, None] * z ** (k - 1) for k in range(1, deg + 1))
+        inside = np.abs(z) < radius
+        green = {}
+        for m in {lag[0] for lag in lags}:
+            residues = z ** (m + q - 1) / slope
+            green[m] = (np.where(inside, residues, 0.0).sum(axis=1) if m + q >= 1
+                        else -np.where(inside, 0.0, residues).sum(axis=1))
+        waves = {lag: np.exp(2j * np.pi * np.einsum("mj,j->m", t, lag[1:])) for lag in lags}
+        return sum((a * (2.0 * (waves[lag] * green[lag[0]]).real - (lag[0] == 0) * waves[lag].real)
+                    for lag, a in lags.items()), np.zeros(len(t)))
+
+    if r == 1:
+        return float(slice_integral(np.zeros((1, 0)))[0])
+
+    def grid_mean(n: int) -> float:
+        # slice_integral is even and t' -> 1 - t' maps the grid onto itself, so the half
+        # with t'_0 < 1/2, the first n^(r-1) / 2 points in C order, will do
+        half = n ** (r - 1) // 2
+        slabs = (np.arange(lo, min(lo + _SLAB_POINTS, half))
+                 for lo in range(0, half, _SLAB_POINTS))
+        return math.fsum(float(np.sum(slice_integral(
+            (np.stack(np.unravel_index(index, (n,) * (r - 1)), axis=-1) + 0.5) / n)))
+            for index in slabs) / half
+
+    n = 2 ** max(3, -(-_GRID_LOG2 // (r - 1)))
+    s1, s2, s3 = grid_mean(n // 4), grid_mean(n // 2), grid_mean(n)
+    d1, d2 = s2 - s1, s3 - s2
+    # a ratio outside (0, 1) is roundoff on a converged integral, not a rate
+    return s3 - d2 * d2 / (d2 - d1) if d1 and 0.0 < d2 / d1 < 1.0 else s3
 
 
 @dataclass(frozen=True)
@@ -321,115 +437,3 @@ def _atom_indices(cdf: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
     for c in cdf[:-1]:
         np.greater_equal(u, c, out=below)
         out += below
-
-
-# the k-fold convolution runs while _convolution_budget stays within this
-# bound; past it each site's series is a Monte Carlo estimate over
-# _GREEN_PATHS paths from the seed _GREEN_SEED
-_GREEN_BUDGET = 2e9
-_GREEN_PATHS = 20000
-_GREEN_SEED = 0
-
-
-def _convolution_budget(model: WalkModel, k_max: int) -> float:
-    max_coord = int(np.max(np.abs(model.law.site_array()), initial=0))
-    edge = 2 * k_max * max(max_coord, 1) + 1
-    return float(edge) ** model.dimension * k_max * len(model.law.sites)
-
-
-def _tail_estimate(model: WalkModel, k_max: int) -> float:
-    """LLT tail for centered walks: sum_{k>k_max} 2 P(Z_k = l) with the
-    Gaussian factor dropped (the l-dependence is negligible at this depth).
-
-    Non-centered transient walks have exponentially small tails at fixed l;
-    report 0 for them.
-    """
-    if not model.centered:
-        return 0.0
-    d = model.dimension
-    if d <= 2:
-        raise ValueError("centered walks in d <= 2 are recurrent; the series diverges")
-    det = float(np.linalg.det(model.sigma))
-    coef = 2.0 * (2.0 * math.pi) ** (-d / 2.0) / math.sqrt(det)
-    return coef * (2.0 / (d - 2)) * (k_max + 0.5) ** (1 - d / 2.0)
-
-
-def green_series(model: WalkModel, sites, k_max: int) -> tuple:
-    """({site: I(site) truncated at k_max}, local-limit tail estimate) for the
-    Green-type series I(l) = 1_{l=0} + sum_{k>=1} [P(Z_k = l) + P(Z_k = -l)].
-
-    All sites share one exact k-fold convolution when it is affordable
-    (_GREEN_BUDGET); past that, each site is a Monte Carlo estimate.
-    Rejects recurrent models, whose series diverges.
-    """
-    if not model.effectively_transient:
-        raise ValueError("green_series requires a transient walk; the series diverges otherwise")
-    sites = [tuple(int(c) for c in s) for s in sites]
-    for site in sites:
-        if len(site) != model.dimension:
-            raise ValueError(f"site {site} has wrong dimension, expected {model.dimension}")
-    if _convolution_budget(model, k_max) <= _GREEN_BUDGET:
-        values = _green_convolution_multi(model, sites, k_max)
-    else:
-        values = {s: _green_monte_carlo(model, s, k_max, _GREEN_PATHS, _GREEN_SEED)[0]
-                  for s in sites}
-    return values, _tail_estimate(model, k_max)
-
-
-def _green_convolution_multi(model: WalkModel, sites, k_max: int) -> dict:
-    d = model.dimension
-    atoms = model.law.site_array()
-    probs = model.law.prob_array()
-    max_coord = int(np.max(np.abs(atoms), initial=0))
-    r = k_max * max(max_coord, 1)
-    dist = np.zeros((2 * r + 1,) * d, dtype=np.float64)
-    dist[(r,) * d] = 1.0
-
-    def entry(arr, point):
-        idx = tuple(r + c for c in point)
-        if any(not (0 <= i < 2 * r + 1) for i in idx):
-            return 0.0
-        return float(arr[idx])
-
-    totals = {s: (1.0 if not any(s) else 0.0) for s in sites}
-    for _ in range(k_max):
-        new = np.zeros_like(dist)
-        for atom, p in zip(atoms, probs):
-            src = [slice(None)] * d
-            dst = [slice(None)] * d
-            for ax, shift in enumerate(atom):
-                shift = int(shift)
-                if shift >= 0:
-                    dst[ax] = slice(shift, None) if shift else slice(None)
-                    src[ax] = slice(None, -shift) if shift else slice(None)
-                else:
-                    dst[ax] = slice(None, shift)
-                    src[ax] = slice(-shift, None)
-            new[tuple(dst)] += p * dist[tuple(src)]
-        dist = new
-        for s in sites:
-            totals[s] += entry(dist, s) + entry(dist, tuple(-c for c in s))
-    return totals
-
-
-def _green_monte_carlo(model: WalkModel, site, k_max: int, m_paths: int, seed: int):
-    """(I(site) truncated at k_max, its standard error) over m_paths paths."""
-    target = np.asarray(site, dtype=np.int64)
-    origin = not target.any()
-    counts = np.zeros(m_paths, dtype=np.int64)
-    batch = max(1, int(2e7 // max(k_max, 1)))
-    cdf = _cdf(model.law)
-    done = 0
-    while done < m_paths:
-        b = min(batch, m_paths - done)
-        gen = philox_gen(derive_seed(seed, "green-mc", done))
-        idx = np.empty((b, k_max), dtype=step_dtype(model.law))
-        _atom_indices(cdf, gen.random((b, k_max)), idx)
-        steps = model.law.site_array()[idx]  # (b, k_max, d)
-        pos = np.cumsum(steps, axis=1)
-        hits = np.all(pos == target, axis=2) | np.all(pos == -target, axis=2)
-        # at the origin l = -l, so each visit counts for both terms
-        counts[done:done + b] = (2 if origin else 1) * hits.sum(axis=1)
-        done += b
-    stderr = float(counts.std(ddof=1) / math.sqrt(m_paths)) if m_paths > 1 else 0.0
-    return float(origin) + float(counts.mean()), stderr

@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -94,6 +95,19 @@ PLANE_WALK_3D = {"atoms": [{"site": s, "prob": 0.25}
                            for s in ([1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0])]}
 
 
+MA_3D = {"variant": "moving_average", "law": {"name": "rademacher"},
+         "coeffs": [{"q": [0, 0, 0], "a": 1.0}, {"q": [1, 0, 0], "a": 1.0}]}
+# a scenery on another lattice than the walk's: a toral one lives on Z^2, a
+# moving average on the Z^len(q) of its coefficients
+DIMENSION_MISMATCH = [
+    dict(TINY_FCLT, experiment="fclt-ma", scenery=MA_3D),
+    dict(PATH_CHECK, scenery=MA_3D),
+    dict(PATH_CHECK, experiment="transient-variance", walk={"preset": "simple3d"}, scenery=TORAL),
+    dict(PATH_CHECK, experiment="transient-variance", walk={"preset": "simple3d"},
+         scenery=MIXED_MA),
+]
+
+
 # configs that would crash at run time (or, for an empty list, run a vacuous
 # check): `validate` must reject each one, naming the bad field
 REJECTED = [
@@ -155,15 +169,19 @@ REJECTED = [
     # Newman-Wright's (n+1) x 1000 value table and 256-draw chunk (20 TiB at MAX_STEPS)
     (dict(PATH_CHECK, experiment="moricz", n=200000), "n"),
     (dict(PATH_CHECK, n=MAX_STEPS, m_sceneries=1000), "n"),
+    *((doc, "scenery") for doc in DIMENSION_MISMATCH),
 ]
 
 
 def _rejected_id(doc, field):
     """experiment:field, and the preset of a walk that the runner's rule rejects,
-    the toral constant that the scenery rejects, an n_omegas below its bound or
-    an n whose buffers exceed memory."""
+    the toral constant that the scenery rejects, a scenery of another dimension
+    than the walk, an n_omegas below its bound or an n whose buffers exceed
+    memory."""
     extra = None
-    if field == "n" and doc[field] <= MAX_STEPS:
+    if any(doc is d for d in DIMENSION_MISMATCH):
+        extra = f"dimension-{doc['scenery']['variant']}"
+    elif field == "n" and doc[field] <= MAX_STEPS:
         extra = "memory"
     elif field == "walk":
         extra = doc["walk"].get("preset", "atoms" if "atoms" in doc["walk"] else None)
@@ -194,6 +212,35 @@ def test_runner_takes_exactly_the_config_fields(name):
     params = inspect.signature(getattr(harness, exp.runner)).parameters
     assert all(p.kind is p.KEYWORD_ONLY and p.default is p.empty for p in params.values())
     assert set(params) == set({**cli._COMMON, **exp.fields}) - {"output"}
+
+
+def _schema_table() -> dict:
+    """{experiment: (required, optional)} from the README's config schema
+    table: the backticked field names of each row's required column, and
+    each optional field's default, the first item of its parentheses."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = text.split("| experiment | required fields | optional fields (default) |\n")[1]
+    table = {}
+    for line in lines.splitlines()[1:]:
+        if not line.startswith("|"):
+            break
+        names, required, optional = (cell.strip() for cell in line.strip("|").split("|"))
+        defaults = {field: json.loads(default.split(",")[0].strip("`"))
+                    for field, default in re.findall(r"`(\w+)` \(([^)]*)\)", optional)}
+        for name in re.findall(r"`([\w-]+)`", names):
+            table[name] = (set(re.findall(r"`(\w+)`", required)), defaults)
+    return table
+
+
+def test_readme_schema_table_names_every_field():
+    # each row names exactly its experiment's required fields, and its
+    # optional fields with their defaults, as the field specs declare them
+    table = _schema_table()
+    assert set(table) == set(cli.EXPERIMENTS)
+    for name, exp in cli.EXPERIMENTS.items():
+        required = {f for f, spec in exp.fields.items() if not isinstance(spec, tuple)}
+        optional = {f: spec[1] for f, spec in exp.fields.items() if isinstance(spec, tuple)}
+        assert table[name] == (required, optional), name
 
 
 def test_validate_accepts_max_steps(monkeypatch):

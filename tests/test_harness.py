@@ -390,11 +390,11 @@ def test_transient_check_guards_and_trivial_bound(simple3d_model, lazy_model):
     iid = scenery.iid_scenery("rademacher")
     with pytest.raises(ValueError):
         harness.transient_variance_check(walk=lazy_model, scenery=iid, n=256, m_sceneries=10,
-                                         n_omegas=10, k_max=60, seed=0)
+                                         n_omegas=10, seed=0)
     rep = harness.transient_variance_check(walk=simple3d_model, scenery=iid, n=2**12,
-                                           m_sceneries=100, n_omegas=4, k_max=30, seed=1)
+                                           m_sceneries=100, n_omegas=4, seed=1)
     assert rep.exact_mean >= 1.0  # indicator term of the series
-    assert rep.series_truncated >= 1.0
+    assert rep.series_value >= 1.0
 
 
 def test_truncation_ladder_report(lazy_model, sl3_pair):
@@ -432,8 +432,7 @@ NO_SCENERY_DRAWS = {"truncation-ladder", "variance-ladder"}
 
 LADDER = {"n_ladder": [64, 256], "n_omegas": 3, "seed": 4}
 # reduced runs of the remaining experiments, pinned by report.json sha256.
-# None of them reaches BLAS; transient-variance at k_max 100 is past the
-# convolution budget, so it pins the Monte Carlo Green series.
+# None of them reaches BLAS.
 PINNED = {
     "lln-variance": (_tiny("lln_variance.json", **LADDER),
                      "6bfc5d2527eadb768e8d37da295b8557aedf1ed3b239f73cf457b0ec72c8d876"),
@@ -447,9 +446,11 @@ PINNED = {
                                  "27fc46946909697d85bd20599597156871acde90bbd1e3b6abd6a7de63795ef8"),
     "moricz-sqrt3k": (_tiny("moricz_sequence.json", n=64, m_sceneries=200),
                       "165be10f9e1a0b646cacaecf8b0dd4f28fd26bce9bfa950bbc786be60220fe93"),
-    "transient-variance-monte-carlo": (
-        _tiny("transient_3d.json", n=4096, n_omegas=3, m_sceneries=20, k_max=100),
-        "21bd5e4f60e3c94bbd60de62df57b8b6def88039ac913ef231afe7c4a8d255ab"),
+    "transient-variance-moving-average": (
+        _tiny("transient_3d.json", n=4096, n_omegas=3, m_sceneries=20, scenery={
+            "variant": "moving_average", "law": {"name": "rademacher"},
+            "coeffs": [{"q": [0, 0, 0], "a": 1.0}, {"q": [1, 0, 0], "a": 0.5}]}),
+        "3e79c416259efa21e9de9922fb1712369203e95a95df6507eb794b3757298766"),
 }
 
 
@@ -493,7 +494,7 @@ def test_transient_variance_keeps_the_report_bytes(tmp_path):
     config.write_text(json.dumps(doc))
     assert cli.main(["run", str(config), "--out", str(tmp_path / "out")]) == 0
     assert hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest() == \
-        "42ae49fffe372f7da766582a800fbb6b281a54131a90970362f342a1aa84287b"
+        "611a47e003205ad324dad267b70b4f146e12489375f1dc873092e94c47e6ddf5"
 
 
 ALIVE = {
@@ -502,8 +503,7 @@ ALIVE = {
     "orthogonality": _tiny("orthogonality.json", **LADDER),
     "tightness-exact": _tiny("tightness.json", n=256, m_sceneries=100, n_omegas=3),
     "erdos-taylor": _tiny("erdos_taylor.json", **LADDER),
-    "transient-variance": _tiny("transient_3d.json", n=256, m_sceneries=20, n_omegas=3,
-                                k_max=10),
+    "transient-variance": _tiny("transient_3d.json", n=256, m_sceneries=20, n_omegas=3),
     "truncation-ladder-exact": _tiny("truncation_ladder.json", n=256, n_omegas=3),
     "variance-ladder-exact": _tiny("ma_degenerate_ladder.json", **LADDER),
 }

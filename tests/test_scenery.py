@@ -172,17 +172,16 @@ def test_asymptotic_variance_recurrent():
 
 
 def test_asymptotic_variance_transient(simple3d_model):
-    # the runner's series is sum_l a_l I(l), its tail I(0)'s tail times phi_f(0)
+    # the runner's limit is sum_l a_l I(l), the walk's spectral integral of phi_f
     ma = scenery.moving_average_scenery({(0, 0, 0): 1.0, (1, 0, 0): 0.5})
     density = scenery.spectral_density(ma, dimension=3)
-    lags = sorted(density.fourier)
-    green, tail = walk.green_series(simple3d_model, lags, 40)
     rep = harness.transient_variance_check(walk=simple3d_model, scenery=ma, n=256,
-                                           m_sceneries=10, n_omegas=2, k_max=40, seed=0)
-    assert rep.series_truncated == math.fsum(density.fourier[p] * green[p] for p in lags)
-    assert rep.tail_estimate == tail * 2.25 > 0.0
-    assert rep.series_value == rep.series_truncated + rep.tail_estimate
-    assert green[(0, 0, 0)] >= 1.0  # the k=0 indicator term alone contributes 1
+                                           m_sceneries=10, n_omegas=2, seed=0)
+    assert rep.series_value == walk.spectral_variance(simple3d_model, density.fourier)
+    # a_0 = 1.25 and a_{+-e1} = 0.5, with I(0) = 2 G(0) - 1 and I(e1) = 2 G(0) - 2
+    # for the simple walk's G(0) = 1.516386 (Watson 1939)
+    g0 = 1.516386
+    assert rep.series_value == pytest.approx(1.25 * (2 * g0 - 1) + (2 * g0 - 2), abs=1e-4)
 
 
 def test_variance_identity_exhaustive_tiny(lazy_model):

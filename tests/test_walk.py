@@ -94,7 +94,7 @@ def test_classification_by_rank_of_the_support():
     assert plane_3d.classification == walk.RECURRENT
     assert not plane_3d.effectively_transient and plane_3d.c0 is None
     with pytest.raises(ValueError):
-        walk.green_series(plane_3d, [(0, 0, 0)], 60)
+        walk.spectral_variance(plane_3d, {(0, 0, 0): 1.0})
     # a tilted plane and a line in higher dimensions
     assert model((1, 1, 0), (-1, -1, 0), (0, 1, 1), (0, -1, -1)).classification == walk.RECURRENT
     assert model((0, 0, 0, 2), (0, 0, 0, -2)).classification == walk.RECURRENT
@@ -235,46 +235,131 @@ def test_recurrent_walk_keeps_returning(lazy_model):
     assert late > early >= 20
 
 
-def test_green_series_deterministic_example():
-    m = walk.build_walk_model(walk.deterministic_law((1,)))
-    assert walk._convolution_budget(m, 10) <= walk._GREEN_BUDGET
-    values, tail = walk.green_series(m, [(1,), (10**6,)], 10)
-    assert values[(1,)] == pytest.approx(1.0)
-    assert values[(10**6,)] == 0.0
-    assert tail == 0.0  # a drifting walk has no local-limit tail
+def _model(*atoms):
+    return walk.build_walk_model(walk.increment_law(atoms))
 
 
-def test_green_series_rejects_recurrent(lazy_model):
+def _lag(l, a=1.0):
+    """The even Fourier table a at +-l, whose spectral variance is a I(l)."""
+    minus = tuple(-c for c in l)
+    return {l: a} if l == minus else {l: a / 2, minus: a / 2}
+
+
+def _convolution_variance(model, fourier, steps, width):
+    """sum_l a_l I(l) with I truncated after ``steps`` steps, from the k-fold
+    convolution on the box [-width, width]^d; mass leaving the box is dropped,
+    which a drifted walk's exponential tails make negligible."""
+    d = model.dimension
+    dist = np.zeros((2 * width + 1,) * d)
+    dist[(width,) * d] = 1.0
+    totals = {l: float(not any(l)) for l in fourier}
+    for _ in range(steps):
+        new = np.zeros_like(dist)
+        for site, p in zip(model.law.sites, model.law.probs):
+            src = tuple(slice(max(0, -c), 2 * width + 1 - max(0, c)) for c in site)
+            dst = tuple(slice(max(0, c), 2 * width + 1 - max(0, -c)) for c in site)
+            new[dst] += p * dist[src]
+        dist = new
+        for l in fourier:
+            totals[l] += dist[tuple(width + c for c in l)] + dist[tuple(width - c for c in l)]
+    return math.fsum(a * totals[l] for l, a in fourier.items())
+
+
+# I(0) = 2 G(0) - 1, with G(0) the expected number of visits to the origin:
+# 1.516386 for the simple walk in Z^3 (Watson 1939) and 1.239467 in Z^4
+def test_spectral_variance_simple3d_is_watsons_value(simple3d_model):
+    assert walk.spectral_variance(simple3d_model, {(0, 0, 0): 1.0}) == pytest.approx(
+        2.032772, abs=1e-4)
+
+
+def test_spectral_variance_simple4d():
+    model = walk.build_walk_model(walk.simple_walk_law(4))
+    assert walk.spectral_variance(model, {(0,) * 4: 1.0}) == pytest.approx(1.478934, abs=1e-4)
+
+
+def test_spectral_variance_integrates_on_the_walks_own_lattice(simple3d_model):
+    # +-(1,1,0), +-(1,0,1), +-(0,1,1) span an index-2 lattice; in its basis
+    # they are the simple walk's steps, so I is the simple walk's I at the
+    # lag's coordinates, and 0 off the lattice
+    fcc = _model(*((s, 1 / 6) for s in ((1, 1, 0), (-1, -1, 0), (1, 0, 1), (-1, 0, -1),
+                                         (0, 1, 1), (0, -1, -1))))
+    assert walk.hermite_lattice_index(fcc.law.sites, 3) == 2
+    for lag, simple_lag in (((0, 0, 0), (0, 0, 0)), ((1, 1, 0), (1, 0, 0))):
+        assert walk.spectral_variance(fcc, _lag(lag)) == pytest.approx(
+            walk.spectral_variance(simple3d_model, _lag(simple_lag)), abs=1e-5)
+    assert walk.spectral_variance(fcc, {(0, 0, 0): 1.0}) == pytest.approx(2.032772, abs=1e-4)
+    assert walk.spectral_variance(fcc, _lag((1, 0, 0))) == 0.0
+
+
+# drifted walks in Z^2 and Z^3, one drifting off every axis
+DRIFTED = {
+    "planar": ((((1, 0), 0.4), ((-1, 0), 0.1), ((0, 1), 0.25), ((0, -1), 0.25)), 2),
+    "planar-oblique": ((((1, 0), 0.4), ((0, 1), 0.3), ((-1, -1), 0.1), ((0, 0), 0.2)), 2),
+    "spatial": ((((1, 0, 0), 0.35), ((-1, 0, 0), 0.05), ((0, 1, 0), 0.15),
+                 ((0, -1, 0), 0.15), ((0, 0, 1), 0.15), ((0, 0, -1), 0.15)), 3),
+}
+
+
+@pytest.mark.parametrize("name", list(DRIFTED))
+def test_spectral_variance_of_drifted_walks_matches_a_convolution(name):
+    atoms, d = DRIFTED[name]
+    model = _model(*atoms)
+    e1, e2 = (tuple(int(i == j) for i in range(d)) for j in range(2))
+    fourier = {(0,) * d: 2.0, **_lag(e1, 1.0), **_lag(e2, -0.6),
+               **_lag(tuple(a + b for a, b in zip(e1, e2)), 0.4)}
+    assert walk.spectral_variance(model, fourier) == pytest.approx(
+        _convolution_variance(model, fourier, 300, 25), abs=1e-9)
+
+
+@pytest.mark.parametrize("p", [0.7, 0.2])
+def test_spectral_variance_of_a_rank_one_walk(p):
+    # I(0) = 2 / |p - q| - 1 for +-1 steps; the point mass of Re 1/(1 - Psi)
+    # at t = 0 alone is 1 / |p - q|, in Z and on a line of Z^2
+    for model in (_model(((1,), p), ((-1,), 1 - p)), _model(((1, 0), p), ((-1, 0), 1 - p))):
+        assert walk.spectral_variance(model, {(0,) * model.dimension: 1.0}) == pytest.approx(
+            2 / abs(2 * p - 1) - 1, abs=1e-8)
+    skew = _model(((3,), 0.5), ((-2,), 0.3), ((0,), 0.2))
+    fourier = {(0,): 1.0, **_lag((1,), 0.5), **_lag((5,), -0.25)}
+    assert walk.spectral_variance(skew, fourier) == pytest.approx(
+        _convolution_variance(skew, fourier, 400, 400), abs=1e-8)
+
+
+def test_spectral_variance_of_a_deterministic_walk():
+    # the walk steps s every time, so I(l) = 1 on Z s and 0 off it
+    model = walk.build_walk_model(walk.deterministic_law((2, 1)))
+    for lag in ((0, 0), (2, 1), (-6, -3), (20, 10)):
+        assert walk.spectral_variance(model, _lag(lag)) == pytest.approx(1.0, abs=1e-12)
+    for lag in ((1, 0), (4, 1), (1, 1)):
+        assert walk.spectral_variance(model, _lag(lag)) == 0.0
+
+
+def test_spectral_variance_rejects_recurrent(lazy_model):
     with pytest.raises(ValueError):
-        walk.green_series(lazy_model, [(0, 0)], 10)
+        walk.spectral_variance(lazy_model, {(0, 0): 1.0})
 
 
-def test_green_series_rejects_a_site_of_the_wrong_dimension(simple3d_model):
+def test_spectral_variance_rejects_a_lag_of_the_wrong_dimension(simple3d_model):
     with pytest.raises(ValueError, match="wrong dimension"):
-        walk.green_series(simple3d_model, [(0, 0, 0), (1, 0)], 10)
+        walk.spectral_variance(simple3d_model, {(0, 0, 0): 1.0, (1, 0): 0.0})
 
 
-def test_green_series_monte_carlo_agrees(simple3d_model):
-    exact, _ = walk.green_series(simple3d_model, [(0, 0, 0)], 20)
-    value, stderr = walk._green_monte_carlo(simple3d_model, (0, 0, 0), 20, 40000, 3)
-    assert abs(value - exact[(0, 0, 0)]) < 4 * stderr
+def test_vectorised_phi_and_density_match_their_points(lazy_model):
+    from rwscenery import scenery
 
-
-def test_green_series_past_the_budget_is_the_monte_carlo_series(simple3d_model, monkeypatch):
-    sites = [(0, 0, 0), (1, 0, 0)]
-    exact, tail = walk.green_series(simple3d_model, sites, 8)
-    monkeypatch.setattr(walk, "_GREEN_BUDGET", 0)
-    mc, mc_tail = walk.green_series(simple3d_model, sites, 8)
-    assert mc == {s: walk._green_monte_carlo(simple3d_model, s, 8, walk._GREEN_PATHS,
-                                             walk._GREEN_SEED)[0] for s in sites}
-    assert mc != exact and mc_tail == tail
-
-
-def test_green_series_table_matches_single(simple3d_model):
-    table, tail = walk.green_series(simple3d_model, [(0, 0, 0), (1, 0, 0)], 15)
-    single, single_tail = walk.green_series(simple3d_model, [(1, 0, 0)], 15)
-    assert table[(1, 0, 0)] == pytest.approx(single[(1, 0, 0)], abs=1e-15)
-    assert tail == single_tail
+    # a batch goes through a matrix product and a point through a vector
+    # product, so the two agree to roundoff
+    t = np.random.default_rng(5).random((4, 25, 2))
+    density = scenery.spectral_density(scenery.moving_average_scenery(
+        {(0, 0): 1.0, (1, 0): 0.5, (0, 1): -0.25}))
+    for fn in (lambda x: walk.phi_ratio(lazy_model, x), density.evaluate):
+        batch = fn(t)
+        assert batch.shape == (4, 25)
+        points = np.array([[fn(x) for x in row] for row in t])
+        assert isinstance(points[0, 0], float)
+        np.testing.assert_allclose(batch, points, rtol=1e-12, atol=1e-15)
+    m = walk.build_walk_model(walk.increment_law([((1,), 0.3), ((0,), 0.7)]))
+    with pytest.raises(walk.PolePointError):
+        walk.phi_ratio(m, np.array([[0.25], [0.0], [0.5]]))
 
 
 def _searchsorted_positions(model, n, seed):
@@ -353,37 +438,3 @@ def test_atom_scan_threshold(name, searched, monkeypatch):
     monkeypatch.setattr(np, "searchsorted", lambda *a, **k: calls.append(1) or search(*a, **k))
     walk.sample_path(walk.build_walk_model(_CUSTOM_LAWS[name]), 100, seed=1)
     assert bool(calls) is searched
-
-
-def _searchsorted_green_monte_carlo(model, site, k_max, m_paths, seed):
-    """walk._green_monte_carlo before the shared inverse CDF, verbatim."""
-    target = np.asarray(site, dtype=np.int64)
-    counts = np.zeros(m_paths, dtype=np.int64)
-    batch = max(1, int(2e7 // max(k_max, 1)))
-    done = 0
-    while done < m_paths:
-        b = min(batch, m_paths - done)
-        gen = philox_gen(derive_seed(seed, "green-mc", done))
-        u = gen.random((b, k_max))
-        cdf = np.cumsum(model.law.prob_array())
-        cdf[-1] = 1.0
-        idx = np.searchsorted(cdf, u, side="right")
-        steps = model.law.site_array()[idx]  # (b, k_max, d)
-        pos = np.cumsum(steps, axis=1)
-        hits = np.all(pos == target, axis=2) | np.all(pos == -target, axis=2)
-        if np.all(target == 0):
-            hits = np.all(pos == 0, axis=2)
-            counts[done:done + b] = 2 * hits.sum(axis=1)
-        else:
-            counts[done:done + b] = hits.sum(axis=1)
-        done += b
-    base = 1.0 if np.all(target == 0) else 0.0
-    mean = float(counts.mean())
-    stderr = float(counts.std(ddof=1) / math.sqrt(m_paths)) if m_paths > 1 else 0.0
-    return base + mean, stderr
-
-
-@pytest.mark.parametrize("site", [(0, 0, 0), (1, 0, 0)])
-def test_green_monte_carlo_matches_searchsorted_sampler(simple3d_model, site):
-    args = (simple3d_model, site, 20, 3000, 7)
-    assert walk._green_monte_carlo(*args) == _searchsorted_green_monte_carlo(*args)
