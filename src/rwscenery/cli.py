@@ -286,7 +286,7 @@ class Experiment(NamedTuple):
 
 
 _PLANAR = {"walk": harness.require_planar_recurrent}
-_FCLT_RULES = {**_PLANAR, "t_grid": harness.require_t_grid}
+_FCLT_RULES = {**_PLANAR, ("t_grid", "n"): harness.require_t_grid}
 
 
 EXPERIMENTS = {
@@ -316,7 +316,9 @@ EXPERIMENTS = {
                                 {"scenery": harness.require_associated,
                                  ("n", "m_sceneries"): harness.require_newman_wright_memory}),
     "moricz": Experiment("Moricz fourth-moment maximal bound with C_max = (1 - 2^-1/4)^-4",
-                         {**_PATH_VAR, "g0_kind": (lambda field, v: v, "self_intersection")},
+                         # the bound is checked on dyadic windows of k >= 8 steps
+                         {**_PATH_VAR, "n": _steps(8),
+                          "g0_kind": (lambda field, v: v, "self_intersection")},
                          "check_moricz", _moricz_tables,
                          {"scenery": harness.require_iid, "g0_kind": harness.require_g0_kind,
                           ("n", "m_sceneries"): harness.require_moricz_memory}),

@@ -108,9 +108,11 @@ require_iid = _rule(lambda s: isinstance(s, IIDScenery),
                     "exact fourth-moment verification needs an i.i.d. scenery")
 require_toral = _rule(lambda s: isinstance(s, scenery_mod.ToralScenery),
                       "truncation ladder applies to toral sceneries")
-require_t_grid = _rule(lambda g: len(g) > 0 and g[-1] == 1.0
-                       and all(a < b for a, b in zip((0.0, *g), g)),
-                       "t_grid must increase strictly within (0, 1] and end at 1.0")
+require_t_grid = _rule(  # (t_grid, n): window j is [floor(n t_{j-1}), floor(n t_j))
+    lambda g, n: len(g) > 0 and g[-1] == 1.0
+    and all(math.floor(n * a) < math.floor(n * b) for a, b in zip((0.0, *g), g)),
+    "t_grid must increase within (0, 1] and end at 1.0, and every window "
+    "[floor(n t_{j-1}), floor(n t_j)) must hold at least one of the n steps")
 require_windows = _rule(lambda w: len(w) == 4 and 0 < w[0] < w[1] < w[2] < w[3] < 1,
                         "windows need [A, B, C, D] with 0 < A < B < C < D < 1")
 require_g0_kind = _rule(lambda k: k in ("sqrt3k", "self_intersection"),
@@ -227,15 +229,16 @@ def run_fclt(*, walk: WalkModel, scenery: SceneryModel, n: int, t_grid,
     """
     require_planar_recurrent(walk)
     t_grid = tuple(float(t) for t in t_grid)
-    require_t_grid(t_grid)
+    require_t_grid(t_grid, n)
     edges = window_boundaries(n, t_grid)
+    widths = [b - a for a, b in zip(edges, edges[1:])]
     tol = FCLT_THRESHOLDS
     logn, c0 = math.log(n), walk.c0
     sigma2 = spectral_density(scenery, dimension=2).at_zero()
     degenerate = abs(sigma2) < 1e-12
 
     def omega(i, path_seed, path):
-        """The omega's statistics; the variances are still unscaled by C0."""
+        """The omega's statistics; Var(Y_n(1)) is scaled by C0 n log n."""
         *win_var, exact_var_y1 = quenched_variance(
             scenery, path, [*zip(edges, edges[1:]), (0, edges[-1])])
         inc = field_increments(scenery, path, t_grid, _x_seeds(seed, i, m_sceneries))
@@ -251,22 +254,19 @@ def run_fclt(*, walk: WalkModel, scenery: SceneryModel, n: int, t_grid,
                 corr = np.corrcoef(z, rowvar=False)
                 iu = np.triu_indices(z.shape[1], k=1)
                 offdiag = [float(c) for c in corr[iu]]
+        win_var = [float(v) for v in win_var]
         return OmegaFcltStats(
             omega_index=i, path_seed=path_seed, ks_stat=ks_stat, ks_pvalue=ks_p,
-            window_variance=[float(v) for v in win_var], variance_ratio=[],
+            window_variance=win_var,
+            variance_ratio=[float(v / (c0 * w * logn) if degenerate
+                                  else v / (c0 * w * logn * sigma2))
+                            for v, w in zip(win_var, widths)],
             offdiag=offdiag,
             offdiag_max=float(np.max(np.abs(offdiag))) if offdiag else 0.0,
-            exact_var_y1=float(exact_var_y1),
-            mc_var_y1=float(inc.sum(axis=1).var(ddof=1)))
+            exact_var_y1=float(exact_var_y1) / (c0 * n * logn),
+            mc_var_y1=float(inc.sum(axis=1).var(ddof=1)) / (c0 * n * logn))
 
     per_omega = _omega_pass(walk, n, n_omegas, seed, omega)
-    widths = [b - a for a, b in zip(edges, edges[1:])]
-    for o in per_omega:
-        o.exact_var_y1 /= c0 * n * logn
-        o.mc_var_y1 /= c0 * n * logn
-        o.variance_ratio = [float(v / (c0 * max(w, 1) * logn) if degenerate
-                                  else v / (c0 * w * logn * sigma2) if w else 0.0)
-                            for v, w in zip(o.window_variance, widths)]
 
     if degenerate:
         ks_pass = [0.0] * len(widths)
@@ -679,17 +679,16 @@ def estimate_tightness_modulus(*, walk: WalkModel, scenery: SceneryModel, n: int
     require_planar_recurrent(walk)
     grid = [(i + 1) / grid_points for i in range(grid_points)]
     deltas = sorted(float(d) for d in delta_ladder)
+    scale = math.sqrt(walk.c0 * n * math.log(n))
 
     def omega(i, path_seed, path):
-        """S at the grid points, (m, grid_points + 1), not yet scaled by C0."""
+        """Y_n at the grid points, (m, grid_points + 1)."""
         inc = field_increments(scenery, path, grid, _x_seeds(seed, i, m_sceneries))
-        return np.concatenate([np.zeros((inc.shape[0], 1)), np.cumsum(inc, axis=1)], axis=1)
+        return np.concatenate([np.zeros((inc.shape[0], 1)), np.cumsum(inc, axis=1)],
+                              axis=1) / scale
 
-    partial_sums = _omega_pass(walk, n, n_omegas, seed, omega)
-    scale = math.sqrt(walk.c0 * n * math.log(n))
     per_omega = {d: [] for d in deltas}
-    for unscaled in partial_sums:
-        y = unscaled / scale
+    for y in _omega_pass(walk, n, n_omegas, seed, omega):
         for d in deltas:
             w = max(1, int(round(d * grid_points)))
             mod = np.zeros(y.shape[0])

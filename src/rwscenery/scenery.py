@@ -195,14 +195,6 @@ class MovingAverageScenery:
         norm_coeffs = {tuple(int(c) for c in q): float(a) for q, a in self.coeffs.items()}
         object.__setattr__(self, "coeffs", norm_coeffs)
 
-    @property
-    def coeff_sum(self) -> float:
-        return math.fsum(self.coeffs.values())
-
-    @property
-    def degenerate(self) -> bool:
-        return abs(self.coeff_sum) < 1e-12
-
 
 @dataclass(frozen=True)
 class ToralScenery:
@@ -306,13 +298,6 @@ class SpectralDensity:
 
     def at_zero(self) -> float:
         return math.fsum(self.fourier.values())
-
-    def evaluate(self, t):
-        """sum_l a_l cos(2 pi <l, t>), an array for ``t`` of shape (..., d)."""
-        t = np.asarray(t, dtype=np.float64)
-        lags = np.array(list(self.fourier), dtype=np.float64).reshape(len(self.fourier), -1)
-        phi = np.cos(2.0 * np.pi * (t @ lags.T)) @ np.fromiter(self.fourier.values(), float)
-        return float(phi) if t.ndim == 1 else phi
 
 
 def toral_correlations(scenery: ToralScenery) -> dict:
@@ -584,6 +569,8 @@ def scenery_from_dict(doc: dict) -> SceneryModel:
         return IIDScenery(law=law_from_dict(doc["law"]))
     if variant == "moving_average":
         coeffs = {tuple(item["q"]): item["a"] for item in doc["coeffs"]}
+        if len(coeffs) < len(doc["coeffs"]):
+            raise ValueError("coeffs: a site q is listed more than once")
         return MovingAverageScenery(law=law_from_dict(doc["law"]), coeffs=coeffs)
     if variant == "toral":
         from .trigpoly import trig_from_list

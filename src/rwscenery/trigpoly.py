@@ -1,16 +1,15 @@
 """Real trigonometric polynomials on the rho-torus, indexed by frequency vectors.
 
 The zero frequency is excluded (observables are centered) and coefficients
-satisfy c_{-k} = conj(c_k) so values are real.  Evaluation is supported both
-at float points and at rational lattice points p/q via exact integer phases,
-which is what keeps iteration under hyperbolic matrices stable.
+satisfy c_{-k} = conj(c_k) so values are real.  The polynomial is a table of
+coefficients: the toral scenery evaluates it at rational lattice points p/q
+through exact integer phases (``scenery.site_values``), which is what keeps
+iteration under hyperbolic matrices stable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -43,12 +42,6 @@ class TrigPolynomial:
     def support(self) -> list:
         return sorted(self.coeffs)
 
-    def support_array(self) -> np.ndarray:
-        return np.asarray(self.support, dtype=np.int64)
-
-    def coeff_array(self) -> np.ndarray:
-        return np.asarray([self.coeffs[k] for k in self.support], dtype=np.complex128)
-
     def norm_c(self) -> float:
         """||f||_c = sum |c_k| (absolutely convergent by finiteness)."""
         return float(sum(abs(c) for c in self.coeffs.values()))
@@ -56,30 +49,6 @@ class TrigPolynomial:
     def norm_l2_sq(self) -> float:
         """||f||_2^2 = sum |c_k|^2 (Parseval)."""
         return float(sum(abs(c) ** 2 for c in self.coeffs.values()))
-
-    def evaluate(self, x) -> float:
-        """f(x) at a float point of the torus."""
-        x = np.asarray(x, dtype=np.float64)
-        phases = self.support_array() @ x
-        return float(np.real(np.sum(self.coeff_array() * np.exp(2j * np.pi * phases))))
-
-    def evaluate_lattice(self, p: np.ndarray, q: int) -> np.ndarray:
-        """f(p/q) at integer points, phases reduced mod q exactly.
-
-        ``p`` has shape (..., rho) with entries in [0, q); uint64 arithmetic
-        is exact because q < 2^31.
-        """
-        p = np.asarray(p, dtype=np.uint64)
-        ks = self.support_array()
-        cs = self.coeff_array()
-        qq = np.uint64(q)
-        kmod = np.mod(ks, q).astype(np.uint64)
-        phase = np.zeros(p.shape[:-1] + (len(ks),), dtype=np.uint64)
-        for j in range(self.rho):
-            phase = (phase + kmod[:, j] * p[..., j:j + 1]) % qq
-        angles = phase.astype(np.float64) * (2.0 * np.pi / q)
-        vals = np.cos(angles) @ cs.real - np.sin(angles) @ cs.imag
-        return vals
 
     def half_support(self) -> list:
         """(k, c_k) for one frequency k of each conjugate pair, in support order."""
@@ -103,7 +72,10 @@ class TrigPolynomial:
 
 
 def trig_from_list(items) -> TrigPolynomial:
-    return TrigPolynomial({tuple(k): complex(re, im) for k, re, im in items})
+    coeffs = {tuple(k): complex(re, im) for k, re, im in items}
+    if len(coeffs) < len(items):
+        raise ValueError("poly: a frequency k is listed more than once")
+    return TrigPolynomial(coeffs)
 
 
 def cosine_polynomial(freqs, amplitudes=None) -> TrigPolynomial:

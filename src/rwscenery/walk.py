@@ -1,4 +1,4 @@
-"""Lattice random-walk models on Z^d: analytic functions, classification, sampling.
+"""Lattice random-walk models on Z^d: classification, sampling, spectral variance.
 
 A model is built from a finite increment law.  Derived data: mean and
 covariance of one step, the index r of the lattice L that the support
@@ -37,10 +37,6 @@ TRANSIENT = "transient"
 DETERMINISTIC = "deterministic"
 
 MAX_STEPS = 2**31  # counts fit int64: V_n <= n^2 <= 2^62
-
-
-class PolePointError(ValueError):
-    """Raised when Phi is evaluated at a point where Psi equals 1."""
 
 
 @dataclass(frozen=True)
@@ -217,33 +213,6 @@ def build_walk_model(law: IncrementLaw) -> WalkModel:
     )
 
 
-def characteristic_fn(model: WalkModel, t) -> complex:
-    """Psi(t) = sum_l nu(l) exp(2 pi i <l, t>), t a point of the d-torus.
-
-    Vectorizes over a trailing batch of points: ``t`` of shape (..., d)
-    returns an array of shape (...).
-    """
-    t = np.asarray(t, dtype=np.float64)
-    psi = np.exp(2j * np.pi * (t @ model.law.site_array().T)) @ model.law.prob_array()
-    return complex(psi) if t.ndim == 1 else psi
-
-
-def phi_ratio(model: WalkModel, t):
-    """Phi(t) = (1 - |Psi|^2) / |1 - Psi|^2, nonnegative, zero iff |Psi| = 1.
-
-    |Psi|^2 carries float roundoff of order 1e-16, so numerators below 1e-13
-    snap to exactly zero (the deterministic walk has |Psi| identically 1 and
-    must report 0, not dust).  Vectorizes as ``characteristic_fn`` does.
-    """
-    psi = characteristic_fn(model, t)
-    denom = np.abs(1.0 - psi) ** 2
-    if np.any(denom < 1e-28):
-        raise PolePointError(f"Psi(t) = 1 at a point of {t}; Phi has a pole there")
-    num = 1.0 - np.abs(psi) ** 2
-    phi = np.where(num < 1e-13, 0.0, num / denom)
-    return float(phi) if phi.ndim == 0 else phi
-
-
 # the finest outer grid has n^(r-1) >= 2^_GRID_LOG2 points, in slabs of _SLAB_POINTS
 _GRID_LOG2 = 16
 _SLAB_POINTS = 2**14
@@ -271,12 +240,14 @@ def spectral_variance(model: WalkModel, fourier: dict) -> float:
     ``fourier`` (l -> a_l), I(l) = 1_{l=0} + sum_{k>=1} P(Z_k = +-l).
 
     In a basis of the lattice L its atoms span, of rank r, I(l) = 0 off L and
-    int_{T^r} cos(2 pi <l, t>) Phi(t) dt on L (Spitzer, Principles of Random
-    Walk, ch. II).  The coordinate s of largest drift is integrated exactly by
-    residues in z = exp(2 pi i s), since for a drifted walk Phi has a ridge
-    along <m, t> = 0 (m the mean step) that no product grid resolves.  The
-    other r - 1 take a half-offset midpoint rule at grid sizes n/4, n/2, n and
-    one Aitken step: the grid error's power of the step depends on the walk."""
+    int_{T^r} cos(2 pi <l, t>) Phi(t) dt on L, with Phi = (1 - |Psi|^2) /
+    |1 - Psi|^2 and Psi(t) = sum_x nu(x) e(<x, t>) the characteristic function
+    of one step (Spitzer, Principles of Random Walk, ch. II).  The coordinate
+    s of largest drift is integrated exactly by residues in z = exp(2 pi i s),
+    since for a drifted walk Phi has a ridge along <m, t> = 0 (m the mean
+    step) that no product grid resolves.  The other r - 1 take a half-offset
+    midpoint rule at grid sizes n/4, n/2, n and one Aitken step: the grid
+    error's power of the step depends on the walk."""
     if not model.effectively_transient:
         raise ValueError("spectral_variance needs a transient walk; the series diverges otherwise")
     d = model.dimension

@@ -107,6 +107,16 @@ DIMENSION_MISMATCH = [
          scenery=MIXED_MA),
 ]
 
+FCLT_MA, FCLT_TORAL = cli.load_fixture("fclt_ma.json"), cli.load_fixture("fclt_toral.json")
+# a moving-average site q or a toral frequency k listed twice: the dict of
+# coefficients would keep only the last one
+REPEATED = [
+    dict(FCLT_MA, scenery=dict(FCLT_MA["scenery"], coeffs=[{"q": [0, 0], "a": 1.0},
+                                                            {"q": [0, 0], "a": 3.0}])),
+    dict(FCLT_TORAL, scenery=dict(FCLT_TORAL["scenery"],
+                                  poly=FCLT_TORAL["scenery"]["poly"] * 2)),
+]
+
 
 # configs that would crash at run time (or, for an empty list, run a vacuous
 # check): `validate` must reject each one, naming the bad field
@@ -170,17 +180,29 @@ REJECTED = [
     (dict(PATH_CHECK, experiment="moricz", n=200000), "n"),
     (dict(PATH_CHECK, n=MAX_STEPS, m_sceneries=1000), "n"),
     *((doc, "scenery") for doc in DIMENSION_MISMATCH),
+    *((doc, "scenery") for doc in REPEATED),
+    # an empty first window [0, 0): its standardised column is all zeros, and
+    # its correlations would be NaN in report.json
+    (dict(cli.load_fixture("fclt_iid.json"), n=8, t_grid=[0.1, 0.5, 1.0], n_omegas=2,
+          m_sceneries=100), "t_grid"),
+    # no dyadic window of k >= 8 steps: nothing would be checked, and the worst
+    # margin would read Infinity
+    (dict(cli.load_fixture("moricz_walk.json"), n=4, m_sceneries=10), "n"),
 ]
 
 
 def _rejected_id(doc, field):
     """experiment:field, and the preset of a walk that the runner's rule rejects,
     the toral constant that the scenery rejects, a scenery of another dimension
-    than the walk, an n_omegas below its bound or an n whose buffers exceed
-    memory."""
+    than the walk or with a repeated site or frequency, an n_omegas below its
+    bound, or an n below its bound or whose buffers exceed memory."""
     extra = None
     if any(doc is d for d in DIMENSION_MISMATCH):
         extra = f"dimension-{doc['scenery']['variant']}"
+    elif any(doc is d for d in REPEATED):
+        extra = f"repeated-{doc['scenery']['variant']}"
+    elif field == "n" and doc[field] < 8:
+        extra = doc[field]
     elif field == "n" and doc[field] <= MAX_STEPS:
         extra = "memory"
     elif field == "walk":

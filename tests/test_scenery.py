@@ -63,10 +63,11 @@ def test_gaussian_partial_moments_vs_quadrature():
 
 
 def test_ma_flags():
+    # the runners judge degeneracy by sigma^2 = phi_f(0) = Var X (sum_q a_q)^2
     ma = scenery.moving_average_scenery({(0, 0): 1.0, (1, 0): 1.0})
-    assert not ma.degenerate and ma.coeff_sum == 2.0
+    assert scenery.spectral_density(ma).at_zero() == 4.0
     deg = scenery.moving_average_scenery({(0, 0): 1.0, (1, 0): -1.0})
-    assert deg.degenerate
+    assert scenery.spectral_density(deg).at_zero() == 0.0
 
 
 def test_association_certificates(sl3_pair, four_term_poly):
@@ -84,12 +85,20 @@ def test_spectral_density_ma():
     ma = scenery.moving_average_scenery({(0, 0): 1.0, (1, 0): 1.0})
     sd = scenery.spectral_density(ma)
     assert sd.at_zero() == pytest.approx(4.0)
-    assert sd.evaluate((0.0, 0.0)) == pytest.approx(4.0)
+    # phi(t) = 2 + 2 cos(2 pi t_1): a_0 = 2 and a_{+-e1} = 1
+    assert sd.fourier == {(0, 0): 2.0, (1, 0): 1.0, (-1, 0): 1.0}
+    assert _density(sd, (0.0, 0.0)) == pytest.approx(4.0)
     t1 = 0.3
-    assert sd.evaluate((t1, 0.0)) == pytest.approx(2 + 2 * math.cos(2 * math.pi * t1))
+    assert _density(sd, (t1, 0.0)) == pytest.approx(2 + 2 * math.cos(2 * math.pi * t1))
     # |sum a_q e(...)|^2 is nonnegative on a grid
     for t in np.linspace(0, 1, 23):
-        assert sd.evaluate((t, 0.17)) >= -1e-9
+        assert _density(sd, (t, 0.17)) >= -1e-9
+
+
+def _density(sd, t) -> float:
+    """phi(t) = sum_l a_l cos(2 pi <l, t>) of a spectral table."""
+    return sum(a * math.cos(2 * math.pi * sum(x * y for x, y in zip(lag, t)))
+               for lag, a in sd.fourier.items())
 
 
 def test_spectral_density_toral_single_character(sl3_pair):
@@ -102,7 +111,7 @@ def test_spectral_density_toral_single_character(sl3_pair):
 def test_spectral_density_toral_nonnegative_on_grid(toral):
     sd = scenery.spectral_density(toral)
     for t in np.linspace(0, 1, 17):
-        assert sd.evaluate((t, 0.31)) >= -1e-9
+        assert _density(sd, (t, 0.31)) >= -1e-9
 
 
 def test_orbit_exit_guard(sl3_pair, four_term_poly):
@@ -503,19 +512,14 @@ def test_toral_values_exact_at_rho_4(companion_pair):
 
 
 def test_toral_empirical_correlation_matches_table(sl3_pair, toral):
-    # a_l = <A^l f, f> against a lattice Monte Carlo estimate
-    f = toral.poly
-    q = toral.q_mod
-    gen = np.random.default_rng(7)
-    pts = gen.integers(0, q, size=(20000, 3), dtype=np.uint64)
-    v0 = f.evaluate_lattice(pts, q)
-    for ell in [(0, 0), (1, 0), (2, -1)]:
-        m = np.asarray(algebra.mat_pow_pair(sl3_pair, ell), dtype=object)
-        moved = (pts.astype(object) @ m.T.astype(object)) % q
-        vl = f.evaluate_lattice(moved.astype(np.uint64), q)
-        prod = vl * v0
+    # a_l = <A^l f, f> against a Monte Carlo estimate over 20000 scenery
+    # points x, with f(A^l x) from the toral kernel
+    ells = [(0, 0), (1, 0), (2, -1)]
+    vals = scenery.site_values(toral, np.array(ells, dtype=np.int64))(range(20000))
+    for j, ell in enumerate(ells):
+        prod = vals[:, j] * vals[:, 0]
         se = float(prod.std(ddof=1) / math.sqrt(len(prod)))
-        expect = algebra.toral_correlation(sl3_pair, f, ell)
+        expect = algebra.toral_correlation(sl3_pair, toral.poly, ell)
         assert abs(float(prod.mean()) - expect) < 4 * se + 1e-9
 
 

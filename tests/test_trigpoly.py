@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from rwscenery import trigpoly
@@ -19,22 +18,6 @@ def test_norms_and_moments(four_term_poly):
     f = four_term_poly
     assert f.norm_c() == pytest.approx(2.0)
     assert f.norm_l2_sq() == pytest.approx(1.0)
-
-
-def test_evaluate_matches_cosines(four_term_poly):
-    x = (0.13, 0.72, 0.4)
-    expect = np.cos(2 * np.pi * 0.13) + np.cos(2 * np.pi * 0.72)
-    assert four_term_poly.evaluate(x) == pytest.approx(expect, abs=1e-12)
-
-
-def test_lattice_evaluation_matches_float(four_term_poly):
-    q = 2**31 - 1
-    gen = np.random.default_rng(0)
-    p = gen.integers(0, q, size=(20, 3), dtype=np.uint64)
-    lattice_vals = four_term_poly.evaluate_lattice(p, q)
-    for row, lv in zip(p, lattice_vals):
-        assert lv == pytest.approx(four_term_poly.evaluate(row.astype(float) / q),
-                                   abs=1e-9)
 
 
 def test_truncate_keeps_largest_pairs():

@@ -112,75 +112,6 @@ def test_hermite_lattice_index():
     assert walk.hermite_lattice_index([(1, 1)], 2) == 0  # rank deficient
 
 
-def test_characteristic_fn_simple_walk(simple2d_model):
-    t = (0.3, 0.7)
-    psi = walk.characteristic_fn(simple2d_model, t)
-    expect = (math.cos(2 * math.pi * 0.3) + math.cos(2 * math.pi * 0.7)) / 2.0
-    assert psi == pytest.approx(expect, abs=1e-14)
-    assert walk.characteristic_fn(simple2d_model, (0.0, 0.0)) == pytest.approx(1.0)
-
-
-def test_characteristic_fn_deterministic_has_unit_modulus():
-    m = walk.build_walk_model(walk.deterministic_law((1, 0)))
-    for t in [(0.1, 0.9), (0.37, 0.2), (1 / 3, 0.0)]:
-        psi = walk.characteristic_fn(m, t)
-        assert abs(abs(psi) - 1.0) < 1e-14
-        assert psi == pytest.approx(np.exp(2j * np.pi * t[0]))
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=25, deadline=None)
-def test_psi_bounds_and_conjugation(seed):
-    gen = np.random.default_rng(seed)
-    k = int(gen.integers(2, 6))
-    sites = set()
-    while len(sites) < k:
-        sites.add(tuple(int(x) for x in gen.integers(-3, 4, size=2)))
-    probs = gen.random(k)
-    probs /= probs.sum()
-    m = walk.build_walk_model(walk.increment_law(list(zip(sites, probs / probs.sum()))))
-    t = gen.random(2)
-    psi = walk.characteristic_fn(m, t)
-    assert abs(psi) <= 1.0 + 1e-12
-    assert walk.characteristic_fn(m, -t) == pytest.approx(psi.conjugate(), abs=1e-12)
-
-
-def test_phi_identity_on_grid(lazy_model):
-    # Phi |1 - Psi|^2 + |Psi|^2 = 1 pointwise
-    grid = np.linspace(0.05, 0.95, 7)
-    for t1 in grid:
-        for t2 in grid:
-            psi = walk.characteristic_fn(lazy_model, (t1, t2))
-            phi = walk.phi_ratio(lazy_model, (t1, t2))
-            assert phi * abs(1 - psi) ** 2 + abs(psi) ** 2 == pytest.approx(1.0, abs=1e-12)
-
-
-def test_phi_examples_and_pole():
-    det = walk.build_walk_model(walk.deterministic_law((1, 0)))
-    assert walk.phi_ratio(det, (1 / 3, 0.0)) == 0.0
-    p = 0.3
-    m = walk.build_walk_model(walk.increment_law([((1,), p), ((0,), 1 - p)]))
-    assert walk.phi_ratio(m, (0.5,)) == pytest.approx((1 - p) / p, rel=1e-12)
-    with pytest.raises(walk.PolePointError):
-        walk.phi_ratio(m, (0.0,))
-
-
-def test_phi_vanishes_on_difference_lattice_annulator(simple2d_model):
-    # the simple walk's difference lattice misses the odd sublattice, so
-    # the annulator contains (1/2, 1/2) and Phi vanishes there
-    assert walk.phi_ratio(simple2d_model, (0.5, 0.5)) == 0.0
-    assert walk.phi_ratio(simple2d_model, (0.5, 0.25)) > 0.0
-
-
-def test_phi_positive_off_zero_set(lazy_model):
-    gen = np.random.default_rng(3)
-    for _ in range(50):
-        t = gen.random(2)
-        if min(t.min(), (1 - t).min()) < 0.02:
-            continue
-        assert walk.phi_ratio(lazy_model, t) > 0.0
-
-
 def test_sample_path_basics(lazy_model):
     p1 = walk.sample_path(lazy_model, 1, seed=5)
     assert p1.positions.shape == (1, 2)
@@ -333,6 +264,15 @@ def test_spectral_variance_of_a_deterministic_walk():
         assert walk.spectral_variance(model, _lag(lag)) == 0.0
 
 
+def test_pilot_transient_observation_is_the_spectral_variance(simple3d_model, tolerances):
+    # the recorded simple3d observation is the runner's sigma^2 for an i.i.d.
+    # unit-variance scenery, sum_l a_l I(l) = I(0)
+    sigma2 = walk.spectral_variance(simple3d_model, {(0, 0, 0): 1.0})
+    observed = tolerances["pilot_observations"]
+    assert abs(observed["transient_series_i0"] - sigma2) <= 1e-12
+    assert abs(observed["transient"]["series"] - sigma2) <= 1e-12
+
+
 def test_spectral_variance_rejects_recurrent(lazy_model):
     with pytest.raises(ValueError):
         walk.spectral_variance(lazy_model, {(0, 0): 1.0})
@@ -341,25 +281,6 @@ def test_spectral_variance_rejects_recurrent(lazy_model):
 def test_spectral_variance_rejects_a_lag_of_the_wrong_dimension(simple3d_model):
     with pytest.raises(ValueError, match="wrong dimension"):
         walk.spectral_variance(simple3d_model, {(0, 0, 0): 1.0, (1, 0): 0.0})
-
-
-def test_vectorised_phi_and_density_match_their_points(lazy_model):
-    from rwscenery import scenery
-
-    # a batch goes through a matrix product and a point through a vector
-    # product, so the two agree to roundoff
-    t = np.random.default_rng(5).random((4, 25, 2))
-    density = scenery.spectral_density(scenery.moving_average_scenery(
-        {(0, 0): 1.0, (1, 0): 0.5, (0, 1): -0.25}))
-    for fn in (lambda x: walk.phi_ratio(lazy_model, x), density.evaluate):
-        batch = fn(t)
-        assert batch.shape == (4, 25)
-        points = np.array([[fn(x) for x in row] for row in t])
-        assert isinstance(points[0, 0], float)
-        np.testing.assert_allclose(batch, points, rtol=1e-12, atol=1e-15)
-    m = walk.build_walk_model(walk.increment_law([((1,), 0.3), ((0,), 0.7)]))
-    with pytest.raises(walk.PolePointError):
-        walk.phi_ratio(m, np.array([[0.25], [0.0], [0.5]]))
 
 
 def _searchsorted_positions(model, n, seed):
