@@ -6,8 +6,8 @@ cost manageable.  Provides
 
 * powers A^l = A1^{l1} A2^{l2} (negative exponents via the integer inverse),
 * the total-ergodicity check on a box (no root-of-unity eigenvalue of A^l,
-  decided by exact divisibility of the characteristic polynomial by
-  cyclotomic polynomials),
+  decided by one exact determinant, det((A^l)^N - I) != 0 with
+  N = lcm{n : phi(n) <= rho}),
 * the dual (transpose) action on frequency vectors, exact correlations
   <A^l f, f> by character matching, exact joint moments of transported
   observables, and
@@ -26,6 +26,7 @@ import numpy as np
 
 from .cumulant import joint_cumulant
 from .trigpoly import TrigPolynomial
+from .walk import lattice_point
 
 # ---------------------------------------------------------------------------
 # integer matrices as tuples of tuples
@@ -85,115 +86,40 @@ def mat_inverse_unimodular(a: tuple) -> tuple:
 
 
 def mat_tuplify(rows) -> tuple:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    """Integer matrix rows as tuples of ints; a non-integer entry is refused."""
+    return tuple(lattice_point(row) for row in rows)
 
 
-# ---------------------------------------------------------------------------
-# exact characteristic polynomials and cyclotomic divisibility
+_UNIT_ROOT_EXPONENT = (2, 12, 12, 120, 120, 2520)  # lcm{n : phi(n) <= rho}, rho = 1..6
 
 
-def _poly_trim(p):
-    while len(p) > 1 and p[-1] == 0:
-        p = p[:-1]
-    return p
-
-
-def _poly_mul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return _poly_trim(out)
-
-
-def _poly_divmod_monic(p, q):
-    """Exact division by a monic integer polynomial; returns (quot, rem)."""
-    assert q[-1] == 1
-    p = list(p)
-    dq = len(q) - 1
-    quot = [0] * max(1, len(p) - dq)
-    for i in range(len(p) - 1, dq - 1, -1):
-        c = p[i]
-        if c:
-            quot[i - dq] = c
-            for j, b in enumerate(q):
-                p[i - dq + j] -= c * b
-    return _poly_trim(quot), _poly_trim(p)
-
-
-def char_poly(a: tuple) -> list:
-    """Characteristic polynomial det(xI - A), exact integer coefficients.
-
-    Cofactor expansion over the polynomial ring; fine for the small rho
-    used here (guarded at rho <= 6).
-    """
-    n = len(a)
-    if n > 6:
-        raise ValueError("char_poly supports rho <= 6")
-    entries = [[[-a[i][j], 1] if i == j else [-a[i][j]] for j in range(n)] for i in range(n)]
-
-    def det(rows, cols):
-        if len(rows) == 1:
-            return entries[rows[0]][cols[0]]
-        total = [0]
-        r = rows[0]
-        for pos, c in enumerate(cols):
-            term = _poly_mul(entries[r][c], det(rows[1:], cols[:pos] + cols[pos + 1:]))
-            if pos % 2:
-                term = [-x for x in term]
-            total = [x + y for x, y in zip(total + [0] * (len(term) - len(total)),
-                                           term + [0] * (len(total) - len(term)))]
-        return _poly_trim(total)
-
-    return det(tuple(range(n)), tuple(range(n)))
-
-
-@lru_cache(maxsize=None)
-def cyclotomic(n: int) -> tuple:
-    """Phi_n(x) by exact division of x^n - 1 by the lower cyclotomics."""
-    p = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            q, r = _poly_divmod_monic(p, cyclotomic(d))
-            assert r == [0]
-            p = list(q)
-    return tuple(p)
-
-
-def _euler_phi(n: int) -> int:
-    out = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out -= out // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out -= out // m
+def mat_power(a: tuple, k: int) -> tuple:
+    """A^k for k >= 0, exact, by repeated squaring (high bit first)."""
+    out = mat_identity(len(a))
+    for bit in bin(k)[2:]:
+        out = mat_mul(out, out)
+        if bit == "1":
+            out = mat_mul(out, a)
     return out
 
 
-def cyclotomic_indices(rho: int) -> list:
-    """All n with euler_phi(n) <= rho (candidate orders of unit-root eigenvalues)."""
-    return [n for n in range(1, 2 * rho * rho + 3) if _euler_phi(n) <= rho]
-
-
 def has_root_of_unity_eigenvalue(a: tuple) -> bool:
-    """True iff some cyclotomic Phi_n divides char_poly(A).
+    """True iff some eigenvalue of the integer matrix A is a root of unity,
+    decided exactly as det(A^N - I) == 0 with N = lcm{n : phi(n) <= rho}.
 
-    Phi_n is irreducible over Q, so a nontrivial gcd with the characteristic
-    polynomial is the same as divisibility, and an eigenvalue that is a root
-    of unity has a minimal polynomial Phi_n with phi(n) <= rho.
+    If an eigenvalue lambda is a root of unity of order n, its minimal
+    polynomial over Q is the cyclotomic Phi_n, of degree phi(n), which divides
+    the characteristic polynomial of A; so phi(n) <= rho, n divides N, and
+    lambda^N = 1 is an eigenvalue of A^N.  Conversely the eigenvalues of A^N
+    are the N-th powers of those of A, so a singular A^N - I has an
+    eigenvalue with lambda^N = 1.
     """
-    cp = char_poly(a)
-    for n in cyclotomic_indices(len(a)):
-        _, rem = _poly_divmod_monic(cp, cyclotomic(n))
-        if rem == [0]:
-            return True
-    return False
+    rho = len(a)
+    if not 1 <= rho <= len(_UNIT_ROOT_EXPONENT):
+        raise ValueError(f"rho = {rho}: the root-of-unity test supports 1 <= rho <= 6")
+    p = mat_power(a, _UNIT_ROOT_EXPONENT[rho - 1])
+    return mat_det(tuple(tuple(x - (i == j) for j, x in enumerate(row))
+                         for i, row in enumerate(p))) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +142,8 @@ class MatrixPair:
 def matrix_pair(a1, a2) -> MatrixPair:
     a1 = mat_tuplify(a1)
     a2 = mat_tuplify(a2)
-    if len(a1) != len(a2) or any(len(r) != len(a1) for r in a1 + a2):
-        raise ValueError("matrices must be square of equal size")
+    if not a1 or len(a1) != len(a2) or any(len(r) != len(a1) for r in a1 + a2):
+        raise ValueError("matrices must be nonempty, square and of equal size")
     if mat_det(a1) not in (1, -1) or mat_det(a2) not in (1, -1):
         raise ValueError("matrices must be unimodular (|det| = 1)")
     if mat_mul(a1, a2) != mat_mul(a2, a1):
@@ -258,37 +184,26 @@ def mat_pow_pair(pair: MatrixPair, ell) -> tuple:
 
 @dataclass
 class PairReport:
-    commutes: bool
-    unimodular: bool
     box: int
     per_ell: dict            # (l1, l2) -> True when no unit-root eigenvalue
     all_pass: bool
-    generator_eigen_moduli: dict  # float screen only; exactness comes from per_ell
 
 
 def check_pair(pair: MatrixPair, box: int) -> PairReport:
-    """Verify commutation/unimodularity exactly and total ergodicity on a box.
-
-    For every 0 != l with |l|_inf <= box, checks that char_poly(A^l) is not
-    divisible by any cyclotomic Phi_n with phi(n) <= rho.  The full property
-    is undecidable by box search; callers get "verified up to box".
+    """Total ergodicity on a box: for every 0 != l with |l|_inf <= box, A^l
+    has no root-of-unity eigenvalue.  ``matrix_pair`` already guarantees
+    commutation and unimodularity.  A^-l has the reciprocal eigenvalues of
+    A^l, so each +-l is tested once.  The full property is undecidable by
+    box search; callers get "verified up to box".
     """
-    commutes = mat_mul(pair.a1, pair.a2) == mat_mul(pair.a2, pair.a1)
-    unimodular = mat_det(pair.a1) in (1, -1) and mat_det(pair.a2) in (1, -1)
-    if not (commutes and unimodular):
-        raise ValueError("matrix pair fails commutation or unimodularity")
     per_ell = {}
     for ell in itertools.product(range(-box, box + 1), repeat=2):
         if ell == (0, 0):
             continue
-        per_ell[ell] = not has_root_of_unity_eigenvalue(mat_pow_pair(pair, ell))
-    moduli = {}
-    for name, m in (("a1", pair.a1), ("a2", pair.a2)):
-        eig = np.linalg.eigvals(np.asarray(m, dtype=np.float64))
-        moduli[name] = sorted(float(abs(z)) for z in eig)
-    return PairReport(commutes=commutes, unimodular=unimodular, box=box,
-                      per_ell=per_ell, all_pass=all(per_ell.values()),
-                      generator_eigen_moduli=moduli)
+        known = per_ell.get((-ell[0], -ell[1]))
+        per_ell[ell] = (not has_root_of_unity_eigenvalue(mat_pow_pair(pair, ell))
+                        if known is None else known)
+    return PairReport(box=box, per_ell=per_ell, all_pass=all(per_ell.values()))
 
 
 def dual_orbit(pair: MatrixPair, k, ell) -> tuple:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .walk import lattice_point
+
 
 @dataclass(frozen=True)
 class TrigPolynomial:
@@ -26,7 +28,7 @@ class TrigPolynomial:
         object.__setattr__(self, "rho", rho)
         norm = {}
         for k, c in self.coeffs.items():
-            k = tuple(int(x) for x in k)
+            k = lattice_point(k)
             if len(k) != rho:
                 raise ValueError("inconsistent frequency dimensions")
             if all(x == 0 for x in k):
@@ -83,7 +85,7 @@ def cosine_polynomial(freqs, amplitudes=None) -> TrigPolynomial:
     coeffs = {}
     for j, k in enumerate(freqs):
         a = 1.0 if amplitudes is None else float(amplitudes[j])
-        k = tuple(int(x) for x in k)
+        k = lattice_point(k)
         mk = tuple(-x for x in k)
         coeffs[k] = coeffs.get(k, 0.0) + a / 2.0
         coeffs[mk] = coeffs.get(mk, 0.0) + a / 2.0

@@ -25,6 +25,7 @@ step for laws of at most 256 atoms; its positions are derived on demand.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -54,6 +55,18 @@ class IncrementLaw:
         return np.asarray(self.probs, dtype=np.float64)
 
 
+def lattice_point(coords) -> tuple:
+    """``coords`` as a tuple of Python ints.  A coordinate that is not an
+    integer (a float, a string, or a bool, which JSON spells true/false) is
+    refused rather than truncated, which would move the point and could merge
+    two points into one."""
+    coords = tuple(coords)
+    for c in coords:
+        if not isinstance(c, numbers.Integral) or isinstance(c, bool):
+            raise ValueError(f"{coords!r}: coordinate {c!r} is not an integer")
+    return tuple(int(c) for c in coords)
+
+
 def increment_law(atoms: Sequence, dimension: Optional[int] = None) -> IncrementLaw:
     """Validate and freeze an atom list ``[(site, prob), ...]``.
 
@@ -65,7 +78,7 @@ def increment_law(atoms: Sequence, dimension: Optional[int] = None) -> Increment
     sites = []
     probs = []
     for site, prob in atoms:
-        site = tuple(int(c) for c in (site if isinstance(site, (tuple, list, np.ndarray)) else (site,)))
+        site = lattice_point(site if isinstance(site, (tuple, list, np.ndarray)) else (site,))
         if dimension is None:
             dimension = len(site)
         if len(site) != dimension:
@@ -192,7 +205,7 @@ def build_walk_model(law: IncrementLaw) -> WalkModel:
     centered = bool(np.all(np.abs(mean) <= 1e-12))
     if len(law.sites) == 1:
         classification = DETERMINISTIC
-    elif centered and np.linalg.matrix_rank(sites) <= 2:
+    elif centered and len(_lattice_basis(law.sites, d)) <= 2:
         # a centered walk is recurrent iff its support spans at most a plane
         classification = RECURRENT
     else:

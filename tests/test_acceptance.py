@@ -348,8 +348,10 @@ def test_criterion_9_inequalities(tol):
 
 def test_criterion_10_algebra(sl3_pair, four_term_poly):
     rep = algebra.check_pair(sl3_pair, 6)
-    pair_ok = rep.commutes and rep.unimodular and rep.all_pass \
-        and len(rep.per_ell) == 13 * 13 - 1
+    a1, a2 = sl3_pair.a1, sl3_pair.a2
+    pair_ok = (algebra.mat_mul(a1, a2) == algebra.mat_mul(a2, a1)
+               and {algebra.mat_det(a1), algebra.mat_det(a2)} <= {1, -1}
+               and rep.all_pass and len(rep.per_ell) == 13 * 13 - 1)
 
     m4, nonzero = algebra.find_cumulant_radius(sl3_pair, four_term_poly, scan=2)
     gen = np.random.default_rng(20260810)

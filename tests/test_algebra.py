@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -30,16 +31,55 @@ def test_mat_helpers():
         algebra.mat_inverse_unimodular(a)
 
 
-def test_char_poly_and_cyclotomics():
-    assert algebra.char_poly(((2, 1), (1, 1))) == [1, -3, 1]  # x^2 - 3x + 1
-    assert list(algebra.cyclotomic(1)) == [-1, 1]
-    assert list(algebra.cyclotomic(2)) == [1, 1]
-    assert list(algebra.cyclotomic(4)) == [1, 0, 1]
-    assert list(algebra.cyclotomic(6)) == [1, -1, 1]
-    assert algebra.cyclotomic_indices(3) == [1, 2, 3, 4, 6]
+def test_root_of_unity_eigenvalue_by_determinant():
     assert algebra.has_root_of_unity_eigenvalue(((1, 1), (0, 1)))  # eigenvalue 1
     assert algebra.has_root_of_unity_eigenvalue(((0, -1), (1, 0)))  # eigenvalue i
     assert not algebra.has_root_of_unity_eigenvalue(((2, 1), (1, 1)))
+    # companion of Phi_5 = x^4 + x^3 + x^2 + x + 1: the primitive fifth roots of unity
+    phi5 = ((0, 0, 0, -1), (1, 0, 0, -1), (0, 1, 0, -1), (0, 0, 1, -1))
+    assert algebra.has_root_of_unity_eigenvalue(phi5)
+    # companion of the Salem quartic x^4 - x^3 - x^2 - x + 1: two eigenvalues
+    # on the unit circle, neither a root of unity
+    salem = ((0, 0, 0, -1), (1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1))
+    moduli = np.abs(np.linalg.eigvals(np.asarray(salem, dtype=float)))
+    assert np.sum(np.abs(moduli - 1.0) < 1e-9) == 2
+    assert not algebra.has_root_of_unity_eigenvalue(salem)
+    assert algebra.has_root_of_unity_eigenvalue(((1,),))
+    assert algebra.has_root_of_unity_eigenvalue(((-1,),))
+    assert not algebra.has_root_of_unity_eigenvalue(((2,),))
+    with pytest.raises(ValueError, match="rho = 7"):
+        algebra.has_root_of_unity_eigenvalue(algebra.mat_identity(7))
+
+
+def test_unit_root_exponent_is_the_lcm_of_the_possible_orders():
+    """A root of unity of degree <= rho has an order n with phi(n) <= rho,
+    and phi(n) >= sqrt(n / 2) bounds those n by 2 rho^2."""
+    def phi(n):
+        return sum(math.gcd(k, n) == 1 for k in range(1, n + 1))
+
+    for rho, exponent in enumerate(algebra._UNIT_ROOT_EXPONENT, start=1):
+        assert exponent == math.lcm(*(n for n in range(1, 2 * rho * rho + 1) if phi(n) <= rho))
+
+
+# has_root_of_unity_eigenvalue over 2400 seeded matrices with entries in
+# [-2, 2] for each rho = 1..5: (number True, sha256 of the verdicts as a 0/1
+# string), recorded with the characteristic-polynomial and cyclotomic-division
+# test that the determinant test replaced
+SEEDED_VERDICTS = {
+    1: (972, "f1f9eebc1a38ce16492e85664d0824f101ab4ddffcd21aef7158a96343649b8d"),
+    2: (822, "0f7b76ab60a14f4620799570d2cc39c28a5b73b8f77a2942ab0f33519aff15a5"),
+    3: (582, "0ffe4aabb3b9cdd47c99dec3842bab32e07a65401f7139109869df71c839a3ae"),
+    4: (344, "92d88ac3489acfe64ae9ca4bac6dccd5ea02295e12f7fd5272656c696501e4d3"),
+    5: (165, "782d846681ea92a8f33143980364a613c681a47c34dbf88b07218aef31d97ba9"),
+}
+
+
+def test_root_of_unity_verdicts_on_seeded_matrices():
+    gen = np.random.default_rng(20261021)
+    for rho, (n_true, digest) in SEEDED_VERDICTS.items():
+        bits = "".join("1" if algebra.has_root_of_unity_eigenvalue(tuple(map(tuple, m))) else "0"
+                       for m in gen.integers(-2, 3, size=(2400, rho, rho)).tolist())
+        assert (bits.count("1"), hashlib.sha256(bits.encode()).hexdigest()) == (n_true, digest)
 
 
 def test_pair_validation():
@@ -49,6 +89,10 @@ def test_pair_validation():
         algebra.matrix_pair(cat, shear)  # do not commute
     with pytest.raises(ValueError):
         algebra.matrix_pair(((2, 0), (0, 2)), ((1, 0), (0, 1)))  # det 4
+    with pytest.raises(ValueError, match="nonempty"):
+        algebra.matrix_pair((), ())
+    with pytest.raises(ValueError, match="not an integer"):
+        algebra.matrix_pair(((1.5, 0), (0, 1)), ((1, 0), (0, 1)))  # not truncated to 1
 
 
 def test_pow_pair_paper_example(sl3_pair):
@@ -73,11 +117,12 @@ def test_pow_homomorphism(ell, em):
 
 def test_check_pair_paper_example(sl3_pair):
     rep = algebra.check_pair(sl3_pair, 3)
-    assert rep.commutes and rep.unimodular and rep.all_pass
+    assert rep.all_pass
     assert len(rep.per_ell) == 7 * 7 - 1
     # generator eigenvalues clear the unit circle (floating screen only)
-    for moduli in rep.generator_eigen_moduli.values():
-        assert all(abs(m - 1.0) > 1e-6 for m in moduli)
+    for m in (sl3_pair.a1, sl3_pair.a2):
+        moduli = np.abs(np.linalg.eigvals(np.asarray(m, dtype=np.float64)))
+        assert np.all(np.abs(moduli - 1.0) > 1e-6)
 
 
 def test_check_pair_detects_unit_roots():
@@ -89,6 +134,27 @@ def test_check_pair_detects_unit_roots():
     rep2 = algebra.check_pair(algebra.matrix_pair(cat, inv), 1)
     assert rep2.per_ell[(1, 1)] is False  # A^(1,1) = identity
     assert rep2.per_ell[(1, 0)] is True
+
+
+def _nonzero_box(box):
+    return [ell for ell in itertools.product(range(-box, box + 1), repeat=2) if ell != (0, 0)]
+
+
+def test_check_pair_verdicts_in_box_order(sl3_pair):
+    """Every verdict and its key order; check_pair tests each +-l once."""
+    rep = algebra.check_pair(sl3_pair, 12)
+    assert list(rep.per_ell.items()) == [(ell, True) for ell in _nonzero_box(12)]
+    # a1 = a2 = I, and a1 a coordinate swap with a2 = I: every A^l has eigenvalue 1
+    ident = algebra.mat_identity(3)
+    swap = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+    for a1 in (ident, swap):
+        rep = algebra.check_pair(algebra.matrix_pair(a1, ident), 2)
+        assert list(rep.per_ell.items()) == [(ell, False) for ell in _nonzero_box(2)]
+        assert not rep.all_pass
+    # A^l = cat^(l1 - l2), the identity on the diagonal and hyperbolic off it
+    cat = ((2, 1), (1, 1))
+    rep = algebra.check_pair(algebra.matrix_pair(cat, algebra.mat_inverse_unimodular(cat)), 2)
+    assert list(rep.per_ell.items()) == [(ell, ell[0] != ell[1]) for ell in _nonzero_box(2)]
 
 
 def test_dual_orbit(sl3_pair):

@@ -117,6 +117,24 @@ REPEATED = [
                                   poly=FCLT_TORAL["scenery"]["poly"] * 2)),
 ]
 
+_TRANSIENT_3D = cli.load_fixture("transient_3d.json")
+_PAIR = cli.load_fixture("toral_pair_sl3.json")
+# a lattice coordinate that is not an integer, or an empty matrix: a float
+# coordinate would be truncated, and q [0.2, 0] would merge into the site (0, 0)
+BAD_COORDINATES = {
+    "empty-pair": (dict(FCLT_TORAL, scenery=dict(FCLT_TORAL["scenery"],
+                                                 pair={"a1": [], "a2": []})), "scenery"),
+    "non-integer-pair-entry": (dict(FCLT_TORAL, scenery=dict(FCLT_TORAL["scenery"], pair=dict(
+        _PAIR, a1=[[-3, -3, 1.5], *_PAIR["a1"][1:]]))), "scenery"),
+    **{f"non-integer-site-{q[0]}": (dict(FCLT_MA, scenery=dict(FCLT_MA["scenery"], coeffs=[
+        {"q": [0, 0], "a": 1.0}, {"q": q, "a": 1.0}])), "scenery") for q in ([1.7, 0], [0.2, 0])},
+    "non-integer-frequency": (dict(FCLT_TORAL, scenery=dict(FCLT_TORAL["scenery"], poly=[
+        *FCLT_TORAL["scenery"]["poly"][:3], [[1.9, 0, 0], 0.5, 0.0]])), "scenery"),
+    "non-integer-atom-site": (dict(_TRANSIENT_3D, walk={"atoms": [
+        {"site": s, "prob": 1 / 6} for s in ([1.5, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
+                                             [0, 0, 1], [0, 0, -1])]}), "walk.atoms"),
+}
+
 
 # configs that would crash at run time (or, for an empty list, run a vacuous
 # check): `validate` must reject each one, naming the bad field
@@ -188,16 +206,21 @@ REJECTED = [
     # no dyadic window of k >= 8 steps: nothing would be checked, and the worst
     # margin would read Infinity
     (dict(cli.load_fixture("moricz_walk.json"), n=4, m_sceneries=10), "n"),
+    *BAD_COORDINATES.values(),
 ]
 
 
 def _rejected_id(doc, field):
     """experiment:field, and the preset of a walk that the runner's rule rejects,
     the toral constant that the scenery rejects, a scenery of another dimension
-    than the walk or with a repeated site or frequency, an n_omegas below its
-    bound, or an n below its bound or whose buffers exceed memory."""
+    than the walk or with a repeated site or frequency, the label of a bad
+    coordinate, an n_omegas below its bound, or an n below its bound or whose
+    buffers exceed memory."""
+    labels = [label for label, (d, _) in BAD_COORDINATES.items() if d is doc]
     extra = None
-    if any(doc is d for d in DIMENSION_MISMATCH):
+    if labels:
+        extra = labels[0]
+    elif any(doc is d for d in DIMENSION_MISMATCH):
         extra = f"dimension-{doc['scenery']['variant']}"
     elif any(doc is d for d in REPEATED):
         extra = f"repeated-{doc['scenery']['variant']}"
@@ -224,6 +247,15 @@ def test_validate_rejects_bad_field(tmp_path, capsys, doc, field):
     err = capsys.readouterr().err
     assert f"config field {field}:" in err
     assert "required field is missing" not in err
+
+
+def test_validate_accepts_a_rank_3_walk_with_huge_atoms():
+    # a float64 rank takes the unit atoms for roundoff next to
+    # (2^53, 2^53, 1) and reads 1 (recurrent); the exact lattice rank is 3
+    big = 2**53
+    atoms = [{"site": s, "prob": 1 / 6} for s in ([1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
+                                                  [big, big, 1], [-big, -big, -1])]
+    assert cli.validate_config(dict(_TRANSIENT_3D, walk={"atoms": atoms})) == "transient-variance"
 
 
 @pytest.mark.parametrize("name", sorted(cli.EXPERIMENTS))

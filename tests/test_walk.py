@@ -18,6 +18,9 @@ def test_law_validation_rejects_bad_inputs():
         walk.increment_law([((0, 0), 1.5), ((1, 0), -0.5)])  # negative prob
     with pytest.raises(ValueError):
         walk.increment_law([((0, 0), 0.5), ((1,), 0.5)])  # mixed dimension
+    for site in ((1.5, 0), (0.2, 0), ("1", 0), (True, 0)):  # not truncated or parsed
+        with pytest.raises(ValueError, match="not an integer"):
+            walk.increment_law([(site, 0.5), ((-1, 0), 0.5)])
 
 
 def test_simple_walk_lattices_and_classification(simple2d_model):
@@ -103,6 +106,11 @@ def test_classification_by_rank_of_the_support():
                  (0, 0, -1, -1)).classification == walk.TRANSIENT
     assert model((1, 0, 0), (0, 1, 0)).classification == walk.TRANSIENT
     assert model((1, 1), (-1, -1)).classification == walk.RECURRENT
+    # rank 3 (index 1), though a float64 rank takes the unit atoms for
+    # roundoff next to (2^53, 2^53, 1) and reads 1
+    big = 2**53
+    huge = model((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (big, big, 1), (-big, -big, -1))
+    assert huge.classification == walk.TRANSIENT and huge.aperiodic
 
 
 def test_hermite_lattice_index():
