@@ -6,11 +6,13 @@ cost manageable.  Provides
 
 * powers A^l = A1^{l1} A2^{l2} (negative exponents via the integer inverse),
 * the total-ergodicity check on a box (no root-of-unity eigenvalue of A^l,
-  decided by one exact determinant, det((A^l)^N - I) != 0 with
-  N = lcm{n : phi(n) <= rho}),
+  decided by one determinant, det((A^l)^N - I) != 0 with
+  N = lcm{n : phi(n) <= rho}, taken modulo a prime first and exactly only
+  when the residue is 0),
 * the dual (transpose) action on frequency vectors, exact correlations
-  <A^l f, f> by character matching, exact joint moments of transported
-  observables, and
+  <A^l f, f> by character matching, exact joint moments and cumulants of
+  transported observables (a cumulant is expanded only when some support
+  tuple's transported frequencies cancel; every other one is +0.0), and
 * exhaustive enumeration of the four-term S-unit-type relation
   A^{l1} g - A^{l2} g + A^{l3} g - g = 0 without vanishing proper sub-sums.
 """
@@ -21,10 +23,11 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
+from operator import mul
 
 import numpy as np
 
-from .cumulant import joint_cumulant
+from .cumulant import joint_cumulant, set_partitions
 from .trigpoly import TrigPolynomial
 from .walk import lattice_point
 
@@ -36,10 +39,12 @@ def mat_identity(n: int) -> tuple:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def mat_mul(a: tuple, b: tuple) -> tuple:
-    n = len(a)
+def mat_mul(a: tuple, b: tuple, q: int = 0) -> tuple:
+    """A B, exact, or its residues modulo q when q > 0."""
     bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    if q:
+        return tuple(tuple(sum(map(mul, row, col)) % q for col in bt) for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def mat_vec(a: tuple, v) -> tuple:
@@ -93,14 +98,31 @@ def mat_tuplify(rows) -> tuple:
 _UNIT_ROOT_EXPONENT = (2, 12, 12, 120, 120, 2520)  # lcm{n : phi(n) <= rho}, rho = 1..6
 
 
-def mat_power(a: tuple, k: int) -> tuple:
-    """A^k for k >= 0, exact, by repeated squaring (high bit first)."""
+# a prime near 2^61: det(A^N - I) is first taken modulo it
+_DET_PRIME = 2**61 - 1
+
+
+def mat_power(a: tuple, k: int, q: int = 0) -> tuple:
+    """A^k for k >= 0, exact (or its residues modulo q when q > 0), by
+    repeated squaring (high bit first)."""
     out = mat_identity(len(a))
     for bit in bin(k)[2:]:
-        out = mat_mul(out, out)
+        out = mat_mul(out, out, q)
         if bit == "1":
-            out = mat_mul(out, a)
+            out = mat_mul(out, a, q)
     return out
+
+
+def _unit_root_det(a: tuple, q: int = 0) -> int:
+    """det(A^N - I) with N = lcm{n : phi(n) <= rho}, exact, or modulo q when
+    q > 0 (the exact determinant of the residue matrix, reduced)."""
+    rho = len(a)
+    if not 1 <= rho <= len(_UNIT_ROOT_EXPONENT):
+        raise ValueError(f"rho = {rho}: the root-of-unity test supports 1 <= rho <= 6")
+    p = mat_power(a, _UNIT_ROOT_EXPONENT[rho - 1], q)
+    det = mat_det(tuple(tuple(x - (i == j) for j, x in enumerate(row))
+                        for i, row in enumerate(p)))
+    return det % q if q else det
 
 
 def has_root_of_unity_eigenvalue(a: tuple) -> bool:
@@ -113,13 +135,12 @@ def has_root_of_unity_eigenvalue(a: tuple) -> bool:
     lambda^N = 1 is an eigenvalue of A^N.  Conversely the eigenvalues of A^N
     are the N-th powers of those of A, so a singular A^N - I has an
     eigenvalue with lambda^N = 1.
+
+    The determinant is first taken modulo ``_DET_PRIME`` on residues: a
+    nonzero residue proves the exact determinant nonzero, so the exact A^N,
+    whose entries grow like |lambda|^N, is built only when the residue is 0.
     """
-    rho = len(a)
-    if not 1 <= rho <= len(_UNIT_ROOT_EXPONENT):
-        raise ValueError(f"rho = {rho}: the root-of-unity test supports 1 <= rho <= 6")
-    p = mat_power(a, _UNIT_ROOT_EXPONENT[rho - 1])
-    return mat_det(tuple(tuple(x - (i == j) for j, x in enumerate(row))
-                         for i, row in enumerate(p))) == 0
+    return _unit_root_det(a, _DET_PRIME) == 0 and _unit_root_det(a) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +248,29 @@ def toral_correlation(pair: MatrixPair, f: TrigPolynomial, ell) -> float:
     return float(total.real)
 
 
+def _transported_keys(pair: MatrixPair, f: TrigPolynomial, ells, r: int) -> dict:
+    """ell -> the transported support transpose(A^l) k, k in supp(f), in
+    support order, each keyed by one integer for sums of up to r of them.
+
+    The key has the coordinates as digits in balanced base 2^w with
+    r max|coordinate| < 2^(w-1).  Every sum of r or fewer transported
+    frequencies has its coordinates in that range, so the key is injective on
+    them and adds as the vectors add: dicts get the keys and the order they
+    would get under tuple keys, and a sum is 0 exactly when its key is.
+    """
+    orbits = {ell: [dual_orbit(pair, k, ell) for k in f.support] for ell in ells}
+    w = (r * max((abs(x) for kks in orbits.values() for kk in kks for x in kk), default=0)
+         ).bit_length() + 1
+    return {ell: [sum(x << (w * j) for j, x in enumerate(kk)) for kk in kks]
+            for ell, kks in orbits.items()}
+
+
+# most support^r terms an exact joint moment of order r may expand
+_MOMENT_BUDGET = 10**7
+
+
 def exact_joint_moment(pair: MatrixPair, f: TrigPolynomial, ells,
-                       budget: int = 10**7) -> float:
+                       budget: int = _MOMENT_BUDGET) -> float:
     """m_f(l_1..l_r) = integral of prod_i A^{l_i} f over Haar measure.
 
     Characters integrate to the indicator of a zero frequency sum, so the
@@ -237,13 +279,8 @@ def exact_joint_moment(pair: MatrixPair, f: TrigPolynomial, ells,
     the worst case support^r.  The last factor only feeds the zero sum: the
     transported frequencies are distinct (the dual action is injective), so
     each partial sum s meets at most one of them, -s, and the terms add in
-    partial-dict order as a full last convolution would add them.
-
-    Each frequency is keyed by one integer, its coordinates as digits in
-    balanced base 2^w with r max|coordinate| < 2^(w-1).  Every partial sum
-    has its coordinates in that range, so the key is injective on them and
-    adds as the vectors add: the dicts get the keys and the order they would
-    get under tuple keys.
+    partial-dict order as a full last convolution would add them.  Each
+    frequency is keyed by one integer (``_transported_keys``).
     """
     r = len(ells)
     support = f.support
@@ -251,25 +288,20 @@ def exact_joint_moment(pair: MatrixPair, f: TrigPolynomial, ells,
         raise ValueError("combinatorial budget exceeded")
     if r == 0:
         return 1.0
-    orbits = [[dual_orbit(pair, k, ell) for k in support] for ell in ells]
-    w = (r * max((abs(x) for kks in orbits for kk in kks for x in kk), default=0)
-         ).bit_length() + 1
+    ells = [tuple(ell) for ell in ells]
+    keys = _transported_keys(pair, f, ells, r)
     coeffs = [f.coeffs[k] for k in support]
 
-    def keyed(kks):
-        return [(sum(x << (w * j) for j, x in enumerate(kk)), c)
-                for kk, c in zip(kks, coeffs)]
-
     partial = {0: 1.0 + 0.0j}
-    for kks in orbits[:-1]:
-        transported = keyed(kks)
+    for ell in ells[:-1]:
+        transported = list(zip(keys[ell], coeffs))
         nxt = {}
         for s, acc in partial.items():
             for kk, c in transported:
                 key = s + kk
                 nxt[key] = nxt.get(key, 0.0 + 0.0j) + acc * c
         partial = nxt
-    last = dict(keyed(orbits[-1]))
+    last = dict(zip(keys[ells[-1]], coeffs))
     total = 0.0 + 0.0j
     for s, acc in partial.items():
         c = last.get(-s)
@@ -314,9 +346,42 @@ def _cumulant(moment, ells) -> float:
     return joint_cumulant(block_moment, len(ells))
 
 
+def _frequency_sums(keys: dict, ells) -> set:
+    """Every sum of transported frequencies, one per index of ``ells``."""
+    sums = {0}
+    for ell in ells:
+        sums = {s + k for s in sums for k in keys[ell]}
+    return sums
+
+
+def _check_order(f: TrigPolynomial, r: int):
+    """The refusals of a cumulant of order r, raised before any certificate
+    can skip its moments: the partition order, then the moment budget."""
+    set_partitions(r)
+    if len(f.support) ** r > _MOMENT_BUDGET:
+        raise ValueError("combinatorial budget exceeded")
+
+
 def exact_cumulant(pair: MatrixPair, f: TrigPolynomial, ells) -> float:
-    """Exact joint cumulant C(A^{l_1} f, ..., A^{l_r} f) via the exact moments."""
+    """Exact joint cumulant C(A^{l_1} f, ..., A^{l_r} f) via the exact moments.
+
+    Zero certificate: unless some tuple (k_1..k_r) in supp(f)^r has
+    sum transpose(A^{l_i}) k_i = 0, the cumulant is +0.0 and no moment is
+    computed.  Joining cancelling tuples of every block of a partition would
+    cancel the whole configuration, so each partition term then holds a moment
+    of a block with no cancelling tuple, which ``exact_joint_moment`` returns
+    as +0.0 (it adds no term); ``joint_cumulant``'s total starts at +0.0 and
+    +0.0 + (-0.0) = +0.0, so the full expansion gives +0.0 too, bit for bit.
+    The test meets in the middle: the sums over the first half of the indices
+    against the negated sums over the second half.
+    """
     ells = [tuple(int(x) for x in e) for e in ells]
+    _check_order(f, len(ells))
+    keys = _transported_keys(pair, f, set(ells), len(ells))
+    half = len(ells) // 2
+    if _frequency_sums(keys, ells[:half]).isdisjoint(
+            -s for s in _frequency_sums(keys, ells[half:])):
+        return 0.0
     return _cumulant(_moment_memo(pair, f), ells)
 
 
@@ -328,13 +393,33 @@ def find_cumulant_radius(pair: MatrixPair, f: TrigPolynomial, scan: int = 2,
     Cumulants are shift-invariant, so pinning the last index at 0 loses
     nothing.  Returns (radius, nonzero configs); radius 0.0 means only the
     fully clustered configs contribute.
+
+    Only the configurations that pass ``exact_cumulant``'s zero certificate
+    are expanded; every other one has cumulant +0.0 and would not be listed.
+    The candidates are found by meeting in the middle: one dict from each
+    exact frequency sum over the first ceil((r - 1) / 2) free indices, for
+    the whole box, to the index tuples that reach it, probed with the negated
+    sums over the other free indices and the pinned 0.  The candidates are
+    evaluated in ``itertools.product`` order, so the list and the radius are
+    those of the full scan.
     """
     zero = (0, 0)
+    _check_order(f, r)
+    box = list(itertools.product(range(-scan, scan + 1), repeat=2))
+    keys = _transported_keys(pair, f, box, r)
+    half = r // 2
+    heads = {}
+    for head in itertools.product(box, repeat=half):
+        for s in _frequency_sums(keys, head):
+            heads.setdefault(s, []).append(head)
+    candidates = set()
+    for tail in itertools.product(box, repeat=r - 1 - half):
+        for s in _frequency_sums(keys, tail + (zero,)):
+            candidates.update(head + tail for head in heads.get(-s, ()))
     moment = _moment_memo(pair, f)
     radius = 0.0
     nonzero = []
-    for ells in itertools.product(itertools.product(range(-scan, scan + 1), repeat=2),
-                                  repeat=r - 1):
+    for ells in sorted(candidates):
         config = list(ells) + [zero]
         c = _cumulant(moment, config)
         if abs(c) > tol:

@@ -26,7 +26,7 @@ from . import algebra
 from .localtime import pair_count_tables, path_table, unique_sites, window_counts
 from .rng import derive_seed, hash_sites, philox_gen, splitmix64, u64_to_uniform
 from .trigpoly import TrigPolynomial
-from .walk import WalkPath, lattice_point
+from .walk import WalkPath, lattice_point, real_number
 
 
 def _lazy_module(name: str):
@@ -192,7 +192,8 @@ class MovingAverageScenery:
     coeffs: dict  # site tuple q -> a_q, finite
 
     def __post_init__(self):
-        norm_coeffs = {lattice_point(q): float(a) for q, a in self.coeffs.items()}
+        norm_coeffs = {lattice_point(q): real_number(a, f"coeffs: site {q} a")
+                       for q, a in self.coeffs.items()}
         object.__setattr__(self, "coeffs", norm_coeffs)
 
 

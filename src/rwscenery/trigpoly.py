@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .walk import lattice_point
+from .walk import lattice_point, real_number
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,9 @@ class TrigPolynomial:
 
 
 def trig_from_list(items) -> TrigPolynomial:
-    coeffs = {tuple(k): complex(re, im) for k, re, im in items}
+    coeffs = {tuple(k): complex(real_number(re, f"poly: frequency {k} real part"),
+                                real_number(im, f"poly: frequency {k} imaginary part"))
+              for k, re, im in items}
     if len(coeffs) < len(items):
         raise ValueError("poly: a frequency k is listed more than once")
     return TrigPolynomial(coeffs)

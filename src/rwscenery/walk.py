@@ -67,6 +67,14 @@ def lattice_point(coords) -> tuple:
     return tuple(int(c) for c in coords)
 
 
+def real_number(x, what: str) -> float:
+    """``x`` as a float.  A bool (JSON true/false) is refused rather than read
+    as 1.0 or 0.0, and so is anything else that is not a real number."""
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        raise ValueError(f"{what} {x!r} is not a real number")
+    return float(x)
+
+
 def increment_law(atoms: Sequence, dimension: Optional[int] = None) -> IncrementLaw:
     """Validate and freeze an atom list ``[(site, prob), ...]``.
 
@@ -83,10 +91,11 @@ def increment_law(atoms: Sequence, dimension: Optional[int] = None) -> Increment
             dimension = len(site)
         if len(site) != dimension:
             raise ValueError(f"atom {site} has dimension {len(site)}, expected {dimension}")
+        prob = real_number(prob, f"atom {site}: prob")
         if not prob > 0:
             raise ValueError(f"atom {site} has non-positive probability {prob}")
         sites.append(site)
-        probs.append(float(prob))
+        probs.append(prob)
     if len(set(sites)) != len(sites):
         raise ValueError("atom sites must be pairwise distinct")
     total = math.fsum(probs)

@@ -51,6 +51,22 @@ def test_root_of_unity_eigenvalue_by_determinant():
         algebra.has_root_of_unity_eigenvalue(algebra.mat_identity(7))
 
 
+def test_unit_root_residue_route_agrees_with_the_exact_determinant(sl3_pair, order4_pair):
+    # the bundled pair's residues are all nonzero, so they decide every l;
+    # every A^l of the order-4 pair has a unit-root eigenvalue, so the exact
+    # determinant decides each of them
+    for pair, residue_zero in ((sl3_pair, False), (order4_pair, True)):
+        for ell in _nonzero_box(6):
+            a = algebra.mat_pow_pair(pair, ell)
+            exact = algebra._unit_root_det(a)
+            residue = algebra._unit_root_det(a, algebra._DET_PRIME)
+            assert residue == exact % algebra._DET_PRIME
+            assert (residue == 0) is residue_zero
+            assert algebra.has_root_of_unity_eigenvalue(a) is (exact == 0)
+    assert algebra.mat_power(((3, 1), (2, 1)), 5, 7) == tuple(
+        tuple(x % 7 for x in row) for row in algebra.mat_power(((3, 1), (2, 1)), 5))
+
+
 def test_unit_root_exponent_is_the_lcm_of_the_possible_orders():
     """A root of unity of degree <= rho has an order n with phi(n) <= rho,
     and phi(n) >= sqrt(n / 2) bounds those n by 2 rho^2."""
@@ -281,10 +297,87 @@ def test_cumulant_scan_computes_each_translated_moment_once(sl3_pair, four_term_
 
     monkeypatch.setattr(algebra, "exact_joint_moment", counted)
     algebra.find_cumulant_radius(sl3_pair, four_term_poly, scan=1)
-    # one call per distinct translated index tuple (1116 of them at scan 1),
-    # against 729 * 15 unmemoized
-    assert len(set(calls)) == 1116
+    # one call per distinct translated index tuple of the 40 configurations
+    # that pass the zero certificate (88 of them at scan 1; 1116 when all 729
+    # were expanded), against 729 * 15 unmemoized
+    assert len(set(calls)) == 88
     assert len(calls) == len(set(calls))
+
+
+def _cached_direct_scan(pair, f, scan):
+    """Reference scan without the zero certificate or the translation memo:
+    every configuration of the box, each block moment computed once per
+    exact index tuple."""
+    cache = {}
+
+    def moment(ells):
+        if ells not in cache:
+            cache[ells] = algebra.exact_joint_moment(pair, f, ells)
+        return cache[ells]
+
+    box = list(itertools.product(range(-scan, scan + 1), repeat=2))
+    out = []
+    for ells in itertools.product(box, repeat=3):
+        config = ells + ((0, 0),)
+        c = cumulant.joint_cumulant(lambda b: moment(tuple(config[i - 1] for i in b)), 4)
+        if abs(c) > 1e-12:
+            out.append((config, c))
+    return out
+
+
+@pytest.mark.parametrize("poly", ["four_term", "complex"])
+def test_certified_scan_equals_the_full_scan(sl3_pair, four_term_poly, poly):
+    f = four_term_poly if poly == "four_term" else COMPLEX_POLY
+    want = _cached_direct_scan(sl3_pair, f, 2)
+    radius, nonzero = algebra.find_cumulant_radius(sl3_pair, f, scan=2)
+    assert repr(nonzero) == repr(want)  # every value bit for bit, in box order
+    pts = [np.asarray(cfg, dtype=np.float64) for cfg, _ in want]
+    assert radius == max(float(np.sqrt(((p[:, None] - p[None]) ** 2).sum(-1)).max())
+                         for p in pts)
+    assert len(nonzero) == {"four_term": 37, "complex": 251}[poly]
+
+
+def _cancels(pair, f, config) -> bool:
+    """Some support tuple's transported frequencies sum to 0, by brute force."""
+    orbits = [[algebra.dual_orbit(pair, k, ell) for k in f.support] for ell in config]
+    return any(not any(map(sum, zip(*kks))) for kks in itertools.product(*orbits))
+
+
+def test_non_cancelling_cumulant_is_positive_zero(sl3_pair, four_term_poly, monkeypatch):
+    config = [(0, 0), (0, 0), (3, 0), (0, 4)]
+    assert not _cancels(sl3_pair, four_term_poly, config)
+    # the full expansion adds -0.0 terms: -m(l1, l2) m(l3, l4) with m(l1, l2) > 0
+    direct = _direct_cumulant(sl3_pair, four_term_poly, config)
+    assert direct == 0.0 and math.copysign(1.0, direct) == 1.0
+    assert math.copysign(1.0, -1 * algebra.exact_joint_moment(
+        sl3_pair, four_term_poly, config[:2]) * 0.0) == -1.0
+
+    def no_moment(*args):
+        raise AssertionError("a moment of a certified-zero configuration")
+
+    monkeypatch.setattr(algebra, "exact_joint_moment", no_moment)
+    for ells in (config, [(1, 1), (4, -2)], [(2, 0)]):
+        c = algebra.exact_cumulant(sl3_pair, four_term_poly, ells)
+        assert c == 0.0 and math.copysign(1.0, c) == 1.0
+
+
+def test_cumulant_refusals_come_before_the_certificate(sl3_pair, monkeypatch):
+    # 30 cosines: 60^4 = 12,960,000 support tuples, past the moment budget
+    big = trigpoly.cosine_polynomial([(a, b, 1) for a in range(5) for b in range(6)])
+    assert len(big.support) ** 4 > algebra._MOMENT_BUDGET >= len(big.support) ** 3
+
+    def no_work(*args):
+        raise AssertionError("work done before the budget check")
+
+    monkeypatch.setattr(algebra, "dual_orbit", no_work)
+    far = [(0, 0), (9, 0), (0, 9), (9, 9)]
+    with pytest.raises(ValueError, match="budget"):
+        algebra.exact_cumulant(sl3_pair, big, far)
+    with pytest.raises(ValueError, match="budget"):
+        algebra.find_cumulant_radius(sl3_pair, big, scan=0)
+    # an order past the partition tables is refused, not certified zero
+    with pytest.raises(ValueError, match="r must be"):
+        algebra.exact_cumulant(sl3_pair, big, [(k, 0) for k in range(9)])
 
 
 def _full_dict_joint_moment(pair, f, ells, budget=10**7):

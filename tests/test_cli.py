@@ -135,6 +135,25 @@ BAD_COORDINATES = {
                                              [0, 0, 1], [0, 0, -1])]}), "walk.atoms"),
 }
 
+# a JSON true in a real-valued field: Python reads it as 1, so a one-atom
+# walk with probability true passed as a deterministic walk
+BOOLEAN_VALUES = {
+    "boolean-ma-coefficient": (dict(FCLT_MA, scenery=dict(FCLT_MA["scenery"], coeffs=[
+        {"q": [0, 0], "a": 1.0}, {"q": [1, 0], "a": True}])), "scenery", "a True"),
+    "boolean-poly-coefficient": (dict(FCLT_TORAL, scenery=dict(FCLT_TORAL["scenery"], poly=[
+        [[1, 0, 0], True, 0.0], [[-1, 0, 0], True, 0.0]])), "scenery", "real part True"),
+    "boolean-atom-prob": (dict(PATH_CHECK, walk={"atoms": [{"site": [1, 0], "prob": True}]}),
+                          "walk.atoms", "prob True"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(BOOLEAN_VALUES))
+def test_validate_refuses_a_boolean_real_value(label):
+    doc, field, message = BOOLEAN_VALUES[label]
+    with pytest.raises(cli.ConfigError, match="is not a real number") as exc:
+        cli.validate_config(doc)
+    assert exc.value.field == field and message in str(exc.value)
+
 
 # configs that would crash at run time (or, for an empty list, run a vacuous
 # check): `validate` must reject each one, naming the bad field
@@ -207,6 +226,7 @@ REJECTED = [
     # margin would read Infinity
     (dict(cli.load_fixture("moricz_walk.json"), n=4, m_sceneries=10), "n"),
     *BAD_COORDINATES.values(),
+    *((doc, field) for doc, field, _ in BOOLEAN_VALUES.values()),
 ]
 
 
@@ -216,7 +236,8 @@ def _rejected_id(doc, field):
     than the walk or with a repeated site or frequency, the label of a bad
     coordinate, an n_omegas below its bound, or an n below its bound or whose
     buffers exceed memory."""
-    labels = [label for label, (d, _) in BAD_COORDINATES.items() if d is doc]
+    labels = [label for label, (d, *_) in {**BAD_COORDINATES, **BOOLEAN_VALUES}.items()
+              if d is doc]
     extra = None
     if labels:
         extra = labels[0]
