@@ -50,7 +50,8 @@ from .scenery import (
     stats,
     window_boundaries,
 )
-from .walk import RECURRENT, STEP_CHUNK, WalkModel, WalkPath, sample_path, spectral_variance
+from .walk import (RECURRENT, STEP_CHUNK, WalkModel, WalkPath, residue_blocks, sample_path,
+                   spectral_variance)
 from . import scenery as scenery_mod
 
 MORICZ_CMAX = (1.0 - 2.0 ** -0.25) ** -4.0
@@ -99,9 +100,6 @@ require_planar = _rule(lambda w: w.dimension == 2,
 require_aperiodic_planar = _rule(  # planar and recurrent: centered, not deterministic
     lambda w: w.dimension == 2 and w.classification == RECURRENT and w.aperiodic,
     "sup-local-time tracking needs a centered aperiodic planar walk, not a deterministic one")
-require_transient = _rule(lambda w: w.effectively_transient and w.dimension >= 2,
-                          "transient_variance_check needs a transient walk in d >= 2 "
-                          "(the point-mass constant vanishes in d = 1)")
 require_associated = _rule(is_associated, "scenery is not certified associated (i.i.d. or "
                                           "single-signed moving average required)")
 require_iid = _rule(lambda s: isinstance(s, IIDScenery),
@@ -150,6 +148,19 @@ def require_moricz_memory(n: int, m_sceneries: int) -> None:
                     "min(m_sceneries, 1024) running sums",
                     16 * (n + 1) ** 2 + 8 * (n + 1) * min(m_sceneries, _VISIT_DRAWS)
                     + _visit_bytes(n, m_sceneries))
+
+
+def require_transient(walk: WalkModel) -> None:
+    """transient_variance_check's walk: transient in d >= 2, and small enough
+    residue blocks for spectral_variance (``walk.residue_blocks``): a
+    (rows, deg + 1) complex coefficient block and, above degree 2, a
+    (rows, deg, deg) companion block."""
+    if not (walk.effectively_transient and walk.dimension >= 2):
+        raise ValueError("transient_variance_check needs a transient walk in d >= 2 "
+                         "(the point-mass constant vanishes in d = 1)")
+    rows, deg = residue_blocks(walk)
+    _require_memory(f"spectral_variance's complex residue blocks of degree {deg} in z over "
+                    f"{rows} grid points", 16 * rows * (deg + 1 + (deg * deg if deg > 2 else 0)))
 
 
 def require_newman_wright_memory(n: int, m_sceneries: int) -> None:

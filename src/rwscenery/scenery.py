@@ -16,7 +16,9 @@ from __future__ import annotations
 import importlib.util
 import math
 import numbers
+import os
 import sys
+import threading
 from dataclasses import dataclass
 from typing import Union
 
@@ -305,7 +307,10 @@ def toral_correlations(scenery: ToralScenery) -> dict:
     """All nonzero <A^l f, f> found on the orbit box, exact by character
     matching.  Hyperbolicity makes dual orbits leave the finite support, so
     the table closes; if nonzero entries reach half the box the scan is
-    declared unclosed and fails.  Cached on the scenery instance.
+    declared unclosed and fails.  The failure names an l of the box whose A^l
+    has a root-of-unity eigenvalue when there is one (the pair is not totally
+    ergodic, so no box can help), and otherwise asks for a larger box.
+    Cached on the scenery instance.
     """
     cached = getattr(scenery, "_corr_cache", None)
     if cached is not None:
@@ -320,6 +325,14 @@ def toral_correlations(scenery: ToralScenery) -> dict:
                 table[(l1, l2)] = a
                 reach = max(reach, abs(l1), abs(l2))
     if reach > box // 2:
+        unit_roots = [ell for ell, ok in algebra.check_pair(scenery.pair, box).per_ell.items()
+                      if not ok]
+        if unit_roots:
+            # the first in order of |l|_inf: no orbit_box closes a table that never decays
+            ell = min(unit_roots, key=lambda e: max(map(abs, e)))
+            raise OrbitExitError(
+                f"scenery.pair is not totally ergodic: A^l for l = {ell} has a root-of-unity "
+                "eigenvalue, so its correlations do not decay and no orbit_box can close them")
         raise OrbitExitError(
             f"nonzero correlations at |l| = {reach} with scan box {box}; "
             "raise orbit_box to certify closure")
@@ -439,9 +452,14 @@ _DRAW_CHUNK = 256
 # words per hash-and-map block of _law_values (256 KiB of uint64)
 _HASH_WORDS = 32768
 
-# sites per block of the toral kernel: with _DRAW_CHUNK draws each of its five
-# (block, draws) work buffers is 1 MiB, whatever the number of sites
-_TORAL_BLOCK = 512
+# sites per block of the toral kernel.  Each of its threads holds five (block,
+# draws) scratch buffers, 256 KiB each at _DRAW_CHUNK draws (1.25 MiB a thread,
+# whatever the number of sites), and small blocks let the shared queue even out
+# what each thread gets done.  The threads are one more than the CPUs: after each
+# of field_increments' products OpenBLAS leaves a worker thread spinning (about
+# 0.13 s), which yields to a thread on its own CPU, so with one spare thread the
+# spinner's CPU still runs the kernel instead of sitting one thread short.
+_TORAL_BLOCK = 128
 
 
 def _toral_point(scenery: ToralScenery, x_seed: int) -> np.ndarray:
@@ -500,43 +518,84 @@ def _toral_values(scenery: ToralScenery, freqs: np.ndarray, x_seeds) -> np.ndarr
 
     ``freqs`` is the (h, M, rho) transpose of ``_toral_transported_freqs``.
 
-    Blocks of _TORAL_BLOCK sites, one half-support frequency at a time: the
-    phase is reduced mod q once (rho (q-1)^2 < 2^64 for rho <= 4), cos runs
-    only where Re c != 0 and sin only where Im c != 0.  The terms are added
-    in support order and the block's sine sum is subtracted once, as
-    einsum("h,mhc->mc", 2 Re c, cos) - einsum("h,mhc->mc", 2 Im c, sin) does
-    for two or more draws.
+    The sites are cut into blocks of _TORAL_BLOCK rows of the result, which
+    ``_toral_threads()`` threads, the caller among them, take one at a time
+    from one shared queue until it is empty.  Each thread owns its five
+    (block, draws) scratch buffers and each block writes only its own rows,
+    so every value is the same bytes whatever the number of threads and the
+    order the blocks are taken in.  An exception raised in any thread is
+    raised here once every thread has stopped.
     """
     n_sites = freqs.shape[1]
     coeffs = [c for _, c in scenery.poly.half_support()]
-    q = np.uint64(scenery.q_mod)
-    scale = 2.0 * np.pi / scenery.q_mod
     pts = np.stack([_toral_point(scenery, s) for s in x_seeds])  # (c, rho)
     vals = np.zeros((n_sites, len(x_seeds)))
-    shape = (min(_TORAL_BLOCK, n_sites), len(x_seeds))
-    phase, term = np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.uint64)
-    angle, trig, sines = np.empty(shape), np.empty(shape), np.empty(shape)
-    for lo in range(0, n_sites, _TORAL_BLOCK):
-        hi = min(lo + _TORAL_BLOCK, n_sites)
-        ph, tm, an, tr, sn = (a[:hi - lo] for a in (phase, term, angle, trig, sines))
-        sn.fill(0.0)
-        for f, c in zip(freqs[:, lo:hi], coeffs):
-            np.multiply(f[:, :1], pts[:, 0], out=ph)
-            for j in range(1, pts.shape[1]):
-                np.multiply(f[:, j:j + 1], pts[:, j], out=tm)
-                ph += tm
-            ph %= q
-            np.multiply(ph, scale, out=an)
-            if c.real:
-                np.cos(an, out=tr)
-                tr *= 2.0 * c.real
-                vals[lo:hi] += tr
-            if c.imag:
-                np.sin(an, out=tr)
-                tr *= 2.0 * c.imag
-                sn += tr
-        vals[lo:hi] -= sn
+    blocks = iter(range(0, n_sites, _TORAL_BLOCK))
+    take = threading.Lock()
+    errors = []
+
+    def work():
+        shape = (min(_TORAL_BLOCK, n_sites), len(x_seeds))
+        scratch = (np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.uint64),
+                   np.empty(shape), np.empty(shape), np.empty(shape))
+        try:
+            while not errors:
+                with take:
+                    lo = next(blocks, None)
+                if lo is None:
+                    return
+                hi = min(lo + _TORAL_BLOCK, n_sites)
+                _toral_block(scenery.q_mod, coeffs, freqs[:, lo:hi], pts, vals[lo:hi],
+                             [a[:hi - lo] for a in scratch])
+        except BaseException as exc:
+            errors.append(exc)
+
+    n_threads = min(_toral_threads(), -(-n_sites // _TORAL_BLOCK))
+    threads = [threading.Thread(target=work) for _ in range(n_threads - 1)]
+    for t in threads:
+        t.start()
+    work()
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
     return vals.T
+
+
+def _toral_block(q_mod: int, coeffs: list, freqs: np.ndarray, pts: np.ndarray,
+                 vals: np.ndarray, scratch: list) -> None:
+    """Add f(A^l x) to the (b, c) rows ``vals`` of one block of b sites, one
+    half-support frequency at a time: the phase is reduced mod q once (rho
+    (q-1)^2 < 2^64 for rho <= 4), cos runs only where Re c != 0 and sin only
+    where Im c != 0.  The terms are added in support order and the block's
+    sine sum is subtracted once, as einsum("h,mhc->mc", 2 Re c, cos) -
+    einsum("h,mhc->mc", 2 Im c, sin) does for two or more draws."""
+    q = np.uint64(q_mod)
+    scale = 2.0 * np.pi / q_mod
+    ph, tm, an, tr, sn = scratch
+    sn.fill(0.0)
+    for f, c in zip(freqs, coeffs):
+        np.multiply(f[:, :1], pts[:, 0], out=ph)
+        for j in range(1, pts.shape[1]):
+            np.multiply(f[:, j:j + 1], pts[:, j], out=tm)
+            ph += tm
+        ph %= q
+        np.multiply(ph, scale, out=an)
+        if c.real:
+            np.cos(an, out=tr)
+            tr *= 2.0 * c.real
+            vals += tr
+        if c.imag:
+            np.sin(an, out=tr)
+            tr *= 2.0 * c.imag
+            sn += tr
+    vals -= sn
+
+
+def _toral_threads() -> int:
+    """Threads of the toral kernel: one more than the CPUs this process may
+    run on (see _TORAL_BLOCK)."""
+    return len(os.sched_getaffinity(0)) + 1
 
 
 def quenched_variance(scenery: SceneryModel, path: WalkPath, windows) -> list:

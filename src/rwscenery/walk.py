@@ -257,6 +257,32 @@ def _roots(coef: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(companion)
 
 
+def _residue_frame(model: WalkModel) -> tuple:
+    """(basis, order, sites, drift): the echelon basis of the lattice the
+    atoms span, the order of its coordinates that puts the residue axis
+    first (the first one for a centered walk, else the one of largest
+    drift), the atoms' coordinates in that order, and the drift along the
+    residue axis."""
+    basis = _lattice_basis(model.law.sites, model.dimension)
+    sites = np.array([_lattice_coords(basis, x) for x in model.law.sites], dtype=np.int64)
+    drift = (model.law.prob_array()[:, None] * sites).sum(axis=0)
+    axis = 0 if model.centered else int(np.argmax(np.abs(drift)))
+    order = [axis] + [i for i in range(len(basis)) if i != axis]
+    return basis, order, sites[:, order], drift[axis]
+
+
+def residue_blocks(model: WalkModel) -> tuple:
+    """(rows, deg) of ``spectral_variance``'s residue step: the outer-grid
+    points it factors at once (1 in rank 1, else at most _SLAB_POINTS) and the
+    degree in z of P(z) = z^q (1 - Psi), the span of the atoms' residue
+    coordinates.  Each call builds a (rows, deg + 1) complex coefficient
+    block and, above degree 2, a (rows, deg, deg) companion block."""
+    basis, _, sites, _ = _residue_frame(model)
+    column = [int(c) for c in sites[:, 0]]
+    deg = max(0, -min(column)) + max(0, max(column))
+    return (1 if len(basis) == 1 else _SLAB_POINTS), deg
+
+
 def spectral_variance(model: WalkModel, fourier: dict) -> float:
     """sigma^2 = sum_l a_l I(l) of a transient walk for an even Fourier table
     ``fourier`` (l -> a_l), I(l) = 1_{l=0} + sum_{k>=1} P(Z_k = +-l).
@@ -275,23 +301,18 @@ def spectral_variance(model: WalkModel, fourier: dict) -> float:
     d = model.dimension
     if any(len(lag) != d for lag in fourier):
         raise ValueError(f"a lag of {list(fourier)} has wrong dimension, expected {d}")
-    basis = _lattice_basis(model.law.sites, d)
+    basis, order, sites, drift = _residue_frame(model)
     r = len(basis)
-    sites = np.array([_lattice_coords(basis, x) for x in model.law.sites], dtype=np.int64)
     probs = model.law.prob_array()
-    drift = (probs[:, None] * sites).sum(axis=0)
-    axis = 0 if model.centered else int(np.argmax(np.abs(drift)))
-    order = [axis] + [i for i in range(r) if i != axis]
-    sites = sites[:, order]
     coords = {lag: _lattice_coords(basis, lag) for lag in fourier}
     lags = {tuple(c[i] for i in order): fourier[lag]
             for lag, c in coords.items() if c is not None}
     # P(z) = z^q (1 - Psi) is a polynomial of degree deg in z
     q = max(0, -int(sites[:, 0].min()))
-    deg = q + max(0, int(sites[:, 0].max()))
+    deg = residue_blocks(model)[1]
     # in r = 1 the root z = 1 lies on the circle; Abel summation moves it to the side
     # of the drift, which adds the point mass of Re 1/(1 - Psi) at t = 0
-    radius = 1.0 - 1e-9 * np.sign(drift[axis]) if r == 1 else 1.0
+    radius = 1.0 - 1e-9 * np.sign(drift) if r == 1 else 1.0
 
     def slice_integral(t: np.ndarray) -> np.ndarray:
         """int_0^1 phi_f Phi ds = 2 Re sum_l a_l e(<l', t'>) K_{l_1} - sum_{l_1=0}

@@ -270,13 +270,24 @@ def test_validate_rejects_bad_field(tmp_path, capsys, doc, field):
     assert "required field is missing" not in err
 
 
-def test_validate_accepts_a_rank_3_walk_with_huge_atoms():
-    # a float64 rank takes the unit atoms for roundoff next to
-    # (2^53, 2^53, 1) and reads 1 (recurrent); the exact lattice rank is 3
+def test_validate_refuses_a_walk_whose_residue_degree_is_out_of_reach():
+    # the exact lattice rank is 3 (a float64 rank reads 1), so the walk is
+    # transient, but in its echelon basis the atom (2^53, 2^53, 1) has the
+    # residue coordinate 2^53: spectral_variance would factor a polynomial of
+    # degree 2^54 in z
     big = 2**53
     atoms = [{"site": s, "prob": 1 / 6} for s in ([1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
                                                   [big, big, 1], [-big, -big, -1])]
-    assert cli.validate_config(dict(_TRANSIENT_3D, walk={"atoms": atoms})) == "transient-variance"
+    model = walk.build_walk_model(walk.increment_law([(a["site"], a["prob"]) for a in atoms]))
+    assert model.classification == walk.TRANSIENT
+    assert walk.residue_blocks(model) == (walk._SLAB_POINTS, 2 * big)
+    with pytest.raises(cli.ConfigError, match="residue blocks of degree 18014398509481984") as exc:
+        cli.validate_config(dict(_TRANSIENT_3D, walk={"atoms": atoms}))
+    assert exc.value.field == "walk"
+    # simple3d factors quadratics, a few hundred KiB a slab
+    assert walk.residue_blocks(walk.build_walk_model(walk.simple_walk_law(3))) == (
+        walk._SLAB_POINTS, 2)
+    assert cli.validate_config(_TRANSIENT_3D) == "transient-variance"
 
 
 @pytest.mark.parametrize("name", sorted(cli.EXPERIMENTS))

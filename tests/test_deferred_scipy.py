@@ -1,7 +1,8 @@
 """scipy.stats and scipy.special are registered when the program is
 imported but run only when a Gaussian law or a KS test first needs them; the
-program does not import scipy.integrate at all.  The deferred modules must
-give the same values as direct scipy calls."""
+program does not import scipy.integrate at all, nor concurrent.futures (the
+toral kernel's threads are plain ``threading`` threads).  The deferred
+modules must give the same values as direct scipy calls."""
 
 import os
 import subprocess
@@ -20,6 +21,8 @@ from rwscenery import cli
 assert cli.main(["validate", str(resources.files("rwscenery.fixtures") / "lln_variance.json")]) == 0
 assert "scipy.stats._stats_py" not in sys.modules
 assert "scipy.integrate" not in sys.modules
+# the toral kernel's threads add no import time to a run's set-up
+assert "concurrent.futures" not in sys.modules
 
 import scipy
 assert scipy.stats.norm.cdf(0.0) == 0.5

@@ -1,6 +1,8 @@
 import cmath
 import itertools
+import json
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from rwscenery import algebra, harness, localtime, scenery, trigpoly, walk
+from rwscenery import algebra, cli, harness, localtime, scenery, trigpoly, walk
 from rwscenery.cli import load_fixture
 
 
@@ -114,7 +116,7 @@ def test_spectral_density_toral_nonnegative_on_grid(toral):
         assert _density(sd, (t, 0.31)) >= -1e-9
 
 
-def test_orbit_exit_guard(sl3_pair, four_term_poly):
+def test_orbit_exit_guard(monkeypatch, sl3_pair, four_term_poly):
     tor = scenery.ToralScenery(pair=sl3_pair, poly=four_term_poly,
                                q_mod=2**31 - 1, orbit_box=1)
     # a box of 1 cannot certify closure (any nonzero correlation would sit
@@ -124,12 +126,33 @@ def test_orbit_exit_guard(sl3_pair, four_term_poly):
     k1 = algebra.dual_orbit(sl3_pair, k0, (1, 0))
     f = trigpoly.TrigPolynomial({k0: 0.5, tuple(-x for x in k0): 0.5,
                                  k1: 0.25, tuple(-x for x in k1): 0.25})
+    # the pair is checked for total ergodicity only when the table does not close
+    checked, check_pair = [], algebra.check_pair
+    monkeypatch.setattr(algebra, "check_pair", lambda *a: checked.append(a) or check_pair(*a))
     bad = scenery.ToralScenery(pair=sl3_pair, poly=f, q_mod=2**31 - 1, orbit_box=1)
-    with pytest.raises(scenery.OrbitExitError):
+    with pytest.raises(scenery.OrbitExitError, match="raise orbit_box"):
         scenery.toral_correlations(bad)
+    assert checked == [(sl3_pair, 1)]
     ok = scenery.ToralScenery(pair=sl3_pair, poly=f, q_mod=2**31 - 1, orbit_box=8)
     table = scenery.toral_correlations(ok)
     assert table[(1, 0)] == pytest.approx(0.25)
+    assert checked == [(sl3_pair, 1)]
+
+
+IDENTITY = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+SWAP = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("a1", [IDENTITY, SWAP], ids=["identity", "swap"])
+def test_orbit_exit_names_a_pair_that_is_not_totally_ergodic(a1):
+    # every A^l has the eigenvalue 1, so the correlations never decay and no
+    # orbit_box can help: the error names the pair and its first l by |l|_inf
+    doc = load_fixture("fclt_toral.json")
+    doc.update(n=256, n_omegas=1, m_sceneries=100,
+               scenery=dict(doc["scenery"], pair={"a1": a1, "a2": IDENTITY}))
+    with pytest.raises(scenery.OrbitExitError,
+                       match=r"scenery.pair is not totally ergodic: A\^l for l = \(-1, -1\)"):
+        cli.run_experiment(doc)
 
 
 def test_q_mod_validation(sl3_pair, four_term_poly):
@@ -454,18 +477,58 @@ def kernel_polys(four_term_poly):
     return {"four_term": four_term_poly, "truncation_ladder": ladder}
 
 
+BLOCK = scenery._TORAL_BLOCK
+
+
 @pytest.mark.parametrize("c", [1, 256])
-@pytest.mark.parametrize("m", [1, 511, 512, 513])
+# about one block, 4 blocks (one for each of 4 threads) and many blocks per thread
+@pytest.mark.parametrize("m", [1, BLOCK - 1, BLOCK, BLOCK + 1, 511, 512, 513, 9 * BLOCK + 5])
 @pytest.mark.parametrize("poly", ["four_term", "truncation_ladder"])
-def test_toral_kernel_is_byte_identical_to_einsum(sl3_pair, kernel_sites, kernel_polys,
-                                                 poly, m, c):
+def test_toral_kernel_is_byte_identical_to_einsum(monkeypatch, sl3_pair, kernel_sites,
+                                                 kernel_polys, poly, m, c):
     scen = scenery.toral_scenery(sl3_pair, kernel_polys[poly])
     sites, seeds = kernel_sites[:m], list(range(7, 7 + c))
-    got = scenery.site_values(scen, sites)(seeds)
     want = _einsum_toral_values(scen, sites, seeds)
-    assert got.shape == want.shape == (c, m)
-    assert got.flags.f_contiguous  # the transpose of a C-ordered (M, c) array
-    assert got.tobytes() == want.tobytes()
+    for threads in (None, 1, 4):  # the CPUs + 1 default, then forced
+        if threads is not None:
+            monkeypatch.setattr(scenery, "_toral_threads", lambda: threads)
+        got = scenery.site_values(scen, sites)(seeds)
+        assert got.shape == want.shape == (c, m)
+        assert got.flags.f_contiguous  # the transpose of a C-ordered (M, c) array
+        assert got.tobytes() == want.tobytes()
+
+
+def test_toral_report_does_not_depend_on_the_kernel_threads(monkeypatch, tmp_path):
+    doc = load_fixture("fclt_toral.json")
+    doc.update(n_omegas=1, m_sceneries=256)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    reports = []
+    for threads in (None, 1):
+        if threads is not None:
+            monkeypatch.setattr(scenery, "_toral_threads", lambda: threads)
+        out = tmp_path / f"threads-{threads}"
+        assert cli.main(["run", str(path), "--out", str(out)]) in (0, 2)
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_toral_kernel_raises_an_error_of_one_block_after_every_thread_stops(
+        monkeypatch, kernel_sites, toral):
+    block, calls = scenery._toral_block, itertools.count()
+
+    def failing_block(*args):
+        if next(calls) == 5:
+            raise RuntimeError("block 5 failed")
+        block(*args)
+
+    monkeypatch.setattr(scenery, "_toral_block", failing_block)
+    monkeypatch.setattr(scenery, "_toral_threads", lambda: 4)
+    values = scenery.site_values(toral, kernel_sites[:20 * BLOCK])
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="block 5 failed"):
+        values(list(range(64)))
+    assert threading.active_count() == before
 
 
 def test_toral_values_of_a_draw_do_not_depend_on_its_chunk(sl3_pair, kernel_sites,
@@ -477,7 +540,7 @@ def test_toral_values_of_a_draw_do_not_depend_on_its_chunk(sl3_pair, kernel_site
 
 
 def test_toral_values_peak_memory(kernel_sites, toral):
-    # blocked: the (M, c) result plus a few (512, c) buffers, not (M, h, c) arrays
+    # blocked: the (M, c) result plus five (128, c) buffers per thread, not (M, h, c) arrays
     sites, seeds = kernel_sites[:4000], list(range(256))
     tracemalloc.start()
     try:
