@@ -10,9 +10,10 @@ cost manageable.  Provides
   N = lcm{n : phi(n) <= rho}, taken modulo a prime first and exactly only
   when the residue is 0),
 * the dual (transpose) action on frequency vectors, exact correlations
-  <A^l f, f> by character matching, exact joint moments and cumulants of
-  transported observables (a cumulant is expanded only when some support
-  tuple's transported frequencies cancel; every other one is +0.0), and
+  <A^l f, f> on a box by character matching along exact dual orbits, exact
+  joint moments and cumulants of transported observables (a cumulant is
+  expanded only when some support tuple's transported frequencies cancel;
+  every other one is +0.0), and
 * exhaustive enumeration of the four-term S-unit-type relation
   A^{l1} g - A^{l2} g + A^{l3} g - g = 0 without vanishing proper sub-sums.
 """
@@ -236,16 +237,47 @@ def dual_orbit(pair: MatrixPair, k, ell) -> tuple:
     return out
 
 
-def toral_correlation(pair: MatrixPair, f: TrigPolynomial, ell) -> float:
-    """<A^l f, f> = sum over k with transpose(A^l) k in the support of
-    c_k conj(c_{transpose(A^l) k})."""
-    total = 0.0 + 0.0j
-    for k, c in f.coeffs.items():
-        kk = dual_orbit(pair, k, ell)
-        if kk in f.coeffs:
-            total += c * f.coeffs[kk].conjugate()
-    assert abs(total.imag) < 1e-9
-    return float(total.real)
+def _dual_walk(mat: tuple, vecs: np.ndarray, box: int):
+    """(a, transpose(M)^a V) for a = 0, 1, ..., box and then a = -1, ..., -box,
+    V a (rho, n) object array of integer columns, one exact step at a time and
+    one power held at a time."""
+    yield 0, vecs
+    for sign, m in ((1, mat), (-1, mat_inverse_unimodular(mat))):
+        step = np.array(mat_transpose(m), dtype=object)
+        line = vecs
+        for a in range(1, box + 1):
+            line = step @ line
+            yield sign * a, line
+
+
+def correlation_box(pair: MatrixPair, f: TrigPolynomial, box: int) -> dict:
+    """l -> <A^l f, f> for every l with |l|_inf <= box, l in row-major order.
+
+    <A^l f, f> is the sum, over k with transpose(A^l) k in the support, of
+    c_k conj(c_{transpose(A^l) k}), added in the order of ``f.coeffs``.  The
+    dual action transpose(A^l) k = (A1^T)^{l1} (A2^T)^{l2} k is walked for the
+    whole support along l1 and then l2, one exact integer step at a time
+    (Python integers in object arrays), not raised to each l afresh; only one
+    l2 line of the box is held at a time, so memory grows with the box, not
+    its area.
+    """
+    coeffs = list(f.coeffs.items())
+    h = len(coeffs)
+    support = np.array([k for k, _ in coeffs], dtype=object).T  # (rho, h)
+    by_l1 = dict(_dual_walk(pair.a1, support, box))
+    by_l1 = np.concatenate([by_l1[a] for a in range(-box, box + 1)], axis=1)  # l1-major columns
+    values = {}
+    for l2, line in _dual_walk(pair.a2, by_l1, box):
+        cols = line.T.tolist()
+        for i in range(2 * box + 1):
+            total = 0.0 + 0.0j
+            for (_, c), kk in zip(coeffs, cols[i * h:(i + 1) * h]):
+                ck = f.coeffs.get(tuple(kk))
+                if ck is not None:
+                    total += c * ck.conjugate()
+            assert abs(total.imag) < 1e-9
+            values[(i - box, l2)] = float(total.real)
+    return {ell: values[ell] for ell in itertools.product(range(-box, box + 1), repeat=2)}
 
 
 def _transported_keys(pair: MatrixPair, f: TrigPolynomial, ells, r: int) -> dict:

@@ -132,8 +132,12 @@ def _scenery(field, doc):
     try:
         if doc.get("pair") == "bundled-sl3":
             doc = dict(doc, pair=load_fixture("toral_pair_sl3.json"))
-        return scenery.scenery_from_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+        scen = scenery.scenery_from_dict(doc)
+        if isinstance(scen, scenery.ToralScenery):
+            # a table that cannot close is refused here; the instance caches it for the runner
+            scenery.toral_correlations(scen)
+        return scen
+    except (KeyError, TypeError, ValueError, scenery.OrbitExitError) as exc:
         raise ConfigError(field, str(exc))
 
 

@@ -4,7 +4,9 @@ Two mechanisms, both stateless given their keys:
 
 * ``philox_gen(seed)`` wraps numpy's Philox counter-based generator for
   drawing walk increments and evaluation points.  Streams are keyed, so
-  parallel scheduling cannot change results.
+  parallel scheduling cannot change results.  ``philox_bounded(keys, ...)``
+  gives the first bounded integers of many such streams at once, value for
+  value, without building a Generator for each key.
 * ``hash_sites(seed, coords)`` maps (seed, lattice site) to a uint64 by a
   splitmix64 finalizer chain.  The same site always hashes to the same
   word, which is what makes a lazily materialized scenery consistent
@@ -71,6 +73,66 @@ def derive_seeds(master_seed: int, *parts, count: int) -> list:
 def philox_gen(seed: int) -> np.random.Generator:
     """Counter-based generator keyed by ``seed`` (numpy Philox 4x64)."""
     return np.random.Generator(np.random.Philox(key=np.uint64(seed & (2**64 - 1))))
+
+
+# Philox4x64-10 (Salmon, Moraes, Dror & Shaw, SC 2011): round multipliers and key bumps
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (_U64(0x9E3779B97F4A7C15), _U64(0xBB67AE8584CAA73B))
+_LO32 = _U64(0xFFFFFFFF)
+_S32 = _U64(32)
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple:
+    """The high and low words of the 128-bit products m x, from 32-bit halves."""
+    m_lo, m_hi = _U64(m & 0xFFFFFFFF), _U64(m >> 32)
+    x_lo, x_hi = x & _LO32, x >> _S32
+    cross1, cross2 = x_hi * m_lo, x_lo * m_hi
+    mid = ((x_lo * m_lo) >> _S32) + (cross1 & _LO32) + (cross2 & _LO32)  # < 3 * 2^32
+    hi = x_hi * m_hi + (cross1 >> _S32) + (cross2 >> _S32) + (mid >> _S32)
+    return hi, x * _U64(m)
+
+
+def _philox_block(keys: np.ndarray, counter: int) -> np.ndarray:
+    """The four words Philox4x64-10 gives at ``counter`` under each key (the
+    second key word 0), as eight uint32 per key, low half of each word first:
+    the order numpy's Philox hands out its 32-bit draws."""
+    k0, k1 = keys, np.zeros_like(keys)
+    c0, c1, c2, c3 = (np.full_like(keys, v) for v in (counter, 0, 0, 0))
+    for r in range(10):
+        if r:
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack([c0, c1, c2, c3], axis=1)
+    return np.stack([words & _LO32, words >> _S32], axis=2).reshape(len(keys), 8)
+
+
+def philox_bounded(keys, bound: int, count: int) -> np.ndarray:
+    """(len(keys), count) uint64 whose row i is, value for value,
+    ``philox_gen(keys[i]).integers(0, bound, size=count, dtype=np.uint64)``,
+    for 1 < bound < 2^32, with no Generator built.
+
+    numpy's bounded draw there is Lemire's (ACM TOMACS 2019): a 32-bit word w
+    gives (w bound) >> 32 unless the low 32 bits of w bound are below
+    2^32 mod bound, and then the key's next word is tried.  Numpy's Philox
+    bumps its counter to 1 before its first block; each further block (the
+    counter 2, 3, ...) is drawn for every key once some key has run out of
+    accepted words.
+    """
+    if not 1 < bound < 2**32:
+        raise ValueError(f"bound = {bound}: expected 1 < bound < 2^32")
+    keys = np.array([int(k) & (2**64 - 1) for k in keys], dtype=np.uint64)
+    threshold = _U64((1 << 32) % bound)
+    blocks = []
+    while True:
+        blocks.append(_philox_block(keys, len(blocks) + 1) * _U64(bound))
+        scaled = np.hstack(blocks)
+        accepted = (scaled & _LO32) >= threshold
+        if (accepted.sum(axis=1) >= count).all():
+            break
+    first = np.argsort(~accepted, axis=1, kind="stable")[:, :count]
+    return np.take_along_axis(scaled, first, axis=1) >> _S32
 
 
 def hash_sites(seed: int, coords: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import algebra
 from .localtime import pair_count_tables, path_table, unique_sites, window_counts
-from .rng import derive_seed, hash_sites, philox_gen, splitmix64, u64_to_uniform
+from .rng import derive_seed, hash_sites, philox_bounded, splitmix64, u64_to_uniform
 from .trigpoly import TrigPolynomial
 from .walk import WalkPath, lattice_point, real_number
 
@@ -316,14 +316,9 @@ def toral_correlations(scenery: ToralScenery) -> dict:
     if cached is not None:
         return cached
     box = scenery.orbit_box
-    table = {}
-    reach = 0
-    for l1 in range(-box, box + 1):
-        for l2 in range(-box, box + 1):
-            a = algebra.toral_correlation(scenery.pair, scenery.poly, (l1, l2))
-            if abs(a) > 1e-15:
-                table[(l1, l2)] = a
-                reach = max(reach, abs(l1), abs(l2))
+    table = {ell: a for ell, a in algebra.correlation_box(scenery.pair, scenery.poly, box).items()
+             if abs(a) > 1e-15}
+    reach = max((max(abs(l1), abs(l2)) for l1, l2 in table), default=0)
     if reach > box // 2:
         unit_roots = [ell for ell, ok in algebra.check_pair(scenery.pair, box).per_ell.items()
                       if not ok]
@@ -462,11 +457,6 @@ _HASH_WORDS = 32768
 _TORAL_BLOCK = 128
 
 
-def _toral_point(scenery: ToralScenery, x_seed: int) -> np.ndarray:
-    gen = philox_gen(derive_seed(x_seed, "toral-point"))
-    return gen.integers(0, scenery.q_mod, size=scenery.pair.rho, dtype=np.uint64)
-
-
 def _modmat_range(mat_t: tuple, lo: int, hi: int, q: int) -> dict:
     """(M^a mod q) for a in [lo, hi], built by exact ladder multiplication."""
     rho = len(mat_t)
@@ -528,7 +518,9 @@ def _toral_values(scenery: ToralScenery, freqs: np.ndarray, x_seeds) -> np.ndarr
     """
     n_sites = freqs.shape[1]
     coeffs = [c for _, c in scenery.poly.half_support()]
-    pts = np.stack([_toral_point(scenery, s) for s in x_seeds])  # (c, rho)
+    # x = philox_gen(derive_seed(x_seed, "toral-point")).integers(0, q, size=rho), (c, rho)
+    pts = philox_bounded([derive_seed(s, "toral-point") for s in x_seeds],
+                         scenery.q_mod, scenery.pair.rho)
     vals = np.zeros((n_sites, len(x_seeds)))
     blocks = iter(range(0, n_sites, _TORAL_BLOCK))
     take = threading.Lock()
@@ -568,18 +560,27 @@ def _toral_block(q_mod: int, coeffs: list, freqs: np.ndarray, pts: np.ndarray,
     half-support frequency at a time: the phase is reduced mod q once (rho
     (q-1)^2 < 2^64 for rho <= 4), cos runs only where Re c != 0 and sin only
     where Im c != 0.  The terms are added in support order and the block's
-    sine sum is subtracted once, as einsum("h,mhc->mc", 2 Re c, cos) -
-    einsum("h,mhc->mc", 2 Im c, sin) does for two or more draws."""
+    sine sum, when there is one, is subtracted once, as
+    einsum("h,mhc->mc", 2 Re c, cos) - einsum("h,mhc->mc", 2 Im c, sin) does
+    for two or more draws.
+
+    The reduction is ph - (ph // q) q: numpy divides uint64 by a scalar
+    without a hardware divide (a multiply by a precomputed inverse), about
+    four times faster than ``%`` on the same integers."""
     q = np.uint64(q_mod)
     scale = 2.0 * np.pi / q_mod
     ph, tm, an, tr, sn = scratch
-    sn.fill(0.0)
+    sines = any(c.imag for c in coeffs)
+    if sines:
+        sn.fill(0.0)
     for f, c in zip(freqs, coeffs):
         np.multiply(f[:, :1], pts[:, 0], out=ph)
         for j in range(1, pts.shape[1]):
             np.multiply(f[:, j:j + 1], pts[:, j], out=tm)
             ph += tm
-        ph %= q
+        np.floor_divide(ph, q, out=tm)
+        tm *= q
+        ph -= tm
         np.multiply(ph, scale, out=an)
         if c.real:
             np.cos(an, out=tr)
@@ -589,7 +590,8 @@ def _toral_block(q_mod: int, coeffs: list, freqs: np.ndarray, pts: np.ndarray,
             np.sin(an, out=tr)
             tr *= 2.0 * c.imag
             sn += tr
-    vals -= sn
+    if sines:
+        vals -= sn
 
 
 def _toral_threads() -> int:

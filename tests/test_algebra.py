@@ -184,55 +184,61 @@ def test_dual_orbit(sl3_pair):
         assert len(images) == len(freqs)
 
 
-def test_toral_correlation_parseval(sl3_pair, four_term_poly):
-    f = four_term_poly
-    assert algebra.toral_correlation(sl3_pair, f, (0, 0)) == pytest.approx(
-        f.norm_l2_sq(), abs=1e-12)
+@pytest.fixture(scope="module")
+def overlap_poly(sl3_pair):
+    # k1 = transpose(A^(1, 0)) k0, so <A^l f, f> is nonzero at l = (0, 0) and (+-1, 0)
+    k0 = (1, 0, 0)
+    k1 = algebra.dual_orbit(sl3_pair, k0, (1, 0))
+    return trigpoly.TrigPolynomial({
+        k0: 0.5, tuple(-x for x in k0): 0.5,
+        k1: 0.25, tuple(-x for x in k1): 0.25,
+    })
+
+
+def test_toral_correlation_parseval(sl3_pair, four_term_poly, overlap_poly):
+    for f in (four_term_poly, overlap_poly):
+        table = algebra.correlation_box(sl3_pair, f, 3)
+        assert table[(0, 0)] == pytest.approx(f.norm_l2_sq(), abs=1e-12)
+        assert list(table) == list(itertools.product(range(-3, 4), repeat=2))
 
 
 def test_toral_correlation_single_character(sl3_pair):
     g = trigpoly.cosine_polynomial([(1, 0, 0)])
-    for ell in itertools.product(range(-3, 4), repeat=2):
-        a = algebra.toral_correlation(sl3_pair, g, ell)
+    for ell, a in algebra.correlation_box(sl3_pair, g, 3).items():
         if ell == (0, 0):
             assert a == pytest.approx(0.5)
         else:
             assert a == 0.0
 
 
-def test_toral_correlation_constructed_overlap(sl3_pair):
-    k0 = (1, 0, 0)
-    k1 = algebra.dual_orbit(sl3_pair, k0, (1, 0))
-    f = trigpoly.TrigPolynomial({
-        k0: 0.5, tuple(-x for x in k0): 0.5,
-        k1: 0.25, tuple(-x for x in k1): 0.25,
-    })
-    got = algebra.toral_correlation(sl3_pair, f, (1, 0))
+def test_toral_correlation_constructed_overlap(sl3_pair, overlap_poly):
+    table = algebra.correlation_box(sl3_pair, overlap_poly, 4)
     # transported k0 lands on k1; plus the conjugate pair
-    assert got == pytest.approx(2 * (0.5 * 0.25), abs=1e-12)
+    assert table[(1, 0)] == pytest.approx(2 * (0.5 * 0.25), abs=1e-12)
+    assert {ell for ell, a in table.items() if a} == {(-1, 0), (0, 0), (1, 0)}
 
 
-def test_toral_correlation_symmetry(sl3_pair, four_term_poly):
-    for ell in [(1, 0), (2, -1), (0, 3)]:
-        mell = (-ell[0], -ell[1])
-        assert algebra.toral_correlation(sl3_pair, four_term_poly, ell) == \
-            pytest.approx(algebra.toral_correlation(sl3_pair, four_term_poly, mell),
-                          abs=1e-12)
+def test_toral_correlation_symmetry(sl3_pair, four_term_poly, overlap_poly):
+    for f in (four_term_poly, overlap_poly):
+        table = algebra.correlation_box(sl3_pair, f, 4)
+        for (l1, l2), a in table.items():
+            assert a == pytest.approx(table[(-l1, -l2)], abs=1e-12)
 
 
-def test_spectral_density_bound(sl3_pair, four_term_poly):
-    total = sum(abs(algebra.toral_correlation(sl3_pair, four_term_poly, ell))
-                for ell in itertools.product(range(-8, 9), repeat=2))
-    assert total <= four_term_poly.norm_c() ** 2 + 1e-12
+def test_spectral_density_bound(sl3_pair, four_term_poly, overlap_poly):
+    # summability: sum_l |a_l| <= ||f||_c^2
+    for f in (four_term_poly, overlap_poly):
+        total = sum(abs(a) for a in algebra.correlation_box(sl3_pair, f, 8).values())
+        assert total <= f.norm_c() ** 2 + 1e-12
 
 
 def test_exact_joint_moment(sl3_pair, four_term_poly):
     f = four_term_poly
     assert algebra.exact_joint_moment(sl3_pair, f, [(3, 1)]) == 0.0  # centered
+    table = algebra.correlation_box(sl3_pair, f, 2)
     for ell in [(0, 0), (1, 0), (1, -2)]:
         m2 = algebra.exact_joint_moment(sl3_pair, f, [ell, (0, 0)])
-        assert m2 == pytest.approx(algebra.toral_correlation(sl3_pair, f, ell),
-                                   abs=1e-12)
+        assert m2 == pytest.approx(table[ell], abs=1e-12)
     with pytest.raises(ValueError):
         algebra.exact_joint_moment(sl3_pair, f, [(0, 0)] * 4, budget=10)
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from rwscenery import cli, harness, reportio, scenery, walk
+from rwscenery import algebra, cli, harness, reportio, scenery, walk
 from rwscenery.walk import MAX_STEPS
 
 
@@ -367,16 +367,23 @@ def test_validate_variance_ladder_needs_four_fields():
 
 
 def test_validate_bounds_toral_rho(tmp_path, capsys, companion_pair):
-    def config(rho):
-        poly = [[[s * int(i == 0) for i in range(rho)], 0.5, 0.0] for s in (-1, 1)]
-        pair = companion_pair(rho)
+    def config(pair):
+        poly = [[[s * int(i == 0) for i in range(pair.rho)], 0.5, 0.0] for s in (-1, 1)]
         return dict(TINY_FCLT, experiment="fclt-toral", scenery={
             "variant": "toral", "pair": {"a1": [list(r) for r in pair.a1],
                                          "a2": [list(r) for r in pair.a2]},
             "poly": poly, "q_mod": 2**31 - 1})
 
-    assert cli.validate_config(config(4)) == "fclt-toral"
-    assert cli.main(["validate", write_config(tmp_path, config(5))]) == 1
+    # (C, C - I), C the companion of the Salem quartic x^4 - x^3 - x^2 - x + 1,
+    # is totally ergodic; companion_pair(4) is not: its A^(-5, 1) is I, since
+    # C^4 = C + I
+    c = ((0, 0, 0, -1), (1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1))
+    salem = algebra.matrix_pair(c, [[v - (i == j) for j, v in enumerate(row)]
+                                    for i, row in enumerate(c)])
+    assert cli.validate_config(config(salem)) == "fclt-toral"
+    with pytest.raises(cli.ConfigError, match=r"^scenery: .*not totally ergodic"):
+        cli.validate_config(config(companion_pair(4)))
+    assert cli.main(["validate", write_config(tmp_path, config(companion_pair(5)))]) == 1
     err = capsys.readouterr().err
     assert "config field scenery:" in err and "rho <= 4" in err
 

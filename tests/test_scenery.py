@@ -10,7 +10,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from rwscenery import algebra, cli, harness, localtime, scenery, trigpoly, walk
+from rwscenery import algebra, cli, harness, localtime, rng, scenery, trigpoly, walk
 from rwscenery.cli import load_fixture
 
 
@@ -139,6 +139,37 @@ def test_orbit_exit_guard(monkeypatch, sl3_pair, four_term_poly):
     assert checked == [(sl3_pair, 1)]
 
 
+def _per_l_correlation(pair, f, ell):
+    """<A^l f, f> by the per-l character match that the table replaced:
+    transpose(A^l) k from the exact A^l for each k, the matched terms added in
+    coeffs order."""
+    total = 0.0 + 0.0j
+    for k, c in f.coeffs.items():
+        kk = algebra.dual_orbit(pair, k, ell)
+        if kk in f.coeffs:
+            total += c * f.coeffs[kk].conjugate()
+    return float(total.real)
+
+
+@pytest.mark.parametrize("poly", ["four_term", "truncation_ladder", "overlap"])
+def test_toral_correlations_match_the_per_l_loop(sl3_pair, kernel_polys, poly):
+    if poly == "overlap":  # nonzero at l = (0, 0) and (+-1, 0)
+        k0, k1 = (1, 0, 0), algebra.dual_orbit(sl3_pair, (1, 0, 0), (1, 0))
+        f = trigpoly.TrigPolynomial({k0: 0.5, (-1, 0, 0): 0.5,
+                                     k1: 0.25 + 0.125j, tuple(-x for x in k1): 0.25 - 0.125j})
+    else:
+        f = kernel_polys[poly]
+    want = {}
+    for ell in itertools.product(range(-12, 13), repeat=2):
+        a = _per_l_correlation(sl3_pair, f, ell)
+        if abs(a) > 1e-15:
+            want[ell] = a
+    got = scenery.toral_correlations(scenery.toral_scenery(sl3_pair, f, orbit_box=12))
+    assert list(got) == list(want)
+    assert [a.hex() for a in got.values()] == [a.hex() for a in want.values()]
+    assert len(got) == (3 if poly == "overlap" else 1)
+
+
 IDENTITY = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 SWAP = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
 
@@ -146,13 +177,16 @@ SWAP = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
 @pytest.mark.parametrize("a1", [IDENTITY, SWAP], ids=["identity", "swap"])
 def test_orbit_exit_names_a_pair_that_is_not_totally_ergodic(a1):
     # every A^l has the eigenvalue 1, so the correlations never decay and no
-    # orbit_box can help: the error names the pair and its first l by |l|_inf
+    # orbit_box can help: validate refuses the scenery, naming the pair and its
+    # first l by |l|_inf
     doc = load_fixture("fclt_toral.json")
     doc.update(n=256, n_omegas=1, m_sceneries=100,
                scenery=dict(doc["scenery"], pair={"a1": a1, "a2": IDENTITY}))
-    with pytest.raises(scenery.OrbitExitError,
-                       match=r"scenery.pair is not totally ergodic: A\^l for l = \(-1, -1\)"):
-        cli.run_experiment(doc)
+    with pytest.raises(cli.ConfigError,
+                       match=r"^scenery: scenery.pair is not totally ergodic: "
+                             r"A\^l for l = \(-1, -1\)") as err:
+        cli.validate_config(doc)
+    assert err.value.field == "scenery"
 
 
 def test_q_mod_validation(sl3_pair, four_term_poly):
@@ -441,6 +475,45 @@ def test_toral_exact_phase_equality(sl3_pair, four_term_poly, toral):
             assert phase_transport == phase_modular
 
 
+def _toral_point(scen, x_seed):
+    """The scenery point x of a draw, from numpy's own Generator."""
+    gen = rng.philox_gen(rng.derive_seed(x_seed, "toral-point"))
+    return gen.integers(0, scen.q_mod, size=scen.pair.rho, dtype=np.uint64)
+
+
+# primes of (2^20, 2^31): the smallest, one whose Lemire draw rejects a third of
+# the 32-bit words, the second toral fixture's, and the default 2^31 - 1
+@pytest.mark.parametrize("q", [1048583, 1431655777, 2147483629, 2**31 - 1])
+def test_philox_bounded_matches_numpy_generator(q):
+    keys = [0, 1, 2**63 + 1, 2**64 - 1] + rng.derive_seeds(5, "toral-point", count=2000)
+    for rho in (3, 4):
+        want = np.stack([rng.philox_gen(k).integers(0, q, size=rho, dtype=np.uint64)
+                         for k in keys])
+        got = rng.philox_bounded(keys, q, rho)
+        assert got.dtype == np.uint64
+        assert got.tobytes() == want.tobytes()
+    assert rng.philox_bounded([], q, 3).shape == (0, 3)
+    for bound in (0, 1, 2**32):
+        with pytest.raises(ValueError, match="bound"):
+            rng.philox_bounded(keys, bound, 3)
+
+
+@pytest.mark.parametrize("q", [1048583, 2**31 - 1])
+def test_toral_phase_reduction_at_the_edges(q):
+    # ph - (ph // q) q is ph % q wherever a phase sum can land, up to 2^64 - 1
+    edges = [0, q - 1, q, 7 * q - 1, 4 * (q - 1) ** 2, 2**64 - 1]
+    freqs = np.array(edges, dtype=np.uint64).reshape(1, -1, 1)  # (h, b, rho) = (1, 6, 1)
+    pts = np.ones((2, 1), dtype=np.uint64)  # two draws, x = 1: the phase sum is the edge
+    shape = (len(edges), 2)
+    scratch = [np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.uint64),
+               np.empty(shape), np.empty(shape), np.empty(shape)]
+    vals = np.zeros(shape)
+    scenery._toral_block(q, [0.5], freqs, pts, vals, scratch)
+    want = np.array([ph % q for ph in edges], dtype=np.uint64)
+    assert scratch[0][:, 0].tolist() == scratch[0][:, 1].tolist() == want.tolist()
+    assert vals[:, 0].tobytes() == np.cos(want * (2.0 * np.pi / q)).tobytes()
+
+
 def _einsum_toral_values(scen, sites, x_seeds):
     """The toral kernel as one einsum over (M, h, c) phase arrays: the byte
     reference for site_values.  einsum sums a length-1 draw axis in its
@@ -452,7 +525,7 @@ def _einsum_toral_values(scen, sites, x_seeds):
     cre = np.asarray([2.0 * c.real for _, c in half])
     cim = np.asarray([2.0 * c.imag for _, c in half])
     q = scen.q_mod
-    pts = np.stack([scenery._toral_point(scen, s) for s in seeds])
+    pts = np.stack([_toral_point(scen, s) for s in seeds])
     phase = np.zeros((len(sites), len(half), len(seeds)), dtype=np.uint64)
     for j in range(scen.pair.rho):
         phase += freqs[:, :, j:j + 1] * pts[None, None, :, j]
@@ -552,21 +625,25 @@ def test_toral_values_peak_memory(kernel_sites, toral):
 
 
 def test_toral_values_exact_at_rho_4(companion_pair):
-    # the largest rho whose rho-term phase sums stay below 2^64 unreduced
-    pair = companion_pair(4)
+    # the largest rho whose rho-term phase sums stay below 2^64 unreduced, at
+    # the smallest prime q_mod may be and at the default
+    for q in (1048583, 2**31 - 1):
+        _check_toral_values_exact_at_rho_4(companion_pair(4), q)
+
+
+def _check_toral_values_exact_at_rho_4(pair, q):
     poly = trigpoly.TrigPolynomial({
         (1, 0, 0, 0): 0.5, (-1, 0, 0, 0): 0.5,
         (0, 1, -1, 2): 0.2 + 0.3j, (0, -1, 1, -2): 0.2 - 0.3j,
         (1, 0, 1, 0): -0.25j, (-1, 0, -1, 0): 0.25j})
-    scen = scenery.toral_scenery(pair, poly)
+    scen = scenery.toral_scenery(pair, poly, q_mod=q)
     gen = np.random.default_rng(4)
     sites = np.vstack([[[40, 40], [-40, -40], [40, -40], [0, 0]],
                        gen.integers(-40, 41, size=(60, 2))]).astype(np.int64)
     seeds = [3, 17, 2**63 + 1]
     got = scenery.site_values(scen, sites)(seeds)
-    q = scen.q_mod
     for r, seed in enumerate(seeds):
-        p = [int(v) for v in scenery._toral_point(scen, seed)]
+        p = [int(v) for v in _toral_point(scen, seed)]
         for i, ell in enumerate(sites.tolist()):
             y = [v % q for v in algebra.mat_vec(algebra.mat_pow_pair(pair, ell), p)]
             want = sum(c * cmath.exp(2j * math.pi * (sum(a * b for a, b in zip(k, y)) % q) / q)
@@ -582,7 +659,7 @@ def test_toral_empirical_correlation_matches_table(sl3_pair, toral):
     for j, ell in enumerate(ells):
         prod = vals[:, j] * vals[:, 0]
         se = float(prod.std(ddof=1) / math.sqrt(len(prod)))
-        expect = algebra.toral_correlation(sl3_pair, toral.poly, ell)
+        expect = scenery.toral_correlations(toral).get(ell, 0.0)
         assert abs(float(prod.mean()) - expect) < 4 * se + 1e-9
 
 
